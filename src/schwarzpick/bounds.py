@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,15 +101,10 @@ def rhs_disk(k: int, z, fz_norm: float) -> float:
     return (math.factorial(k) * (1.0 - fz_norm ** 2) * (1.0 + t) ** (k - 1) / (1.0 - t * t) ** k) ** 2
 
 
-def rhs_disk_scalar(k: int, z, fz_norm: float) -> float:
-    """Scalar bound on |f^(k)(z)| alone (square root of rhs_disk)."""
-    return math.sqrt(rhs_disk(k, z, fz_norm))
-
-
 def rhs_disk_classical(k: int, z, fz_norm: float) -> float:
     """Benchmark form bounding |f^(k)(z)|/(1-|f(z)|^2):
     k! (1+|z|)^(k-1) / (1-|z|^2)^k."""
-    return rhs_disk_scalar(k, z, fz_norm) / (1.0 - fz_norm ** 2)
+    return math.sqrt(rhs_disk(k, z, fz_norm)) / (1.0 - fz_norm ** 2)
 
 
 class PartialBounds(NamedTuple):
@@ -255,28 +250,80 @@ def aj_coefficients(k: int, xi_abs: float, variant: str = "disk", v=None) -> AjC
                           term_sum=float(sum(mags)), closed_form=closed)
 
 
-def _bundle_for(f: HoloMap, z, order: int, spec, exact, bundle):
-    if bundle is not None:
-        return bundle
-    return cauchy.partial_bundle(f, z, order, spec, exact=exact)
+def _metric(d, fz) -> float:
+    return geometry.bergman_metric(fz, d)
 
 
-def _context(f, map_id, z=None, beta=None, k=None, v=None) -> dict:
-    ctx = {"map": map_id if map_id is not None else f.describe()}
-    if z is not None:
-        ctx["z"] = np.asarray(z, dtype=complex).reshape(-1)
-    if beta is not None:
-        ctx["beta"] = np.asarray(beta, dtype=complex).reshape(-1)
-    if k is not None:
-        ctx["k"] = int(k)
-    if v is not None:
-        ctx["v"] = mi.as_multiindex(v)
-    return ctx
+def _norm(d, fz) -> float:
+    return float(np.linalg.norm(d))
+
+
+def _classical(d, fz) -> float:
+    return float(np.linalg.norm(d)) / (1.0 - float(np.linalg.norm(fz)) ** 2)
+
+
+class _Bound(NamedTuple):
+    """One inequality id: the derivative it controls, its left-hand form
+    lhs(derivative, f(z)) and its right-hand side rhs(z, beta, k, v, |f(z)|).
+
+    derivative is one of
+      d^k    f^(k)(z) for n = 1
+      D_k    the order-k directional derivative D_k(f, z, beta)
+      d^v    the mixed partial d^v f(z)
+      slice  the degree-k slice sum_{|alpha|=k} a_alpha beta^alpha at the origin
+      a_v    the Taylor coefficient a_v at the origin
+    """
+
+    derivative: str
+    lhs: Callable
+    rhs: Callable
+    k: int | None = None
+    n1: bool = False
+    m1: bool = False
+
+
+_BOUNDS = {
+    "1.1": _Bound("d^k", _classical, lambda z, b, k, v, a: rhs_disk_classical(k, z[0], a), n1=True, m1=True),
+    "1.2": _Bound("d^v", _norm, lambda z, b, k, v, a: rhs_partial(v, z, a).benchmark_scalar, m1=True),
+    "1.3": _Bound("D_k", _metric, lambda z, b, k, v, a: rhs_main(k, z, b), k=1),
+    "1.4": _Bound("D_k", _metric, lambda z, b, k, v, a: rhs_main(k, z, b)),
+    "3.1": _Bound("slice", lhs_quadratic, lambda z, b, k, v, a: rhs_origin((k,), a).slice_bound),
+    "3.2": _Bound("a_v", lhs_quadratic, lambda z, b, k, v, a: rhs_origin(v, a).coefficient_bound),
+    "4.1": _Bound("d^k", lhs_quadratic, lambda z, b, k, v, a: rhs_disk(k, z[0], a), n1=True),
+    "5.1": _Bound("d^v", lhs_quadratic, lambda z, b, k, v, a: rhs_partial(v, z, a).squared),
+    "5.2": _Bound("d^v", _norm, lambda z, b, k, v, a: rhs_partial(v, z, a).scalar, m1=True),
+    "5.3": _Bound("d^v", lhs_quadratic, lambda z, b, k, v, a: rhs_radial(v, z, a)),
+}
+
+
+def _derivative(f: HoloMap, kind: str, z, beta, k, v, bundle):
+    """(f at the base point, the derivative a bound controls).
+
+    Origin rows read polynomial coefficients directly and take every other
+    map's coefficients from one shared quadrature torus; the others use the
+    partial bundle at z, computed here unless supplied.
+    """
+    zero = (0,) * f.n
+    if kind in ("slice", "a_v"):
+        indices = mi.enumerate_indices(f.n, k) if kind == "slice" else [v]
+        if isinstance(f, PolyMap):
+            coeffs = {a: f.coefficient(a) for a in [zero] + indices}
+        else:
+            coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
+        if kind == "a_v":
+            return coeffs[zero], coeffs[v]
+        return coeffs[zero], sum(coeffs[a] * np.prod(beta ** np.array(a)) for a in indices)
+    if bundle is None:
+        bundle = cauchy.partial_bundle(f, z, sum(v) if kind == "d^v" else k)
+    if kind == "d^k":
+        return bundle[zero], bundle[(k,)]
+    if kind == "d^v":
+        return bundle[zero], bundle[v]
+    return bundle[zero], cauchy.frechet_from_bundle(bundle, beta, k, f.n)
 
 
 def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, v=None,
-                     spec=None, bundle=None, exact: bool | str = "auto",
-                     map_id: str | None = None) -> BoundReport:
+                     bundle=None, map_id: str | None = None) -> BoundReport:
     """Evaluate one inequality for a map at a single context and report both sides.
 
     Derivatives come from the exact coefficient route for polynomial maps and
@@ -284,106 +331,28 @@ def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, 
     supplied to share one quadrature across many contexts.
     """
     ineq = normalize_inequality(inequality)
-    zero = (0,) * f.n
-
-    if ineq == "1.1":
-        if f.n != 1 or f.m != 1:
-            raise ValueError("inequality 1.1 applies to one-variable scalar maps")
-        b = _bundle_for(f, z, int(k), spec, exact, bundle)
-        fz = b[zero]
-        dk = b[(int(k),)]
-        fnorm = float(np.linalg.norm(fz))
-        lhs = float(np.linalg.norm(dk)) / (1.0 - fnorm ** 2)
-        rhs = rhs_disk_classical(int(k), complex(np.asarray(z).reshape(-1)[0]), fnorm)
-        return BoundReport.build(ineq, lhs, rhs, _context(f, map_id, z=z, k=k))
-
-    if ineq == "1.2":
-        if f.m != 1:
-            raise ValueError("inequality 1.2 applies to scalar-valued maps")
-        vv = mi.as_multiindex(v)
-        b = _bundle_for(f, z, sum(vv), spec, exact, bundle)
-        fnorm = float(np.linalg.norm(b[zero]))
-        lhs = float(np.linalg.norm(b[vv]))
-        rhs = rhs_partial(vv, z, fnorm).benchmark_scalar
-        return BoundReport.build(ineq, lhs, rhs, _context(f, map_id, z=z, v=vv))
-
-    if ineq == "1.3":
-        b = _bundle_for(f, z, 1, spec, exact, bundle)
-        fz = b[zero]
-        jac_beta = cauchy.frechet_from_bundle(b, beta, 1, f.n)
-        lhs = geometry.bergman_metric(fz, jac_beta)
-        rhs = geometry.bergman_metric(z, beta)
-        return BoundReport.build(ineq, lhs, rhs, _context(f, map_id, z=z, beta=beta, k=1))
-
-    if ineq == "1.4":
-        kk = int(k)
-        b = _bundle_for(f, z, kk, spec, exact, bundle)
-        fz = b[zero]
-        dk = cauchy.frechet_from_bundle(b, beta, kk, f.n)
-        lhs = geometry.bergman_metric(fz, dk)
-        rhs = rhs_main(kk, z, beta)
-        return BoundReport.build(ineq, lhs, rhs, _context(f, map_id, z=z, beta=beta, k=kk))
-
-    if ineq == "3.1":
-        kk = int(k)
-        beta_arr = np.asarray(beta, dtype=complex).reshape(f.n)
-        if abs(math.sqrt(float(sq_norm(beta_arr))) - 1.0) > 1e-12:
+    row = _BOUNDS[ineq]
+    if row.n1 and f.n != 1:
+        raise ValueError(f"inequality {ineq} applies to one-variable maps")
+    if row.m1 and f.m != 1:
+        raise ValueError(f"inequality {ineq} applies to scalar-valued maps")
+    origin = row.derivative in ("slice", "a_v")
+    ctx = {"map": map_id if map_id is not None else f.describe()}
+    if not origin:
+        z = np.asarray(z, dtype=complex).reshape(-1)
+        ctx["z"] = z
+    if row.derivative in ("D_k", "slice"):
+        beta = np.asarray(beta, dtype=complex).reshape(f.n)
+        if origin and abs(math.sqrt(float(sq_norm(beta))) - 1.0) > 1e-12:
             raise MapDomainError("the origin slice bound requires a unit direction")
-        if isinstance(f, PolyMap):
-            a0 = f.coefficient(zero)
-            slice_k = f.degree_slice(kk, beta_arr)
-        else:
-            origin = np.zeros(f.n, dtype=complex)
-            b = _bundle_for(f, origin, kk, spec, exact, bundle)
-            a0 = b[zero]
-            slice_k = cauchy.frechet_from_bundle(b, beta_arr, kk, f.n) / math.factorial(kk)
-        a0n = float(np.linalg.norm(a0))
-        lhs = lhs_quadratic(slice_k, a0)
-        rhs = rhs_origin((kk,), a0n).slice_bound
-        return BoundReport.build(ineq, lhs, rhs, _context(f, map_id, beta=beta_arr, k=kk))
-
-    if ineq == "3.2":
-        vv = mi.as_multiindex(v)
-        if isinstance(f, PolyMap):
-            a0 = f.coefficient(zero)
-            av = f.coefficient(vv)
-        else:
-            a0 = cauchy.taylor_coefficient(f, zero, spec)
-            av = cauchy.taylor_coefficient(f, vv, spec)
-        a0n = float(np.linalg.norm(a0))
-        lhs = lhs_quadratic(av, a0)
-        rhs = rhs_origin(vv, a0n).coefficient_bound
-        return BoundReport.build(ineq, lhs, rhs, _context(f, map_id, v=vv))
-
-    if ineq == "4.1":
-        if f.n != 1:
-            raise ValueError("inequality 4.1 applies to one-variable maps")
-        kk = int(k)
-        b = _bundle_for(f, z, kk, spec, exact, bundle)
-        fz = b[zero]
-        dk = b[(kk,)]
-        fnorm = float(np.linalg.norm(fz))
-        lhs = lhs_quadratic(dk, fz)
-        rhs = rhs_disk(kk, complex(np.asarray(z).reshape(-1)[0]), fnorm)
-        return BoundReport.build(ineq, lhs, rhs, _context(f, map_id, z=z, k=kk))
-
-    if ineq in ("5.1", "5.2", "5.3"):
-        vv = mi.as_multiindex(v)
-        b = _bundle_for(f, z, sum(vv), spec, exact, bundle)
-        fz = b[zero]
-        dv = b[vv]
-        fnorm = float(np.linalg.norm(fz))
-        if ineq == "5.1":
-            lhs = lhs_quadratic(dv, fz)
-            rhs = rhs_partial(vv, z, fnorm).squared
-        elif ineq == "5.2":
-            if f.m != 1:
-                raise ValueError("inequality 5.2 applies to scalar-valued maps")
-            lhs = float(np.linalg.norm(dv))
-            rhs = rhs_partial(vv, z, fnorm).scalar
-        else:
-            lhs = lhs_quadratic(dv, fz)
-            rhs = rhs_radial(vv, z, fnorm)
-        return BoundReport.build(ineq, lhs, rhs, _context(f, map_id, z=z, v=vv))
-
-    raise AssertionError(f"unhandled inequality {ineq}")
+        ctx["beta"] = beta
+    if row.derivative in ("d^v", "a_v"):
+        v = mi.as_multiindex(v)
+        ctx["v"] = v
+    else:
+        k = int(row.k if row.k is not None else k)
+        ctx["k"] = k
+    fz, d = _derivative(f, row.derivative, z, beta, k, v, bundle)
+    lhs = row.lhs(d, fz)
+    rhs = row.rhs(z, beta, k, v, float(np.linalg.norm(fz)))
+    return BoundReport.build(ineq, lhs, rhs, ctx)

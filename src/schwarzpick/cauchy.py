@@ -110,7 +110,7 @@ def resolve_spec(z, order: int, spec: QuadratureSpec | None = None) -> tuple[np.
 class DerivativeResult:
     """One derivative value plus provenance for cross-checks.
 
-    method is one of: exact-poly | quadrature | frechet-sum | frechet-line.
+    method is one of: quadrature | frechet-sum | frechet-line.
     For directional derivatives computed by both routes, route_gap records
     the relative disagreement between them.
     """
@@ -175,10 +175,16 @@ def _coefficient_dft(values: np.ndarray, exponents, radii, nodes: int) -> np.nda
     return table
 
 
-def exact_partial(f: PolyMap, z, v) -> DerivativeResult:
-    """Order-v partial of a polynomial map through its coefficient table."""
-    v = mi.as_multiindex(v)
-    return DerivativeResult(value=f.partial_value(z, v), method="exact-poly", v=v)
+def _coefficients(f: HoloMap, z, indices, spec: QuadratureSpec | None = None) -> dict:
+    """Scaled local Taylor coefficients c_alpha of f about z for each alpha in
+    `indices`, from one torus whose DFT runs over the exponents each axis needs."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    radii, nodes = resolve_spec(z, max(max(a) for a in indices), spec)
+    values = _torus_values(f, z, radii, nodes)
+    exps = [np.array(sorted({a[j] for a in indices})) for j in range(f.n)]
+    table = _coefficient_dft(values, exps, radii, nodes)
+    position = [{int(e): i for i, e in enumerate(exps[j])} for j in range(f.n)]
+    return {a: table[tuple(position[j][a[j]] for j in range(f.n))] for a in indices}
 
 
 def partial_derivative(f: HoloMap, z, v, spec: QuadratureSpec | None = None) -> DerivativeResult:
@@ -191,47 +197,24 @@ def partial_derivative(f: HoloMap, z, v, spec: QuadratureSpec | None = None) -> 
     z = np.asarray(z, dtype=complex).reshape(-1)
     if len(v) != f.n or z.shape[0] != f.n:
         raise ValueError(f"order and point must have dimension {f.n}")
-    radii, nodes = resolve_spec(z, max(v), spec)
-    values = _torus_values(f, z, radii, nodes)
-    table = _coefficient_dft(values, [np.array([vj]) for vj in v], radii, nodes)
-    coeff = table.reshape(f.m)
+    coeff = _coefficients(f, z, [v], spec)[v]
     return DerivativeResult(value=coeff * mi.multiindex_factorial(v), method="quadrature", v=v)
 
 
 def taylor_coefficient(f: HoloMap, v, spec: QuadratureSpec | None = None) -> np.ndarray:
     """Taylor coefficient a_v of f at the origin: d^v f(0) / v!."""
     v = mi.as_multiindex(v)
-    z = np.zeros(f.n, dtype=complex)
-    radii, nodes = resolve_spec(z, max(v) if sum(v) else 0, spec)
-    values = _torus_values(f, z, radii, nodes)
-    table = _coefficient_dft(values, [np.array([vj]) for vj in v], radii, nodes)
-    return table.reshape(f.m)
+    return _coefficients(f, np.zeros(f.n), [v], spec)[v]
 
 
 def taylor_coefficients(f: HoloMap, indices, spec: QuadratureSpec | None = None) -> dict:
     """A chosen set of Taylor coefficients at the origin from one shared torus."""
-    indices = [mi.as_multiindex(a) for a in indices]
-    z = np.zeros(f.n, dtype=complex)
-    order = max(max(a) for a in indices)
-    radii, nodes = resolve_spec(z, order, spec)
-    values = _torus_values(f, z, radii, nodes)
-    exps = [np.array(sorted({a[j] for a in indices})) for j in range(f.n)]
-    table = _coefficient_dft(values, exps, radii, nodes)
-    position = [{int(e): i for i, e in enumerate(exps[j])} for j in range(f.n)]
-    return {a: table[tuple(position[j][a[j]] for j in range(f.n))] for a in indices}
+    return _coefficients(f, np.zeros(f.n), [mi.as_multiindex(a) for a in indices], spec)
 
 
 def coefficient_table(f: HoloMap, max_degree: int, spec: QuadratureSpec | None = None) -> dict:
     """All Taylor coefficients a_alpha, |alpha| <= max_degree, from one torus."""
-    z = np.zeros(f.n, dtype=complex)
-    radii, nodes = resolve_spec(z, max_degree, spec)
-    values = _torus_values(f, z, radii, nodes)
-    exps = [np.arange(max_degree + 1)] * f.n
-    table = _coefficient_dft(values, exps, radii, nodes)
-    out = {}
-    for alpha in mi.enumerate_up_to(f.n, max_degree):
-        out[alpha] = table[alpha]
-    return out
+    return _coefficients(f, np.zeros(f.n), mi.enumerate_up_to(f.n, max_degree), spec)
 
 
 def partial_bundle(f: HoloMap, z, max_order: int, spec: QuadratureSpec | None = None,
@@ -244,18 +227,13 @@ def partial_bundle(f: HoloMap, z, max_order: int, spec: QuadratureSpec | None = 
     z = np.asarray(z, dtype=complex).reshape(-1)
     if exact == "auto":
         exact = isinstance(f, PolyMap)
+    alphas = mi.enumerate_up_to(f.n, max_order)
     if exact:
         if not isinstance(f, PolyMap):
             raise TypeError("exact differentiation requires a polynomial map")
-        return {alpha: f.partial_value(z, alpha) for alpha in mi.enumerate_up_to(f.n, max_order)}
-    radii, nodes = resolve_spec(z, max_order, spec)
-    values = _torus_values(f, z, radii, nodes)
-    exps = [np.arange(max_order + 1)] * f.n
-    table = _coefficient_dft(values, exps, radii, nodes)
-    out = {}
-    for alpha in mi.enumerate_up_to(f.n, max_order):
-        out[alpha] = table[alpha] * mi.multiindex_factorial(alpha)
-    return out
+        return {alpha: f.partial_value(z, alpha) for alpha in alphas}
+    coeffs = _coefficients(f, z, alphas, spec)
+    return {alpha: c * mi.multiindex_factorial(alpha) for alpha, c in coeffs.items()}
 
 
 def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:

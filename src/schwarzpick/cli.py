@@ -78,7 +78,10 @@ def main(argv=None) -> int:
             config = _config(args, "sharpness")
             radii = DEFAULT_SWEEP_RADII
             if args.radii:
-                radii = tuple(float(r) for r in args.radii.split(","))
+                try:
+                    radii = tuple(float(r) for r in args.radii.split(","))
+                except ValueError:
+                    raise ConfigError(f"--radii must be comma-separated numbers: {args.radii!r}") from None
             report = sharpness_sweep(config, args.family, radii)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

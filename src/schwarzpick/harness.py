@@ -60,8 +60,8 @@ def validate_config(config: SuiteConfig) -> None:
         raise ConfigError("k_max must lie in 1..8")
     if not 1 <= config.degree <= 8:
         raise ConfigError("degree must lie in 1..8")
-    if config.tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not (math.isfinite(config.tol) and config.tol > 0):
+        raise ConfigError("tol must be positive and finite")
     if config.fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {config.fmt!r}")
     if config.suite == "disk" and config.n != 1:
@@ -81,10 +81,7 @@ def expected_ids(suite: str, m: int) -> tuple[str, ...]:
         "equality": ("1.3", "3.2"),
         "sharpness": ("4.1", "5.3"),
     }
-    ids = table[suite]
-    if not ids:
-        raise AssertionError(f"suite {suite} has an empty manifest")
-    return ids
+    return table[suite]
 
 
 # --------------------------------------------------------------------------
@@ -240,8 +237,11 @@ def _csv_vec(pairs) -> str:
     return ";".join(f"{re!r}{im:+}j" for re, im in pairs)
 
 
-def _finalize(config: SuiteConfig, records: list[dict], failures: list[dict],
+def _finalize(config: SuiteConfig, records: list[dict], maps: dict | None = None,
               expected: tuple[str, ...] | None = None) -> Report:
+    """Sort and flag the records, check the manifest, list the first failing
+    record of each failing sample with its map (from `maps`, for replay) and
+    summarize."""
     records.sort(key=lambda r: (r["sample"], r["inequality"]))
     for rec in records:
         if rec["kind"] == "bound":
@@ -250,24 +250,22 @@ def _finalize(config: SuiteConfig, records: list[dict], failures: list[dict],
     for ineq in (expected if expected is not None else expected_ids(config.suite, config.m)):
         if not any(r["inequality"] == ineq for r in records):
             raise AssertionError(f"suite {config.suite} produced no records for inequality {ineq}")
+    maps = maps or {}
+    failures, seen = [], set()
+    for rec in records:
+        if _is_failure(rec, config.tol) and rec["sample"] not in seen:
+            seen.add(rec["sample"])
+            f = maps.get(rec["sample"])
+            if isinstance(f, PolyMap):
+                described = f.to_json_dict()
+            else:
+                described = f.describe() if f is not None else "unknown"
+            failures.append({"sample": rec["sample"], "suite": rec["suite"],
+                             "worst_slack": rec["slack"], "map": described})
     echo = asdict(config)
     echo.pop("out")  # destination path is environment metadata, not canonical body
     return Report(schema=SCHEMA, config=echo, records=records,
                   failures=failures, summary=summarize(records, config.tol))
-
-
-def _note_failures(records, tol, poly_by_sample, failures):
-    seen = set()
-    for rec in records:
-        if _is_failure(rec, tol) and rec["sample"] not in seen:
-            seen.add(rec["sample"])
-            payload = {"sample": rec["sample"], "suite": rec["suite"], "worst_slack": rec["slack"]}
-            f = poly_by_sample.get(rec["sample"])
-            if isinstance(f, PolyMap):
-                payload["map"] = f.to_json_dict()
-            else:
-                payload["map"] = getattr(f, "describe", lambda: "unknown")() if f is not None else "unknown"
-            failures.append(payload)
 
 
 def emit(report: Report, fmt: str, path) -> None:
@@ -302,16 +300,14 @@ def run_suite(config: SuiteConfig, _maps_override=None) -> Report:
     if config.suite == "equality":
         return equality_suite(config)
     if config.suite == "sharpness":
-        records, failures = [], []
+        records = []
         for family in ("remark2", "remark4"):
-            recs = _sweep_records(config, family, DEFAULT_SWEEP_RADII)
-            records.extend(recs)
-        return _finalize(config, records, failures)
+            records.extend(_sweep_records(config, family, DEFAULT_SWEEP_RADII))
+        return _finalize(config, records)
 
     suite_code = SUITE_IDS.index(config.suite)
     records: list[dict] = []
-    failures: list[dict] = []
-    poly_by_sample: dict[str, object] = {}
+    maps: dict[str, object] = {}
 
     for s in range(config.samples):
         rng = _rng(config.seed, suite_code, s)
@@ -319,119 +315,97 @@ def run_suite(config: SuiteConfig, _maps_override=None) -> Report:
         f = random_polymap(config.n, config.m, config.degree, rng)
         if _maps_override is not None and s < len(_maps_override):
             sample, f = _maps_override[s]
-        poly_by_sample[sample] = f
-        if config.suite == "main":
-            records.extend(_main_records(config, rng, sample, f))
-            if config.n == config.m and _maps_override is None:
-                a = random_ball_point(rng, config.m, 0.5)
-                aut = geometry.AutomorphismMap(a)
-                aut_sample = f"aut-{s:04d}"
-                poly_by_sample[aut_sample] = aut
-                records.extend(_main_records(config, rng, aut_sample, aut))
-        elif config.suite == "disk":
-            records.extend(_disk_records(config, rng, sample, f))
-        elif config.suite == "partials":
-            records.extend(_partials_records(config, rng, sample, f))
-        elif config.suite == "radial":
-            records.extend(_radial_records(config, rng, sample, f))
+        maps[sample] = f
+        records.extend(_SAMPLE_RECORDS[config.suite](config, rng, sample, f))
+        if config.suite == "main" and config.n == config.m and _maps_override is None:
+            aut_sample = f"aut-{s:04d}"
+            maps[aut_sample] = geometry.AutomorphismMap(random_ball_point(rng, config.m, 0.5))
+            records.extend(_main_records(config, rng, aut_sample, maps[aut_sample]))
         elif config.suite == "origin":
-            records.extend(_origin_records(config, rng, sample, f))
             ext_sample = f"ext-{s:04d}"
-            ext_map, ext_records = _origin_extremal_records(config, rng, ext_sample)
-            poly_by_sample[ext_sample] = ext_map
+            maps[ext_sample], ext_records = _origin_extremal_records(config, rng, ext_sample)
             records.extend(ext_records)
 
-    report = _finalize(config, records, failures)
-    _note_failures(report.records, config.tol, poly_by_sample, failures)
-    report.summary = summarize(report.records, config.tol)
-    return report
+    return _finalize(config, records, maps)
+
+
+def _records(config, sample, f, requests, z=None, bundle=None):
+    """One record per (inequality, kwargs) request, all at z and sharing the
+    partial `bundle` of f at z when given."""
+    return [record_from_report(config.suite, sample, bounds.check_inequality(
+        f, ineq, z=z, bundle=bundle, map_id=sample, **kwargs)) for ineq, kwargs in requests]
 
 
 def _main_records(config, rng, sample, f):
     out = []
     zs = [random_ball_point(rng, config.n, 0.9) for _ in range(2)]
-    near = random_unit_vector(rng, config.n) * rng.uniform(0.955, 0.99)
-    zs.append(near)
+    zs.append(random_unit_vector(rng, config.n) * rng.uniform(0.955, 0.99))
     for z in zs:
-        bundle = cauchy.partial_bundle(f, z, config.k_max)
+        requests = []
         for beta in _beta_set(rng, z):
-            rep = bounds.check_inequality(f, "1.3", z=z, beta=beta, bundle=bundle, map_id=sample)
-            out.append(record_from_report(config.suite, sample, rep))
-            for k in range(1, config.k_max + 1):
-                rep = bounds.check_inequality(f, "1.4", z=z, beta=beta, k=k, bundle=bundle, map_id=sample)
-                out.append(record_from_report(config.suite, sample, rep))
+            requests.append(("1.3", {"beta": beta}))
+            requests.extend(("1.4", {"beta": beta, "k": k}) for k in range(1, config.k_max + 1))
+        out.extend(_records(config, sample, f, requests, z, cauchy.partial_bundle(f, z, config.k_max)))
     return out
 
 
 def _disk_records(config, rng, sample, f):
+    ids = ("4.1", "1.1") if config.m == 1 else ("4.1",)
+    requests = [(ineq, {"k": k}) for k in range(1, config.k_max + 1) for ineq in ids]
     out = []
     for _ in range(3):
         z = random_ball_point(rng, 1, 0.9)
-        bundle = cauchy.partial_bundle(f, z, config.k_max)
-        for k in range(1, config.k_max + 1):
-            rep = bounds.check_inequality(f, "4.1", z=z, k=k, bundle=bundle, map_id=sample)
-            out.append(record_from_report(config.suite, sample, rep))
-            if config.m == 1:
-                rep = bounds.check_inequality(f, "1.1", z=z, k=k, bundle=bundle, map_id=sample)
-                out.append(record_from_report(config.suite, sample, rep))
+        out.extend(_records(config, sample, f, requests, z, cauchy.partial_bundle(f, z, config.k_max)))
     return out
+
+
+def _partial_records(config, sample, f, ids, zs):
+    """Records of each id for every non-zero v with |v| <= min(k_max, 4), at each z."""
+    order = min(config.k_max, 4)
+    orders = mi.enumerate_up_to(config.n, order, include_zero=False)
+    requests = [(ineq, {"v": v}) for v in orders for ineq in ids]
+    return [rec for z in zs
+            for rec in _records(config, sample, f, requests, z, cauchy.partial_bundle(f, z, order))]
 
 
 def _partials_records(config, rng, sample, f):
-    out = []
-    orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
-    for _ in range(2):
-        z = random_ball_point(rng, config.n, 0.9)
-        bundle = cauchy.partial_bundle(f, z, min(config.k_max, 4))
-        for v in orders:
-            rep = bounds.check_inequality(f, "5.1", z=z, v=v, bundle=bundle, map_id=sample)
-            out.append(record_from_report(config.suite, sample, rep))
-            if config.m == 1:
-                for ineq in ("5.2", "1.2"):
-                    rep = bounds.check_inequality(f, ineq, z=z, v=v, bundle=bundle, map_id=sample)
-                    out.append(record_from_report(config.suite, sample, rep))
-    return out
+    ids = ("5.1", "5.2", "1.2") if config.m == 1 else ("5.1",)
+    zs = [random_ball_point(rng, config.n, 0.9) for _ in range(2)]
+    return _partial_records(config, sample, f, ids, zs)
 
 
 def _radial_records(config, rng, sample, f):
-    out = []
-    orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
-    for _ in range(2):
-        z = np.zeros(config.n, dtype=complex)
+    zs = [np.zeros(config.n, dtype=complex) for _ in range(2)]
+    for z in zs:
         z[0] = rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
-        bundle = cauchy.partial_bundle(f, z, min(config.k_max, 4))
-        for v in orders:
-            rep = bounds.check_inequality(f, "5.3", z=z, v=v, bundle=bundle, map_id=sample)
-            out.append(record_from_report(config.suite, sample, rep))
-    return out
+    return _partial_records(config, sample, f, ("5.3",), zs)
 
 
 def _origin_records(config, rng, sample, f):
-    out = []
     betas = _beta_set(rng, np.zeros(config.n, dtype=complex))
-    for beta in betas:
-        for k in range(1, config.k_max + 1):
-            rep = bounds.check_inequality(f, "3.1", beta=beta, k=k, map_id=sample)
-            out.append(record_from_report(config.suite, sample, rep))
-    for v in mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False):
-        rep = bounds.check_inequality(f, "3.2", v=v, map_id=sample)
-        out.append(record_from_report(config.suite, sample, rep))
-    return out
+    orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
+    requests = [("3.1", {"beta": beta, "k": k}) for beta in betas for k in range(1, config.k_max + 1)]
+    requests += [("3.2", {"v": v}) for v in orders]
+    return _records(config, sample, f, requests)
+
+
+def _extremal_origin(rng, m, a0_abs, v):
+    """An origin-extremal map for v with |a0| = a0_abs and random directions."""
+    a0 = a0_abs * random_unit_vector(rng, m) if a0_abs > 0 else np.zeros(m, dtype=complex)
+    return geometry.extremal_origin_from_direction(a0, random_unit_vector(rng, m), v)
 
 
 def _origin_extremal_records(config, rng, sample):
     """One origin-extremal construction checked through the quadrature route."""
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     v = orders[int(rng.integers(len(orders)))]
-    a0_abs = float(rng.choice([0.0, 0.3, 0.7]))
-    a0 = a0_abs * random_unit_vector(rng, config.m) if a0_abs > 0 else np.zeros(config.m, dtype=complex)
-    f = geometry.extremal_origin_from_direction(a0, random_unit_vector(rng, config.m), v)
-    zero = (0,) * config.n
-    coeffs = cauchy.taylor_coefficients(f, [zero, v])
-    lhs = bounds.lhs_quadratic(coeffs[v], coeffs[zero])
-    rhs = bounds.rhs_origin(v, float(np.linalg.norm(coeffs[zero]))).coefficient_bound
-    rep = bounds.BoundReport.build("3.2", lhs, rhs, {"map": sample, "v": v})
-    return f, [record_from_report(config.suite, sample, rep)]
+    f = _extremal_origin(rng, config.m, float(rng.choice([0.0, 0.3, 0.7])), v)
+    return f, _records(config, sample, f, [("3.2", {"v": v})])
+
+
+#: Per-sample record builders of the polynomial sampling suites.
+_SAMPLE_RECORDS = {"main": _main_records, "disk": _disk_records, "partials": _partials_records,
+                   "radial": _radial_records, "origin": _origin_records}
 
 
 # --------------------------------------------------------------------------
@@ -444,23 +418,17 @@ def equality_suite(config: SuiteConfig) -> Report:
     Taylor-coefficient vanishing for extremal maps."""
     validate_config(config)
     records: list[dict] = []
-    failures: list[dict] = []
-    poly_by_sample: dict[str, object] = {}
+    maps: dict[str, object] = {}
 
     # origin-extremal grid: all v with |v| <= 4, |a0| in {0, 0.3, 0.7}
     rng = _rng(config.seed, 100)
     idx = 0
-    zero = (0,) * config.n
     for v in mi.enumerate_up_to(config.n, 4, include_zero=False):
         for a0_abs in (0.0, 0.3, 0.7):
             sample = f"ext-{idx:04d}"
             idx += 1
-            a0 = a0_abs * random_unit_vector(rng, config.m) if a0_abs > 0 else np.zeros(config.m, dtype=complex)
-            f = geometry.extremal_origin_from_direction(a0, random_unit_vector(rng, config.m), v)
-            coeffs = cauchy.taylor_coefficients(f, [zero, v])
-            lhs = bounds.lhs_quadratic(coeffs[v], coeffs[zero])
-            rhs = bounds.rhs_origin(v, float(np.linalg.norm(coeffs[zero]))).coefficient_bound
-            rep = bounds.BoundReport.build("3.2", lhs, rhs, {"map": sample, "v": v})
+            f = _extremal_origin(rng, config.m, a0_abs, v)
+            rep = bounds.check_inequality(f, "3.2", v=v, map_id=sample)
             records.append(record_from_report("equality", sample, rep))
             records.append(certificate_record(
                 "equality", sample, "3.2-equality",
@@ -470,7 +438,7 @@ def equality_suite(config: SuiteConfig) -> Report:
     # linear-plus-square example: equality at v = (1,0) with an off-shape coefficient
     if config.n == 2:
         f = geometry.linear_plus_square_map()
-        poly_by_sample["remark-example"] = f
+        maps["remark-example"] = f
         rep = bounds.check_inequality(f, "3.2", v=(1, 0), map_id="remark-example")
         records.append(record_from_report("equality", "remark-example", rep))
         records.append(certificate_record(
@@ -486,8 +454,7 @@ def equality_suite(config: SuiteConfig) -> Report:
     for i, v in enumerate(((1, 1), (2, 1), (2, 2))):
         for a0_abs in (0.3, 0.7):
             sample = f"rigid-{i}{int(a0_abs * 10):02d}"
-            a0 = a0_abs * random_unit_vector(rng, 1)
-            f = geometry.extremal_origin_from_direction(a0, random_unit_vector(rng, 1), v)
+            f = _extremal_origin(rng, 1, a0_abs, v)
             table = cauchy.coefficient_table(f, 8)
             lattice = {tuple(j * x for x in v) for j in range(0, 9)}
             worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
@@ -515,10 +482,7 @@ def equality_suite(config: SuiteConfig) -> Report:
             "equality", sample, "first-order-equality",
             measured=worst, slack=EQUALITY_TOL - worst))
 
-    report = _finalize(config, records, failures)
-    _note_failures(report.records, config.tol, poly_by_sample, failures)
-    report.summary = summarize(report.records, config.tol)
-    return report
+    return _finalize(config, records, maps)
 
 
 # --------------------------------------------------------------------------
@@ -588,7 +552,7 @@ def sharpness_sweep(config: SuiteConfig, family: str, radii=DEFAULT_SWEEP_RADII,
     validate_config(config)
     records = _sweep_records(config, family, radii, k_values, xi_values)
     cfg = SuiteConfig(**{**asdict(config), "suite": "sharpness"})
-    return _finalize(cfg, records, [], expected=("4.1",) if family == "remark2" else ("5.3",))
+    return _finalize(cfg, records, expected=("4.1",) if family == "remark2" else ("5.3",))
 
 
 def replay_sample(path, config: SuiteConfig) -> Report:

@@ -148,15 +148,6 @@ class PolyMap(HoloMap):
         """sum_alpha |a_alpha| (Euclidean norms); <= 1 certifies membership."""
         return float(sum(np.linalg.norm(c) for c in self.coeffs.values()))
 
-    def degree_slice(self, k: int, beta) -> np.ndarray:
-        """sum over |alpha| = k of a_alpha * beta^alpha."""
-        beta = np.asarray(beta, dtype=complex).reshape(self.n)
-        out = np.zeros(self.m, dtype=complex)
-        for alpha, c in self.coeffs.items():
-            if sum(alpha) == k:
-                out += c * np.prod(beta ** np.array(alpha))
-        return out
-
     def partial(self, v) -> "PolyMap":
         """Exact coefficient table of the order-v partial derivative.
 
@@ -374,25 +365,17 @@ def coefficient_checks(f: PolyMap, v, beta, unit_tol: float = 1e-12) -> Coeffici
     if abs(math.sqrt(float(sq_norm(beta))) - 1.0) > unit_tol:
         raise MapDomainError("beta must be a unit vector")
 
-    babs2 = np.abs(beta) ** 2
-    boundary = 0.0
-    weighted = 0.0
-    slices: dict[int, np.ndarray] = {}
-    for alpha, c in f.coeffs.items():
-        c2 = float(np.linalg.norm(c)) ** 2
-        boundary += c2 * float(np.prod(babs2 ** np.array(alpha)))
-        w = 1.0
-        for vj, aj in zip(v, alpha):
-            w *= float(vj) ** aj if not (vj == 0 and aj == 0) else 1.0
-        weighted += c2 * w / float(kv) ** sum(alpha)
-        k = sum(alpha)
-        acc = slices.setdefault(k, np.zeros(f.m, dtype=complex))
-        acc += c * np.prod(beta ** np.array(alpha))
-    slicesum = float(sum(np.linalg.norm(s) ** 2 for s in slices.values()))
+    E, A = f._matrices()
+    c2 = np.linalg.norm(A, axis=1) ** 2
+    degrees = E.sum(axis=1)
+    boundary = np.prod((np.abs(beta) ** 2) ** E, axis=1)
+    weights = np.prod(np.array(v, dtype=float) ** E, axis=1) / float(kv) ** degrees
+    slices = np.zeros((degrees.max(initial=0) + 1, f.m), dtype=complex)
+    np.add.at(slices, degrees, A * np.prod(beta ** E, axis=1)[:, None])
     return CoefficientChecks(
-        boundary_power_sum=boundary,
-        weighted_power_sum=weighted,
+        boundary_power_sum=float(np.sum(c2 * boundary)),
+        weighted_power_sum=float(np.sum(c2 * weights)),
         single_coefficient=float(np.linalg.norm(f.coefficient(v))),
         single_coefficient_bound=math.sqrt(mi.sharpness_factor(v)),
-        slice_power_sum=slicesum,
+        slice_power_sum=float(np.sum(np.linalg.norm(slices, axis=1) ** 2)),
     )

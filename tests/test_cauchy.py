@@ -37,7 +37,7 @@ class TestPartialDerivative:
             z = sample_ball(rng, n, 0.6)
             for v in mi.enumerate_up_to(n, 4, include_zero=False):
                 quad = cauchy.partial_derivative(f, z, v).value
-                exact = cauchy.exact_partial(f, z, v).value
+                exact = f.partial_value(z, v)
                 assert np.linalg.norm(quad - exact) <= 1e-10 * np.linalg.norm(exact)
 
     def test_torus_containment_enforced(self):
@@ -105,7 +105,7 @@ class TestFrechetDerivative:
         z = np.array([0.3 - 0.2j])
         for k in range(1, 5):
             dk = cauchy.frechet_derivative(f, z, np.array([1.0]), k).value
-            exact = cauchy.exact_partial(f, z, (k,)).value
+            exact = f.partial_value(z, (k,))
             assert np.linalg.norm(dk - exact) <= 1e-11 * max(1.0, np.linalg.norm(exact))
 
     def test_homogeneity_in_direction(self):

@@ -33,6 +33,7 @@ class TestConfigValidation:
         dict(fmt="xml"),
         dict(suite="disk", n=2),
         dict(suite="equality", n=3, m=2),
+        dict(tol=float("nan")),
     ])
     def test_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -45,8 +46,9 @@ class TestConfigValidation:
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self):
-        cfg = SuiteConfig(suite="main", n=2, m=2, seed=42, **SMALL)
+    @pytest.mark.parametrize("suite", harness.SUITE_IDS)
+    def test_byte_identical_reports(self, suite):
+        cfg = SuiteConfig(suite=suite, n=1 if suite == "disk" else 2, m=2, seed=42, **SMALL)
         assert run_suite(cfg).to_json() == run_suite(cfg).to_json()
 
     def test_seed_changes_report(self):
@@ -216,6 +218,16 @@ class TestFailureIsolation:
         assert replayed.summary["failure_count"] > 0
 
 
+class TestFinalize:
+    def test_failing_certificate_listed(self):
+        cfg = SuiteConfig(suite="sharpness")
+        rec = harness.certificate_record("sharpness", "remark2-k2-x0.50", "sweep-final-ratio",
+                                         measured=0.5, slack=-0.1)
+        report = harness._finalize(cfg, [rec], expected=("sweep-final-ratio",))
+        assert report.summary["failure_count"] == 1
+        assert [f["sample"] for f in report.failures] == ["remark2-k2-x0.50"]
+
+
 class TestCli:
     def test_check_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -232,6 +244,10 @@ class TestCli:
 
     def test_config_error_exit_two(self, capsys):
         assert cli.main(["check", "--suite", "main", "--n", "7"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_malformed_radii_exit_two(self, capsys):
+        assert cli.main(["sharpness", "--radii", "0.9,abc"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_equality_and_sharpness_commands(self):

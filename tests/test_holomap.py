@@ -184,6 +184,31 @@ class TestCoefficientChecks:
         with pytest.raises(MapDomainError):
             coefficient_checks(linear_plus_square(), (1, 0), np.array([1.0, 0.5]))
 
+    @staticmethod
+    def loop_sums(f, v, beta):
+        """Per-coefficient loop form of the three power sums."""
+        boundary = weighted = 0.0
+        slices = {}
+        for alpha, c in f.coeffs.items():
+            c2 = float(np.linalg.norm(c)) ** 2
+            boundary += c2 * float(np.prod(np.abs(beta) ** (2 * np.array(alpha))))
+            weighted += c2 * math.prod(float(vj) ** aj for vj, aj in zip(v, alpha)) / sum(v) ** sum(alpha)
+            acc = slices.setdefault(sum(alpha), np.zeros(f.m, dtype=complex))
+            acc += c * np.prod(beta ** np.array(alpha))
+        slicesum = float(sum(np.linalg.norm(s) ** 2 for s in slices.values()))
+        return boundary, weighted, slicesum
+
+    def test_matches_per_coefficient_loop(self):
+        rng = np.random.default_rng(22)
+        for seed in range(6):
+            f = random_polymap(1 + seed % 3, 1 + seed % 2, 4, seed=seed)
+            g = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
+            beta = g / np.linalg.norm(g)
+            for v in mi.enumerate_up_to(f.n, 3, include_zero=False):
+                checks = coefficient_checks(f, v, beta)
+                got = (checks.boundary_power_sum, checks.weighted_power_sum, checks.slice_power_sum)
+                assert got == pytest.approx(self.loop_sums(f, v, beta), rel=1e-13, abs=1e-15)
+
     def test_certified_maps_satisfy_all_inequalities(self):
         rng = np.random.default_rng(21)
         for seed in range(10):
