@@ -137,13 +137,9 @@ def _torus_values(f: HoloMap, z, radii, nodes: int) -> np.ndarray:
 
 
 def _poly_torus_values(f: PolyMap, circles, nodes: int) -> np.ndarray:
-    dims = [0] * f.n
-    for alpha in f.coeffs:
-        for j, aj in enumerate(alpha):
-            dims[j] = max(dims[j], aj)
-    tensor = np.zeros(tuple(d + 1 for d in dims) + (f.m,), dtype=complex)
-    for alpha, c in f.coeffs.items():
-        tensor[alpha] = c
+    dims = f.E.max(axis=0, initial=0)
+    tensor = np.zeros(tuple(dims + 1) + (f.m,), dtype=complex)
+    tensor[tuple(f.E.T)] = f.A
     for j in range(f.n):
         vander = np.empty((nodes, dims[j] + 1), dtype=complex)
         vander[:, 0] = 1.0
@@ -249,13 +245,13 @@ def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
     return acc
 
 
-def line_derivative(f: HoloMap, z, beta, k: int, nodes: int | None = None) -> DerivativeResult:
+def line_derivative(f: HoloMap, z, beta, k: int) -> DerivativeResult:
     """Order-k directional derivative via the one-variable restriction:
     the k-th derivative at 0 of lambda -> f(z + lambda beta), computed on a
-    single circle of half the restriction radius."""
+    single circle of 128 nodes at half the restriction radius."""
     line = restrict_to_line(f, z, beta)
-    n_nodes = 128 if nodes is None else int(nodes)
-    if n_nodes & (n_nodes - 1) or n_nodes < 2 * k + 2:
+    n_nodes = 128
+    if n_nodes < 2 * k + 2:
         raise TorusError(f"node count {n_nodes} cannot resolve derivative order {k}")
     rho = 0.5 * line.radius
     ts = np.arange(n_nodes)
@@ -303,11 +299,8 @@ def frechet_derivative(f: HoloMap, z, beta, k: int, spec: QuadratureSpec | None 
     return DerivativeResult(value=d_sum, method="frechet-sum", k=k, beta=beta, route_gap=gap)
 
 
-def jacobian(f: HoloMap, z, spec: QuadratureSpec | None = None, exact: bool | str = "auto") -> np.ndarray:
+def jacobian(f: HoloMap, z) -> np.ndarray:
     """Holomorphic Jacobian matrix of f at z (m x n), column j = df/dz_j."""
-    bundle = partial_bundle(f, z, 1, spec, exact=exact)
-    cols = []
-    for j in range(f.n):
-        alpha = tuple(1 if i == j else 0 for i in range(f.n))
-        cols.append(bundle[alpha])
-    return np.stack(cols, axis=1)
+    bundle = partial_bundle(f, z, 1)
+    units = mi.enumerate_indices(f.n, 1)[::-1]  # e_1, ..., e_n
+    return np.stack([bundle[e] for e in units], axis=1)

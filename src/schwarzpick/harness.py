@@ -239,9 +239,9 @@ def _csv_vec(pairs) -> str:
 
 def _finalize(config: SuiteConfig, records: list[dict], maps: dict | None = None,
               expected: tuple[str, ...] | None = None) -> Report:
-    """Sort and flag the records, check the manifest, list the first failing
-    record of each failing sample with its map (from `maps`, for replay) and
-    summarize."""
+    """Sort and flag the records, check the manifest, list each failing sample
+    with its most negative failing slack and its map (from `maps`, for replay)
+    and summarize."""
     records.sort(key=lambda r: (r["sample"], r["inequality"]))
     for rec in records:
         if rec["kind"] == "bound":
@@ -251,17 +251,19 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict | None = None
         if not any(r["inequality"] == ineq for r in records):
             raise AssertionError(f"suite {config.suite} produced no records for inequality {ineq}")
     maps = maps or {}
-    failures, seen = [], set()
+    failing: dict[str, list[dict]] = {}
     for rec in records:
-        if _is_failure(rec, config.tol) and rec["sample"] not in seen:
-            seen.add(rec["sample"])
-            f = maps.get(rec["sample"])
-            if isinstance(f, PolyMap):
-                described = f.to_json_dict()
-            else:
-                described = f.describe() if f is not None else "unknown"
-            failures.append({"sample": rec["sample"], "suite": rec["suite"],
-                             "worst_slack": rec["slack"], "map": described})
+        if _is_failure(rec, config.tol):
+            failing.setdefault(rec["sample"], []).append(rec)
+    failures = []
+    for sample, recs in failing.items():
+        f = maps.get(sample)
+        if isinstance(f, PolyMap):
+            described = f.to_json_dict()
+        else:
+            described = f.describe() if f is not None else "unknown"
+        failures.append({"sample": sample, "suite": recs[0]["suite"],
+                         "worst_slack": min(r["slack"] for r in recs), "map": described})
     echo = asdict(config)
     echo.pop("out")  # destination path is environment metadata, not canonical body
     return Report(schema=SCHEMA, config=echo, records=records,
@@ -427,7 +429,7 @@ def equality_suite(config: SuiteConfig) -> Report:
         for a0_abs in (0.0, 0.3, 0.7):
             sample = f"ext-{idx:04d}"
             idx += 1
-            f = _extremal_origin(rng, config.m, a0_abs, v)
+            maps[sample] = f = _extremal_origin(rng, config.m, a0_abs, v)
             rep = bounds.check_inequality(f, "3.2", v=v, map_id=sample)
             records.append(record_from_report("equality", sample, rep))
             records.append(certificate_record(
@@ -454,7 +456,7 @@ def equality_suite(config: SuiteConfig) -> Report:
     for i, v in enumerate(((1, 1), (2, 1), (2, 2))):
         for a0_abs in (0.3, 0.7):
             sample = f"rigid-{i}{int(a0_abs * 10):02d}"
-            f = _extremal_origin(rng, 1, a0_abs, v)
+            maps[sample] = f = _extremal_origin(rng, 1, a0_abs, v)
             table = cauchy.coefficient_table(f, 8)
             lattice = {tuple(j * x for x in v) for j in range(0, 9)}
             worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
@@ -470,7 +472,7 @@ def equality_suite(config: SuiteConfig) -> Report:
         w0 = random_ball_point(rng, config.m, 0.5)
         frame = random_isometry(rng, config.m, config.n)
         jac = geometry.jacobian_from_frame(xi, w0, frame)
-        f = geometry.extremal_k1_map(xi, w0, jac)
+        maps[sample] = f = geometry.extremal_k1_map(xi, w0, jac)
         bundle = cauchy.partial_bundle(f, xi, 1)
         worst = 0.0
         for _ in range(50):

@@ -54,7 +54,28 @@ def mobius_point(a, w):
     s = math.sqrt(1.0 - a2)
     ip = hermitian_inner(w, a)[..., None]
     proj = ip * a / a2
-    return (a - proj - s * (w - proj)) / (1.0 - hermitian_inner(w, a))[..., None]
+    return (a - proj - s * (w - proj)) / (1.0 - ip)
+
+
+def _poly_eval(E, A, z):
+    """sum_r A[r] z^E[r] at the points z (shape (..., n)) for an exponent
+    matrix E (rows of n ints) and a coefficient matrix A (rows in C^m)."""
+    n, m = E.shape[1], A.shape[1]
+    flat = z.reshape(-1, n)
+    out = np.zeros((flat.shape[0], m), dtype=complex)
+    if len(E):
+        dmax = int(E.max())
+        for lo in range(0, flat.shape[0], _EVAL_CHUNK):
+            zc = flat[lo:lo + _EVAL_CHUNK]
+            pows = np.empty((zc.shape[0], n, dmax + 1), dtype=complex)
+            pows[:, :, 0] = 1.0
+            for d in range(1, dmax + 1):
+                pows[:, :, d] = pows[:, :, d - 1] * zc
+            mono = pows[:, 0, E[:, 0]]
+            for j in range(1, n):
+                mono = mono * pows[:, j, E[:, j]]
+            out[lo:lo + _EVAL_CHUNK] = mono @ A
+    return out.reshape(z.shape[:-1] + (m,))
 
 
 class HoloMap:
@@ -106,40 +127,16 @@ class PolyMap(HoloMap):
         self.max_degree = found if max_degree is None else int(max_degree)
         if found > self.max_degree:
             raise ValueError(f"coefficient of degree {found} exceeds max_degree={self.max_degree}")
+        # exponent matrix (one row per key, in key order) and coefficient matrix
+        self.E = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.n)
+        self.A = np.array(list(self.coeffs.values()), dtype=complex).reshape(-1, self.m)
         # Root table + shift so that iterated differentiation applies one
         # exact integer factor to the original coefficients (bitwise-stable).
         self._root = self if _root is None else _root
         self._shift = (0,) * self.n if _shift is None else _shift
-        self._matrix = None
-
-    def _matrices(self):
-        if self._matrix is None:
-            if self.coeffs:
-                E = np.array(list(self.coeffs), dtype=np.int64)
-                A = np.array(list(self.coeffs.values()), dtype=complex)
-            else:
-                E = np.zeros((0, self.n), dtype=np.int64)
-                A = np.zeros((0, self.m), dtype=complex)
-            self._matrix = (E, A)
-        return self._matrix
 
     def _eval(self, z):
-        E, A = self._matrices()
-        flat = z.reshape(-1, self.n)
-        out = np.zeros((flat.shape[0], self.m), dtype=complex)
-        if len(E):
-            dmax = int(E.max())
-            for lo in range(0, flat.shape[0], _EVAL_CHUNK):
-                zc = flat[lo:lo + _EVAL_CHUNK]
-                pows = np.empty((zc.shape[0], self.n, dmax + 1), dtype=complex)
-                pows[:, :, 0] = 1.0
-                for d in range(1, dmax + 1):
-                    pows[:, :, d] = pows[:, :, d - 1] * zc
-                mono = pows[:, 0, E[:, 0]]
-                for j in range(1, self.n):
-                    mono = mono * pows[:, j, E[:, j]]
-                out[lo:lo + _EVAL_CHUNK] = mono @ A
-        return out.reshape(z.shape[:-1] + (self.m,))
+        return _poly_eval(self.E, self.A, z)
 
     def coefficient(self, alpha) -> np.ndarray:
         return self.coeffs.get(mi.as_multiindex(alpha), np.zeros(self.m, dtype=complex))
@@ -147,6 +144,21 @@ class PolyMap(HoloMap):
     def certificate_sum(self) -> float:
         """sum_alpha |a_alpha| (Euclidean norms); <= 1 certifies membership."""
         return float(sum(np.linalg.norm(c) for c in self.coeffs.values()))
+
+    def _shifted(self, v):
+        """Exponent and coefficient matrices of the order-v partial: the root
+        rows with E >= shift + v, lowered by the total shift and multiplied by
+        one exact integer prod_j E_j!/(E_j - total_j)! (Python ints) each."""
+        v = mi.as_multiindex(v)
+        if len(v) != self.n:
+            raise ValueError(f"derivative order {v} does not have dimension {self.n}")
+        total = tuple(s + dv for s, dv in zip(self._shift, v))
+        root = self._root
+        keep = np.all(root.E >= total, axis=1)
+        E = root.E[keep]
+        factors = [math.prod(math.perm(e, t) for e, t in zip(row, total)) for row in E.tolist()]
+        A = root.A[keep] * np.array(factors, dtype=float).reshape(-1, 1)
+        return E - total, A, total
 
     def partial(self, v) -> "PolyMap":
         """Exact coefficient table of the order-v partial derivative.
@@ -156,29 +168,17 @@ class PolyMap(HoloMap):
         exact integer factor, so partial(v) then partial(w) reproduces
         partial(v+w) bit for bit.
         """
-        v = mi.as_multiindex(v)
-        if len(v) != self.n:
-            raise ValueError(f"derivative order {v} does not have dimension {self.n}")
-        total = tuple(s + dv for s, dv in zip(self._shift, v))
-        root = self._root
-        table: dict[tuple[int, ...], np.ndarray] = {}
-        for alpha, c in root.coeffs.items():
-            if all(alpha[j] >= total[j] for j in range(self.n)):
-                target = tuple(alpha[j] - total[j] for j in range(self.n))
-                fac = 1
-                for j in range(self.n):
-                    for t in range(target[j] + 1, alpha[j] + 1):
-                        fac *= t
-                table[target] = c * fac
-        out = PolyMap(self.n, self.m, table,
-                      max_degree=max(0, root.max_degree - sum(total)),
-                      _root=root, _shift=total)
-        return out
+        E, A, total = self._shifted(v)
+        return PolyMap(self.n, self.m, dict(zip(map(tuple, E.tolist()), A)),
+                       max_degree=max(0, self._root.max_degree - sum(total)),
+                       _root=self._root, _shift=total)
 
     def partial_value(self, z, v) -> np.ndarray:
         """Evaluate the exact order-v partial derivative at a single point z."""
         z = np.asarray(z, dtype=complex).reshape(self.n)
-        return self.partial(v).eval(z[None, :])[0]
+        check_inside_ball(z)
+        E, A, _ = self._shifted(v)
+        return _poly_eval(E, A, z[None, :])[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,13 +365,12 @@ def coefficient_checks(f: PolyMap, v, beta, unit_tol: float = 1e-12) -> Coeffici
     if abs(math.sqrt(float(sq_norm(beta))) - 1.0) > unit_tol:
         raise MapDomainError("beta must be a unit vector")
 
-    E, A = f._matrices()
-    c2 = np.linalg.norm(A, axis=1) ** 2
-    degrees = E.sum(axis=1)
-    boundary = np.prod((np.abs(beta) ** 2) ** E, axis=1)
-    weights = np.prod(np.array(v, dtype=float) ** E, axis=1) / float(kv) ** degrees
+    c2 = np.linalg.norm(f.A, axis=1) ** 2
+    degrees = f.E.sum(axis=1)
+    boundary = np.prod((np.abs(beta) ** 2) ** f.E, axis=1)
+    weights = np.prod(np.array(v, dtype=float) ** f.E, axis=1) / float(kv) ** degrees
     slices = np.zeros((degrees.max(initial=0) + 1, f.m), dtype=complex)
-    np.add.at(slices, degrees, A * np.prod(beta ** E, axis=1)[:, None])
+    np.add.at(slices, degrees, f.A * np.prod(beta ** f.E, axis=1)[:, None])
     return CoefficientChecks(
         boundary_power_sum=float(np.sum(c2 * boundary)),
         weighted_power_sum=float(np.sum(c2 * weights)),

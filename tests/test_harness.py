@@ -129,6 +129,14 @@ class TestEqualitySuite:
         assert off_shape and off_shape[0]["slack"] >= 0.0
         assert off_shape[0]["lhs"] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
+    def test_failing_samples_list_their_maps(self, monkeypatch):
+        # a negative tolerance fails every ext-* and k1-* equality certificate
+        monkeypatch.setattr(harness, "EQUALITY_TOL", -1.0)
+        report = equality_suite(SuiteConfig(suite="equality", n=2, m=2, seed=7))
+        assert len(report.failures) == 45
+        kinds = {f["map"].split("(")[0] for f in report.failures}
+        assert kinds == {"extremal-origin", "extremal-k1"}
+
     def test_off_lattice_certificates(self):
         report = equality_suite(SuiteConfig(suite="equality", n=2, m=2, samples=1, seed=4))
         vanish = [r for r in report.records if r["inequality"] == "off-lattice-vanishing"]
@@ -210,6 +218,9 @@ class TestFailureIsolation:
         assert report.summary["failure_count"] > 0
         assert len(report.failures) == 1
         assert report.failures[0]["sample"] == "bad-0000"
+        failing = [r["slack"] for r in report.records
+                   if r["sample"] == "bad-0000" and harness._is_failure(r, cfg.tol)]
+        assert report.failures[0]["worst_slack"] == min(failing)
         path = tmp_path / "report.json"
         emit(report, "json", path)
         side = sorted(tmp_path.glob("report-failure-*.json"))

@@ -69,6 +69,21 @@ class TestPartial:
         for alpha in direct.coeffs:
             assert np.array_equal(chained.coeffs[alpha], direct.coeffs[alpha])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_partial_value_is_bitwise_the_table_value(self, n):
+        f = random_polymap(n, 2, 6, seed=40 + n)
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z *= 0.7 / np.linalg.norm(z)
+        orders = mi.enumerate_up_to(n, 4)
+        for v in orders:
+            assert np.array_equal(f.partial_value(z, v), f.partial(v).eval(z[None])[0])
+        for u in orders:
+            du = f.partial(u)
+            for w in orders:
+                uw = tuple(a + b for a, b in zip(u, w))
+                assert np.array_equal(du.partial_value(z, w), f.partial_value(z, uw))
+
 
 class TestRandomPolymap:
     def test_deterministic_given_seed(self):
