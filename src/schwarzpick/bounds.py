@@ -323,7 +323,7 @@ def _derivative(f: HoloMap, kind: str, z, beta, k, v, bundle):
 
 
 def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, v=None,
-                     bundle=None, map_id: str | None = None) -> BoundReport:
+                     bundle=None) -> BoundReport:
     """Evaluate one inequality for a map at a single context and report both sides.
 
     Derivatives come from the exact coefficient route for polynomial maps and
@@ -337,7 +337,7 @@ def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, 
     if row.m1 and f.m != 1:
         raise ValueError(f"inequality {ineq} applies to scalar-valued maps")
     origin = row.derivative in ("slice", "a_v")
-    ctx = {"map": map_id if map_id is not None else f.describe()}
+    ctx = {}
     if not origin:
         z = np.asarray(z, dtype=complex).reshape(-1)
         ctx["z"] = z

@@ -56,6 +56,8 @@ def validate_config(config: SuiteConfig) -> None:
         raise ConfigError("dimensions n, m must lie in 1..4 at desk scale")
     if config.samples < 1:
         raise ConfigError("samples must be at least 1")
+    if config.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if not 1 <= config.k_max <= 8:
         raise ConfigError("k_max must lie in 1..8")
     if not 1 <= config.degree <= 8:
@@ -202,14 +204,7 @@ class Report:
     summary: dict
 
     def to_json(self) -> str:
-        body = {
-            "schema": self.schema,
-            "config": self.config,
-            "summary": self.summary,
-            "records": self.records,
-            "failures": self.failures,
-        }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -237,11 +232,11 @@ def _csv_vec(pairs) -> str:
     return ";".join(f"{re!r}{im:+}j" for re, im in pairs)
 
 
-def _finalize(config: SuiteConfig, records: list[dict], maps: dict | None = None,
+def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
               expected: tuple[str, ...] | None = None) -> Report:
     """Sort and flag the records, check the manifest, list each failing sample
-    with its most negative failing slack and its map (from `maps`, for replay)
-    and summarize."""
+    with its most negative failing slack and its map (`maps[sample]`, for
+    replay) and summarize."""
     records.sort(key=lambda r: (r["sample"], r["inequality"]))
     for rec in records:
         if rec["kind"] == "bound":
@@ -250,18 +245,14 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict | None = None
     for ineq in (expected if expected is not None else expected_ids(config.suite, config.m)):
         if not any(r["inequality"] == ineq for r in records):
             raise AssertionError(f"suite {config.suite} produced no records for inequality {ineq}")
-    maps = maps or {}
     failing: dict[str, list[dict]] = {}
     for rec in records:
         if _is_failure(rec, config.tol):
             failing.setdefault(rec["sample"], []).append(rec)
     failures = []
     for sample, recs in failing.items():
-        f = maps.get(sample)
-        if isinstance(f, PolyMap):
-            described = f.to_json_dict()
-        else:
-            described = f.describe() if f is not None else "unknown"
+        f = maps[sample]
+        described = f.to_json_dict() if isinstance(f, PolyMap) else f.describe()
         failures.append({"sample": sample, "suite": recs[0]["suite"],
                          "worst_slack": min(r["slack"] for r in recs), "map": described})
     echo = asdict(config)
@@ -290,7 +281,7 @@ def emit(report: Report, fmt: str, path) -> None:
 # --------------------------------------------------------------------------
 # sampling suites
 
-def run_suite(config: SuiteConfig, _maps_override=None) -> Report:
+def run_suite(config: SuiteConfig) -> Report:
     """Run one verification suite and return its deterministic report.
 
     Suites `main`, `disk`, `partials`, `radial` and `origin` sample certified
@@ -301,25 +292,20 @@ def run_suite(config: SuiteConfig, _maps_override=None) -> Report:
     validate_config(config)
     if config.suite == "equality":
         return equality_suite(config)
-    if config.suite == "sharpness":
-        records = []
-        for family in ("remark2", "remark4"):
-            records.extend(_sweep_records(config, family, DEFAULT_SWEEP_RADII))
-        return _finalize(config, records)
-
-    suite_code = SUITE_IDS.index(config.suite)
     records: list[dict] = []
     maps: dict[str, object] = {}
+    if config.suite == "sharpness":
+        for family in ("remark2", "remark4"):
+            records.extend(_sweep_records(config, family, DEFAULT_SWEEP_RADII, maps))
+        return _finalize(config, records, maps)
 
+    suite_code = SUITE_IDS.index(config.suite)
     for s in range(config.samples):
         rng = _rng(config.seed, suite_code, s)
         sample = f"poly-{s:04d}"
-        f = random_polymap(config.n, config.m, config.degree, rng)
-        if _maps_override is not None and s < len(_maps_override):
-            sample, f = _maps_override[s]
-        maps[sample] = f
+        maps[sample] = f = random_polymap(config.n, config.m, config.degree, rng)
         records.extend(_SAMPLE_RECORDS[config.suite](config, rng, sample, f))
-        if config.suite == "main" and config.n == config.m and _maps_override is None:
+        if config.suite == "main" and config.n == config.m:
             aut_sample = f"aut-{s:04d}"
             maps[aut_sample] = geometry.AutomorphismMap(random_ball_point(rng, config.m, 0.5))
             records.extend(_main_records(config, rng, aut_sample, maps[aut_sample]))
@@ -335,7 +321,7 @@ def _records(config, sample, f, requests, z=None, bundle=None):
     """One record per (inequality, kwargs) request, all at z and sharing the
     partial `bundle` of f at z when given."""
     return [record_from_report(config.suite, sample, bounds.check_inequality(
-        f, ineq, z=z, bundle=bundle, map_id=sample, **kwargs)) for ineq, kwargs in requests]
+        f, ineq, z=z, bundle=bundle, **kwargs)) for ineq, kwargs in requests]
 
 
 def _main_records(config, rng, sample, f):
@@ -352,8 +338,8 @@ def _main_records(config, rng, sample, f):
 
 
 def _disk_records(config, rng, sample, f):
-    ids = ("4.1", "1.1") if config.m == 1 else ("4.1",)
-    requests = [(ineq, {"k": k}) for k in range(1, config.k_max + 1) for ineq in ids]
+    requests = [(ineq, {"k": k}) for k in range(1, config.k_max + 1)
+                for ineq in expected_ids(config.suite, config.m)]
     out = []
     for _ in range(3):
         z = random_ball_point(rng, 1, 0.9)
@@ -371,9 +357,8 @@ def _partial_records(config, sample, f, ids, zs):
 
 
 def _partials_records(config, rng, sample, f):
-    ids = ("5.1", "5.2", "1.2") if config.m == 1 else ("5.1",)
     zs = [random_ball_point(rng, config.n, 0.9) for _ in range(2)]
-    return _partial_records(config, sample, f, ids, zs)
+    return _partial_records(config, sample, f, expected_ids(config.suite, config.m), zs)
 
 
 def _radial_records(config, rng, sample, f):
@@ -430,22 +415,22 @@ def equality_suite(config: SuiteConfig) -> Report:
             sample = f"ext-{idx:04d}"
             idx += 1
             maps[sample] = f = _extremal_origin(rng, config.m, a0_abs, v)
-            rep = bounds.check_inequality(f, "3.2", v=v, map_id=sample)
-            records.append(record_from_report("equality", sample, rep))
+            [rec] = _records(config, sample, f, [("3.2", {"v": v})])
+            records.append(rec)
             records.append(certificate_record(
                 "equality", sample, "3.2-equality",
-                measured=abs(rep.slack), slack=EQUALITY_TOL - abs(rep.slack),
-                k_or_v=_k_or_v(rep.context)))
+                measured=abs(rec["slack"]), slack=EQUALITY_TOL - abs(rec["slack"]),
+                k_or_v=rec["k_or_v"]))
 
     # linear-plus-square example: equality at v = (1,0) with an off-shape coefficient
     if config.n == 2:
         f = geometry.linear_plus_square_map()
         maps["remark-example"] = f
-        rep = bounds.check_inequality(f, "3.2", v=(1, 0), map_id="remark-example")
-        records.append(record_from_report("equality", "remark-example", rep))
+        [rec] = _records(config, "remark-example", f, [("3.2", {"v": (1, 0)})])
+        records.append(rec)
         records.append(certificate_record(
             "equality", "remark-example", "3.2-equality",
-            measured=abs(rep.slack), slack=1e-12 - abs(rep.slack), k_or_v="v=1,0"))
+            measured=abs(rec["slack"]), slack=1e-12 - abs(rec["slack"]), k_or_v="v=1,0"))
         off_form = float(np.linalg.norm(f.coefficient((0, 2))))
         records.append(certificate_record(
             "equality", "remark-example", "off-shape-coefficient",
@@ -473,13 +458,10 @@ def equality_suite(config: SuiteConfig) -> Report:
         frame = random_isometry(rng, config.m, config.n)
         jac = geometry.jacobian_from_frame(xi, w0, frame)
         maps[sample] = f = geometry.extremal_k1_map(xi, w0, jac)
-        bundle = cauchy.partial_bundle(f, xi, 1)
-        worst = 0.0
-        for _ in range(50):
-            beta = random_unit_vector(rng, config.n)
-            rep = bounds.check_inequality(f, "1.3", z=xi, beta=beta, bundle=bundle, map_id=sample)
-            worst = max(worst, abs(rep.slack))
-        records.append(record_from_report("equality", sample, rep))
+        requests = [("1.3", {"beta": random_unit_vector(rng, config.n)}) for _ in range(50)]
+        recs = _records(config, sample, f, requests, xi, cauchy.partial_bundle(f, xi, 1))
+        worst = max(abs(r["slack"]) for r in recs)
+        records.append(recs[-1])
         records.append(certificate_record(
             "equality", sample, "first-order-equality",
             measured=worst, slack=EQUALITY_TOL - worst))
@@ -497,7 +479,7 @@ def sweep_prediction(family: str, k: int, xi_abs: float, w_abs: float) -> float:
     return ((w_abs + xi_abs) / (1.0 + xi_abs)) ** (2 * (k - 1))
 
 
-def _sweep_records(config: SuiteConfig, family: str, radii, k_values=None, xi_values=None):
+def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict, k_values=None, xi_values=None):
     if list(radii) != sorted(set(radii)) or not all(0.0 < r < 1.0 for r in radii):
         raise ConfigError("sweep radii must be strictly increasing inside (0, 1)")
     k_values = tuple(k_values or range(1, min(config.k_max, 4) + 1))
@@ -511,13 +493,16 @@ def _sweep_records(config: SuiteConfig, family: str, radii, k_values=None, xi_va
             series = []
             sample = f"{family}-k{k}-x{xi_abs:.2f}"
             for w_abs in radii:
+                # the bound takes the pinned |f(xi)| = w_abs, not check_inequality's norm(f(xi)):
+                # they differ in the last bit at a quarter of the points, which (1-|w|^2)^2 scales
+                # to 2e-11 relative in `ratio` at |w| = 0.99999, flipping `tight` flags
                 if family == "remark2":
                     f = geometry.Remark2Map(xi_abs * xi_phase, w_abs * w_dir)
                     z = np.array([xi_abs * xi_phase])
                     dk = cauchy.partial_derivative(f, z, (k,)).value
                     lhs = bounds.lhs_quadratic(dk, w_abs * w_dir)
                     rhs = bounds.rhs_disk(k, z[0], w_abs)
-                    rep = bounds.BoundReport.build("4.1", lhs, rhs, {"map": sample, "z": z, "k": k})
+                    rep = bounds.BoundReport.build("4.1", lhs, rhs, {"z": z, "k": k})
                 else:
                     f = geometry.Remark4Map(xi_abs * xi_phase, w_abs * w_dir, n=config.n)
                     v = (k,) + (0,) * (config.n - 1)
@@ -526,7 +511,7 @@ def _sweep_records(config: SuiteConfig, family: str, radii, k_values=None, xi_va
                     dk = cauchy.partial_derivative(f, z, v).value
                     lhs = bounds.lhs_quadratic(dk, np.array([w_abs * w_dir]))
                     rhs = bounds.rhs_radial(v, z, w_abs)
-                    rep = bounds.BoundReport.build("5.3", lhs, rhs, {"map": sample, "z": z, "v": v})
+                    rep = bounds.BoundReport.build("5.3", lhs, rhs, {"z": z, "v": v})
                 predicted = sweep_prediction(family, k, xi_abs, w_abs)
                 series.append((w_abs, rep.ratio, predicted))
                 records.append(record_from_report(
@@ -540,6 +525,7 @@ def _sweep_records(config: SuiteConfig, family: str, radii, k_values=None, xi_va
             records.append(certificate_record(
                 "sharpness", sample, "sweep-monotone", measured=mono_gap, slack=mono_gap + 1e-9,
                 family=family, xi_abs=xi_abs))
+            maps[sample] = f  # the map at the final |w|, the one sweep-final-ratio certifies
             final_gap = ratios[-1] - (series[-1][2] - 1e-6)
             records.append(certificate_record(
                 "sharpness", sample, "sweep-final-ratio", measured=ratios[-1], slack=final_gap,
@@ -552,14 +538,21 @@ def sharpness_sweep(config: SuiteConfig, family: str, radii=DEFAULT_SWEEP_RADII,
     """Sweep |w| toward the boundary for one sharpness family and record the
     attained ratios against their closed-form predictions."""
     validate_config(config)
-    records = _sweep_records(config, family, radii, k_values, xi_values)
+    maps: dict[str, object] = {}
+    records = _sweep_records(config, family, radii, maps, k_values, xi_values)
     cfg = SuiteConfig(**{**asdict(config), "suite": "sharpness"})
-    return _finalize(cfg, records, expected=("4.1",) if family == "remark2" else ("5.3",))
+    return _finalize(cfg, records, maps, expected=("4.1",) if family == "remark2" else ("5.3",))
 
 
 def replay_sample(path, config: SuiteConfig) -> Report:
-    """Re-run a persisted failing polynomial map through its suite."""
-    payload = json.loads(Path(path).read_text())
-    f = PolyMap.from_json_dict(payload)
+    """Re-run a persisted failing polynomial map through the sample-0 contexts
+    of its sampling suite."""
+    f = PolyMap.from_json_dict(json.loads(Path(path).read_text()))
     cfg = SuiteConfig(**{**asdict(config), "n": f.n, "m": f.m, "samples": 1})
-    return run_suite(cfg, _maps_override=[(f"replay-{Path(path).stem}", f)])
+    validate_config(cfg)
+    if cfg.suite not in _SAMPLE_RECORDS:
+        raise ConfigError(f"suite {cfg.suite!r} does not sample polynomial maps; nothing to replay")
+    rng = _rng(cfg.seed, SUITE_IDS.index(cfg.suite), 0)
+    random_polymap(cfg.n, cfg.m, cfg.degree, rng)  # sample 0's map, drawn as run_suite draws it
+    sample = f"replay-{Path(path).stem}"
+    return _finalize(cfg, _SAMPLE_RECORDS[cfg.suite](cfg, rng, sample, f), {sample: f})

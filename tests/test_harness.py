@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from schwarzpick import cli, harness
+from schwarzpick import cli, geometry, harness
 from schwarzpick.harness import (
     ConfigError,
     Report,
@@ -34,6 +35,7 @@ class TestConfigValidation:
         dict(suite="disk", n=2),
         dict(suite="equality", n=3, m=2),
         dict(tol=float("nan")),
+        dict(seed=-1),
     ])
     def test_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -212,14 +214,25 @@ class TestFailureIsolation:
         # inside the ball on every sampled point, yet expands the metric
         return PolyMap(2, 2, {(1, 0): [1.005, 0.0], (0, 1): [0.0, 1.005]})
 
-    def test_violations_recorded_and_persisted(self, tmp_path):
+    def test_violations_recorded_and_persisted(self, tmp_path, monkeypatch):
+        real = harness.random_polymap
+        drawn = []
+
+        def first_map_bad(*args, **kwargs):
+            # the real generator still runs, so every later draw is unchanged
+            drawn.append(real(*args, **kwargs))
+            return self.bad_map() if len(drawn) == 1 else drawn[-1]
+
         cfg = SuiteConfig(suite="main", n=2, m=2, **SMALL)
-        report = run_suite(cfg, _maps_override=[("bad-0000", self.bad_map())])
+        monkeypatch.setattr(harness, "random_polymap", first_map_bad)
+        report = run_suite(cfg)
+        monkeypatch.undo()
+        assert {r["sample"] for r in report.records} == {"poly-0000", "poly-0001", "aut-0000", "aut-0001"}
         assert report.summary["failure_count"] > 0
         assert len(report.failures) == 1
-        assert report.failures[0]["sample"] == "bad-0000"
+        assert report.failures[0]["sample"] == "poly-0000"
         failing = [r["slack"] for r in report.records
-                   if r["sample"] == "bad-0000" and harness._is_failure(r, cfg.tol)]
+                   if r["sample"] == "poly-0000" and harness._is_failure(r, cfg.tol)]
         assert report.failures[0]["worst_slack"] == min(failing)
         path = tmp_path / "report.json"
         emit(report, "json", path)
@@ -228,15 +241,53 @@ class TestFailureIsolation:
         replayed = replay_sample(side[0], cfg)
         assert replayed.summary["failure_count"] > 0
 
+        def unnamed(records):
+            return [{k: v for k, v in r.items() if k != "sample"} for r in records]
+
+        campaign = [r for r in report.records if r["sample"] == "poly-0000"]
+        assert unnamed(replayed.records) == unnamed(campaign)
+
+
+class TestReplay:
+    def map_file(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(PolyMap(2, 2, {(1, 0): [0.5, 0.0], (0, 1): [0.0, 0.5]}).to_json_dict()))
+        return path
+
+    @pytest.mark.parametrize("suite", ["equality", "sharpness"])
+    def test_non_sampling_suite_rejected(self, tmp_path, suite):
+        with pytest.raises(ConfigError):
+            replay_sample(self.map_file(tmp_path), SuiteConfig(suite=suite, n=2, m=2))
+
+    def test_origin_replay_holds_only_the_replayed_sample(self, tmp_path):
+        report = replay_sample(self.map_file(tmp_path), SuiteConfig(suite="origin", **SMALL))
+        assert {r["sample"] for r in report.records} == {"replay-map"}
+        assert report.summary["failure_count"] == 0
+
 
 class TestFinalize:
     def test_failing_certificate_listed(self):
         cfg = SuiteConfig(suite="sharpness")
         rec = harness.certificate_record("sharpness", "remark2-k2-x0.50", "sweep-final-ratio",
                                          measured=0.5, slack=-0.1)
-        report = harness._finalize(cfg, [rec], expected=("sweep-final-ratio",))
+        f = geometry.Remark2Map(0.5, np.array([0.99, 0.0]))
+        report = harness._finalize(cfg, [rec], {"remark2-k2-x0.50": f},
+                                   expected=("sweep-final-ratio",))
         assert report.summary["failure_count"] == 1
         assert [f["sample"] for f in report.failures] == ["remark2-k2-x0.50"]
+        assert report.failures[0]["map"] == f.describe()
+
+    def test_sweep_failures_list_their_maps(self, monkeypatch):
+        # an unreachable prediction fails every sweep-final-ratio certificate
+        monkeypatch.setattr(harness, "sweep_prediction", lambda *args: 2.0)
+        cfg = SuiteConfig(suite="sharpness", n=2, m=2, k_max=2, seed=7)
+        sweep = sharpness_sweep(cfg, "remark2", radii=(0.9, 0.99))
+        suite = run_suite(cfg)
+        for report, final_w in ((sweep, "|w|=0.990000"), (suite, "|w|=0.999900")):
+            assert report.failures
+            for failure in report.failures:
+                assert failure["map"].startswith(("remark2(", "remark4("))
+                assert final_w in failure["map"]
 
 
 class TestCli:
@@ -253,8 +304,9 @@ class TestCli:
         assert cli.main(["check", "--suite", "disk", "--m", "1",
                          "--samples", "1", "--degree", "3", "--kmax", "2"]) == 0
 
-    def test_config_error_exit_two(self, capsys):
-        assert cli.main(["check", "--suite", "main", "--n", "7"]) == 2
+    @pytest.mark.parametrize("option", [["--n", "7"], ["--seed", "-1"]], ids=["n7", "negative-seed"])
+    def test_config_error_exit_two(self, capsys, option):
+        assert cli.main(["check", "--suite", "main", *option]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_malformed_radii_exit_two(self, capsys):
