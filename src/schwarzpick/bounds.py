@@ -322,13 +322,20 @@ def _derivative(f: HoloMap, kind: str, z, beta, k, v, bundle):
     return bundle[zero], cauchy.frechet_from_bundle(bundle, beta, k, f.n)
 
 
+def _given(value, name: str, ineq: str):
+    if value is None:
+        raise ValueError(f"inequality {ineq} requires the argument {name}")
+    return value
+
+
 def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, v=None,
                      bundle=None) -> BoundReport:
     """Evaluate one inequality for a map at a single context and report both sides.
 
     Derivatives come from the exact coefficient route for polynomial maps and
     from torus quadrature otherwise; a precomputed partial `bundle` may be
-    supplied to share one quadrature across many contexts.
+    supplied to share one quadrature across many contexts.  Leaving out a
+    context argument the id needs (z, beta, k or v) raises ValueError.
     """
     ineq = normalize_inequality(inequality)
     row = _BOUNDS[ineq]
@@ -339,18 +346,18 @@ def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, 
     origin = row.derivative in ("slice", "a_v")
     ctx = {}
     if not origin:
-        z = np.asarray(z, dtype=complex).reshape(-1)
+        z = np.asarray(_given(z, "z", ineq), dtype=complex).reshape(-1)
         ctx["z"] = z
     if row.derivative in ("D_k", "slice"):
-        beta = np.asarray(beta, dtype=complex).reshape(f.n)
+        beta = np.asarray(_given(beta, "beta", ineq), dtype=complex).reshape(f.n)
         if origin and abs(math.sqrt(float(sq_norm(beta))) - 1.0) > 1e-12:
             raise MapDomainError("the origin slice bound requires a unit direction")
         ctx["beta"] = beta
     if row.derivative in ("d^v", "a_v"):
-        v = mi.as_multiindex(v)
+        v = mi.as_multiindex(_given(v, "v", ineq))
         ctx["v"] = v
     else:
-        k = int(row.k if row.k is not None else k)
+        k = int(row.k if row.k is not None else _given(k, "k", ineq))
         ctx["k"] = k
     fz, d = _derivative(f, row.derivative, z, beta, k, v, bundle)
     lhs = row.lhs(d, fz)

@@ -35,33 +35,13 @@ GAP_FLOOR = 1e-8
 
 
 class TorusError(ValueError):
-    """The quadrature torus does not fit inside the domain ball, or the node
-    count cannot resolve the requested order."""
+    """The evaluation point lies outside the domain ball, or the node count
+    cannot resolve the requested order."""
 
 
 class QuadratureError(RuntimeError):
     """The two directional-derivative routes disagree beyond tolerance,
     which signals a quadrature configuration problem."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Radii (one per domain dimension) and per-circle node count.
-
-    Either field may be None, in which case call-time defaults are used:
-    uniform radii at RADIUS_FRACTION of the largest torus that fits around
-    the evaluation point, and a node count of 128/64/32 for dimensions
-    1 / 2-3 / 4+, raised to 128 near the boundary.
-    """
-
-    radii: tuple[float, ...] | None = None
-    nodes: int | None = None
-
-
-def default_nodes(n: int) -> int:
-    if n == 1:
-        return 128
-    return 64 if n <= 3 else 32
 
 
 def max_uniform_radius(z) -> float:
@@ -77,30 +57,17 @@ def max_uniform_radius(z) -> float:
     return (-s + math.sqrt(s * s + n * (1.0 - z2))) / n
 
 
-def resolve_spec(z, order: int, spec: QuadratureSpec | None = None) -> tuple[np.ndarray, int]:
-    """Fill in defaults and validate torus containment and node count."""
+def resolve_spec(z, order: int) -> tuple[np.ndarray, int]:
+    """The torus for derivatives of order <= `order` at z: uniform radii at
+    RADIUS_FRACTION of the largest torus that fits around z, and 128/64/32
+    nodes per circle for dimensions 1 / 2-3 / 4+, raised to 128 near the
+    boundary."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     n = z.shape[0]
-    spec = spec or QuadratureSpec()
-    if spec.radii is None:
-        radii = np.full(n, RADIUS_FRACTION * max_uniform_radius(z))
-    else:
-        radii = np.asarray(spec.radii, dtype=float).reshape(-1)
-        if radii.shape[0] != n:
-            raise TorusError(f"expected {n} radii, got {radii.shape[0]}")
-        if np.any(radii <= 0):
-            raise TorusError("radii must be positive")
-    contained = float(((np.abs(z) + radii) ** 2).sum())
-    if contained >= 1.0:
-        raise TorusError(f"torus exits the unit ball (sum (|z_j|+r_j)^2 = {contained:.6f})")
-    if spec.nodes is None:
-        nodes = default_nodes(n)
-        if n <= 3 and float((np.abs(z) ** 2).sum()) > NEAR_BOUNDARY ** 2:
-            nodes = max(nodes, 128)
-    else:
-        nodes = int(spec.nodes)
-    if nodes & (nodes - 1) or nodes <= 0:
-        raise TorusError(f"node count must be a power of two, got {nodes}")
+    radii = np.full(n, RADIUS_FRACTION * max_uniform_radius(z))
+    nodes = 128 if n == 1 else 64 if n <= 3 else 32
+    if n <= 3 and float((np.abs(z) ** 2).sum()) > NEAR_BOUNDARY ** 2:
+        nodes = 128
     if nodes < 2 * order + 2:
         raise TorusError(f"node count {nodes} cannot resolve derivative order {order}")
     return radii, nodes
@@ -117,9 +84,6 @@ class DerivativeResult:
 
     value: np.ndarray
     method: str
-    v: tuple[int, ...] | None = None
-    k: int | None = None
-    beta: np.ndarray | None = None
     route_gap: float | None = None
 
 
@@ -171,11 +135,11 @@ def _coefficient_dft(values: np.ndarray, exponents, radii, nodes: int) -> np.nda
     return table
 
 
-def _coefficients(f: HoloMap, z, indices, spec: QuadratureSpec | None = None) -> dict:
+def _coefficients(f: HoloMap, z, indices) -> dict:
     """Scaled local Taylor coefficients c_alpha of f about z for each alpha in
     `indices`, from one torus whose DFT runs over the exponents each axis needs."""
     z = np.asarray(z, dtype=complex).reshape(-1)
-    radii, nodes = resolve_spec(z, max(max(a) for a in indices), spec)
+    radii, nodes = resolve_spec(z, max(max(a) for a in indices))
     values = _torus_values(f, z, radii, nodes)
     exps = [np.array(sorted({a[j] for a in indices})) for j in range(f.n)]
     table = _coefficient_dft(values, exps, radii, nodes)
@@ -183,7 +147,7 @@ def _coefficients(f: HoloMap, z, indices, spec: QuadratureSpec | None = None) ->
     return {a: table[tuple(position[j][a[j]] for j in range(f.n))] for a in indices}
 
 
-def partial_derivative(f: HoloMap, z, v, spec: QuadratureSpec | None = None) -> DerivativeResult:
+def partial_derivative(f: HoloMap, z, v) -> DerivativeResult:
     """Quadrature estimate of d^|v| f(z)/dz^v.
 
     For polynomial inputs this matches the exact coefficient-table route to
@@ -193,28 +157,27 @@ def partial_derivative(f: HoloMap, z, v, spec: QuadratureSpec | None = None) -> 
     z = np.asarray(z, dtype=complex).reshape(-1)
     if len(v) != f.n or z.shape[0] != f.n:
         raise ValueError(f"order and point must have dimension {f.n}")
-    coeff = _coefficients(f, z, [v], spec)[v]
-    return DerivativeResult(value=coeff * mi.multiindex_factorial(v), method="quadrature", v=v)
+    coeff = _coefficients(f, z, [v])[v]
+    return DerivativeResult(value=coeff * mi.multiindex_factorial(v), method="quadrature")
 
 
-def taylor_coefficient(f: HoloMap, v, spec: QuadratureSpec | None = None) -> np.ndarray:
+def taylor_coefficient(f: HoloMap, v) -> np.ndarray:
     """Taylor coefficient a_v of f at the origin: d^v f(0) / v!."""
     v = mi.as_multiindex(v)
-    return _coefficients(f, np.zeros(f.n), [v], spec)[v]
+    return _coefficients(f, np.zeros(f.n), [v])[v]
 
 
-def taylor_coefficients(f: HoloMap, indices, spec: QuadratureSpec | None = None) -> dict:
+def taylor_coefficients(f: HoloMap, indices) -> dict:
     """A chosen set of Taylor coefficients at the origin from one shared torus."""
-    return _coefficients(f, np.zeros(f.n), [mi.as_multiindex(a) for a in indices], spec)
+    return _coefficients(f, np.zeros(f.n), [mi.as_multiindex(a) for a in indices])
 
 
-def coefficient_table(f: HoloMap, max_degree: int, spec: QuadratureSpec | None = None) -> dict:
+def coefficient_table(f: HoloMap, max_degree: int) -> dict:
     """All Taylor coefficients a_alpha, |alpha| <= max_degree, from one torus."""
-    return _coefficients(f, np.zeros(f.n), mi.enumerate_up_to(f.n, max_degree), spec)
+    return _coefficients(f, np.zeros(f.n), mi.enumerate_up_to(f.n, max_degree))
 
 
-def partial_bundle(f: HoloMap, z, max_order: int, spec: QuadratureSpec | None = None,
-                   exact: bool | str = "auto") -> dict:
+def partial_bundle(f: HoloMap, z, max_order: int, *, exact: bool | str = "auto") -> dict:
     """All partials d^alpha f(z), |alpha| <= max_order, as a dict keyed by alpha.
 
     Polynomial maps default to the exact coefficient-table route; everything
@@ -228,7 +191,7 @@ def partial_bundle(f: HoloMap, z, max_order: int, spec: QuadratureSpec | None = 
         if not isinstance(f, PolyMap):
             raise TypeError("exact differentiation requires a polynomial map")
         return {alpha: f.partial_value(z, alpha) for alpha in alphas}
-    coeffs = _coefficients(f, z, alphas, spec)
+    coeffs = _coefficients(f, z, alphas)
     return {alpha: c * mi.multiindex_factorial(alpha) for alpha, c in coeffs.items()}
 
 
@@ -259,8 +222,7 @@ def line_derivative(f: HoloMap, z, beta, k: int) -> DerivativeResult:
     vals = line.eval(lam[:, None])
     phases = np.exp(-2j * np.pi * k * ts / n_nodes)
     coeff = (vals * phases[:, None]).sum(axis=0) / (n_nodes * rho ** k)
-    return DerivativeResult(value=math.factorial(k) * coeff, method="frechet-line",
-                            k=k, beta=np.asarray(beta, dtype=complex))
+    return DerivativeResult(value=math.factorial(k) * coeff, method="frechet-line")
 
 
 def route_gap(d1, d2) -> float:
@@ -274,8 +236,8 @@ def route_gap(d1, d2) -> float:
     return float(np.linalg.norm(np.asarray(d1) - np.asarray(d2))) / scale
 
 
-def frechet_derivative(f: HoloMap, z, beta, k: int, spec: QuadratureSpec | None = None,
-                       exact: bool | str = "auto", route_tol: float | None = 1e-9) -> DerivativeResult:
+def frechet_derivative(f: HoloMap, z, beta, k: int, *, exact: bool | str = "auto",
+                       route_tol: float | None = 1e-9) -> DerivativeResult:
     """Order-k directional derivative D_k(f, z, beta), computed by BOTH routes.
 
     Route (i): multi-index sum of partials weighted by |alpha|!/alpha! and
@@ -288,7 +250,7 @@ def frechet_derivative(f: HoloMap, z, beta, k: int, spec: QuadratureSpec | None 
     beta = np.asarray(beta, dtype=complex).reshape(f.n)
     if float((beta.real ** 2 + beta.imag ** 2).sum()) == 0.0:
         raise ValueError("direction must be non-zero")
-    bundle = partial_bundle(f, z, k, spec, exact=exact)
+    bundle = partial_bundle(f, z, k, exact=exact)
     d_sum = frechet_from_bundle(bundle, beta, k, f.n)
     d_line = line_derivative(f, z, beta, k).value
     gap = route_gap(d_sum, d_line)
@@ -296,7 +258,7 @@ def frechet_derivative(f: HoloMap, z, beta, k: int, spec: QuadratureSpec | None 
         raise QuadratureError(
             f"directional-derivative routes disagree (relative gap {gap:.3e} > {route_tol:.1e}); "
             "check the quadrature configuration")
-    return DerivativeResult(value=d_sum, method="frechet-sum", k=k, beta=beta, route_gap=gap)
+    return DerivativeResult(value=d_sum, method="frechet-sum", route_gap=gap)
 
 
 def jacobian(f: HoloMap, z) -> np.ndarray:

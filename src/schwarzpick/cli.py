@@ -5,7 +5,8 @@ Subcommands:
   equality   certify the equality cases of the bounds
   sharpness  sweep an asymptotic-sharpness family toward the boundary
 
-Exit codes: 0 all checks passed, 1 at least one violation, 2 configuration error.
+Exit codes: 0 all checks passed, 1 at least one violation, 2 configuration error
+or a report that cannot be written.
 """
 from __future__ import annotations
 
@@ -88,7 +89,11 @@ def main(argv=None) -> int:
         return 2
 
     if config.out:
-        emit(report, config.fmt, config.out)
+        try:
+            emit(report, config.fmt, config.out)
+        except OSError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     summary = report.summary
     print(f"suite={report.config['suite']} records={summary['record_count']} "
           f"failures={summary['failure_count']} min_slack={summary['min_slack']:.3e} "

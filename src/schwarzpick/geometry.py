@@ -146,9 +146,10 @@ class ExtremalOriginMap(HoloMap):
         return f"extremal-origin(v={self.v}, |a0|={math.sqrt(sq_norm(self.a0)):.3f})"
 
 
-def extremal_origin_map(a0, av, v, tol: float = 1e-12) -> ExtremalOriginMap:
+def extremal_origin_map(a0, av, v) -> ExtremalOriginMap:
     """Construct the origin-extremal map, requiring the equality condition
-    |<a_v,a0>|^2 + (1-|a0|^2)|a_v|^2 = (|v|^|v|/v^v)(1-|a0|^2)^2 within tol."""
+    |<a_v,a0>|^2 + (1-|a0|^2)|a_v|^2 = (|v|^|v|/v^v)(1-|a0|^2)^2 within 1e-12
+    relative."""
     v = mi.as_multiindex(v)
     if sum(v) == 0:
         raise MapDomainError("v must be a non-zero multi-index")
@@ -157,7 +158,7 @@ def extremal_origin_map(a0, av, v, tol: float = 1e-12) -> ExtremalOriginMap:
         raise MapDomainError("a0 must lie inside the unit ball")
     gap = origin_equality_gap(a0, av, v)
     scale = max(1.0, mi.sharpness_factor(v) * (1.0 - float(sq_norm(a0))) ** 2)
-    if abs(gap) > tol * scale:
+    if abs(gap) > 1e-12 * scale:
         raise MapDomainError(f"(a0, a_v, v) do not satisfy the equality condition (gap {gap:.3e})")
     return ExtremalOriginMap(a0, av, v)
 

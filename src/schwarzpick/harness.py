@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -109,10 +110,10 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-def _beta_set(rng, z: np.ndarray, count: int = 2) -> list[np.ndarray]:
-    """Random unit directions plus e1 and the radial direction z/|z|."""
+def _beta_set(rng, z: np.ndarray) -> list[np.ndarray]:
+    """Two random unit directions plus e1 and the radial direction z/|z|."""
     n = z.shape[0]
-    betas = [random_unit_vector(rng, n) for _ in range(count)]
+    betas = [random_unit_vector(rng, n) for _ in range(2)]
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
     betas.append(e1)
@@ -479,17 +480,15 @@ def sweep_prediction(family: str, k: int, xi_abs: float, w_abs: float) -> float:
     return ((w_abs + xi_abs) / (1.0 + xi_abs)) ** (2 * (k - 1))
 
 
-def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict, k_values=None, xi_values=None):
+def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
     if list(radii) != sorted(set(radii)) or not all(0.0 < r < 1.0 for r in radii):
         raise ConfigError("sweep radii must be strictly increasing inside (0, 1)")
-    k_values = tuple(k_values or range(1, min(config.k_max, 4) + 1))
-    xi_values = tuple(xi_values or (0.25, 0.5, 0.75))
     rng = _rng(config.seed, 200 if family == "remark2" else 201)
     xi_phase = np.exp(2j * np.pi * rng.uniform())
     w_dir = random_unit_vector(rng, config.m) if family == "remark2" else np.exp(2j * np.pi * rng.uniform())
     records = []
-    for k in k_values:
-        for xi_abs in xi_values:
+    for k in range(1, min(config.k_max, 4) + 1):
+        for xi_abs in (0.25, 0.5, 0.75):
             series = []
             sample = f"{family}-k{k}-x{xi_abs:.2f}"
             for w_abs in radii:
@@ -533,26 +532,28 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict, k_values
     return records
 
 
-def sharpness_sweep(config: SuiteConfig, family: str, radii=DEFAULT_SWEEP_RADII,
-                    k_values=None, xi_values=None) -> Report:
+def sharpness_sweep(config: SuiteConfig, family: str, radii=DEFAULT_SWEEP_RADII) -> Report:
     """Sweep |w| toward the boundary for one sharpness family and record the
     attained ratios against their closed-form predictions."""
     validate_config(config)
     maps: dict[str, object] = {}
-    records = _sweep_records(config, family, radii, maps, k_values, xi_values)
+    records = _sweep_records(config, family, radii, maps)
     cfg = SuiteConfig(**{**asdict(config), "suite": "sharpness"})
     return _finalize(cfg, records, maps, expected=("4.1",) if family == "remark2" else ("5.3",))
 
 
 def replay_sample(path, config: SuiteConfig) -> Report:
-    """Re-run a persisted failing polynomial map through the sample-0 contexts
-    of its sampling suite."""
-    f = PolyMap.from_json_dict(json.loads(Path(path).read_text()))
+    """Re-run a persisted failing polynomial map through the contexts of its
+    sampling suite at the sample the file name ends with (`...-failure-poly-0001`
+    is sample 1), or at sample 0 when the name carries no sample."""
+    path = Path(path)
+    f = PolyMap.from_json_dict(json.loads(path.read_text()))
     cfg = SuiteConfig(**{**asdict(config), "n": f.n, "m": f.m, "samples": 1})
     validate_config(cfg)
     if cfg.suite not in _SAMPLE_RECORDS:
         raise ConfigError(f"suite {cfg.suite!r} does not sample polynomial maps; nothing to replay")
-    rng = _rng(cfg.seed, SUITE_IDS.index(cfg.suite), 0)
-    random_polymap(cfg.n, cfg.m, cfg.degree, rng)  # sample 0's map, drawn as run_suite draws it
-    sample = f"replay-{Path(path).stem}"
+    match = re.search(r"-failure-poly-(\d+)$", path.stem)
+    rng = _rng(cfg.seed, SUITE_IDS.index(cfg.suite), int(match.group(1)) if match else 0)
+    random_polymap(cfg.n, cfg.m, cfg.degree, rng)  # the sample's own map, drawn as run_suite draws it
+    sample = f"replay-{path.stem}"
     return _finalize(cfg, _SAMPLE_RECORDS[cfg.suite](cfg, rng, sample, f), {sample: f})

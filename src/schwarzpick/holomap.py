@@ -33,9 +33,9 @@ def sq_norm(z):
     return (z.real ** 2 + z.imag ** 2).sum(axis=-1)
 
 
-def check_inside_ball(z, label="z", tol=0.0):
+def check_inside_ball(z, label="z"):
     worst = float(np.max(sq_norm(z)))
-    if worst >= 1.0 + tol:
+    if worst >= 1.0:
         raise MapDomainError(f"{label} must lie strictly inside the unit ball (|{label}| = {math.sqrt(worst):.6f})")
 
 
@@ -348,10 +348,10 @@ class CoefficientChecks:
         return min(self.boundary_slack, self.weighted_slack, self.single_slack, self.slice_slack)
 
 
-def coefficient_checks(f: PolyMap, v, beta, unit_tol: float = 1e-12) -> CoefficientChecks:
+def coefficient_checks(f: PolyMap, v, beta) -> CoefficientChecks:
     """Evaluate the four coefficient inequalities for a polynomial ball map.
 
-    beta must be a unit vector (within unit_tol); v must be non-zero.
+    beta must be a unit vector (within 1e-12); v must be non-zero.
     """
     if not isinstance(f, PolyMap):
         raise TypeError("coefficient checks require a polynomial coefficient table")
@@ -362,7 +362,7 @@ def coefficient_checks(f: PolyMap, v, beta, unit_tol: float = 1e-12) -> Coeffici
     if kv == 0:
         raise ValueError("v must be a non-zero multi-index")
     beta = np.asarray(beta, dtype=complex).reshape(f.n)
-    if abs(math.sqrt(float(sq_norm(beta))) - 1.0) > unit_tol:
+    if abs(math.sqrt(float(sq_norm(beta))) - 1.0) > 1e-12:
         raise MapDomainError("beta must be a unit vector")
 
     c2 = np.linalg.norm(f.A, axis=1) ** 2

@@ -246,6 +246,20 @@ class TestCheckInequality:
             rep = bounds.check_inequality(f, "3.1", beta=unit(rng, 2), k=sum(v))
             assert rep.slack >= -1e-10
 
+    @pytest.mark.parametrize("ineq, missing", [
+        ("1.3", "z"), ("1.3", "beta"), ("1.4", "k"), ("3.1", "k"), ("3.2", "v"), ("5.1", "v"),
+    ])
+    def test_missing_context_named(self, monkeypatch, ineq, missing):
+        def no_derivative(*args):
+            raise AssertionError("derivative work started before the context was checked")
+
+        monkeypatch.setattr(bounds, "_derivative", no_derivative)
+        context = {"z": np.array([0.3, 0.1j]), "beta": np.array([1.0, 0.0]), "k": 2, "v": (1, 1)}
+        del context[missing]
+        f = random_polymap(2, 2, 3, seed=12)
+        with pytest.raises(ValueError, match=f"requires the argument {missing}$"):
+            bounds.check_inequality(f, ineq, **context)
+
     def test_ratio_convention_when_both_sides_vanish(self):
         rep = bounds.BoundReport.build("1.4", 0.0, 0.0, {})
         assert rep.ratio == 0.0

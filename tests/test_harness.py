@@ -147,26 +147,29 @@ class TestEqualitySuite:
 
 
 class TestSharpnessSweep:
+    @staticmethod
+    def series(report, sample):
+        return [r for r in report.records if r["kind"] == "bound" and r["sample"] == sample]
+
     def test_known_ratio_point(self):
         cfg = SuiteConfig(suite="sharpness", n=1, m=1, k_max=3, seed=21)
-        report = sharpness_sweep(cfg, "remark2", radii=(0.5, 0.9),
-                                 k_values=(3,), xi_values=(0.5,))
-        recs = [r for r in report.records if r["kind"] == "bound" and r["w_abs"] == 0.9]
+        report = sharpness_sweep(cfg, "remark2", radii=(0.5, 0.9))
+        recs = [r for r in self.series(report, "remark2-k3-x0.50") if r["w_abs"] == 0.9]
         assert len(recs) == 1
         assert recs[0]["ratio_modulus"] == pytest.approx((1.4 / 1.5) ** 2, abs=1e-8)
 
     def test_first_order_ratio_is_constant_one(self):
         cfg = SuiteConfig(suite="sharpness", n=1, m=2, seed=22)
-        report = sharpness_sweep(cfg, "remark2", radii=(0.5, 0.9, 0.99),
-                                 k_values=(1,), xi_values=(0.5,))
-        ratios = [r["ratio"] for r in report.records if r["kind"] == "bound"]
+        report = sharpness_sweep(cfg, "remark2", radii=(0.5, 0.9, 0.99))
+        ratios = [r["ratio"] for r in self.series(report, "remark2-k1-x0.50")]
+        assert len(ratios) == 3
         assert all(abs(r - 1.0) <= 1e-9 for r in ratios)
 
     def test_ratios_increase_toward_boundary(self):
         cfg = SuiteConfig(suite="sharpness", n=2, m=1, seed=23)
-        report = sharpness_sweep(cfg, "remark4", radii=(0.9, 0.99, 0.999),
-                                 k_values=(3,), xi_values=(0.5,))
-        ratios = [r["ratio"] for r in report.records if r["kind"] == "bound"]
+        report = sharpness_sweep(cfg, "remark4", radii=(0.9, 0.99, 0.999))
+        ratios = [r["ratio"] for r in self.series(report, "remark4-k3-x0.50")]
+        assert len(ratios) == 3
         assert ratios == sorted(ratios)
         assert report.summary["failure_count"] == 0
 
@@ -214,19 +217,28 @@ class TestFailureIsolation:
         # inside the ball on every sampled point, yet expands the metric
         return PolyMap(2, 2, {(1, 0): [1.005, 0.0], (0, 1): [0.0, 1.005]})
 
-    def test_violations_recorded_and_persisted(self, tmp_path, monkeypatch):
+    def campaign(self, cfg, monkeypatch, bad_index):
+        """run_suite(cfg) with the bad map in place of sample `bad_index`'s map."""
         real = harness.random_polymap
         drawn = []
 
-        def first_map_bad(*args, **kwargs):
+        def one_map_bad(*args, **kwargs):
             # the real generator still runs, so every later draw is unchanged
             drawn.append(real(*args, **kwargs))
-            return self.bad_map() if len(drawn) == 1 else drawn[-1]
+            return self.bad_map() if len(drawn) == bad_index + 1 else drawn[-1]
 
-        cfg = SuiteConfig(suite="main", n=2, m=2, **SMALL)
-        monkeypatch.setattr(harness, "random_polymap", first_map_bad)
+        monkeypatch.setattr(harness, "random_polymap", one_map_bad)
         report = run_suite(cfg)
         monkeypatch.undo()
+        return report
+
+    @staticmethod
+    def unnamed(records):
+        return [{k: v for k, v in r.items() if k != "sample"} for r in records]
+
+    def test_violations_recorded_and_persisted(self, tmp_path, monkeypatch):
+        cfg = SuiteConfig(suite="main", n=2, m=2, **SMALL)
+        report = self.campaign(cfg, monkeypatch, 0)
         assert {r["sample"] for r in report.records} == {"poly-0000", "poly-0001", "aut-0000", "aut-0001"}
         assert report.summary["failure_count"] > 0
         assert len(report.failures) == 1
@@ -240,12 +252,17 @@ class TestFailureIsolation:
         assert len(side) == 1
         replayed = replay_sample(side[0], cfg)
         assert replayed.summary["failure_count"] > 0
-
-        def unnamed(records):
-            return [{k: v for k, v in r.items() if k != "sample"} for r in records]
-
         campaign = [r for r in report.records if r["sample"] == "poly-0000"]
-        assert unnamed(replayed.records) == unnamed(campaign)
+        assert self.unnamed(replayed.records) == self.unnamed(campaign)
+
+    def test_replay_runs_at_the_failing_sample(self, tmp_path, monkeypatch):
+        cfg = SuiteConfig(suite="main", n=2, m=2, samples=3, degree=3, k_max=2, seed=7)
+        report = self.campaign(cfg, monkeypatch, 1)
+        assert [f["sample"] for f in report.failures] == ["poly-0001"]
+        emit(report, "json", tmp_path / "report.json")
+        replayed = replay_sample(tmp_path / "report-failure-poly-0001.json", cfg)
+        campaign = [r for r in report.records if r["sample"] == "poly-0001"]
+        assert self.unnamed(replayed.records) == self.unnamed(campaign)
 
 
 class TestReplay:
@@ -308,6 +325,12 @@ class TestCli:
     def test_config_error_exit_two(self, capsys, option):
         assert cli.main(["check", "--suite", "main", *option]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert cli.main(["check", "--suite", "disk", "--m", "1", "--samples", "1",
+                         "--degree", "3", "--kmax", "2", "--out", str(out)]) == 2
+        assert f"cannot write report to {out}" in capsys.readouterr().err
 
     def test_malformed_radii_exit_two(self, capsys):
         assert cli.main(["sharpness", "--radii", "0.9,abc"]) == 2
