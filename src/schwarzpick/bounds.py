@@ -300,7 +300,7 @@ def _derivative(f: HoloMap, kind: str, z, beta, k, v, bundle):
     """(f at the base point, the derivative a bound controls).
 
     Origin rows read polynomial coefficients directly and take every other
-    map's coefficients from one shared quadrature torus; the others use the
+    map's coefficients from one slice table; the others use the
     partial bundle at z, computed here unless supplied.
     """
     zero = (0,) * f.n
@@ -333,7 +333,7 @@ def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, 
     """Evaluate one inequality for a map at a single context and report both sides.
 
     Derivatives come from the exact coefficient route for polynomial maps and
-    from torus quadrature otherwise; a precomputed partial `bundle` may be
+    from slice quadrature otherwise; a precomputed partial `bundle` may be
     supplied to share one quadrature across many contexts.  Leaving out a
     context argument the id needs (z, beta, k or v) raises ValueError.
     """

@@ -1,13 +1,23 @@
-"""Derivative engine: iterated circle quadrature on a polytorus.
+"""Derivative engine: trapezoid-rule Cauchy differentiation on line slices.
 
-Every mixed partial of an analytic ball map is recovered from trapezoid
-sums of map values on a torus around the evaluation point,
+Along every complex line through z an analytic map expands in homogeneous
+polynomials (Rudin, Function Theory in the Unit Ball of C^n, ch. 1),
 
-    d^|v| f(z) / dz^v  =  v! / (2 pi i)^n  oint ... oint  f(z+w) / w^(v+1) dw,
+    f(z + lambda beta) = sum_k lambda^k P_k(beta),
+    P_k(beta) = sum_{|alpha| = k} (d^alpha f(z) / alpha!) beta^alpha.
 
-which is spectrally accurate because the integrand is analytic.  The same
-machinery assembles the order-k directional derivative by two independent
-routes (multi-index sum of partials, and a one-variable derivative along a
+Partials of order <= K come from the NODES = 128 trapezoid nodes
+lambda = r e^(2 pi i t / NODES) on each phase-grid line
+beta_j = (1, omega^j_2, ..., omega^j_n), omega = e^(2 pi i / (K+1)), for
+j in [0, K]^(n-1): NODES * (K+1)^(n-1) map values in all.  One DFT in t
+yields every P_k(beta_j), k <= K (Lyness & Moler, SIAM J. Numer. Anal. 1967),
+and a (K+1)^(n-1)-point DFT over j separates each alpha with |alpha| = k
+exactly, because alpha_2..alpha_n <= K.  The radius r is RADIUS_FRACTION of the largest
+uniform polytorus about z inside the ball, so every slice point lies on that
+polytorus; the error is spectrally small because the integrand is analytic.
+
+The order-k directional derivative is assembled by two independent routes
+(multi-index sum of partials, and a one-variable derivative along the
 restricted line); the routes cross-check each other at run time.
 
 Polynomial maps are also differentiated exactly through their coefficient
@@ -23,11 +33,11 @@ import numpy as np
 from . import multiindex as mi
 from .holomap import HoloMap, PolyMap, restrict_to_line
 
-#: Fraction of the largest safe uniform torus radius used by default.
+#: Fraction of the largest safe uniform polytorus radius used for the slices.
 RADIUS_FRACTION = 0.6
 
-#: |z| beyond which node counts are forced up for the near-boundary sweeps.
-NEAR_BOUNDARY = 0.95
+#: Trapezoid nodes on every circle.
+NODES = 128
 
 #: Norm scale below which the two directional-derivative routes are treated
 #: as agreeing (both indistinguishable from zero at quadrature noise level).
@@ -57,20 +67,10 @@ def max_uniform_radius(z) -> float:
     return (-s + math.sqrt(s * s + n * (1.0 - z2))) / n
 
 
-def resolve_spec(z, order: int) -> tuple[np.ndarray, int]:
-    """The torus for derivatives of order <= `order` at z: uniform radii at
-    RADIUS_FRACTION of the largest torus that fits around z, and 128/64/32
-    nodes per circle for dimensions 1 / 2-3 / 4+, raised to 128 near the
-    boundary."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    n = z.shape[0]
-    radii = np.full(n, RADIUS_FRACTION * max_uniform_radius(z))
-    nodes = 128 if n == 1 else 64 if n <= 3 else 32
-    if n <= 3 and float((np.abs(z) ** 2).sum()) > NEAR_BOUNDARY ** 2:
-        nodes = 128
-    if nodes < 2 * order + 2:
-        raise TorusError(f"node count {nodes} cannot resolve derivative order {order}")
-    return radii, nodes
+def slice_radius(z) -> float:
+    """Radius of the slice circles about z: RADIUS_FRACTION of the largest
+    uniform polytorus about z inside the ball."""
+    return RADIUS_FRACTION * max_uniform_radius(z)
 
 
 @dataclass(frozen=True)
@@ -87,64 +87,40 @@ class DerivativeResult:
     route_gap: float | None = None
 
 
-def _torus_values(f: HoloMap, z, radii, nodes: int) -> np.ndarray:
+def _slices(f: HoloMap, z, order: int) -> np.ndarray:
+    """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! of f about z
+    for every |alpha| <= order, as table[|alpha|, alpha_2, ..., alpha_n] of
+    shape (order+1,)*n + (m,), from NODES * (order+1)^(n-1) slice values."""
     z = np.asarray(z, dtype=complex).reshape(-1)
-    angles = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    circles = [z[j] + radii[j] * angles for j in range(f.n)]
-    if isinstance(f, PolyMap):
-        # polynomial sums factor along the torus axes; contracting the dense
-        # coefficient tensor with per-axis Vandermonde matrices gives the same
-        # grid values far faster than pointwise monomial evaluation
-        return _poly_torus_values(f, circles, nodes)
-    mesh = np.meshgrid(*circles, indexing="ij")
-    return f.eval(np.stack(mesh, axis=-1))
-
-
-def _poly_torus_values(f: PolyMap, circles, nodes: int) -> np.ndarray:
-    dims = f.E.max(axis=0, initial=0)
-    tensor = np.zeros(tuple(dims + 1) + (f.m,), dtype=complex)
-    tensor[tuple(f.E.T)] = f.A
-    for j in range(f.n):
-        vander = np.empty((nodes, dims[j] + 1), dtype=complex)
-        vander[:, 0] = 1.0
-        for d in range(1, dims[j] + 1):
-            vander[:, d] = vander[:, d - 1] * circles[j]
-        tensor = np.tensordot(vander, tensor, axes=(1, j))
-    return np.transpose(tensor, tuple(range(f.n))[::-1] + (f.n,))
-
-
-def _coefficient_dft(values: np.ndarray, exponents, radii, nodes: int) -> np.ndarray:
-    """Trapezoid sums extracting scaled local Taylor coefficients.
-
-    values has shape (N,)*n + (m,); exponents is one integer array per axis.
-    Returns the table of c_alpha estimates with shape
-    (len(exponents[0]), ..., len(exponents[n-1]), m).
-    """
-    n = values.ndim - 1
-    table = values
-    ts = np.arange(nodes)
-    for j in range(n):
-        w = np.exp(-2j * np.pi * np.outer(np.asarray(exponents[j]), ts) / nodes) / nodes
-        table = np.tensordot(w, table, axes=(1, j))
-    table = np.transpose(table, tuple(range(n))[::-1] + (n,))
-    for j in range(n):
-        scale = np.asarray(radii[j], dtype=float) ** (-np.asarray(exponents[j], dtype=float))
-        shape = [1] * (n + 1)
-        shape[j] = len(exponents[j])
-        table = table * scale.reshape(shape)
-    return table
+    r = slice_radius(z)
+    if NODES < 2 * order + 2:
+        raise TorusError(f"node count {NODES} cannot resolve derivative order {order}")
+    grid = order + 1
+    # line directions (1, omega^j_2, ..., omega^j_n), shape (grid,)*(n-1) + (n,)
+    phases = np.exp(2j * np.pi * np.arange(grid) / grid)
+    beta = np.stack([np.ones((grid,) * (f.n - 1))]
+                    + list(np.meshgrid(*[phases] * (f.n - 1), indexing="ij")), axis=-1)
+    circle = r * np.exp(2j * np.pi * np.arange(NODES) / NODES)
+    values = f.eval(z + circle.reshape((NODES,) + (1,) * f.n) * beta)
+    ks = np.arange(grid)
+    # a computed DFT row k >= 1 sums to zero only up to rounding and would leak
+    # f(z) into P_k; near the boundary f(z) dwarfs the derivatives, so centre first
+    center = values.mean(axis=0)
+    table = np.tensordot(np.exp(-2j * np.pi * np.outer(ks, np.arange(NODES)) / NODES) / NODES,
+                         values - center, axes=(1, 0))
+    table[0] += center
+    phase_dft = np.exp(-2j * np.pi * np.outer(ks, ks) / grid) / grid
+    for axis in range(1, f.n):
+        table = np.tensordot(phase_dft, table, axes=(1, axis))
+    table = np.transpose(table, tuple(range(f.n))[::-1] + (f.n,))
+    return table * (r ** -ks.astype(float)).reshape((grid,) + (1,) * f.n)
 
 
 def _coefficients(f: HoloMap, z, indices) -> dict:
-    """Scaled local Taylor coefficients c_alpha of f about z for each alpha in
-    `indices`, from one torus whose DFT runs over the exponents each axis needs."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    radii, nodes = resolve_spec(z, max(max(a) for a in indices))
-    values = _torus_values(f, z, radii, nodes)
-    exps = [np.array(sorted({a[j] for a in indices})) for j in range(f.n)]
-    table = _coefficient_dft(values, exps, radii, nodes)
-    position = [{int(e): i for i, e in enumerate(exps[j])} for j in range(f.n)]
-    return {a: table[tuple(position[j][a[j]] for j in range(f.n))] for a in indices}
+    """Local Taylor coefficients c_alpha of f about z for each alpha in
+    `indices`, selected from one slice table."""
+    table = _slices(f, z, max(sum(a) for a in indices))
+    return {a: table[(sum(a),) + a[1:]] for a in indices}
 
 
 def partial_derivative(f: HoloMap, z, v) -> DerivativeResult:
@@ -168,12 +144,12 @@ def taylor_coefficient(f: HoloMap, v) -> np.ndarray:
 
 
 def taylor_coefficients(f: HoloMap, indices) -> dict:
-    """A chosen set of Taylor coefficients at the origin from one shared torus."""
+    """A chosen set of Taylor coefficients at the origin from one slice table."""
     return _coefficients(f, np.zeros(f.n), [mi.as_multiindex(a) for a in indices])
 
 
 def coefficient_table(f: HoloMap, max_degree: int) -> dict:
-    """All Taylor coefficients a_alpha, |alpha| <= max_degree, from one torus."""
+    """All Taylor coefficients a_alpha, |alpha| <= max_degree, from one slice table."""
     return _coefficients(f, np.zeros(f.n), mi.enumerate_up_to(f.n, max_degree))
 
 
@@ -181,7 +157,7 @@ def partial_bundle(f: HoloMap, z, max_order: int, *, exact: bool | str = "auto")
     """All partials d^alpha f(z), |alpha| <= max_order, as a dict keyed by alpha.
 
     Polynomial maps default to the exact coefficient-table route; everything
-    else is differentiated by one shared torus quadrature.
+    else is differentiated from one slice table.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     if exact == "auto":
@@ -211,17 +187,16 @@ def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
 def line_derivative(f: HoloMap, z, beta, k: int) -> DerivativeResult:
     """Order-k directional derivative via the one-variable restriction:
     the k-th derivative at 0 of lambda -> f(z + lambda beta), computed on a
-    single circle of 128 nodes at half the restriction radius."""
+    single circle of NODES nodes at half the restriction radius."""
     line = restrict_to_line(f, z, beta)
-    n_nodes = 128
-    if n_nodes < 2 * k + 2:
-        raise TorusError(f"node count {n_nodes} cannot resolve derivative order {k}")
+    if NODES < 2 * k + 2:
+        raise TorusError(f"node count {NODES} cannot resolve derivative order {k}")
     rho = 0.5 * line.radius
-    ts = np.arange(n_nodes)
-    lam = rho * np.exp(2j * np.pi * ts / n_nodes)
+    ts = np.arange(NODES)
+    lam = rho * np.exp(2j * np.pi * ts / NODES)
     vals = line.eval(lam[:, None])
-    phases = np.exp(-2j * np.pi * k * ts / n_nodes)
-    coeff = (vals * phases[:, None]).sum(axis=0) / (n_nodes * rho ** k)
+    phases = np.exp(-2j * np.pi * k * ts / NODES)
+    coeff = (vals * phases[:, None]).sum(axis=0) / (NODES * rho ** k)
     return DerivativeResult(value=math.factorial(k) * coeff, method="frechet-line")
 
 

@@ -486,29 +486,35 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
     rng = _rng(config.seed, 200 if family == "remark2" else 201)
     xi_phase = np.exp(2j * np.pi * rng.uniform())
     w_dir = random_unit_vector(rng, config.m) if family == "remark2" else np.exp(2j * np.pi * rng.uniform())
+    order = min(config.k_max, 4)
+    # one partial bundle per (xi, |w|) serves every k
+    bundles = {}
+    for xi_abs in (0.25, 0.5, 0.75):
+        z = np.zeros(1 if family == "remark2" else config.n, dtype=complex)
+        z[0] = xi_abs * xi_phase
+        for w_abs in radii:
+            if family == "remark2":
+                f = geometry.Remark2Map(z[0], w_abs * w_dir)
+            else:
+                f = geometry.Remark4Map(z[0], w_abs * w_dir, n=config.n)
+            bundles[xi_abs, w_abs] = f, z, cauchy.partial_bundle(f, z, order)
     records = []
-    for k in range(1, min(config.k_max, 4) + 1):
+    for k in range(1, order + 1):
         for xi_abs in (0.25, 0.5, 0.75):
             series = []
             sample = f"{family}-k{k}-x{xi_abs:.2f}"
             for w_abs in radii:
+                f, z, bundle = bundles[xi_abs, w_abs]
                 # the bound takes the pinned |f(xi)| = w_abs, not check_inequality's norm(f(xi)):
                 # they differ in the last bit at a quarter of the points, which (1-|w|^2)^2 scales
                 # to 2e-11 relative in `ratio` at |w| = 0.99999, flipping `tight` flags
                 if family == "remark2":
-                    f = geometry.Remark2Map(xi_abs * xi_phase, w_abs * w_dir)
-                    z = np.array([xi_abs * xi_phase])
-                    dk = cauchy.partial_derivative(f, z, (k,)).value
-                    lhs = bounds.lhs_quadratic(dk, w_abs * w_dir)
+                    lhs = bounds.lhs_quadratic(bundle[(k,)], w_abs * w_dir)
                     rhs = bounds.rhs_disk(k, z[0], w_abs)
                     rep = bounds.BoundReport.build("4.1", lhs, rhs, {"z": z, "k": k})
                 else:
-                    f = geometry.Remark4Map(xi_abs * xi_phase, w_abs * w_dir, n=config.n)
                     v = (k,) + (0,) * (config.n - 1)
-                    z = np.zeros(config.n, dtype=complex)
-                    z[0] = xi_abs * xi_phase
-                    dk = cauchy.partial_derivative(f, z, v).value
-                    lhs = bounds.lhs_quadratic(dk, np.array([w_abs * w_dir]))
+                    lhs = bounds.lhs_quadratic(bundle[v], np.array([w_abs * w_dir]))
                     rhs = bounds.rhs_radial(v, z, w_abs)
                     rep = bounds.BoundReport.build("5.3", lhs, rhs, {"z": z, "v": v})
                 predicted = sweep_prediction(family, k, xi_abs, w_abs)

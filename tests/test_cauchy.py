@@ -5,7 +5,7 @@ import pytest
 
 from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import PolyMap, identity_polymap, random_polymap
+from schwarzpick.holomap import HoloMap, PolyMap, identity_polymap, random_polymap, sq_norm
 
 
 def sample_ball(rng, n, radius):
@@ -41,7 +41,7 @@ class TestPartialDerivative:
                 assert np.linalg.norm(quad - exact) <= 1e-10 * np.linalg.norm(exact)
 
     def test_node_count_must_resolve_order(self):
-        # order 64 needs 130 nodes; a one-variable torus has 128
+        # order 64 needs 130 nodes; a slice circle has 128
         f = PolyMap(1, 1, {(4,): [0.5]})
         with pytest.raises(cauchy.TorusError):
             cauchy.partial_derivative(f, np.zeros(1), (64,))
@@ -132,14 +132,65 @@ class TestSpectralConvergence:
             np.array([0.3, 0.0]), np.array([0.6, 0.8]), (2, 1)), np.array([0.25, -0.1j]), (1, 1)
         yield geometry.Remark2Map(0.5, np.array([0.8])), np.array([0.5]), (3,)
 
-    def test_doubling_nodes_is_converged(self):
+    def test_doubling_nodes_is_converged(self, monkeypatch):
         for f, z, v in self.canonical_maps():
-            radii, nodes = cauchy.resolve_spec(z, max(v))
             base = cauchy.partial_derivative(f, z, v).value
-            values = cauchy._torus_values(f, z, radii, 2 * nodes)
-            coeff = cauchy._coefficient_dft(values, [[e] for e in v], radii, 2 * nodes)
-            fine = coeff.reshape(-1) * mi.multiindex_factorial(v)
+            with monkeypatch.context() as patch:
+                patch.setattr(cauchy, "NODES", 2 * cauchy.NODES)
+                fine = cauchy.partial_derivative(f, z, v).value
             assert np.linalg.norm(base - fine) <= 1e-12 * max(1.0, np.linalg.norm(fine))
+
+
+class CountingMap(HoloMap):
+    """Wraps a map and keeps every point it is evaluated at."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.m = inner, inner.n, inner.m
+        self.points = []
+
+    def _eval(self, z):
+        self.points.append(z.reshape(-1, self.n))
+        return self.inner._eval(z)
+
+
+#: Per n, at |z| = 0, 0.6, 0.9, 0.99: the worst relative error the former N^n
+#: polytorus quadrature reached on the grid of test_slices_match_exact_partials
+#: (N = 128 at n = 1; 64 at n = 2-3, 128 beyond |z| = 0.95; 32 at n = 4),
+#: rounded up in the fourth digit.
+POLYTORUS_WORST = {
+    1: (1.962e-15, 9.306e-14, 1.479e-11, 1.648e-7),
+    2: (7.904e-15, 3.136e-13, 8.972e-11, 6.141e-7),
+    3: (3.056e-14, 8.787e-13, 2.336e-10, 1.280e-6),
+    4: (8.866e-14, 8.194e-13, 3.959e-10, 5.003e-6),
+}
+
+
+class TestSlices:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_slices_match_exact_partials(self, n):
+        rng = np.random.default_rng(n)
+        maps = [random_polymap(n, 2, 5, seed=rng) for _ in range(8)]
+        dirs = [g / np.linalg.norm(g) for g in rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))]
+        for radius, bound in zip((0.0, 0.6, 0.9, 0.99), POLYTORUS_WORST[n]):
+            worst = 0.0
+            for f, u in zip(maps, dirs):
+                z = radius * u
+                quad = cauchy.partial_bundle(f, z, 4, exact=False)
+                for alpha in mi.enumerate_up_to(n, 4):
+                    exact = f.partial_value(z, alpha)
+                    worst = max(worst, np.linalg.norm(quad[alpha] - exact) / np.linalg.norm(exact))
+            assert worst <= bound, f"|z| = {radius}: {worst:.3e} > {bound:.3e}"
+
+    @pytest.mark.parametrize("n, order", [(1, 4), (2, 3), (3, 4), (4, 2)])
+    def test_one_extraction_evaluates_the_phase_grid(self, n, order):
+        f = CountingMap(geometry.AutomorphismMap(np.full(n, 0.3 / math.sqrt(n))))
+        z = np.full(n, 0.99 / math.sqrt(n)) * np.exp(1j * np.arange(n))
+        cauchy.partial_bundle(f, z, order)
+        [points] = f.points
+        assert len(points) == cauchy.NODES * (order + 1) ** (n - 1)
+        assert np.all(sq_norm(points) < 1.0)
+        # every slice point lies on the uniform polytorus of the slice radius
+        assert np.allclose(np.abs(points - z), cauchy.slice_radius(z), rtol=1e-12, atol=0)
 
 
 def test_jacobian_of_identity():
@@ -149,7 +200,7 @@ def test_jacobian_of_identity():
 
 
 def test_default_radii_match_reference_rule():
-    # at the origin the default torus radius is RADIUS_FRACTION / sqrt(n)
+    # at the origin the slice radius is RADIUS_FRACTION / sqrt(n)
     for n in (1, 2, 3):
-        radii, _ = cauchy.resolve_spec(np.zeros(n), 2)
-        assert radii[0] == pytest.approx(cauchy.RADIUS_FRACTION / math.sqrt(n), rel=1e-12)
+        radius = cauchy.slice_radius(np.zeros(n))
+        assert radius == pytest.approx(cauchy.RADIUS_FRACTION / math.sqrt(n), rel=1e-12)
