@@ -3,7 +3,7 @@ holomorphic maps between complex unit balls."""
 
 from . import bounds, cauchy, geometry, harness, multiindex
 from .bounds import BoundReport, check_inequality, lhs_quadratic
-from .cauchy import frechet_derivative, partial_derivative, taylor_coefficient
+from .cauchy import frechet_derivative
 from .geometry import bergman_metric, extremal_k1_map, extremal_origin_map, moebius_apply, remark_family
 from .harness import Report, SuiteConfig, equality_suite, run_suite, sharpness_sweep
 from .holomap import HoloMap, PolyMap, compose_ball_automorphism, random_polymap, restrict_to_line
@@ -30,11 +30,9 @@ __all__ = [
     "lhs_quadratic",
     "moebius_apply",
     "multiindex",
-    "partial_derivative",
     "random_polymap",
     "remark_family",
     "restrict_to_line",
     "run_suite",
     "sharpness_sweep",
-    "taylor_coefficient",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import cauchy, geometry
 from . import multiindex as mi
-from .holomap import HoloMap, MapDomainError, PolyMap, hermitian_inner, sq_norm
+from .holomap import HoloMap, MapDomainError, hermitian_inner, sq_norm
 
 INEQUALITY_IDS = ("1.1", "1.2", "1.3", "1.4", "3.1", "3.2", "4.1", "5.1", "5.2", "5.3")
 
@@ -96,7 +96,7 @@ def rhs_disk(k: int, z, fz_norm: float) -> float:
     """Disk-domain quadratic-form bound:
     [k! (1-|f(z)|^2) (1+|z|)^(k-1) / (1-|z|^2)^k]^2."""
     t = abs(complex(z))
-    if t >= 1.0:
+    if not t < 1.0:
         raise MapDomainError("z must lie inside the unit disk")
     return (math.factorial(k) * (1.0 - fz_norm ** 2) * (1.0 + t) ** (k - 1) / (1.0 - t * t) ** k) ** 2
 
@@ -133,7 +133,7 @@ def rhs_partial(v, z, fz_norm: float) -> PartialBounds:
     n = len(v)
     z = np.asarray(z, dtype=complex).reshape(-1)
     t = math.sqrt(float(sq_norm(z)))
-    if t >= 1.0:
+    if not t < 1.0:
         raise MapDomainError("z must lie inside the unit ball")
     core = (1.0 + t) ** (k - 1) * (1.0 - fz_norm ** 2) / (1.0 - t * t) ** k
     scalar = math.sqrt(mi.sharpness_factor(v)) * mi.multiindex_factorial(v) * core
@@ -167,7 +167,7 @@ def rhs_radial(v, z, fz_norm: float) -> float:
     if z.shape[0] > 1 and np.any(z[1:] != 0):
         raise MapDomainError("the radial bound applies only on the z1-axis")
     t = abs(complex(z[0]))
-    if t >= 1.0:
+    if not t < 1.0:
         raise MapDomainError("z must lie inside the unit ball")
     core = mi.multiindex_factorial(v) * mu_factor(v, t) * (1.0 - fz_norm ** 2)
     core /= (1.0 - t * t) ** ((v[0] + k) / 2.0)
@@ -299,17 +299,13 @@ _BOUNDS = {
 def _derivative(f: HoloMap, kind: str, z, beta, k, v, bundle):
     """(f at the base point, the derivative a bound controls).
 
-    Origin rows read polynomial coefficients directly and take every other
-    map's coefficients from one slice table; the others use the
+    Origin rows read the Taylor coefficients at 0; the others use the
     partial bundle at z, computed here unless supplied.
     """
     zero = (0,) * f.n
     if kind in ("slice", "a_v"):
         indices = mi.enumerate_indices(f.n, k) if kind == "slice" else [v]
-        if isinstance(f, PolyMap):
-            coeffs = {a: f.coefficient(a) for a in [zero] + indices}
-        else:
-            coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
+        coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
         if kind == "a_v":
             return coeffs[zero], coeffs[v]
         return coeffs[zero], sum(coeffs[a] * np.prod(beta ** np.array(a)) for a in indices)

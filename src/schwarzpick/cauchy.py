@@ -16,12 +16,17 @@ exactly, because alpha_2..alpha_n <= K.  The radius r is RADIUS_FRACTION of the 
 uniform polytorus about z inside the ball, so every slice point lies on that
 polytorus; the error is spectrally small because the integrand is analytic.
 
-The order-k directional derivative is assembled by two independent routes
-(multi-index sum of partials, and a one-variable derivative along the
-restricted line); the routes cross-check each other at run time.
+The derivative layer has one entry point per purpose, and the map's type
+picks the route:
 
-Polynomial maps are also differentiated exactly through their coefficient
-tables, providing the ground truth the quadrature is validated against.
+  partial_bundle        every partial d^alpha f(z), |alpha| <= K, at a point
+  taylor_coefficients   chosen Taylor coefficients a_alpha at the origin
+
+A `PolyMap` is differentiated exactly through its coefficient table, the
+ground truth the quadrature is validated against; every other map goes
+through one slice table.  The order-k directional derivative is assembled by
+two independent routes (multi-index sum of partials, and a one-variable
+derivative along the restricted line); `frechet_derivative` cross-checks them.
 """
 from __future__ import annotations
 
@@ -30,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from . import multiindex as mi
-from .holomap import HoloMap, PolyMap, restrict_to_line
+from .holomap import HoloMap, MapDomainError, PolyMap, restrict_to_line
 
 #: Fraction of the largest safe uniform polytorus radius used for the slices.
 RADIUS_FRACTION = 0.6
@@ -45,8 +51,7 @@ GAP_FLOOR = 1e-8
 
 
 class TorusError(ValueError):
-    """The evaluation point lies outside the domain ball, or the node count
-    cannot resolve the requested order."""
+    """The node count cannot resolve the requested derivative order."""
 
 
 class QuadratureError(RuntimeError):
@@ -61,8 +66,8 @@ def max_uniform_radius(z) -> float:
     az = np.abs(z)
     s = float(az.sum())
     z2 = float((az ** 2).sum())
-    if z2 >= 1.0:
-        raise TorusError("evaluation point lies outside the unit ball")
+    if not z2 < 1.0:
+        raise MapDomainError("evaluation point must lie strictly inside the unit ball")
     n = z.shape[0]
     return (-s + math.sqrt(s * s + n * (1.0 - z2))) / n
 
@@ -75,23 +80,17 @@ def slice_radius(z) -> float:
 
 @dataclass(frozen=True)
 class DerivativeResult:
-    """One derivative value plus provenance for cross-checks.
-
-    method is one of: quadrature | frechet-sum | frechet-line.
-    For directional derivatives computed by both routes, route_gap records
-    the relative disagreement between them.
-    """
+    """A directional derivative and the relative gap between the two routes
+    that computed it."""
 
     value: np.ndarray
-    method: str
-    route_gap: float | None = None
+    route_gap: float
 
 
 def _slices(f: HoloMap, z, order: int) -> np.ndarray:
     """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! of f about z
     for every |alpha| <= order, as table[|alpha|, alpha_2, ..., alpha_n] of
     shape (order+1,)*n + (m,), from NODES * (order+1)^(n-1) slice values."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
     r = slice_radius(z)
     if NODES < 2 * order + 2:
         raise TorusError(f"node count {NODES} cannot resolve derivative order {order}")
@@ -116,59 +115,27 @@ def _slices(f: HoloMap, z, order: int) -> np.ndarray:
     return table * (r ** -ks.astype(float)).reshape((grid,) + (1,) * f.n)
 
 
-def _coefficients(f: HoloMap, z, indices) -> dict:
-    """Local Taylor coefficients c_alpha of f about z for each alpha in
-    `indices`, selected from one slice table."""
-    table = _slices(f, z, max(sum(a) for a in indices))
+def taylor_coefficients(f: HoloMap, indices) -> dict:
+    """Taylor coefficients a_alpha = d^alpha f(0) / alpha! at the origin for
+    each alpha in `indices`: read from a `PolyMap`'s table, otherwise from one
+    slice table."""
+    indices = [mi.as_multiindex(a) for a in indices]
+    if isinstance(f, PolyMap):
+        return {a: f.coefficient(a) for a in indices}
+    table = _slices(f, np.zeros(f.n), max(sum(a) for a in indices))
     return {a: table[(sum(a),) + a[1:]] for a in indices}
 
 
-def partial_derivative(f: HoloMap, z, v) -> DerivativeResult:
-    """Quadrature estimate of d^|v| f(z)/dz^v.
-
-    For polynomial inputs this matches the exact coefficient-table route to
-    ~1e-10 relative at moderate |z|; see the oracle-agreement tests.
-    """
-    v = mi.as_multiindex(v)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if len(v) != f.n or z.shape[0] != f.n:
-        raise ValueError(f"order and point must have dimension {f.n}")
-    coeff = _coefficients(f, z, [v])[v]
-    return DerivativeResult(value=coeff * mi.multiindex_factorial(v), method="quadrature")
-
-
-def taylor_coefficient(f: HoloMap, v) -> np.ndarray:
-    """Taylor coefficient a_v of f at the origin: d^v f(0) / v!."""
-    v = mi.as_multiindex(v)
-    return _coefficients(f, np.zeros(f.n), [v])[v]
-
-
-def taylor_coefficients(f: HoloMap, indices) -> dict:
-    """A chosen set of Taylor coefficients at the origin from one slice table."""
-    return _coefficients(f, np.zeros(f.n), [mi.as_multiindex(a) for a in indices])
-
-
-def coefficient_table(f: HoloMap, max_degree: int) -> dict:
-    """All Taylor coefficients a_alpha, |alpha| <= max_degree, from one slice table."""
-    return _coefficients(f, np.zeros(f.n), mi.enumerate_up_to(f.n, max_degree))
-
-
-def partial_bundle(f: HoloMap, z, max_order: int, *, exact: bool | str = "auto") -> dict:
-    """All partials d^alpha f(z), |alpha| <= max_order, as a dict keyed by alpha.
-
-    Polynomial maps default to the exact coefficient-table route; everything
-    else is differentiated from one slice table.
-    """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if exact == "auto":
-        exact = isinstance(f, PolyMap)
+def partial_bundle(f: HoloMap, z, max_order: int) -> dict:
+    """All partials d^alpha f(z), |alpha| <= max_order, as a dict keyed by alpha:
+    exact for a `PolyMap`, from one slice table otherwise.  A z that is not a
+    finite point of the domain ball raises MapDomainError on both routes."""
+    z = geometry.as_ball_point(z, f.n)
     alphas = mi.enumerate_up_to(f.n, max_order)
-    if exact:
-        if not isinstance(f, PolyMap):
-            raise TypeError("exact differentiation requires a polynomial map")
+    if isinstance(f, PolyMap):
         return {alpha: f.partial_value(z, alpha) for alpha in alphas}
-    coeffs = _coefficients(f, z, alphas)
-    return {alpha: c * mi.multiindex_factorial(alpha) for alpha, c in coeffs.items()}
+    table = _slices(f, z, max_order)
+    return {alpha: table[(sum(alpha),) + alpha[1:]] * mi.multiindex_factorial(alpha) for alpha in alphas}
 
 
 def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
@@ -184,7 +151,7 @@ def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
     return acc
 
 
-def line_derivative(f: HoloMap, z, beta, k: int) -> DerivativeResult:
+def line_derivative(f: HoloMap, z, beta, k: int) -> np.ndarray:
     """Order-k directional derivative via the one-variable restriction:
     the k-th derivative at 0 of lambda -> f(z + lambda beta), computed on a
     single circle of NODES nodes at half the restriction radius."""
@@ -197,7 +164,7 @@ def line_derivative(f: HoloMap, z, beta, k: int) -> DerivativeResult:
     vals = line.eval(lam[:, None])
     phases = np.exp(-2j * np.pi * k * ts / NODES)
     coeff = (vals * phases[:, None]).sum(axis=0) / (NODES * rho ** k)
-    return DerivativeResult(value=math.factorial(k) * coeff, method="frechet-line")
+    return math.factorial(k) * coeff
 
 
 def route_gap(d1, d2) -> float:
@@ -211,7 +178,7 @@ def route_gap(d1, d2) -> float:
     return float(np.linalg.norm(np.asarray(d1) - np.asarray(d2))) / scale
 
 
-def frechet_derivative(f: HoloMap, z, beta, k: int, *, exact: bool | str = "auto",
+def frechet_derivative(f: HoloMap, z, beta, k: int, *,
                        route_tol: float | None = 1e-9) -> DerivativeResult:
     """Order-k directional derivative D_k(f, z, beta), computed by BOTH routes.
 
@@ -225,19 +192,13 @@ def frechet_derivative(f: HoloMap, z, beta, k: int, *, exact: bool | str = "auto
     beta = np.asarray(beta, dtype=complex).reshape(f.n)
     if float((beta.real ** 2 + beta.imag ** 2).sum()) == 0.0:
         raise ValueError("direction must be non-zero")
-    bundle = partial_bundle(f, z, k, exact=exact)
+    bundle = partial_bundle(f, z, k)
     d_sum = frechet_from_bundle(bundle, beta, k, f.n)
-    d_line = line_derivative(f, z, beta, k).value
+    d_line = line_derivative(f, z, beta, k)
     gap = route_gap(d_sum, d_line)
     if route_tol is not None and gap > route_tol:
         raise QuadratureError(
             f"directional-derivative routes disagree (relative gap {gap:.3e} > {route_tol:.1e}); "
             "check the quadrature configuration")
-    return DerivativeResult(value=d_sum, method="frechet-sum", route_gap=gap)
+    return DerivativeResult(value=d_sum, route_gap=gap)
 
-
-def jacobian(f: HoloMap, z) -> np.ndarray:
-    """Holomorphic Jacobian matrix of f at z (m x n), column j = df/dz_j."""
-    bundle = partial_bundle(f, z, 1)
-    units = mi.enumerate_indices(f.n, 1)[::-1]  # e_1, ..., e_n
-    return np.stack([bundle[e] for e in units], axis=1)

@@ -23,7 +23,7 @@ def as_ball_point(z, n: int | None = None) -> np.ndarray:
     z = np.asarray(z, dtype=complex).reshape(-1)
     if n is not None and z.shape[0] != n:
         raise MapDomainError(f"expected a point in C^{n}, got dimension {z.shape[0]}")
-    if sq_norm(z) >= 1.0:
+    if not sq_norm(z) < 1.0:  # NaN fails too
         raise MapDomainError(f"point must lie strictly inside the unit ball (|z| = {math.sqrt(sq_norm(z)):.6f})")
     return z
 

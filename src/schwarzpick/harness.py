@@ -179,9 +179,10 @@ def certificate_record(suite: str, sample: str, name: str, measured: float, slac
 
 
 def _is_failure(record: dict, tol: float) -> bool:
-    if record["kind"] == "certificate":
-        return record["slack"] < 0.0
-    return record["slack"] < -tol
+    """A record fails when its slack is below -tol (0 for certificates) or
+    is not finite."""
+    floor = 0.0 if record["kind"] == "certificate" else -tol
+    return not (math.isfinite(record["slack"]) and record["slack"] >= floor)
 
 
 def summarize(records: list[dict], tol: float) -> dict:
@@ -443,7 +444,7 @@ def equality_suite(config: SuiteConfig) -> Report:
         for a0_abs in (0.3, 0.7):
             sample = f"rigid-{i}{int(a0_abs * 10):02d}"
             maps[sample] = f = _extremal_origin(rng, 1, a0_abs, v)
-            table = cauchy.coefficient_table(f, 8)
+            table = cauchy.taylor_coefficients(f, mi.enumerate_up_to(f.n, 8))
             lattice = {tuple(j * x for x in v) for j in range(0, 9)}
             worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
             records.append(certificate_record(

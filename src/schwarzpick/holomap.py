@@ -35,7 +35,7 @@ def sq_norm(z):
 
 def check_inside_ball(z, label="z"):
     worst = float(np.max(sq_norm(z)))
-    if worst >= 1.0:
+    if not worst < 1.0:  # NaN fails too
         raise MapDomainError(f"{label} must lie strictly inside the unit ball (|{label}| = {math.sqrt(worst):.6f})")
 
 
@@ -272,7 +272,7 @@ class LineMap(HoloMap):
             lam = z[..., 0]
         else:
             lam = z
-        if np.max(np.abs(lam)) >= self.radius:
+        if not np.max(np.abs(lam)) < self.radius:
             raise MapDomainError(f"|lambda| must stay below the restriction radius {self.radius:.6f}")
         pts = self.z0 + lam[..., None] * self.beta
         return self.base._eval(pts)

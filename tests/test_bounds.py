@@ -260,6 +260,24 @@ class TestCheckInequality:
         with pytest.raises(ValueError, match=f"requires the argument {missing}$"):
             bounds.check_inequality(f, ineq, **context)
 
+    @pytest.mark.parametrize("f", [random_polymap(2, 1, 3, seed=13), geometry.AutomorphismMap(np.array([0.3, 0.1j]))],
+                             ids=["poly", "automorphism"])
+    def test_nan_point_raises_instead_of_reporting_nan(self, f):
+        # nan >= 1 is False, so a NaN point once passed every inside-the-ball check
+        z = np.array([np.nan, 0.0])
+        with pytest.raises(MapDomainError):
+            bounds.check_inequality(f, "5.1", z=z, v=(1, 0))
+        bundle = cauchy.partial_bundle(f, np.zeros(2), 1)
+        with pytest.raises(MapDomainError):
+            bounds.check_inequality(f, "5.1", z=z, v=(1, 0), bundle=bundle)
+
+    def test_nan_point_rejected_by_every_rhs(self):
+        z = np.array([np.nan, 0.0])
+        for rhs in (lambda: bounds.rhs_disk(1, np.nan, 0.0), lambda: bounds.rhs_partial((1, 0), z, 0.0),
+                    lambda: bounds.rhs_radial((1, 0), z, 0.0), lambda: bounds.rhs_main(1, z, [1.0, 0.0])):
+            with pytest.raises(MapDomainError):
+                rhs()
+
     def test_ratio_convention_when_both_sides_vanish(self):
         rep = bounds.BoundReport.build("1.4", 0.0, 0.0, {})
         assert rep.ratio == 0.0
@@ -313,7 +331,7 @@ class TestRemarkRatioLaws:
         for k in (1, 2, 3, 4):
             for w_abs in (0.5, 0.9):
                 f = geometry.Remark2Map(xi, w_abs * w_dir)
-                dk = cauchy.partial_derivative(f, np.array([xi]), (k,)).value
+                dk = cauchy.partial_bundle(f, np.array([xi]), k)[(k,)]
                 ratio = bounds.lhs_quadratic(dk, w_abs * w_dir) / bounds.rhs_disk(k, xi, w_abs)
                 predicted = ((w_abs + abs(xi)) / (1.0 + abs(xi))) ** (2 * (k - 1))
                 assert ratio == pytest.approx(predicted, abs=1e-8)
@@ -325,7 +343,7 @@ class TestRemarkRatioLaws:
             f = geometry.Remark3Map(xi1, w, v)
             z = np.zeros(2, dtype=complex)
             z[0] = xi1
-            dv = cauchy.partial_derivative(f, z, v).value
+            dv = cauchy.partial_bundle(f, z, sum(v))[v]
             display = geometry.remark3_derivative(xi1, w, v)
             assert abs(dv[0] - display) <= 1e-8 * abs(display)
             ratio = bounds.lhs_quadratic(dv, f.eval(z[None, :])[0]) / bounds.rhs_radial(v, z, abs(w))
@@ -340,7 +358,7 @@ class TestRemarkRatioLaws:
                 v = (k, 0)
                 z = np.zeros(2, dtype=complex)
                 z[0] = xi1
-                dk = cauchy.partial_derivative(f, z, v).value
+                dk = cauchy.partial_bundle(f, z, k)[v]
                 ratio = abs(dk[0]) / math.sqrt(bounds.rhs_radial(v, z, w_abs))
                 predicted = ((w_abs + abs(xi1)) / (1.0 + abs(xi1))) ** (k - 1)
                 assert ratio == pytest.approx(predicted, abs=1e-8)

@@ -22,6 +22,12 @@ from schwarzpick.holomap import PolyMap
 SMALL = dict(samples=2, degree=3, k_max=2)
 
 
+def test_non_finite_slack_counts_as_failure():
+    records = [{"kind": "bound", "slack": s, "ratio": 0.5} for s in (1.0, np.nan, -np.inf, np.inf)]
+    records.append({"kind": "certificate", "slack": np.nan, "ratio": 1.0})
+    assert summarize(records, 1e-8)["failure_count"] == 4
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         dict(suite="bogus"),

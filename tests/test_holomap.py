@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schwarzpick import geometry
+from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import (
     MapDomainError,
@@ -40,6 +40,16 @@ class TestEval:
         f = identity_polymap(2)
         with pytest.raises(MapDomainError):
             f.eval(np.array([[0.8, 0.8]]))
+
+    def test_rejects_nan_points(self):
+        # nan >= 1 is False, so every inside-the-ball check is written as not (x < 1)
+        z = np.array([np.nan, 0.0])
+        checks = (lambda: identity_polymap(2).eval(z[None, :]), lambda: geometry.as_ball_point(z),
+                  lambda: cauchy.max_uniform_radius(z),
+                  lambda: restrict_to_line(identity_polymap(2), np.zeros(2), np.ones(2)).eval(np.array([np.nan])))
+        for check in checks:
+            with pytest.raises(MapDomainError):
+                check()
 
 
 class TestPartial:
