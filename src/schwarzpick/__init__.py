@@ -2,7 +2,7 @@
 holomorphic maps between complex unit balls."""
 
 from . import bounds, cauchy, geometry, harness, multiindex
-from .bounds import BoundReport, check_inequality, lhs_quadratic
+from .bounds import BoundReport, check_inequality, check_requests, lhs_quadratic
 from .cauchy import frechet_derivative
 from .geometry import bergman_metric, extremal_k1_map, extremal_origin_map, moebius_apply, remark_family
 from .harness import Report, SuiteConfig, equality_suite, run_suite, sharpness_sweep
@@ -20,6 +20,7 @@ __all__ = [
     "bounds",
     "cauchy",
     "check_inequality",
+    "check_requests",
     "compose_ball_automorphism",
     "equality_suite",
     "extremal_k1_map",

@@ -1,5 +1,6 @@
 """Right-hand-side bound formulas, the recurring left-hand quadratic form,
-the Moebius-power derivative coefficients, and single-point inequality checks.
+the Moebius-power derivative coefficients, and the inequality checks, which
+evaluate every request at a point in one batch.
 
 Inequality ids (aliases in parentheses) and their content:
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,8 +70,18 @@ def lhs_quadratic(value, fz) -> float:
     """
     value = np.asarray(value, dtype=complex).reshape(-1)
     fz = np.asarray(fz, dtype=complex).reshape(-1)
-    ip = abs(complex(hermitian_inner(value, fz)))
-    return ip * ip + (1.0 - float(sq_norm(fz))) * float(sq_norm(value))
+    return _quadratic(value, np.conj(fz), 1.0 - float(sq_norm(fz)))
+
+
+def _pair(d, conj_fz) -> tuple[float, float]:
+    """|d|^2 and |<d, f(z)>| for conj_fz = conj(f(z))."""
+    return float(sq_norm(d)), abs(complex(np.add.reduce(d * conj_fz, axis=-1)))
+
+
+def _quadratic(d, conj_fz, q: float) -> float:
+    """lhs_quadratic(d, f(z)) for conj_fz = conj(f(z)) and q = 1-|f(z)|^2."""
+    d2, ip = _pair(d, conj_fz)
+    return ip * ip + q * d2
 
 
 def rhs_main(k: int, z, beta) -> float:
@@ -84,12 +96,21 @@ def rhs_main(k: int, z, beta) -> float:
         raise ValueError("order must be at least 1")
     z = geometry.as_ball_point(z)
     beta = geometry.as_direction(beta, z.shape[0])
-    z2 = float(sq_norm(z))
+    return _main(k, *_direction(z, float(sq_norm(z)), beta))
+
+
+def _direction(z, z2: float, beta) -> tuple[float, float]:
+    """The factors of rhs_main that depend on the direction, for z2 = |z|^2:
+    1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2) and H_z(b,b)."""
     b2 = float(sq_norm(beta))
     ip = abs(complex(hermitian_inner(beta, z)))
     pivot = math.sqrt((1.0 - z2) * b2 + ip * ip)
-    factor = (1.0 + ip / pivot) ** (2 * (k - 1))
-    return math.factorial(k) ** 2 * factor * geometry.bergman_metric(z, beta) ** k
+    return 1.0 + ip / pivot, geometry.metric_form(1.0 - z2, b2, ip)
+
+
+def _main(k: int, lift: float, metric: float) -> float:
+    """rhs_main from the direction's factors."""
+    return math.factorial(k) ** 2 * lift ** (2 * (k - 1)) * metric ** k
 
 
 def rhs_disk(k: int, z, fz_norm: float) -> float:
@@ -98,13 +119,40 @@ def rhs_disk(k: int, z, fz_norm: float) -> float:
     t = abs(complex(z))
     if not t < 1.0:
         raise MapDomainError("z must lie inside the unit disk")
-    return (math.factorial(k) * (1.0 - fz_norm ** 2) * (1.0 + t) ** (k - 1) / (1.0 - t * t) ** k) ** 2
+    return _disk(k, t, 1.0 - fz_norm ** 2)
+
+
+def _disk(k: int, t: float, q: float) -> float:
+    """rhs_disk for t = |z| and q = 1-|f(z)|^2."""
+    return (math.factorial(k) * q * (1.0 + t) ** (k - 1) / (1.0 - t * t) ** k) ** 2
 
 
 def rhs_disk_classical(k: int, z, fz_norm: float) -> float:
     """Benchmark form bounding |f^(k)(z)|/(1-|f(z)|^2):
     k! (1+|z|)^(k-1) / (1-|z|^2)^k."""
     return math.sqrt(rhs_disk(k, z, fz_norm)) / (1.0 - fz_norm ** 2)
+
+
+class _Constants(NamedTuple):
+    """The combinatorial constants of a multi-index v that the bounds read."""
+
+    k: int              # |v|
+    sharpness: float    # |v|^|v| / v^v
+    factorial: int      # v!
+    scalar: float       # sqrt(|v|^|v| / v^v) v!
+    benchmark: float    # n^(|v|/2) |v|! C(n+|v|-1, n-1)
+
+
+@lru_cache(maxsize=1024)
+def _constants(v: tuple[int, ...]) -> _Constants:
+    k = sum(v)
+    if k == 0:
+        raise ValueError("v must be a non-zero multi-index")
+    n = len(v)
+    sharpness = mi.sharpness_factor(v)
+    factorial = mi.multiindex_factorial(v)
+    return _Constants(k, sharpness, factorial, math.sqrt(sharpness) * factorial,
+                      (n ** (k / 2.0)) * math.factorial(k) * math.comb(n + k - 1, n - 1))
 
 
 class PartialBounds(NamedTuple):
@@ -126,19 +174,19 @@ def rhs_partial(v, z, fz_norm: float) -> PartialBounds:
     The scalar bound never exceeds the benchmark: sqrt(|v|^|v|/v^v) <= n^(|v|/2),
     v! <= |v|! and the binomial is at least 1.
     """
-    v = mi.as_multiindex(v)
-    k = sum(v)
-    if k == 0:
-        raise ValueError("v must be a non-zero multi-index")
-    n = len(v)
+    c = _constants(mi.as_multiindex(v))
     z = np.asarray(z, dtype=complex).reshape(-1)
     t = math.sqrt(float(sq_norm(z)))
     if not t < 1.0:
         raise MapDomainError("z must lie inside the unit ball")
-    core = (1.0 + t) ** (k - 1) * (1.0 - fz_norm ** 2) / (1.0 - t * t) ** k
-    scalar = math.sqrt(mi.sharpness_factor(v)) * mi.multiindex_factorial(v) * core
-    benchmark = (n ** (k / 2.0)) * math.factorial(k) * math.comb(n + k - 1, n - 1) * core
-    return PartialBounds(squared=scalar * scalar, scalar=scalar, benchmark_scalar=benchmark)
+    return _partial(c, t, 1.0 - fz_norm ** 2)
+
+
+def _partial(c: _Constants, t: float, q: float) -> PartialBounds:
+    """rhs_partial for v's constants, t = |z| and q = 1-|f(z)|^2."""
+    core = (1.0 + t) ** (c.k - 1) * q / (1.0 - t * t) ** c.k
+    scalar = c.scalar * core
+    return PartialBounds(squared=scalar * scalar, scalar=scalar, benchmark_scalar=c.benchmark * core)
 
 
 def mu_factor(v, z_abs: float) -> float:
@@ -158,9 +206,7 @@ def rhs_radial(v, z, fz_norm: float) -> float:
     when v_1 = |v|.
     """
     v = mi.as_multiindex(v)
-    k = sum(v)
-    if k == 0:
-        raise ValueError("v must be a non-zero multi-index")
+    c = _constants(v)
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != len(v):
         raise ValueError("z and v must have the same dimension")
@@ -169,9 +215,14 @@ def rhs_radial(v, z, fz_norm: float) -> float:
     t = abs(complex(z[0]))
     if not t < 1.0:
         raise MapDomainError("z must lie inside the unit ball")
-    core = mi.multiindex_factorial(v) * mu_factor(v, t) * (1.0 - fz_norm ** 2)
-    core /= (1.0 - t * t) ** ((v[0] + k) / 2.0)
-    return mi.sharpness_factor(v) * core * core
+    return _radial(c, v, t, 1.0 - fz_norm ** 2)
+
+
+def _radial(c: _Constants, v: tuple[int, ...], t: float, q: float) -> float:
+    """rhs_radial for v and its constants, t = |z_1| and q = 1-|f(z)|^2."""
+    core = c.factorial * mu_factor(v, t) * q
+    core /= (1.0 - t * t) ** ((v[0] + c.k) / 2.0)
+    return c.sharpness * core * core
 
 
 class OriginBounds(NamedTuple):
@@ -184,10 +235,14 @@ class OriginBounds(NamedTuple):
 
 def rhs_origin(v, a0_norm: float) -> OriginBounds:
     """(1-|a0|^2)^2 and (|v|^|v|/v^v)(1-|a0|^2)^2."""
+    base = _origin(a0_norm)
+    return OriginBounds(slice_bound=base, coefficient_bound=mi.sharpness_factor(v) * base)
+
+
+def _origin(a0_norm: float) -> float:
     if not 0.0 <= a0_norm < 1.0:
         raise ValueError("a0 norm must lie in [0, 1)")
-    base = (1.0 - a0_norm ** 2) ** 2
-    return OriginBounds(slice_bound=base, coefficient_bound=mi.sharpness_factor(v) * base)
+    return (1.0 - a0_norm ** 2) ** 2
 
 
 class AjCoefficients(NamedTuple):
@@ -250,21 +305,84 @@ def aj_coefficients(k: int, xi_abs: float, variant: str = "disk", v=None) -> AjC
                           term_sum=float(sum(mags)), closed_form=closed)
 
 
-def _metric(d, fz) -> float:
-    return geometry.bergman_metric(fz, d)
+class _Point:
+    """One derivative table and what every request reading it shares: f(z)
+    with |f(z)|^2 and |f(z)|; for a table at z also the scalars of z, each
+    direction's rhs_main factors and each directional derivative D_k.
+    Directions are keyed by their bytes, so equal directions share work."""
+
+    def __init__(self, table: dict, n: int, z=None):
+        self.table = table
+        self.n = n
+        self.fz = table[(0,) * n]
+        self.conj_fz = np.conj(self.fz)
+        self.fz2 = float(sq_norm(self.fz))
+        self.fz_norm = float(np.linalg.norm(self.fz))
+        # 1-|f(z)|^2 as the left-hand forms round it (from |f(z)|^2) and as
+        # the right-hand sides do (from |f(z)|); the two differ in the last bit
+        self.lhs_q = 1.0 - self.fz2
+        self.rhs_q = 1.0 - self.fz_norm ** 2
+        if z is not None:
+            self.z = z
+            self.z2 = float(sq_norm(z))
+            self.t = math.sqrt(self.z2)    # |z| as rhs_partial computes it
+            self.t1 = abs(complex(z[0]))   # |z_1| as rhs_disk and rhs_radial compute it
+            if not self.t1 < 1.0:
+                raise MapDomainError("z must lie inside the unit ball")
+            self.on_axis = not np.any(z[1:] != 0)
+        self._directions: dict[bytes, tuple[float, float]] = {}
+        self._frechet: dict[tuple[bytes, int], np.ndarray] = {}
+
+    def direction(self, beta) -> tuple[float, float]:
+        """rhs_main's factors for the direction beta at z."""
+        key = beta.tobytes()
+        if key not in self._directions:
+            self._directions[key] = _direction(self.z, self.z2, beta)
+        return self._directions[key]
+
+    def derivative(self, r: "_Request"):
+        """The derivative request r controls."""
+        kind = r.row.derivative
+        if kind == "D_k":
+            key = (r.beta.tobytes(), r.k)
+            if key not in self._frechet:
+                self._frechet[key] = cauchy.frechet_from_bundle(self.table, r.beta, r.k, self.n)
+            return self._frechet[key]
+        if kind == "slice":
+            return sum(self.table[a] * np.prod(r.beta ** np.array(a)) for a in r.indices)
+        return self.table[(r.k,) if kind == "d^k" else r.v]
 
 
-def _norm(d, fz) -> float:
+def _metric(d, p: _Point) -> float:
+    """H_f(z)(d, d), the left side of the metric bounds."""
+    if not p.fz2 < 1.0:  # NaN fails too
+        raise MapDomainError(f"f(z) must lie strictly inside the unit ball (|f(z)| = {p.fz_norm:.6f})")
+    if not np.isfinite(d).all():
+        raise MapDomainError("derivative entries must be finite")
+    return geometry.metric_form(p.lhs_q, *_pair(d, p.conj_fz))
+
+
+def _form(d, p: _Point) -> float:
+    return _quadratic(d, p.conj_fz, p.lhs_q)
+
+
+def _norm(d, p: _Point) -> float:
     return float(np.linalg.norm(d))
 
 
-def _classical(d, fz) -> float:
-    return float(np.linalg.norm(d)) / (1.0 - float(np.linalg.norm(fz)) ** 2)
+def _classical(d, p: _Point) -> float:
+    return float(np.linalg.norm(d)) / p.rhs_q
+
+
+def _on_axis_radial(p: _Point, r: "_Request") -> float:
+    if not p.on_axis:
+        raise MapDomainError("the radial bound applies only on the z1-axis")
+    return _radial(r.c, r.v, p.t1, p.rhs_q)
 
 
 class _Bound(NamedTuple):
     """One inequality id: the derivative it controls, its left-hand form
-    lhs(derivative, f(z)) and its right-hand side rhs(z, beta, k, v, |f(z)|).
+    lhs(derivative, point) and its right-hand side rhs(point, request).
 
     derivative is one of
       d^k    f^(k)(z) for n = 1
@@ -283,39 +401,34 @@ class _Bound(NamedTuple):
 
 
 _BOUNDS = {
-    "1.1": _Bound("d^k", _classical, lambda z, b, k, v, a: rhs_disk_classical(k, z[0], a), n1=True, m1=True),
-    "1.2": _Bound("d^v", _norm, lambda z, b, k, v, a: rhs_partial(v, z, a).benchmark_scalar, m1=True),
-    "1.3": _Bound("D_k", _metric, lambda z, b, k, v, a: rhs_main(k, z, b), k=1),
-    "1.4": _Bound("D_k", _metric, lambda z, b, k, v, a: rhs_main(k, z, b)),
-    "3.1": _Bound("slice", lhs_quadratic, lambda z, b, k, v, a: rhs_origin((k,), a).slice_bound),
-    "3.2": _Bound("a_v", lhs_quadratic, lambda z, b, k, v, a: rhs_origin(v, a).coefficient_bound),
-    "4.1": _Bound("d^k", lhs_quadratic, lambda z, b, k, v, a: rhs_disk(k, z[0], a), n1=True),
-    "5.1": _Bound("d^v", lhs_quadratic, lambda z, b, k, v, a: rhs_partial(v, z, a).squared),
-    "5.2": _Bound("d^v", _norm, lambda z, b, k, v, a: rhs_partial(v, z, a).scalar, m1=True),
-    "5.3": _Bound("d^v", lhs_quadratic, lambda z, b, k, v, a: rhs_radial(v, z, a)),
+    "1.1": _Bound("d^k", _classical, lambda p, r: math.sqrt(_disk(r.k, p.t1, p.rhs_q)) / p.rhs_q,
+                  n1=True, m1=True),
+    "1.2": _Bound("d^v", _norm, lambda p, r: _partial(r.c, p.t, p.rhs_q).benchmark_scalar, m1=True),
+    "1.3": _Bound("D_k", _metric, lambda p, r: _main(r.k, *p.direction(r.beta)), k=1),
+    "1.4": _Bound("D_k", _metric, lambda p, r: _main(r.k, *p.direction(r.beta))),
+    "3.1": _Bound("slice", _form, lambda p, r: _origin(p.fz_norm)),
+    "3.2": _Bound("a_v", _form, lambda p, r: r.c.sharpness * _origin(p.fz_norm)),
+    "4.1": _Bound("d^k", _form, lambda p, r: _disk(r.k, p.t1, p.rhs_q), n1=True),
+    "5.1": _Bound("d^v", _form, lambda p, r: _partial(r.c, p.t, p.rhs_q).squared),
+    "5.2": _Bound("d^v", _norm, lambda p, r: _partial(r.c, p.t, p.rhs_q).scalar, m1=True),
+    "5.3": _Bound("d^v", _form, _on_axis_radial),
 }
 
 
-def _derivative(f: HoloMap, kind: str, z, beta, k, v, bundle):
-    """(f at the base point, the derivative a bound controls).
+class _Request(NamedTuple):
+    """One request with its context checked: the id, its table row, whether
+    it is an origin row, the direction, the order k (|v| for the rows that
+    read v), v with its constants, and the Taylor coefficients an origin row
+    reads."""
 
-    Origin rows read the Taylor coefficients at 0; the others use the
-    partial bundle at z, computed here unless supplied.
-    """
-    zero = (0,) * f.n
-    if kind in ("slice", "a_v"):
-        indices = mi.enumerate_indices(f.n, k) if kind == "slice" else [v]
-        coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
-        if kind == "a_v":
-            return coeffs[zero], coeffs[v]
-        return coeffs[zero], sum(coeffs[a] * np.prod(beta ** np.array(a)) for a in indices)
-    if bundle is None:
-        bundle = cauchy.partial_bundle(f, z, sum(v) if kind == "d^v" else k)
-    if kind == "d^k":
-        return bundle[zero], bundle[(k,)]
-    if kind == "d^v":
-        return bundle[zero], bundle[v]
-    return bundle[zero], cauchy.frechet_from_bundle(bundle, beta, k, f.n)
+    ineq: str
+    row: _Bound
+    origin: bool
+    beta: np.ndarray | None
+    k: int
+    v: tuple[int, ...] | None
+    c: _Constants | None
+    indices: list | None
 
 
 def _given(value, name: str, ineq: str):
@@ -324,15 +437,9 @@ def _given(value, name: str, ineq: str):
     return value
 
 
-def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, v=None,
-                     bundle=None) -> BoundReport:
-    """Evaluate one inequality for a map at a single context and report both sides.
-
-    Derivatives come from the exact coefficient route for polynomial maps and
-    from slice quadrature otherwise; a precomputed partial `bundle` may be
-    supplied to share one quadrature across many contexts.  Leaving out a
-    context argument the id needs (z, beta, k or v) raises ValueError.
-    """
+def _request(f: HoloMap, z, directions: dict, inequality: str, beta=None, k=None, v=None) -> _Request:
+    """Check one request's context; `directions` holds the checked
+    directions of the batch by their bytes."""
     ineq = normalize_inequality(inequality)
     row = _BOUNDS[ineq]
     if row.n1 and f.n != 1:
@@ -340,22 +447,97 @@ def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, 
     if row.m1 and f.m != 1:
         raise ValueError(f"inequality {ineq} applies to scalar-valued maps")
     origin = row.derivative in ("slice", "a_v")
-    ctx = {}
     if not origin:
-        z = np.asarray(_given(z, "z", ineq), dtype=complex).reshape(-1)
-        ctx["z"] = z
+        _given(z, "z", ineq)
     if row.derivative in ("D_k", "slice"):
-        beta = np.asarray(_given(beta, "beta", ineq), dtype=complex).reshape(f.n)
+        beta = np.asarray(_given(beta, "beta", ineq), dtype=complex).reshape(-1)
+        key = beta.tobytes()
+        if key not in directions:
+            directions[key] = geometry.as_direction(beta, f.n)
+        beta = directions[key]
         if origin and abs(math.sqrt(float(sq_norm(beta))) - 1.0) > 1e-12:
             raise MapDomainError("the origin slice bound requires a unit direction")
-        ctx["beta"] = beta
+    else:
+        beta = None
+    c = None
     if row.derivative in ("d^v", "a_v"):
         v = mi.as_multiindex(_given(v, "v", ineq))
-        ctx["v"] = v
+        if len(v) != f.n:
+            raise ValueError(f"multi-index {v} does not have dimension {f.n}")
+        c = _constants(v)
+        k = c.k
     else:
+        v = None
         k = int(row.k if row.k is not None else _given(k, "k", ineq))
-        ctx["k"] = k
-    fz, d = _derivative(f, row.derivative, z, beta, k, v, bundle)
-    lhs = row.lhs(d, fz)
-    rhs = row.rhs(z, beta, k, v, float(np.linalg.norm(fz)))
-    return BoundReport.build(ineq, lhs, rhs, ctx)
+        if k < 1:
+            raise ValueError("order must be at least 1")
+    indices = None
+    if origin:
+        indices = mi.enumerate_indices(f.n, k) if v is None else [v]
+    return _Request(ineq, row, origin, beta, k, v, c, indices)
+
+
+def _derivative(f: HoloMap, requests: list[_Request], z, bundle) -> list[_Point]:
+    """The derivative table each request reads, as one _Point per table.
+
+    Origin requests share one Taylor-coefficient lookup per derivative order;
+    the others share `bundle`, or else one partial bundle per order.  A slice
+    table's rounding depends on its order, so every request reads the numbers
+    it would read alone.
+    """
+    zero = (0,) * f.n
+    wanted: dict[int, dict] = {}
+    for r in requests:
+        if r.origin:
+            wanted.setdefault(r.k, {zero: None}).update(dict.fromkeys(r.indices))
+    points: dict[tuple, _Point] = {}
+    out = []
+    for r in requests:
+        key = (r.origin, None if bundle is not None and not r.origin else r.k)
+        if key not in points:
+            if r.origin:
+                points[key] = _Point(cauchy.taylor_coefficients(f, list(wanted[r.k])), f.n)
+            else:
+                table = bundle if bundle is not None else cauchy.partial_bundle(f, z, r.k)
+                points[key] = _Point(table, f.n, z)
+        out.append(points[key])
+    return out
+
+
+def check_requests(f: HoloMap, requests, *, z=None, bundle=None) -> list[BoundReport]:
+    """Evaluate (inequality, context) requests for a map and report both sides
+    of each, in request order.
+
+    Each request is an (id, kwargs) pair whose kwargs give the beta, k or v
+    the id needs; all requests share the point z and, when given, the
+    precomputed partial `bundle` of f at z.  Derivatives come from the exact
+    coefficient route for polynomial maps and from slice quadrature otherwise.
+    Every context is checked before any derivative work, and leaving out one
+    an id needs (z, beta, k or v) raises ValueError.  The requests share f(z),
+    the scalars of z, each direction's factors, each D_k and each v's
+    constants, computed once in the order a lone request computes them, so
+    every report is bitwise the one its request gets alone.
+    """
+    directions: dict[bytes, np.ndarray] = {}
+    reqs = [_request(f, z, directions, inequality, **kwargs) for inequality, kwargs in requests]
+    if not all(r.origin for r in reqs):
+        z = geometry.as_ball_point(z, f.n)
+    reports = []
+    for r, p in zip(reqs, _derivative(f, reqs, z, bundle)):
+        ctx = {} if r.origin else {"z": z}
+        if r.beta is not None:
+            ctx["beta"] = r.beta
+        if r.v is not None:
+            ctx["v"] = r.v
+        else:
+            ctx["k"] = r.k
+        reports.append(BoundReport.build(r.ineq, r.row.lhs(p.derivative(r), p), r.row.rhs(p, r), ctx))
+    return reports
+
+
+def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, v=None,
+                     bundle=None) -> BoundReport:
+    """Evaluate one inequality for a map at a single context and report both
+    sides: the one-request case of `check_requests`."""
+    [report] = check_requests(f, [(inequality, {"beta": beta, "k": k, "v": v})], z=z, bundle=bundle)
+    return report

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,8 +119,11 @@ def _slices(f: HoloMap, z, order: int) -> np.ndarray:
 def taylor_coefficients(f: HoloMap, indices) -> dict:
     """Taylor coefficients a_alpha = d^alpha f(0) / alpha! at the origin for
     each alpha in `indices`: read from a `PolyMap`'s table, otherwise from one
-    slice table."""
+    slice table.  An index whose length is not f.n raises ValueError."""
     indices = [mi.as_multiindex(a) for a in indices]
+    for a in indices:
+        if len(a) != f.n:
+            raise ValueError(f"multi-index {a} does not have dimension {f.n}")
     if isinstance(f, PolyMap):
         return {a: f.coefficient(a) for a in indices}
     table = _slices(f, np.zeros(f.n), max(sum(a) for a in indices))
@@ -133,9 +137,19 @@ def partial_bundle(f: HoloMap, z, max_order: int) -> dict:
     z = geometry.as_ball_point(z, f.n)
     alphas = mi.enumerate_up_to(f.n, max_order)
     if isinstance(f, PolyMap):
-        return {alpha: f.partial_value(z, alpha) for alpha in alphas}
+        return dict(zip(alphas, f.partial_values(z, alphas)))
     table = _slices(f, z, max_order)
     return {alpha: table[(sum(alpha),) + alpha[1:]] * mi.multiindex_factorial(alpha) for alpha in alphas}
+
+
+@lru_cache(maxsize=None)
+def _degree_terms(n: int, k: int) -> tuple[tuple, tuple, np.ndarray]:
+    """The multi-indexes alpha of dimension n and degree k, their weights
+    |alpha|!/alpha! and their exponents as a read-only matrix, one row each."""
+    alphas = tuple(mi.enumerate_indices(n, k))
+    exponents = np.array(alphas, dtype=np.int64).reshape(len(alphas), n)
+    exponents.flags.writeable = False
+    return alphas, tuple(mi.multinomial_weight(alpha) for alpha in alphas), exponents
 
 
 def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
@@ -144,9 +158,11 @@ def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
     D_k(f, z, beta) = sum over |alpha| = k of (k!/alpha!) d^alpha f(z) beta^alpha.
     """
     beta = np.asarray(beta, dtype=complex).reshape(n)
+    alphas, weights, exponents = _degree_terms(n, k)
     acc = None
-    for alpha in mi.enumerate_indices(n, k):
-        term = bundle[alpha] * (mi.multinomial_weight(alpha) * np.prod(beta ** np.array(alpha)))
+    # a row's product is bitwise that of np.prod(beta ** alpha) for the row alone
+    for alpha, weight, power in zip(alphas, weights, np.multiply.reduce(beta ** exponents, axis=1)):
+        term = bundle[alpha] * (weight * power)
         acc = term if acc is None else acc + term
     return acc
 

@@ -32,7 +32,7 @@ def as_direction(beta, n: int | None = None, nonzero: bool = True) -> np.ndarray
     beta = np.asarray(beta, dtype=complex).reshape(-1)
     if n is not None and beta.shape[0] != n:
         raise MapDomainError(f"expected a direction in C^{n}, got dimension {beta.shape[0]}")
-    if not np.all(np.isfinite(beta.view(float))):
+    if not np.isfinite(beta).all():
         raise MapDomainError("direction entries must be finite")
     if nonzero and sq_norm(beta) == 0.0:
         raise MapDomainError("direction must be non-zero")
@@ -47,10 +47,12 @@ def bergman_metric(z, beta) -> float:
     """
     z = as_ball_point(z)
     beta = as_direction(beta, z.shape[0], nonzero=False)
-    z2 = float(sq_norm(z))
-    b2 = float(sq_norm(beta))
-    ip = abs(complex(hermitian_inner(beta, z)))
-    return ((1.0 - z2) * b2 + ip * ip) / (1.0 - z2) ** 2
+    return metric_form(1.0 - float(sq_norm(z)), float(sq_norm(beta)), abs(complex(hermitian_inner(beta, z))))
+
+
+def metric_form(q: float, b2: float, ip: float) -> float:
+    """H_z(beta, beta) from q = 1-|z|^2, b2 = |beta|^2 and ip = |<beta,z>|."""
+    return (q * b2 + ip * ip) / q ** 2
 
 
 def moebius_apply(a, w) -> np.ndarray:
@@ -154,7 +156,7 @@ def extremal_origin_map(a0, av, v) -> ExtremalOriginMap:
     if sum(v) == 0:
         raise MapDomainError("v must be a non-zero multi-index")
     a0 = np.asarray(a0, dtype=complex).reshape(-1)
-    if sq_norm(a0) >= 1.0:
+    if not sq_norm(a0) < 1.0:  # NaN fails too
         raise MapDomainError("a0 must lie inside the unit ball")
     gap = origin_equality_gap(a0, av, v)
     scale = max(1.0, mi.sharpness_factor(v) * (1.0 - float(sq_norm(a0))) ** 2)
@@ -261,12 +263,12 @@ class Remark2Map(HoloMap):
         xi = complex(xi)
         if xi == 0:
             raise MapDomainError("the pinned point must be non-zero (its argument sets the phase)")
-        if abs(xi) >= 1.0:
+        if not abs(xi) < 1.0:  # NaN fails too
             raise MapDomainError("the pinned point must lie inside the unit disk")
         self.xi = xi
         self.w = np.asarray(w, dtype=complex).reshape(-1)
         wnorm = math.sqrt(float(sq_norm(self.w)))
-        if wnorm == 0.0 or wnorm >= 1.0:
+        if wnorm == 0.0 or not wnorm < 1.0:
             raise MapDomainError("w must lie in the punctured unit ball")
         self._wnorm = wnorm
         self._phase = cmath.exp(-1j * cmath.phase(xi))
@@ -299,11 +301,11 @@ class Remark3Map(HoloMap):
         self.n = len(self.v)
         self.m = 1
         xi1 = complex(xi1)
-        if abs(xi1) >= 1.0:
+        if not abs(xi1) < 1.0:  # NaN fails too
             raise MapDomainError("xi must lie inside the unit ball")
         self.xi1 = xi1
         w = complex(w)
-        if abs(w) >= 1.0:
+        if not abs(w) < 1.0:
             raise MapDomainError("w must lie inside the unit disk")
         self.w = w
         self._s = math.sqrt(mi.sharpness_factor(self.v))
@@ -336,9 +338,9 @@ class Remark4Map(HoloMap):
         w = complex(w)
         if xi1 == 0:
             raise MapDomainError("the pinned point must be non-zero (its argument sets the phase)")
-        if abs(xi1) >= 1.0:
+        if not abs(xi1) < 1.0:  # NaN fails too
             raise MapDomainError("xi must lie inside the unit ball")
-        if w == 0 or abs(w) >= 1.0:
+        if w == 0 or not abs(w) < 1.0:
             raise MapDomainError("w must lie in the punctured unit disk")
         self.xi1 = xi1
         self.w = w

@@ -129,8 +129,7 @@ def _beta_set(rng, z: np.ndarray) -> list[np.ndarray]:
 def _cvec(value) -> list | None:
     if value is None:
         return None
-    arr = np.asarray(value, dtype=complex).reshape(-1)
-    return [[float(c.real), float(c.imag)] for c in arr]
+    return [[c.real, c.imag] for c in np.asarray(value, dtype=complex).reshape(-1).tolist()]
 
 
 def _k_or_v(context: dict) -> str:
@@ -320,10 +319,10 @@ def run_suite(config: SuiteConfig) -> Report:
 
 
 def _records(config, sample, f, requests, z=None, bundle=None):
-    """One record per (inequality, kwargs) request, all at z and sharing the
-    partial `bundle` of f at z when given."""
-    return [record_from_report(config.suite, sample, bounds.check_inequality(
-        f, ineq, z=z, bundle=bundle, **kwargs)) for ineq, kwargs in requests]
+    """One record per (inequality, kwargs) request, all at z and checked in one
+    batch that shares the partial `bundle` of f at z when given."""
+    return [record_from_report(config.suite, sample, report)
+            for report in bounds.check_requests(f, requests, z=z, bundle=bundle)]
 
 
 def _main_records(config, rng, sample, f):

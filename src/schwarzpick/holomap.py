@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,7 @@ def hermitian_inner(u, w):
 
 def sq_norm(z):
     z = np.asarray(z)
-    return (z.real ** 2 + z.imag ** 2).sum(axis=-1)
+    return np.add.reduce(z.real ** 2 + z.imag ** 2, axis=-1)
 
 
 def check_inside_ball(z, label="z"):
@@ -57,6 +58,33 @@ def mobius_point(a, w):
     return (a - proj - s * (w - proj)) / (1.0 - ip)
 
 
+def _power_table(zc, dmax: int) -> np.ndarray:
+    """z_j^d for the points zc (shape (N, n)) and every d <= dmax, shape
+    (N, n, dmax + 1); each power is the previous one times z_j, so an entry
+    does not depend on dmax."""
+    pows = np.empty(zc.shape + (dmax + 1,), dtype=complex)
+    pows[:, :, 0] = 1.0
+    for d in range(1, dmax + 1):
+        pows[:, :, d] = pows[:, :, d - 1] * zc
+    return pows
+
+
+def _monomials(pows, E):
+    """z^E[r] for every row r of E at the points of a power table, shape (N, R)."""
+    mono = pows[:, 0, E[:, 0]]
+    for j in range(1, E.shape[1]):
+        mono = mono * pows[:, j, E[:, j]]
+    return mono
+
+
+@lru_cache(maxsize=None)
+def _perm_table(dmax: int) -> np.ndarray:
+    """e!/(e-t)! for 0 <= t <= e <= dmax as Python ints (object array, read-only)."""
+    table = np.array([[math.perm(e, t) for t in range(dmax + 1)] for e in range(dmax + 1)], dtype=object)
+    table.flags.writeable = False
+    return table
+
+
 def _poly_eval(E, A, z):
     """sum_r A[r] z^E[r] at the points z (shape (..., n)) for an exponent
     matrix E (rows of n ints) and a coefficient matrix A (rows in C^m)."""
@@ -66,15 +94,7 @@ def _poly_eval(E, A, z):
     if len(E):
         dmax = int(E.max())
         for lo in range(0, flat.shape[0], _EVAL_CHUNK):
-            zc = flat[lo:lo + _EVAL_CHUNK]
-            pows = np.empty((zc.shape[0], n, dmax + 1), dtype=complex)
-            pows[:, :, 0] = 1.0
-            for d in range(1, dmax + 1):
-                pows[:, :, d] = pows[:, :, d - 1] * zc
-            mono = pows[:, 0, E[:, 0]]
-            for j in range(1, n):
-                mono = mono * pows[:, j, E[:, j]]
-            out[lo:lo + _EVAL_CHUNK] = mono @ A
+            out[lo:lo + _EVAL_CHUNK] = _monomials(_power_table(flat[lo:lo + _EVAL_CHUNK], dmax), E) @ A
     return out.reshape(z.shape[:-1] + (m,))
 
 
@@ -134,6 +154,7 @@ class PolyMap(HoloMap):
         # exact integer factor to the original coefficients (bitwise-stable).
         self._root = self if _root is None else _root
         self._shift = (0,) * self.n if _shift is None else _shift
+        self._shifted_rows: dict[tuple[int, ...], tuple] = {}
 
     def _eval(self, z):
         return _poly_eval(self.E, self.A, z)
@@ -145,20 +166,33 @@ class PolyMap(HoloMap):
         """sum_alpha |a_alpha| (Euclidean norms); <= 1 certifies membership."""
         return float(sum(np.linalg.norm(c) for c in self.coeffs.values()))
 
-    def _shifted(self, v):
-        """Exponent and coefficient matrices of the order-v partial: the root
-        rows with E >= shift + v, lowered by the total shift and multiplied by
-        one exact integer prod_j E_j!/(E_j - total_j)! (Python ints) each."""
-        v = mi.as_multiindex(v)
-        if len(v) != self.n:
-            raise ValueError(f"derivative order {v} does not have dimension {self.n}")
-        total = tuple(s + dv for s, dv in zip(self._shift, v))
-        root = self._root
-        keep = np.all(root.E >= total, axis=1)
-        E = root.E[keep]
-        factors = [math.prod(math.perm(e, t) for e, t in zip(row, total)) for row in E.tolist()]
-        A = root.A[keep] * np.array(factors, dtype=float).reshape(-1, 1)
-        return E - total, A, total
+    def _shifted(self, alphas) -> list[tuple]:
+        """Exponent and coefficient matrices of the order-alpha partial for each
+        alpha: the root rows with E >= shift + alpha, lowered by the total
+        shift and multiplied by one exact integer prod_j E_j!/(E_j - total_j)!
+        (Python ints) each.  The alphas not built yet are built together and
+        kept read-only on the map."""
+        alphas = [mi.as_multiindex(a) for a in alphas]
+        for a in alphas:
+            if len(a) != self.n:
+                raise ValueError(f"derivative order {a} does not have dimension {self.n}")
+        missing = [a for a in dict.fromkeys(alphas) if a not in self._shifted_rows]
+        if missing:
+            root = self._root
+            totals = np.array(missing, dtype=np.int64).reshape(-1, self.n) + np.array(self._shift, dtype=np.int64)
+            which, rows = np.nonzero((root.E >= totals[:, None, :]).all(axis=2))
+            E, T = root.E[rows], totals[which]
+            perms = _perm_table(int(root.E.max(initial=0)))
+            factors = perms[E[:, 0], T[:, 0]]
+            for j in range(1, self.n):
+                factors = factors * perms[E[:, j], T[:, j]]
+            A = root.A[rows] * np.array(factors, dtype=float).reshape(-1, 1)
+            E = E - T
+            E.flags.writeable = A.flags.writeable = False
+            edges = np.cumsum([0] + np.bincount(which, minlength=len(missing)).tolist()).tolist()
+            for a, total, lo, hi in zip(missing, totals.tolist(), edges, edges[1:]):
+                self._shifted_rows[a] = E[lo:hi], A[lo:hi], tuple(total)
+        return [self._shifted_rows[a] for a in alphas]
 
     def partial(self, v) -> "PolyMap":
         """Exact coefficient table of the order-v partial derivative.
@@ -168,17 +202,28 @@ class PolyMap(HoloMap):
         exact integer factor, so partial(v) then partial(w) reproduces
         partial(v+w) bit for bit.
         """
-        E, A, total = self._shifted(v)
+        [(E, A, total)] = self._shifted([v])
         return PolyMap(self.n, self.m, dict(zip(map(tuple, E.tolist()), A)),
                        max_degree=max(0, self._root.max_degree - sum(total)),
                        _root=self._root, _shift=total)
 
     def partial_value(self, z, v) -> np.ndarray:
         """Evaluate the exact order-v partial derivative at a single point z."""
+        return self.partial_values(z, [v])[0]
+
+    def partial_values(self, z, alphas) -> list[np.ndarray]:
+        """Evaluate the exact order-alpha partial derivative at a single point z
+        for each alpha in `alphas`, all from one power table of z.
+
+        Every alpha's monomials come from one product over all rows, and each
+        alpha then sums its own slice of shape (1, R) as `_poly_eval` does."""
         z = np.asarray(z, dtype=complex).reshape(self.n)
         check_inside_ball(z)
-        E, A, _ = self._shifted(v)
-        return _poly_eval(E, A, z[None, :])[0]
+        rows = [(E, A) for E, A, _ in self._shifted(alphas)]
+        E = np.concatenate([self.E[:0]] + [E for E, _ in rows])
+        mono = _monomials(_power_table(z[None, :], int(E.max()) if len(E) else 0), E)
+        edges = np.cumsum([0] + [len(A) for _, A in rows]).tolist()
+        return [(mono[:, lo:hi] @ A)[0] for (_, A), lo, hi in zip(rows, edges, edges[1:])]
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,7 +269,7 @@ class ComposedMap(HoloMap):
 
     def __init__(self, a, inner: HoloMap):
         a = np.asarray(a, dtype=complex).reshape(-1)
-        if sq_norm(a) >= 1.0:
+        if not sq_norm(a) < 1.0:  # NaN fails too
             raise MapDomainError("automorphism parameter must lie inside the unit ball")
         if a.shape[0] != inner.m:
             raise MapDomainError(f"automorphism dimension {a.shape[0]} does not match codomain {inner.m}")

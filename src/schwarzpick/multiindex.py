@@ -17,6 +17,8 @@ class CapacityError(ValueError):
 
 def as_multiindex(alpha) -> tuple[int, ...]:
     """Normalise to a tuple of non-negative ints, rejecting anything else."""
+    if type(alpha) is tuple and alpha and all(type(a) is int and a >= 0 for a in alpha):
+        return alpha
     out = tuple(int(a) for a in alpha)
     if len(out) == 0:
         raise ValueError("multi-index must have at least one entry")

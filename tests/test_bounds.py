@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from schwarzpick import bounds, cauchy, geometry
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import MapDomainError, compose_ball_automorphism, random_polymap
+from support import OpaqueMap
 
 
 def unit(rng, dim):
@@ -287,6 +288,102 @@ class TestCheckInequality:
         f = PolyMap(2, 2, {(0, 0): [0.2, 0.1j]})
         rep = bounds.check_inequality(f, "1.4", z=np.array([0.3, 0.0]), beta=np.array([1.0, 0.0]), k=2)
         assert rep.lhs == 0.0 and rep.ratio == 0.0
+
+
+def _requests(ineq, n, rng):
+    """Several contexts of one id, some sharing a direction or an order."""
+    def unit_direction():
+        return unit(rng, n)
+
+    orders = mi.enumerate_up_to(n, 3, include_zero=False)
+    if ineq in ("1.3", "1.4"):
+        betas = [unit_direction(), 2.0 * unit_direction(), np.eye(n)[0]]
+        return [(ineq, {"beta": b, "k": k}) for b in betas + betas[:1] for k in (1, 2, 3)]
+    if ineq == "3.1":
+        return [(ineq, {"beta": b, "k": k}) for b in (unit_direction(), np.eye(n)[-1]) for k in (1, 3, 2, 3)]
+    if ineq in ("1.1", "4.1"):
+        return [(ineq, {"k": k}) for k in (1, 2, 3, 2)]
+    return [(ineq, {"v": v}) for v in orders + orders[:2]]
+
+
+def _same_report(a, b):
+    assert (a.inequality, a.lhs, a.rhs, a.slack, a.ratio) == (b.inequality, b.lhs, b.rhs, b.slack, b.ratio)
+    assert a.context.keys() == b.context.keys()
+    for key, value in a.context.items():
+        assert np.array_equal(value, b.context[key]) if key in ("z", "beta") else value == b.context[key]
+
+
+def _reference(f, ineq, z, bundle, beta=None, k=None, v=None):
+    """(lhs, rhs) of one request from the public single-context formulas."""
+    zero = (0,) * f.n
+    k = 1 if ineq == "1.3" else k
+    if ineq in ("3.1", "3.2"):
+        indices = mi.enumerate_indices(f.n, k) if ineq == "3.1" else [v]
+        coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
+        a0 = coeffs[zero]
+        if ineq == "3.1":
+            d = sum(coeffs[a] * np.prod(np.asarray(beta, dtype=complex) ** np.array(a)) for a in indices)
+            return bounds.lhs_quadratic(d, a0), bounds.rhs_origin((k,), float(np.linalg.norm(a0))).slice_bound
+        return bounds.lhs_quadratic(coeffs[v], a0), bounds.rhs_origin(v, float(np.linalg.norm(a0))).coefficient_bound
+    fz = bundle[zero]
+    a = float(np.linalg.norm(fz))
+    if ineq in ("1.3", "1.4"):
+        d = cauchy.frechet_from_bundle(bundle, beta, k, f.n)
+        return geometry.bergman_metric(fz, d), bounds.rhs_main(k, z, beta)
+    d = bundle[(k,)] if ineq in ("1.1", "4.1") else bundle[v]
+    norm = float(np.linalg.norm(d))
+    return {
+        "1.1": lambda: (norm / (1.0 - a ** 2), bounds.rhs_disk_classical(k, z[0], a)),
+        "1.2": lambda: (norm, bounds.rhs_partial(v, z, a).benchmark_scalar),
+        "4.1": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_disk(k, z[0], a)),
+        "5.1": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_partial(v, z, a).squared),
+        "5.2": lambda: (norm, bounds.rhs_partial(v, z, a).scalar),
+        "5.3": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_radial(v, z, a)),
+    }[ineq]()
+
+
+class TestCheckRequests:
+    @pytest.mark.parametrize("opaque", [False, True], ids=["poly", "slices"])
+    @pytest.mark.parametrize("ineq", bounds.INEQUALITY_IDS)
+    def test_batch_equals_single_requests(self, ineq, opaque):
+        row = bounds._BOUNDS[ineq]
+        n = 1 if row.n1 else 2
+        f = random_polymap(n, 1 if row.m1 else 2, 4, seed=21)
+        f = OpaqueMap(f) if opaque else f
+        rng = np.random.default_rng(22)
+        z = np.zeros(n, dtype=complex)
+        z[0] = 0.6 * cmath.exp(0.7j)
+        if ineq != "5.3" and n > 1:
+            z[1] = 0.2 - 0.3j
+        requests = _requests(ineq, n, rng)
+        for bundle in (None, cauchy.partial_bundle(f, z, 3)):
+            if bundle is not None and row.derivative in ("slice", "a_v"):
+                continue
+            batch = bounds.check_requests(f, requests, z=z, bundle=bundle)
+            assert len(batch) == len(requests)
+            for (name, kwargs), report in zip(requests, batch):
+                _same_report(report, bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs))
+                own = bundle if bundle is not None else cauchy.partial_bundle(f, z, report.context.get(
+                    "k", sum(report.context.get("v", ()))))
+                assert (report.lhs, report.rhs) == _reference(f, ineq, z, own, **kwargs)
+
+    def test_context_checked_before_any_derivative_work(self, monkeypatch):
+        def no_derivative(*args):
+            raise AssertionError("derivative work started before every context was checked")
+
+        monkeypatch.setattr(bounds, "_derivative", no_derivative)
+        f = random_polymap(2, 2, 3, seed=12)
+        requests = [("1.4", {"beta": np.array([1.0, 0.0]), "k": 2}), ("5.1", {"v": (1, 1)}),
+                    ("5.1", {"v": (1, 0, 0)})]
+        with pytest.raises(ValueError, match="does not have dimension 2"):
+            bounds.check_requests(f, requests, z=np.array([0.3, 0.1j]))
+
+    @pytest.mark.parametrize("ineq, context", [("4.1", {"k": 0}), ("1.4", {"beta": [1.0], "k": 0}),
+                                               ("5.1", {"v": (0,)})])
+    def test_zero_order_rejected(self, ineq, context):
+        f = random_polymap(1, 2, 3, seed=14)
+        with pytest.raises(ValueError, match="order must be at least 1|non-zero multi-index"):
+            bounds.check_inequality(f, ineq, z=np.array([0.2]), **context)
 
 
 class TestUniversalSoundness:

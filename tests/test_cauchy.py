@@ -5,7 +5,8 @@ import pytest
 
 from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import MapDomainError, PolyMap, identity_polymap, random_polymap, sq_norm
+from schwarzpick.holomap import (MapDomainError, PolyMap, compose_ball_automorphism, identity_polymap,
+                                 random_polymap, sq_norm)
 from support import OpaqueMap, jacobian
 
 
@@ -69,6 +70,14 @@ class TestTaylorCoefficient:
         f = PolyMap(2, 1, {(0, 0): [0.4 + 0.2j]})
         assert np.linalg.norm(cauchy.taylor_coefficients(OpaqueMap(f), [(1, 1)])[(1, 1)]) < 1e-14
 
+    @pytest.mark.parametrize("f", [random_polymap(2, 2, 3, seed=7),
+                                   compose_ball_automorphism(np.array([0.3, 0.1j]), random_polymap(2, 2, 3, seed=7))],
+                             ids=["poly", "composed"])
+    @pytest.mark.parametrize("index", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_index_of_wrong_length_rejected_on_both_routes(self, f, index):
+        with pytest.raises(ValueError, match="dimension 2"):
+            cauchy.taylor_coefficients(f, [(1, 0), index])
+
     def test_batch_extraction_matches_single(self):
         f = geometry.extremal_origin_from_direction(np.array([0.3, 0.1j]), np.array([1.0, 0.4]), (1, 1))
         batch = cauchy.taylor_coefficients(f, [(0, 0), (1, 1), (2, 2)])
@@ -108,6 +117,21 @@ class TestFrechetDerivative:
             d1 = cauchy.frechet_derivative(f, z, c * beta, k).value
             d2 = c ** k * cauchy.frechet_derivative(f, z, beta, k).value
             assert np.linalg.norm(d1 - d2) <= 1e-10 * np.linalg.norm(d2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_assembly_is_bitwise_the_term_loop(self, n):
+        # one power product per alpha, summed term by term in enumeration order
+        rng = np.random.default_rng(40 + n)
+        for k in range(6):
+            alphas = mi.enumerate_indices(n, k)
+            bundle = {a: (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 10.0 ** rng.uniform(-4, 4)
+                      for a in alphas}
+            for beta in (sample_ball(rng, n, 2.0), np.eye(n)[0], np.eye(n)[-1] * (0.3 - 0.8j)):
+                acc = None
+                for alpha in alphas:
+                    term = bundle[alpha] * (mi.multinomial_weight(alpha) * np.prod(beta ** np.array(alpha)))
+                    acc = term if acc is None else acc + term
+                assert cauchy.frechet_from_bundle(bundle, beta, k, n).tobytes() == acc.tobytes()
 
     def test_routes_agree_and_gap_recorded(self):
         rng = np.random.default_rng(23)

@@ -6,7 +6,7 @@ import pytest
 
 from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import MapDomainError
+from schwarzpick.holomap import ComposedMap, MapDomainError, random_polymap
 from support import jacobian
 
 
@@ -267,6 +267,23 @@ class TestRemarkFamilies:
         closed = geometry.remark4_derivative(xi1, w, k)
         assert abs(abs(quad) - abs(closed)) <= 1e-8 * abs(closed)
         assert abs(quad - closed) <= 1e-8 * abs(closed)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: geometry.Remark2Map(np.nan, [0.5]),
+    lambda: geometry.Remark2Map(0.5, [np.nan, 0.0]),
+    lambda: geometry.Remark3Map(np.nan, 0.5, (1, 1)),
+    lambda: geometry.Remark3Map(0.5, np.nan, (1, 1)),
+    lambda: geometry.Remark4Map(complex(np.nan, 0.0), 0.5),
+    lambda: geometry.Remark4Map(0.5, np.nan),
+    lambda: ComposedMap([np.nan, 0.0], random_polymap(2, 2, 2, seed=1)),
+    lambda: geometry.extremal_origin_map([np.nan, 0.0], [0.5, 0.0], (1, 1)),
+], ids=["remark2-xi", "remark2-w", "remark3-xi", "remark3-w", "remark4-xi", "remark4-w", "composed-a",
+        "extremal-origin-a0"])
+def test_nan_parameter_raises(build):
+    # nan >= 1 is False, so a NaN parameter once built a map whose describe() read nan
+    with pytest.raises(MapDomainError):
+        build()
 
 
 def test_frame_and_jacobian_are_inverse_constructions():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from schwarzpick import cli, geometry, harness
+from schwarzpick import bounds, cli, geometry, harness
 from schwarzpick.harness import (
     ConfigError,
     Report,
@@ -26,6 +26,20 @@ def test_non_finite_slack_counts_as_failure():
     records = [{"kind": "bound", "slack": s, "ratio": 0.5} for s in (1.0, np.nan, -np.inf, np.inf)]
     records.append({"kind": "certificate", "slack": np.nan, "ratio": 1.0})
     assert summarize(records, 1e-8)["failure_count"] == 4
+
+
+@pytest.mark.parametrize("suite, n, m", [("main", 2, 2), ("disk", 1, 1), ("partials", 2, 1), ("radial", 2, 1),
+                                         ("origin", 2, 2), ("equality", 2, 2)])
+def test_reports_do_not_depend_on_how_requests_are_batched(monkeypatch, suite, n, m):
+    cfg = SuiteConfig(suite=suite, n=n, m=m, seed=7, **SMALL)
+    batched = run_suite(cfg).to_json()
+    check = bounds.check_requests
+
+    def one_request_per_batch(f, requests, **kwargs):
+        return [report for request in requests for report in check(f, [request], **kwargs)]
+
+    monkeypatch.setattr(harness.bounds, "check_requests", one_request_per_batch)
+    assert run_suite(cfg).to_json() == batched
 
 
 class TestConfigValidation:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schwarzpick import cauchy, geometry
+from schwarzpick import cauchy, geometry, holomap
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import (
     MapDomainError,
@@ -93,6 +93,37 @@ class TestPartial:
             for w in orders:
                 uw = tuple(a + b for a, b in zip(u, w))
                 assert np.array_equal(du.partial_value(z, w), f.partial_value(z, uw))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shifted_rows_built_together_are_bitwise_the_row_loop(self, n):
+        f = random_polymap(n, 3, 6, seed=70 + n)
+        orders = mi.enumerate_up_to(n, 5)
+        for g in (f, f.partial(orders[2])):
+            built = g._shifted(orders)
+            for alpha, (E, A, total) in zip(orders, built):
+                # one alpha at a time: keep, then one exact integer factor per row
+                want = tuple(s + a for s, a in zip(g._shift, alpha))
+                keep = np.all(f.E >= want, axis=1)
+                factors = [math.prod(math.perm(e, t) for e, t in zip(row, want)) for row in f.E[keep].tolist()]
+                assert total == want
+                assert E.tobytes() == (f.E[keep] - want).tobytes()
+                assert A.tobytes() == (f.A[keep] * np.array(factors, dtype=float).reshape(-1, 1)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_partial_values_share_one_power_table_bitwise(self, n):
+        # degree 3 with orders up to 4, so some alphas keep no rows
+        f = random_polymap(n, 2, 3, seed=60 + n)
+        rng = np.random.default_rng(10 + n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z *= 0.8 / np.linalg.norm(z)
+        orders = mi.enumerate_up_to(n, 4)
+        for g in (f, f.partial(orders[1]), f.partial(orders[-1]).partial(orders[1])):
+            values = g.partial_values(z, orders)
+            for alpha, value in zip(orders, values):
+                assert np.array_equal(value, g.partial_value(z, alpha))
+                # the per-alpha power table the single-alpha evaluation once built
+                [(E, A, _)] = g._shifted([alpha])
+                assert np.array_equal(value, holomap._poly_eval(E, A, z[None, :])[0])
 
 
 class TestRandomPolymap:
