@@ -4,16 +4,25 @@ holomorphic maps between complex unit balls."""
 from . import bounds, cauchy, geometry, harness, multiindex
 from .bounds import BoundReport, check_inequality, check_requests, lhs_quadratic
 from .cauchy import frechet_derivative
-from .geometry import bergman_metric, extremal_k1_map, extremal_origin_map, moebius_apply, remark_family
+from .geometry import (AutomorphismMap, ExtremalK1Map, ExtremalOriginMap, Remark2Map, Remark3Map,
+                       Remark4Map, bergman_metric)
 from .harness import Report, SuiteConfig, equality_suite, run_suite, sharpness_sweep
-from .holomap import HoloMap, PolyMap, compose_ball_automorphism, random_polymap, restrict_to_line
+from .holomap import ComposedMap, HoloMap, LineMap, PolyMap, random_polymap
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "AutomorphismMap",
     "BoundReport",
+    "ComposedMap",
+    "ExtremalK1Map",
+    "ExtremalOriginMap",
     "HoloMap",
+    "LineMap",
     "PolyMap",
+    "Remark2Map",
+    "Remark3Map",
+    "Remark4Map",
     "Report",
     "SuiteConfig",
     "bergman_metric",
@@ -21,19 +30,13 @@ __all__ = [
     "cauchy",
     "check_inequality",
     "check_requests",
-    "compose_ball_automorphism",
     "equality_suite",
-    "extremal_k1_map",
-    "extremal_origin_map",
     "frechet_derivative",
     "geometry",
     "harness",
     "lhs_quadratic",
-    "moebius_apply",
     "multiindex",
     "random_polymap",
-    "remark_family",
-    "restrict_to_line",
     "run_suite",
     "sharpness_sweep",
 ]

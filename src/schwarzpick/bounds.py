@@ -84,23 +84,8 @@ def _quadratic(d, conj_fz, q: float) -> float:
     return ip * ip + q * d2
 
 
-def rhs_main(k: int, z, beta) -> float:
-    """Order-k metric bound:
-
-    k!^2 (1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2))^(2(k-1)) H_z(b,b)^k.
-
-    Reduces to H_z(b,b) exactly at k = 1.  The middle factor grows with
-    |<b,z>| and is exactly 1 when b is orthogonal to z.
-    """
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    z = geometry.as_ball_point(z)
-    beta = geometry.as_direction(beta, z.shape[0])
-    return _main(k, *_direction(z, float(sq_norm(z)), beta))
-
-
 def _direction(z, z2: float, beta) -> tuple[float, float]:
-    """The factors of rhs_main that depend on the direction, for z2 = |z|^2:
+    """The factors of rhs_main for the direction beta at z, for z2 = |z|^2:
     1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2) and H_z(b,b)."""
     b2 = float(sq_norm(beta))
     ip = abs(complex(hermitian_inner(beta, z)))
@@ -108,29 +93,21 @@ def _direction(z, z2: float, beta) -> tuple[float, float]:
     return 1.0 + ip / pivot, geometry.metric_form(1.0 - z2, b2, ip)
 
 
-def _main(k: int, lift: float, metric: float) -> float:
-    """rhs_main from the direction's factors."""
+def rhs_main(k: int, lift: float, metric: float) -> float:
+    """Order-k metric bound k!^2 lift^(2(k-1)) metric^k for the direction's
+    factors lift = 1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2) and
+    metric = H_z(b,b).
+
+    Reduces to H_z(b,b) exactly at k = 1.  The lift grows with |<b,z>| and
+    is exactly 1 when b is orthogonal to z.
+    """
     return math.factorial(k) ** 2 * lift ** (2 * (k - 1)) * metric ** k
 
 
-def rhs_disk(k: int, z, fz_norm: float) -> float:
-    """Disk-domain quadratic-form bound:
-    [k! (1-|f(z)|^2) (1+|z|)^(k-1) / (1-|z|^2)^k]^2."""
-    t = abs(complex(z))
-    if not t < 1.0:
-        raise MapDomainError("z must lie inside the unit disk")
-    return _disk(k, t, 1.0 - fz_norm ** 2)
-
-
-def _disk(k: int, t: float, q: float) -> float:
-    """rhs_disk for t = |z| and q = 1-|f(z)|^2."""
+def rhs_disk(k: int, t: float, q: float) -> float:
+    """Disk-domain quadratic-form bound [k! q (1+t)^(k-1) / (1-t^2)^k]^2
+    for t = |z| and q = 1-|f(z)|^2."""
     return (math.factorial(k) * q * (1.0 + t) ** (k - 1) / (1.0 - t * t) ** k) ** 2
-
-
-def rhs_disk_classical(k: int, z, fz_norm: float) -> float:
-    """Benchmark form bounding |f^(k)(z)|/(1-|f(z)|^2):
-    k! (1+|z|)^(k-1) / (1-|z|^2)^k."""
-    return math.sqrt(rhs_disk(k, z, fz_norm)) / (1.0 - fz_norm ** 2)
 
 
 class _Constants(NamedTuple):
@@ -164,26 +141,17 @@ class PartialBounds(NamedTuple):
     benchmark_scalar: float
 
 
-def rhs_partial(v, z, fz_norm: float) -> PartialBounds:
-    """Bounds for d^|v| f / dz^v at z.
+def rhs_partial(v, t: float, q: float) -> PartialBounds:
+    """Bounds for d^|v| f / dz^v at a point with t = |z| and q = 1-|f(z)|^2.
 
-    squared:  (|v|^|v|/v^v) [v! (1+|z|)^(|v|-1) (1-|f|^2) / (1-|z|^2)^|v|]^2
+    squared:  (|v|^|v|/v^v) [v! (1+t)^(|v|-1) q / (1-t^2)^|v|]^2
     scalar:   its square root (the m = 1 bound)
-    benchmark_scalar: n^(|v|/2) |v|! C(n+|v|-1, n-1) (1-|f|^2)(1+|z|)^(|v|-1)/(1-|z|^2)^|v|
+    benchmark_scalar: n^(|v|/2) |v|! C(n+|v|-1, n-1) q (1+t)^(|v|-1) / (1-t^2)^|v|
 
     The scalar bound never exceeds the benchmark: sqrt(|v|^|v|/v^v) <= n^(|v|/2),
     v! <= |v|! and the binomial is at least 1.
     """
     c = _constants(mi.as_multiindex(v))
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    t = math.sqrt(float(sq_norm(z)))
-    if not t < 1.0:
-        raise MapDomainError("z must lie inside the unit ball")
-    return _partial(c, t, 1.0 - fz_norm ** 2)
-
-
-def _partial(c: _Constants, t: float, q: float) -> PartialBounds:
-    """rhs_partial for v's constants, t = |z| and q = 1-|f(z)|^2."""
     core = (1.0 + t) ** (c.k - 1) * q / (1.0 - t * t) ** c.k
     scalar = c.scalar * core
     return PartialBounds(squared=scalar * scalar, scalar=scalar, benchmark_scalar=c.benchmark * core)
@@ -197,52 +165,26 @@ def mu_factor(v, z_abs: float) -> float:
     return sum(math.comb(k - 1, l) * z_abs ** l for l in range(min(v[0], k - 1) + 1))
 
 
-def rhs_radial(v, z, fz_norm: float) -> float:
-    """Sharpened bound for points on the z1-axis:
+def rhs_radial(v, t: float, q: float) -> float:
+    """Sharpened bound for points on the z1-axis, with t = |z_1| and
+    q = 1-|f(z)|^2:
 
-    (|v|^|v|/v^v) [v! mu(|z|) (1-|f|^2) / (1-|z|^2)^((v1+|v|)/2)]^2
+    (|v|^|v|/v^v) [v! mu(t) q / (1-t^2)^((v1+|v|)/2)]^2
 
     with mu the truncated binomial.  Coincides with the squared rhs_partial
     when v_1 = |v|.
     """
     v = mi.as_multiindex(v)
     c = _constants(v)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != len(v):
-        raise ValueError("z and v must have the same dimension")
-    if z.shape[0] > 1 and np.any(z[1:] != 0):
-        raise MapDomainError("the radial bound applies only on the z1-axis")
-    t = abs(complex(z[0]))
-    if not t < 1.0:
-        raise MapDomainError("z must lie inside the unit ball")
-    return _radial(c, v, t, 1.0 - fz_norm ** 2)
-
-
-def _radial(c: _Constants, v: tuple[int, ...], t: float, q: float) -> float:
-    """rhs_radial for v and its constants, t = |z_1| and q = 1-|f(z)|^2."""
     core = c.factorial * mu_factor(v, t) * q
     core /= (1.0 - t * t) ** ((v[0] + c.k) / 2.0)
     return c.sharpness * core * core
 
 
-class OriginBounds(NamedTuple):
-    """Right sides of the two origin bounds: the degree-slice bound and the
-    single-coefficient bound carrying the sharpness factor."""
-
-    slice_bound: float
-    coefficient_bound: float
-
-
-def rhs_origin(v, a0_norm: float) -> OriginBounds:
-    """(1-|a0|^2)^2 and (|v|^|v|/v^v)(1-|a0|^2)^2."""
-    base = _origin(a0_norm)
-    return OriginBounds(slice_bound=base, coefficient_bound=mi.sharpness_factor(v) * base)
-
-
-def _origin(a0_norm: float) -> float:
-    if not 0.0 <= a0_norm < 1.0:
-        raise ValueError("a0 norm must lie in [0, 1)")
-    return (1.0 - a0_norm ** 2) ** 2
+def rhs_origin(a0_abs: float) -> float:
+    """Origin bound (1-|a0|^2)^2 on the degree-k slice; the bound on a single
+    Taylor coefficient a_v is (|v|^|v|/v^v) times it."""
+    return (1.0 - a0_abs ** 2) ** 2
 
 
 class AjCoefficients(NamedTuple):
@@ -322,13 +264,14 @@ class _Point:
         # the right-hand sides do (from |f(z)|); the two differ in the last bit
         self.lhs_q = 1.0 - self.fz2
         self.rhs_q = 1.0 - self.fz_norm ** 2
-        if z is not None:
+        if z is None:
+            if not self.fz_norm < 1.0:  # NaN fails too
+                raise MapDomainError(f"f(0) must lie strictly inside the unit ball (|f(0)| = {self.fz_norm:.6f})")
+        else:
             self.z = z
             self.z2 = float(sq_norm(z))
-            self.t = math.sqrt(self.z2)    # |z| as rhs_partial computes it
-            self.t1 = abs(complex(z[0]))   # |z_1| as rhs_disk and rhs_radial compute it
-            if not self.t1 < 1.0:
-                raise MapDomainError("z must lie inside the unit ball")
+            self.t = math.sqrt(self.z2)    # |z|, the t of rhs_partial
+            self.t1 = abs(complex(z[0]))   # |z_1|, the t of rhs_disk and rhs_radial
             self.on_axis = not np.any(z[1:] != 0)
         self._directions: dict[bytes, tuple[float, float]] = {}
         self._frechet: dict[tuple[bytes, int], np.ndarray] = {}
@@ -377,7 +320,7 @@ def _classical(d, p: _Point) -> float:
 def _on_axis_radial(p: _Point, r: "_Request") -> float:
     if not p.on_axis:
         raise MapDomainError("the radial bound applies only on the z1-axis")
-    return _radial(r.c, r.v, p.t1, p.rhs_q)
+    return rhs_radial(r.v, p.t1, p.rhs_q)
 
 
 class _Bound(NamedTuple):
@@ -401,16 +344,16 @@ class _Bound(NamedTuple):
 
 
 _BOUNDS = {
-    "1.1": _Bound("d^k", _classical, lambda p, r: math.sqrt(_disk(r.k, p.t1, p.rhs_q)) / p.rhs_q,
+    "1.1": _Bound("d^k", _classical, lambda p, r: math.sqrt(rhs_disk(r.k, p.t1, p.rhs_q)) / p.rhs_q,
                   n1=True, m1=True),
-    "1.2": _Bound("d^v", _norm, lambda p, r: _partial(r.c, p.t, p.rhs_q).benchmark_scalar, m1=True),
-    "1.3": _Bound("D_k", _metric, lambda p, r: _main(r.k, *p.direction(r.beta)), k=1),
-    "1.4": _Bound("D_k", _metric, lambda p, r: _main(r.k, *p.direction(r.beta))),
-    "3.1": _Bound("slice", _form, lambda p, r: _origin(p.fz_norm)),
-    "3.2": _Bound("a_v", _form, lambda p, r: r.c.sharpness * _origin(p.fz_norm)),
-    "4.1": _Bound("d^k", _form, lambda p, r: _disk(r.k, p.t1, p.rhs_q), n1=True),
-    "5.1": _Bound("d^v", _form, lambda p, r: _partial(r.c, p.t, p.rhs_q).squared),
-    "5.2": _Bound("d^v", _norm, lambda p, r: _partial(r.c, p.t, p.rhs_q).scalar, m1=True),
+    "1.2": _Bound("d^v", _norm, lambda p, r: rhs_partial(r.v, p.t, p.rhs_q).benchmark_scalar, m1=True),
+    "1.3": _Bound("D_k", _metric, lambda p, r: rhs_main(r.k, *p.direction(r.beta)), k=1),
+    "1.4": _Bound("D_k", _metric, lambda p, r: rhs_main(r.k, *p.direction(r.beta))),
+    "3.1": _Bound("slice", _form, lambda p, r: rhs_origin(p.fz_norm)),
+    "3.2": _Bound("a_v", _form, lambda p, r: r.c.sharpness * rhs_origin(p.fz_norm)),
+    "4.1": _Bound("d^k", _form, lambda p, r: rhs_disk(r.k, p.t1, p.rhs_q), n1=True),
+    "5.1": _Bound("d^v", _form, lambda p, r: rhs_partial(r.v, p.t, p.rhs_q).squared),
+    "5.2": _Bound("d^v", _norm, lambda p, r: rhs_partial(r.v, p.t, p.rhs_q).scalar, m1=True),
     "5.3": _Bound("d^v", _form, _on_axis_radial),
 }
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import geometry
 from . import multiindex as mi
-from .holomap import HoloMap, MapDomainError, PolyMap, restrict_to_line
+from .holomap import HoloMap, LineMap, MapDomainError, PolyMap
 
 #: Fraction of the largest safe uniform polytorus radius used for the slices.
 RADIUS_FRACTION = 0.6
@@ -171,7 +171,7 @@ def line_derivative(f: HoloMap, z, beta, k: int) -> np.ndarray:
     """Order-k directional derivative via the one-variable restriction:
     the k-th derivative at 0 of lambda -> f(z + lambda beta), computed on a
     single circle of NODES nodes at half the restriction radius."""
-    line = restrict_to_line(f, z, beta)
+    line = LineMap(f, z, beta)
     if NODES < 2 * k + 2:
         raise TorusError(f"node count {NODES} cannot resolve derivative order {k}")
     rho = 0.5 * line.radius

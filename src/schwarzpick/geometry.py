@@ -55,13 +55,6 @@ def metric_form(q: float, b2: float, ip: float) -> float:
     return (q * b2 + ip * ip) / q ** 2
 
 
-def moebius_apply(a, w) -> np.ndarray:
-    """phi_a(w): the involutive automorphism exchanging 0 and a."""
-    a = as_ball_point(a)
-    w = as_ball_point(w, a.shape[0])
-    return mobius_point(a, w)
-
-
 def _projection_matrices(a: np.ndarray):
     m = a.shape[0]
     eye = np.eye(m, dtype=complex)
@@ -124,20 +117,30 @@ class ExtremalOriginMap(HoloMap):
 
     The unique shape attaining equality in the origin coefficient bound when
     every v_j is non-zero; its Taylor support is exactly the lattice
-    {j*v : j >= 0}.
+    {j*v : j >= 0}.  The parameters must satisfy the equality condition
+    |<a_v,a0>|^2 + (1-|a0|^2)|a_v|^2 = (|v|^|v|/v^v)(1-|a0|^2)^2 within
+    1e-12 relative.
     """
 
     kind = "extremal-origin"
 
     def __init__(self, a0, av, v):
+        self.v = mi.as_multiindex(v)
+        if sum(self.v) == 0:
+            raise MapDomainError("v must be a non-zero multi-index")
         self.a0 = np.asarray(a0, dtype=complex).reshape(-1)
         self.av = np.asarray(av, dtype=complex).reshape(-1)
         if self.a0.shape != self.av.shape:
             raise MapDomainError("a0 and a_v must live in the same codomain")
-        self.v = mi.as_multiindex(v)
+        a02 = float(sq_norm(self.a0))
+        if not a02 < 1.0:  # NaN fails too
+            raise MapDomainError("a0 must lie inside the unit ball")
+        gap = origin_equality_gap(self.a0, self.av, self.v)
+        if not abs(gap) <= 1e-12 * max(1.0, mi.sharpness_factor(self.v) * (1.0 - a02) ** 2):
+            raise MapDomainError(f"(a0, a_v, v) do not satisfy the equality condition (gap {gap:.3e})")
         self.n = len(self.v)
         self.m = self.a0.shape[0]
-        self._c = complex(hermitian_inner(self.av, self.a0)) / (1.0 - float(sq_norm(self.a0)))
+        self._c = complex(hermitian_inner(self.av, self.a0)) / (1.0 - a02)
         self._vexp = np.array(self.v)
 
     def _eval(self, z):
@@ -148,23 +151,6 @@ class ExtremalOriginMap(HoloMap):
         return f"extremal-origin(v={self.v}, |a0|={math.sqrt(sq_norm(self.a0)):.3f})"
 
 
-def extremal_origin_map(a0, av, v) -> ExtremalOriginMap:
-    """Construct the origin-extremal map, requiring the equality condition
-    |<a_v,a0>|^2 + (1-|a0|^2)|a_v|^2 = (|v|^|v|/v^v)(1-|a0|^2)^2 within 1e-12
-    relative."""
-    v = mi.as_multiindex(v)
-    if sum(v) == 0:
-        raise MapDomainError("v must be a non-zero multi-index")
-    a0 = np.asarray(a0, dtype=complex).reshape(-1)
-    if not sq_norm(a0) < 1.0:  # NaN fails too
-        raise MapDomainError("a0 must lie inside the unit ball")
-    gap = origin_equality_gap(a0, av, v)
-    scale = max(1.0, mi.sharpness_factor(v) * (1.0 - float(sq_norm(a0))) ** 2)
-    if abs(gap) > 1e-12 * scale:
-        raise MapDomainError(f"(a0, a_v, v) do not satisfy the equality condition (gap {gap:.3e})")
-    return ExtremalOriginMap(a0, av, v)
-
-
 def extremal_origin_from_direction(a0, direction, v) -> ExtremalOriginMap:
     """Scale a codomain direction to the exact equality locus and construct the map."""
     a0 = np.asarray(a0, dtype=complex).reshape(-1)
@@ -173,7 +159,7 @@ def extremal_origin_from_direction(a0, direction, v) -> ExtremalOriginMap:
     a02 = float(sq_norm(a0))
     ip = abs(complex(hermitian_inner(u, a0)))
     t = (1.0 - a02) * math.sqrt(mi.sharpness_factor(v) / (ip * ip + 1.0 - a02))
-    return extremal_origin_map(a0, t * u, v)
+    return ExtremalOriginMap(a0, t * u, v)
 
 
 class ExtremalK1Map(HoloMap):
@@ -182,22 +168,28 @@ class ExtremalK1Map(HoloMap):
     f(z) = w0 + [ (1-<z,xi>)/(1-|xi|^2) + <J(z-xi), w0>/(1-|w0|^2) ]^(-1) J(z-xi)
 
     Valid when phi'_{w0}(w0) J phi'_xi(0) is a linear isometry of C^n into
-    C^m; the metric pullback is then an exact equality at xi for every
-    direction.
+    C^m, which requires n <= m; the metric pullback is then an exact equality
+    at xi for every direction.  The isometry condition frame^H frame = I is
+    checked within tol.
     """
 
     kind = "extremal-k1"
 
     _DENOM_GUARD = 1e-12
 
-    def __init__(self, xi, w0, jac):
-        self.xi = np.asarray(xi, dtype=complex).reshape(-1)
-        self.w0 = np.asarray(w0, dtype=complex).reshape(-1)
+    def __init__(self, xi, w0, jac, tol: float = 1e-10):
+        self.xi = as_ball_point(xi)
+        self.w0 = as_ball_point(w0)
         self.jac = np.asarray(jac, dtype=complex)
         self.n = self.xi.shape[0]
         self.m = self.w0.shape[0]
+        if self.n > self.m:
+            raise MapDomainError("first-order extremal maps require n <= m")
         if self.jac.shape != (self.m, self.n):
             raise MapDomainError(f"Jacobian must have shape ({self.m}, {self.n})")
+        frame = normalized_frame(self.xi, self.w0, self.jac)
+        if not np.max(np.abs(np.conj(frame.T) @ frame - np.eye(self.n))) <= tol:
+            raise MapDomainError("renormalised derivative is not an isometry")
         self._xi2 = float(sq_norm(self.xi))
         self._w02 = float(sq_norm(self.w0))
 
@@ -231,22 +223,6 @@ def jacobian_from_frame(xi, w0, frame) -> np.ndarray:
     w0 = as_ball_point(w0)
     frame = np.asarray(frame, dtype=complex)
     return moebius_jacobian(w0, at="origin") @ frame @ moebius_jacobian(xi, at="a")
-
-
-def extremal_k1_map(xi, w0, jac, tol: float = 1e-10) -> ExtremalK1Map:
-    """Construct the first-order extremal map, checking n <= m and the
-    isometry condition frame^H frame = I within tol."""
-    xi = as_ball_point(xi)
-    w0 = as_ball_point(w0)
-    jac = np.asarray(jac, dtype=complex)
-    n, m = xi.shape[0], w0.shape[0]
-    if n > m:
-        raise MapDomainError("first-order extremal maps require n <= m")
-    frame = normalized_frame(xi, w0, jac)
-    gram = np.conj(frame.T) @ frame
-    if np.max(np.abs(gram - np.eye(n))) > tol:
-        raise MapDomainError("renormalised derivative is not an isometry")
-    return ExtremalK1Map(xi, w0, jac)
 
 
 class Remark2Map(HoloMap):
@@ -355,17 +331,6 @@ class Remark4Map(HoloMap):
 
     def describe(self) -> str:
         return f"remark4(|xi|={abs(self.xi1):.3f}, |w|={abs(self.w):.6f}, n={self.n})"
-
-
-def remark_family(kind: str, **params) -> HoloMap:
-    """Build one of the asymptotic-sharpness families: remark2 | remark3 | remark4."""
-    if kind == "remark2":
-        return Remark2Map(params["xi"], params["w"])
-    if kind == "remark3":
-        return Remark3Map(params["xi"], params["w"], params["v"])
-    if kind == "remark4":
-        return Remark4Map(params["xi"], params["w"], params.get("n", 1))
-    raise ValueError(f"unknown family kind {kind!r}")
 
 
 def remark2_derivative(xi, w, k: int) -> np.ndarray:

@@ -458,7 +458,7 @@ def equality_suite(config: SuiteConfig) -> Report:
         w0 = random_ball_point(rng, config.m, 0.5)
         frame = random_isometry(rng, config.m, config.n)
         jac = geometry.jacobian_from_frame(xi, w0, frame)
-        maps[sample] = f = geometry.extremal_k1_map(xi, w0, jac)
+        maps[sample] = f = geometry.ExtremalK1Map(xi, w0, jac)
         requests = [("1.3", {"beta": random_unit_vector(rng, config.n)}) for _ in range(50)]
         recs = _records(config, sample, f, requests, xi, cauchy.partial_bundle(f, xi, 1))
         worst = max(abs(r["slack"]) for r in recs)
@@ -508,14 +508,15 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
                 # the bound takes the pinned |f(xi)| = w_abs, not check_inequality's norm(f(xi)):
                 # they differ in the last bit at a quarter of the points, which (1-|w|^2)^2 scales
                 # to 2e-11 relative in `ratio` at |w| = 0.99999, flipping `tight` flags
+                t, q = abs(complex(z[0])), 1.0 - w_abs ** 2
                 if family == "remark2":
                     lhs = bounds.lhs_quadratic(bundle[(k,)], w_abs * w_dir)
-                    rhs = bounds.rhs_disk(k, z[0], w_abs)
+                    rhs = bounds.rhs_disk(k, t, q)
                     rep = bounds.BoundReport.build("4.1", lhs, rhs, {"z": z, "k": k})
                 else:
                     v = (k,) + (0,) * (config.n - 1)
                     lhs = bounds.lhs_quadratic(bundle[v], np.array([w_abs * w_dir]))
-                    rhs = bounds.rhs_radial(v, z, w_abs)
+                    rhs = bounds.rhs_radial(v, t, q)
                     rep = bounds.BoundReport.build("5.3", lhs, rhs, {"z": z, "v": v})
                 predicted = sweep_prediction(family, k, xi_abs, w_abs)
                 series.append((w_abs, rep.ratio, predicted))
@@ -551,9 +552,13 @@ def sharpness_sweep(config: SuiteConfig, family: str, radii=DEFAULT_SWEEP_RADII)
 def replay_sample(path, config: SuiteConfig) -> Report:
     """Re-run a persisted failing polynomial map through the contexts of its
     sampling suite at the sample the file name ends with (`...-failure-poly-0001`
-    is sample 1), or at sample 0 when the name carries no sample."""
+    is sample 1), or at sample 0 when the name carries no sample.  A file that
+    does not hold PolyMap JSON raises ConfigError."""
     path = Path(path)
-    f = PolyMap.from_json_dict(json.loads(path.read_text()))
+    try:
+        f = PolyMap.from_json_dict(json.loads(path.read_text()))
+    except (TypeError, KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{path} does not hold a PolyMap in JSON: {exc!r}") from exc
     cfg = SuiteConfig(**{**asdict(config), "n": f.n, "m": f.m, "samples": 1})
     validate_config(cfg)
     if cfg.suite not in _SAMPLE_RECORDS:

@@ -343,16 +343,6 @@ def random_polymap(n: int, m: int, degree: int, seed, margin: float = 0.05) -> P
     return PolyMap(n, m, {a: c * scale for a, c in coeffs.items()}, max_degree=degree)
 
 
-def compose_ball_automorphism(a, f: HoloMap) -> ComposedMap:
-    """phi_a o f; evaluation equals the pointwise Moebius image of f."""
-    return ComposedMap(a, f)
-
-
-def restrict_to_line(f: HoloMap, z, beta) -> LineMap:
-    """Restrict f to the complex line through z in direction beta."""
-    return LineMap(f, z, beta)
-
-
 class CoefficientChecks:
     """Left sides and slacks of the power-series coefficient inequalities.
 

@@ -7,9 +7,6 @@ from functools import lru_cache
 #: Hard cap on supported degrees; bounds above this are astronomically loose.
 MAX_DEGREE = 64
 
-#: Degrees up to this limit use exact integer arithmetic, log-gamma above.
-EXACT_DEGREE = 20
-
 
 class CapacityError(ValueError):
     """A requested multi-index degree exceeds the supported range."""
@@ -27,28 +24,19 @@ def as_multiindex(alpha) -> tuple[int, ...]:
     return out
 
 
-def degree(alpha) -> int:
-    """Sum of the entries."""
-    return sum(as_multiindex(alpha))
-
-
-def multinomial_weight(alpha):
-    """The weight |alpha|!/alpha! attached to each term of the order-k directional derivative.
-
-    Exact integer for degrees <= EXACT_DEGREE, log-gamma float above,
-    CapacityError beyond MAX_DEGREE.
+def multinomial_weight(alpha) -> int:
+    """The weight |alpha|!/alpha! attached to each term of the order-k
+    directional derivative, as an exact integer; CapacityError beyond
+    MAX_DEGREE.
     """
     a = as_multiindex(alpha)
     k = sum(a)
     if k > MAX_DEGREE:
         raise CapacityError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
-    if k <= EXACT_DEGREE:
-        num = math.factorial(k)
-        for aj in a:
-            num //= math.factorial(aj)
-        return num
-    logw = math.lgamma(k + 1) - sum(math.lgamma(aj + 1) for aj in a)
-    return math.exp(logw)
+    num = math.factorial(k)
+    for aj in a:
+        num //= math.factorial(aj)
+    return num
 
 
 def multiindex_factorial(alpha) -> int:
@@ -73,13 +61,10 @@ def sharpness_factor(v) -> float:
         raise ValueError("sharpness factor is undefined for the zero multi-index")
     if k > MAX_DEGREE:
         raise CapacityError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
-    if k <= EXACT_DEGREE:
-        den = 1
-        for aj in a:
-            den *= aj ** aj if aj > 0 else 1
-        return (k ** k) / den
-    logf = k * math.log(k) - sum(aj * math.log(aj) for aj in a if aj > 0)
-    return math.exp(logf)
+    den = 1
+    for aj in a:
+        den *= aj ** aj if aj > 0 else 1
+    return (k ** k) / den
 
 
 @lru_cache(maxsize=None)
@@ -112,8 +97,3 @@ def enumerate_up_to(n: int, max_degree: int, include_zero: bool = True) -> list[
     for k in range(0 if include_zero else 1, max_degree + 1):
         out.extend(enumerate_indices(n, k))
     return out
-
-
-def index_count(n: int, k: int) -> int:
-    """Number of dimension-n multi-indexes of degree k: C(n+k-1, n-1)."""
-    return math.comb(n + k - 1, n - 1)

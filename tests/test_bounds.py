@@ -7,13 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from schwarzpick import bounds, cauchy, geometry
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import MapDomainError, compose_ball_automorphism, random_polymap
+from schwarzpick.holomap import (ComposedMap, MapDomainError, PolyMap, hermitian_inner, identity_polymap,
+                                 random_polymap, sq_norm)
 from support import OpaqueMap
 
 
 def unit(rng, dim):
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return g / np.linalg.norm(g)
+
+
+def main_rhs(k, z, beta):
+    """The right-hand side of 1.4 at (z, beta), as check_inequality reports it."""
+    return bounds.check_inequality(identity_polymap(len(z)), "1.4", z=z, beta=beta, k=k).rhs
 
 
 class TestLhsQuadratic:
@@ -44,10 +50,10 @@ class TestRhsMain:
         for _ in range(10):
             z = 0.8 * unit(rng, 2) * rng.uniform()
             beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            assert bounds.rhs_main(1, z, beta) == geometry.bergman_metric(z, beta)
+            assert main_rhs(1, z, beta) == geometry.bergman_metric(z, beta)
 
     def test_origin_second_order(self):
-        assert bounds.rhs_main(2, np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(4.0, rel=1e-14)
+        assert main_rhs(2, np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(4.0, rel=1e-14)
 
     def test_factor_increases_with_radial_alignment(self):
         z = np.array([0.6, 0.0])
@@ -55,7 +61,7 @@ class TestRhsMain:
         for t in np.linspace(0.0, 1.0, 11):
             beta = np.array([t, math.sqrt(1.0 - t * t)])
             # strip H^k so only the alignment factor (k = 2) is compared
-            vals.append(bounds.rhs_main(2, z, beta) / geometry.bergman_metric(z, beta) ** 2)
+            vals.append(main_rhs(2, z, beta) / geometry.bergman_metric(z, beta) ** 2)
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_orthogonal_direction_factor_is_one(self):
@@ -63,14 +69,14 @@ class TestRhsMain:
         beta = np.array([0.0, 1.0])
         for k in (1, 2, 3, 4):
             expected = math.factorial(k) ** 2 * geometry.bergman_metric(z, beta) ** k
-            assert bounds.rhs_main(k, z, beta) == pytest.approx(expected, rel=1e-14)
+            assert main_rhs(k, z, beta) == pytest.approx(expected, rel=1e-14)
 
     def test_homogeneity_degree_zero_of_factor(self):
         z = np.array([0.4, 0.3j])
         beta = np.array([0.2, 0.5 - 0.1j])
         for c in (2.0, 0.5 + 0.5j):
-            lhs = bounds.rhs_main(3, z, c * beta)
-            rhs = bounds.rhs_main(3, z, beta) * (abs(c) ** 2) ** 3
+            lhs = main_rhs(3, z, c * beta)
+            rhs = main_rhs(3, z, beta) * (abs(c) ** 2) ** 3
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -78,44 +84,41 @@ class TestRhsDisk:
     def test_identity_map_first_order_equality(self):
         # the identity disk map attains the quadratic-form bound at k = 1
         assert bounds.lhs_quadratic(np.array([1.0]), np.array([0.5])) == pytest.approx(
-            bounds.rhs_disk(1, 0.5, 0.5), rel=1e-14)
+            bounds.rhs_disk(1, 0.5, 1.0 - 0.5 ** 2), rel=1e-14)
 
     def test_origin_value(self):
-        assert bounds.rhs_disk(3, 0.0, 0.0) == pytest.approx(36.0, rel=0)
+        assert bounds.rhs_disk(3, 0.0, 1.0) == pytest.approx(36.0, rel=0)
 
     def test_half_point_value(self):
-        assert bounds.rhs_disk(2, 0.5, 0.0) == pytest.approx((16.0 / 3.0) ** 2, rel=1e-14)
+        assert bounds.rhs_disk(2, 0.5, 1.0) == pytest.approx((16.0 / 3.0) ** 2, rel=1e-14)
 
 
 class TestRhsPartial:
     def test_diagonal_pair_at_origin(self):
-        got = bounds.rhs_partial((1, 1), np.zeros(2), 0.0)
+        got = bounds.rhs_partial((1, 1), 0.0, 1.0)
         assert got.scalar == pytest.approx(2.0, rel=0)
         assert got.squared == pytest.approx(4.0, rel=0)
 
     def test_single_axis_reduces_to_disk_bound(self):
         for k in (1, 2, 3):
-            got = bounds.rhs_partial((k,), np.array([0.4]), 0.3)
-            assert got.squared == pytest.approx(bounds.rhs_disk(k, 0.4, 0.3), rel=1e-14)
+            got = bounds.rhs_partial((k,), 0.4, 1.0 - 0.3 ** 2)
+            assert got.squared == pytest.approx(bounds.rhs_disk(k, 0.4, 1.0 - 0.3 ** 2), rel=1e-14)
 
     def test_scalar_bound_never_exceeds_benchmark(self):
         for n in (1, 2, 3):
             for t in (0.0, 0.3, 0.6, 0.9):
-                z = np.zeros(n)
-                z[0] = t
                 for kv in range(1, 6):
                     for v in mi.enumerate_indices(n, kv):
-                        got = bounds.rhs_partial(v, z, 0.2)
+                        got = bounds.rhs_partial(v, t, 1.0 - 0.2 ** 2)
                         assert got.scalar <= got.benchmark_scalar + 1e-12
 
 
 class TestRhsRadial:
     def test_full_first_component_matches_partial_bound(self):
-        z = np.array([0.5, 0.0])
         for k in (1, 2, 3):
             v = (k, 0)
-            assert bounds.rhs_radial(v, z, 0.2) == pytest.approx(
-                bounds.rhs_partial(v, z, 0.2).squared, rel=1e-14)
+            assert bounds.rhs_radial(v, 0.5, 1.0 - 0.2 ** 2) == pytest.approx(
+                bounds.rhs_partial(v, 0.5, 1.0 - 0.2 ** 2).squared, rel=1e-14)
 
     def test_truncated_binomial(self):
         assert bounds.mu_factor((1, 2), 0.5) == pytest.approx(2.0, rel=0)
@@ -123,18 +126,25 @@ class TestRhsRadial:
             assert bounds.mu_factor(v, 0.0) == 1.0
 
     def test_off_axis_rejected(self):
-        with pytest.raises(MapDomainError):
-            bounds.rhs_radial((1, 1), np.array([0.2, 0.1]), 0.0)
+        with pytest.raises(MapDomainError, match="z1-axis"):
+            bounds.check_inequality(random_polymap(2, 1, 3, seed=15), "5.3", z=np.array([0.2, 0.1]), v=(1, 1))
 
 
 class TestRhsOrigin:
     def test_center_free_values(self):
-        got = bounds.rhs_origin((1, 1), 0.0)
-        assert got.slice_bound == 1.0
-        assert got.coefficient_bound == 4.0
+        assert bounds.rhs_origin(0.0) == 1.0
+        # 3.2 carries the sharpness factor |v|^|v|/v^v = 4 of v = (1, 1)
+        assert bounds.check_inequality(identity_polymap(2), "3.2", v=(1, 1)).rhs == 4.0
 
     def test_slice_bound_at_radius(self):
-        assert bounds.rhs_origin((1,), 0.6).slice_bound == pytest.approx(0.4096, rel=1e-14)
+        assert bounds.rhs_origin(0.6) == pytest.approx(0.4096, rel=1e-14)
+
+    @pytest.mark.parametrize("a0", [[1.0], [np.nan]], ids=["boundary", "nan"])
+    def test_center_outside_ball_rejected(self, a0):
+        f = PolyMap(2, 1, {(0, 0): a0, (1, 0): [0.1]})
+        for ineq, context in (("3.1", {"beta": [1.0, 0.0], "k": 1}), ("3.2", {"v": (1, 0)})):
+            with pytest.raises(MapDomainError, match="f\\(0\\)"):
+                bounds.check_inequality(f, ineq, **context)
 
 
 class TestAjCoefficients:
@@ -261,30 +271,28 @@ class TestCheckInequality:
         with pytest.raises(ValueError, match=f"requires the argument {missing}$"):
             bounds.check_inequality(f, ineq, **context)
 
-    @pytest.mark.parametrize("f", [random_polymap(2, 1, 3, seed=13), geometry.AutomorphismMap(np.array([0.3, 0.1j]))],
+    @pytest.mark.parametrize("ineq, context", [
+        ("1.4", {"beta": [1.0, 0.0], "k": 1}), ("4.1", {"k": 1}), ("5.1", {"v": (1, 0)}), ("5.3", {"v": (1, 0)}),
+    ], ids=["1.4", "4.1", "5.1", "5.3"])
+    @pytest.mark.parametrize("family", [lambda n: random_polymap(n, 1, 3, seed=13),
+                                        lambda n: geometry.AutomorphismMap(np.array([0.3, 0.1j])[:n])],
                              ids=["poly", "automorphism"])
-    def test_nan_point_raises_instead_of_reporting_nan(self, f):
+    def test_nan_point_raises_instead_of_reporting_nan(self, family, ineq, context):
         # nan >= 1 is False, so a NaN point once passed every inside-the-ball check
-        z = np.array([np.nan, 0.0])
+        n = 1 if ineq == "4.1" else 2
+        f = family(n)
+        z = np.array([np.nan, 0.0])[:n]
         with pytest.raises(MapDomainError):
-            bounds.check_inequality(f, "5.1", z=z, v=(1, 0))
-        bundle = cauchy.partial_bundle(f, np.zeros(2), 1)
+            bounds.check_inequality(f, ineq, z=z, **context)
+        bundle = cauchy.partial_bundle(f, np.zeros(n), 1)
         with pytest.raises(MapDomainError):
-            bounds.check_inequality(f, "5.1", z=z, v=(1, 0), bundle=bundle)
-
-    def test_nan_point_rejected_by_every_rhs(self):
-        z = np.array([np.nan, 0.0])
-        for rhs in (lambda: bounds.rhs_disk(1, np.nan, 0.0), lambda: bounds.rhs_partial((1, 0), z, 0.0),
-                    lambda: bounds.rhs_radial((1, 0), z, 0.0), lambda: bounds.rhs_main(1, z, [1.0, 0.0])):
-            with pytest.raises(MapDomainError):
-                rhs()
+            bounds.check_inequality(f, ineq, z=z, bundle=bundle, **context)
 
     def test_ratio_convention_when_both_sides_vanish(self):
         rep = bounds.BoundReport.build("1.4", 0.0, 0.0, {})
         assert rep.ratio == 0.0
 
     def test_constant_map_gives_zero_ratio(self):
-        from schwarzpick.holomap import PolyMap
         f = PolyMap(2, 2, {(0, 0): [0.2, 0.1j]})
         rep = bounds.check_inequality(f, "1.4", z=np.array([0.3, 0.0]), beta=np.array([1.0, 0.0]), k=2)
         assert rep.lhs == 0.0 and rep.ratio == 0.0
@@ -314,31 +322,40 @@ def _same_report(a, b):
 
 
 def _reference(f, ineq, z, bundle, beta=None, k=None, v=None):
-    """(lhs, rhs) of one request from the public single-context formulas."""
+    """(lhs, rhs) of one request from the public formulas, with |z| or |z_1|,
+    1-|f(z)|^2 (or |a0|) and the direction's factors derived here from z and
+    the bundle."""
     zero = (0,) * f.n
     k = 1 if ineq == "1.3" else k
     if ineq in ("3.1", "3.2"):
         indices = mi.enumerate_indices(f.n, k) if ineq == "3.1" else [v]
         coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
         a0 = coeffs[zero]
+        a0_abs = float(np.linalg.norm(a0))
         if ineq == "3.1":
             d = sum(coeffs[a] * np.prod(np.asarray(beta, dtype=complex) ** np.array(a)) for a in indices)
-            return bounds.lhs_quadratic(d, a0), bounds.rhs_origin((k,), float(np.linalg.norm(a0))).slice_bound
-        return bounds.lhs_quadratic(coeffs[v], a0), bounds.rhs_origin(v, float(np.linalg.norm(a0))).coefficient_bound
+            return bounds.lhs_quadratic(d, a0), bounds.rhs_origin(a0_abs)
+        return bounds.lhs_quadratic(coeffs[v], a0), mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
     fz = bundle[zero]
-    a = float(np.linalg.norm(fz))
+    q = 1.0 - float(np.linalg.norm(fz)) ** 2
     if ineq in ("1.3", "1.4"):
         d = cauchy.frechet_from_bundle(bundle, beta, k, f.n)
-        return geometry.bergman_metric(fz, d), bounds.rhs_main(k, z, beta)
+        beta = np.asarray(beta, dtype=complex)
+        q_z, b2 = 1.0 - float(sq_norm(z)), float(sq_norm(beta))
+        ip = abs(complex(hermitian_inner(beta, z)))
+        lift = 1.0 + ip / math.sqrt(q_z * b2 + ip * ip)
+        return geometry.bergman_metric(fz, d), bounds.rhs_main(k, lift, geometry.bergman_metric(z, beta))
+    t = math.sqrt(float(sq_norm(z)))   # |z|
+    t1 = abs(complex(z[0]))            # |z_1|
     d = bundle[(k,)] if ineq in ("1.1", "4.1") else bundle[v]
     norm = float(np.linalg.norm(d))
     return {
-        "1.1": lambda: (norm / (1.0 - a ** 2), bounds.rhs_disk_classical(k, z[0], a)),
-        "1.2": lambda: (norm, bounds.rhs_partial(v, z, a).benchmark_scalar),
-        "4.1": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_disk(k, z[0], a)),
-        "5.1": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_partial(v, z, a).squared),
-        "5.2": lambda: (norm, bounds.rhs_partial(v, z, a).scalar),
-        "5.3": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_radial(v, z, a)),
+        "1.1": lambda: (norm / q, math.sqrt(bounds.rhs_disk(k, t1, q)) / q),
+        "1.2": lambda: (norm, bounds.rhs_partial(v, t, q).benchmark_scalar),
+        "4.1": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_disk(k, t1, q)),
+        "5.1": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_partial(v, t, q).squared),
+        "5.2": lambda: (norm, bounds.rhs_partial(v, t, q).scalar),
+        "5.3": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_radial(v, t1, q)),
     }[ineq]()
 
 
@@ -393,7 +410,7 @@ class TestUniversalSoundness:
             random_polymap(2, 2, 4, seed=1),
             random_polymap(2, 1, 4, seed=2),
             geometry.AutomorphismMap(0.5 * unit(rng, 2)),
-            compose_ball_automorphism(0.4 * unit(rng, 2), random_polymap(2, 2, 3, seed=3)),
+            ComposedMap(0.4 * unit(rng, 2), random_polymap(2, 2, 3, seed=3)),
             geometry.extremal_origin_from_direction(0.3 * unit(rng, 2), unit(rng, 2), (1, 1)),
             geometry.Remark3Map(0.45, 0.5, (1, 1)),
             geometry.Remark4Map(0.45, 0.6, n=2),
@@ -429,7 +446,7 @@ class TestRemarkRatioLaws:
             for w_abs in (0.5, 0.9):
                 f = geometry.Remark2Map(xi, w_abs * w_dir)
                 dk = cauchy.partial_bundle(f, np.array([xi]), k)[(k,)]
-                ratio = bounds.lhs_quadratic(dk, w_abs * w_dir) / bounds.rhs_disk(k, xi, w_abs)
+                ratio = bounds.lhs_quadratic(dk, w_abs * w_dir) / bounds.rhs_disk(k, abs(xi), 1.0 - w_abs ** 2)
                 predicted = ((w_abs + abs(xi)) / (1.0 + abs(xi))) ** (2 * (k - 1))
                 assert ratio == pytest.approx(predicted, abs=1e-8)
 
@@ -443,7 +460,7 @@ class TestRemarkRatioLaws:
             dv = cauchy.partial_bundle(f, z, sum(v))[v]
             display = geometry.remark3_derivative(xi1, w, v)
             assert abs(dv[0] - display) <= 1e-8 * abs(display)
-            ratio = bounds.lhs_quadratic(dv, f.eval(z[None, :])[0]) / bounds.rhs_radial(v, z, abs(w))
+            ratio = bounds.lhs_quadratic(dv, f.eval(z[None, :])[0]) / bounds.rhs_radial(v, abs(xi1), 1.0 - abs(w) ** 2)
             assert ratio >= 2.0 ** (-2 * (sum(v) - 1)) - 1e-8
             assert ratio == pytest.approx(1.0 / bounds.mu_factor(v, abs(xi1)) ** 2, rel=1e-9)
 
@@ -456,6 +473,6 @@ class TestRemarkRatioLaws:
                 z = np.zeros(2, dtype=complex)
                 z[0] = xi1
                 dk = cauchy.partial_bundle(f, z, k)[v]
-                ratio = abs(dk[0]) / math.sqrt(bounds.rhs_radial(v, z, w_abs))
+                ratio = abs(dk[0]) / math.sqrt(bounds.rhs_radial(v, abs(xi1), 1.0 - w_abs ** 2))
                 predicted = ((w_abs + abs(xi1)) / (1.0 + abs(xi1))) ** (k - 1)
                 assert ratio == pytest.approx(predicted, abs=1e-8)

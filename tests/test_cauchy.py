@@ -5,7 +5,7 @@ import pytest
 
 from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import (MapDomainError, PolyMap, compose_ball_automorphism, identity_polymap,
+from schwarzpick.holomap import (ComposedMap, MapDomainError, PolyMap, identity_polymap,
                                  random_polymap, sq_norm)
 from support import OpaqueMap, jacobian
 
@@ -53,7 +53,7 @@ class TestTaylorCoefficient:
     def test_extremal_map_with_zero_center(self):
         v = (2, 1)
         av = np.array([math.sqrt(mi.sharpness_factor(v)), 0.0])
-        f = geometry.extremal_origin_map(np.zeros(2), av, v)
+        f = geometry.ExtremalOriginMap(np.zeros(2), av, v)
         got = cauchy.taylor_coefficients(f, [v])[v]
         assert np.linalg.norm(got - av) <= 1e-10 * np.linalg.norm(av)
 
@@ -71,7 +71,7 @@ class TestTaylorCoefficient:
         assert np.linalg.norm(cauchy.taylor_coefficients(OpaqueMap(f), [(1, 1)])[(1, 1)]) < 1e-14
 
     @pytest.mark.parametrize("f", [random_polymap(2, 2, 3, seed=7),
-                                   compose_ball_automorphism(np.array([0.3, 0.1j]), random_polymap(2, 2, 3, seed=7))],
+                                   ComposedMap(np.array([0.3, 0.1j]), random_polymap(2, 2, 3, seed=7))],
                              ids=["poly", "composed"])
     @pytest.mark.parametrize("index", [(1,), (1, 0, 0)], ids=["short", "long"])
     def test_index_of_wrong_length_rejected_on_both_routes(self, f, index):

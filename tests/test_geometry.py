@@ -35,30 +35,30 @@ class TestBergmanMetric:
 class TestMoebius:
     def test_zero_maps_to_parameter(self):
         a = np.array([0.4 + 0.1j, -0.2j])
-        assert np.allclose(geometry.moebius_apply(a, np.zeros(2)), a, atol=1e-15)
+        assert np.allclose(geometry.AutomorphismMap(a).eval(np.zeros(2)), a, atol=1e-15)
 
     def test_parameter_maps_to_zero(self):
         a = np.array([0.4 + 0.1j, -0.2j])
-        assert np.linalg.norm(geometry.moebius_apply(a, a)) < 1e-15
+        assert np.linalg.norm(geometry.AutomorphismMap(a).eval(a)) < 1e-15
 
     def test_zero_parameter_negates(self):
         w = np.array([0.3, 0.2 - 0.4j])
-        assert np.allclose(geometry.moebius_apply(np.zeros(2), w), -w, atol=0)
+        assert np.allclose(geometry.AutomorphismMap(np.zeros(2)).eval(w), -w, atol=0)
 
     def test_involution(self):
         rng = np.random.default_rng(7)
-        a = 0.6 * unit(rng, 3)
+        phi = geometry.AutomorphismMap(0.6 * unit(rng, 3))
         for _ in range(20):
             w = 0.9 * unit(rng, 3) * rng.uniform()
-            back = geometry.moebius_apply(a, geometry.moebius_apply(a, w))
+            back = phi.eval(phi.eval(w))
             assert np.max(np.abs(back - w)) < 1e-12
 
     def test_image_stays_inside_ball(self):
         rng = np.random.default_rng(8)
-        a = 0.7 * unit(rng, 2)
+        phi = geometry.AutomorphismMap(0.7 * unit(rng, 2))
         for _ in range(50):
             w = 0.99 * unit(rng, 2) * rng.uniform()
-            assert np.linalg.norm(geometry.moebius_apply(a, w)) < 1.0
+            assert np.linalg.norm(phi.eval(w)) < 1.0
 
 
 class TestMoebiusJacobian:
@@ -78,11 +78,12 @@ class TestMoebiusJacobian:
     def test_matches_finite_differences_at_origin(self):
         a = np.array([0.35 + 0.1j, -0.25])
         j0 = geometry.moebius_jacobian(a, "origin")
+        phi = geometry.AutomorphismMap(a)
         step = 1e-5
         for col in range(2):
             e = np.zeros(2, dtype=complex)
             e[col] = step
-            diff = (geometry.moebius_apply(a, e) - geometry.moebius_apply(a, -e)) / (2 * step)
+            diff = (phi.eval(e) - phi.eval(-e)) / (2 * step)
             assert np.max(np.abs(diff - j0[:, col])) < 1e-8
 
     def test_matches_quadrature_jacobian_at_interior_point(self):
@@ -112,7 +113,7 @@ class TestExtremalOrigin:
         v = (2, 1)
         av = np.array([math.sqrt(mi.sharpness_factor(v)) * 0.6,
                        math.sqrt(mi.sharpness_factor(v)) * 0.8j])
-        f = geometry.extremal_origin_map(np.zeros(2), av, v)
+        f = geometry.ExtremalOriginMap(np.zeros(2), av, v)
         z = np.array([[0.3, 0.4j], [0.5, -0.2]])
         expected = av * (z[:, 0] ** 2 * z[:, 1])[:, None]
         assert np.max(np.abs(f.eval(z) - expected)) < 1e-15
@@ -141,7 +142,11 @@ class TestExtremalOrigin:
 
     def test_violated_equality_condition_rejected(self):
         with pytest.raises(MapDomainError):
-            geometry.extremal_origin_map(np.zeros(2), np.array([0.5, 0.0]), (1, 1))
+            geometry.ExtremalOriginMap(np.zeros(2), np.array([0.5, 0.0]), (1, 1))
+
+    def test_center_on_the_sphere_rejected(self):
+        with pytest.raises(MapDomainError, match="a0 must lie inside"):
+            geometry.ExtremalOriginMap([1, 0], [0.5, 0], (1, 1))
 
 
 class TestExtremalK1:
@@ -152,7 +157,7 @@ class TestExtremalK1:
         # at xi = 0, w0 = 0 the construction is f(z) = J z with J = frame
         jac = geometry.jacobian_from_frame(np.zeros(2), np.zeros(3), frame)
         z = 0.4 * (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))) / 2
-        f = geometry.extremal_k1_map(np.zeros(2), np.zeros(3), frame)
+        f = geometry.ExtremalK1Map(np.zeros(2), np.zeros(3), frame)
         assert np.max(np.abs(f.eval(z) - z @ frame.T)) < 1e-14
         assert np.max(np.abs(jac - frame)) < 1e-12
 
@@ -163,11 +168,10 @@ class TestExtremalK1:
         w0 = 0.35 * unit(rng, 3)
         frame, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
         frame = frame[:, :2]
-        f = geometry.extremal_k1_map(xi, w0, geometry.jacobian_from_frame(xi, w0, frame))
+        f = geometry.ExtremalK1Map(xi, w0, geometry.jacobian_from_frame(xi, w0, frame))
         for _ in range(30):
             z = 0.8 * unit(rng, 2) * rng.uniform()
-            via_composition = geometry.moebius_apply(
-                w0, frame @ geometry.moebius_apply(xi, z))
+            via_composition = geometry.AutomorphismMap(w0).eval(frame @ geometry.AutomorphismMap(xi).eval(z))
             assert np.max(np.abs(f.eval(z[None, :])[0] - via_composition)) < 1e-12
 
     def test_automorphism_data_reproduces_automorphism(self):
@@ -177,7 +181,7 @@ class TestExtremalK1:
         xi = 0.5 * unit(rng, 2)
         w0 = aut.eval(xi[None, :])[0]
         jac = jacobian(aut, xi)
-        f = geometry.extremal_k1_map(xi, w0, jac, tol=1e-8)
+        f = geometry.ExtremalK1Map(xi, w0, jac, tol=1e-8)
         for _ in range(20):
             z = 0.7 * unit(rng, 2) * rng.uniform()
             assert np.max(np.abs(f.eval(z[None, :])[0] - aut.eval(z[None, :])[0])) < 1e-10
@@ -187,7 +191,7 @@ class TestExtremalK1:
         xi = 0.5 * unit(rng, 2)
         w0 = 0.4 * unit(rng, 3)
         frame, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
-        f = geometry.extremal_k1_map(xi, w0, geometry.jacobian_from_frame(xi, w0, frame[:, :2]))
+        f = geometry.ExtremalK1Map(xi, w0, geometry.jacobian_from_frame(xi, w0, frame[:, :2]))
         jac = jacobian(f, xi)
         fz = f.eval(xi[None, :])[0]
         for _ in range(100):
@@ -202,39 +206,37 @@ class TestExtremalK1:
         w0 = 0.3 * unit(rng, 2)
         frame = 0.5 * np.eye(2)
         with pytest.raises(MapDomainError):
-            geometry.extremal_k1_map(xi, w0, geometry.jacobian_from_frame(xi, w0, frame))
+            geometry.ExtremalK1Map(xi, w0, geometry.jacobian_from_frame(xi, w0, frame))
 
     def test_wide_maps_rejected(self):
         with pytest.raises(MapDomainError):
-            geometry.extremal_k1_map(np.array([0.1, 0.1, 0.1]), np.array([0.1, 0.1]), np.zeros((2, 3)))
+            geometry.ExtremalK1Map(np.array([0.1, 0.1, 0.1]), np.array([0.1, 0.1]), np.zeros((2, 3)))
 
 
 class TestRemarkFamilies:
     def test_pinned_values(self):
         xi = 0.5 * cmath.exp(0.7j)
         w2 = 0.8 * np.array([0.6, 0.8j])
-        f2 = geometry.remark_family("remark2", xi=xi, w=w2)
+        f2 = geometry.Remark2Map(xi, w2)
         assert np.linalg.norm(f2.eval(np.array([[xi]]))[0] - w2) < 1e-12
 
-        f3 = geometry.remark_family("remark3", xi=xi, w=0.4, v=(1, 2))
+        f3 = geometry.Remark3Map(xi, 0.4, (1, 2))
         z = np.zeros(2, dtype=complex)
         z[0] = xi
         assert abs(f3.eval(z[None, :])[0, 0] - 0.4) < 1e-12
 
-        f4 = geometry.remark_family("remark4", xi=xi, w=0.3 * cmath.exp(0.2j), n=2)
+        f4 = geometry.Remark4Map(xi, 0.3 * cmath.exp(0.2j), n=2)
         z = np.zeros(2, dtype=complex)
         z[0] = xi
         assert abs(f4.eval(z[None, :])[0, 0] - 0.3 * cmath.exp(0.2j)) < 1e-12
 
     def test_domain_validation(self):
         with pytest.raises(MapDomainError):
-            geometry.remark_family("remark2", xi=0.0, w=np.array([0.5]))
+            geometry.Remark2Map(0.0, np.array([0.5]))
         with pytest.raises(MapDomainError):
-            geometry.remark_family("remark2", xi=0.5, w=np.array([1.0]))
+            geometry.Remark2Map(0.5, np.array([1.0]))
         with pytest.raises(MapDomainError):
-            geometry.remark_family("remark4", xi=0.5, w=0.0)
-        with pytest.raises(ValueError):
-            geometry.remark_family("remark1", xi=0.5, w=0.5)
+            geometry.Remark4Map(0.5, 0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_remark2_derivative_closed_form(self, k):
@@ -277,9 +279,10 @@ class TestRemarkFamilies:
     lambda: geometry.Remark4Map(complex(np.nan, 0.0), 0.5),
     lambda: geometry.Remark4Map(0.5, np.nan),
     lambda: ComposedMap([np.nan, 0.0], random_polymap(2, 2, 2, seed=1)),
-    lambda: geometry.extremal_origin_map([np.nan, 0.0], [0.5, 0.0], (1, 1)),
+    lambda: geometry.ExtremalOriginMap([np.nan, 0.0], [0.5, 0.0], (1, 1)),
+    lambda: geometry.ExtremalK1Map([np.nan, 0.0], [0.0, 0.0], np.eye(2)),
 ], ids=["remark2-xi", "remark2-w", "remark3-xi", "remark3-w", "remark4-xi", "remark4-w", "composed-a",
-        "extremal-origin-a0"])
+        "extremal-origin-a0", "extremal-k1-xi"])
 def test_nan_parameter_raises(build):
     # nan >= 1 is False, so a NaN parameter once built a map whose describe() read nan
     with pytest.raises(MapDomainError):

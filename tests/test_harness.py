@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,14 @@ class TestReplay:
     def test_non_sampling_suite_rejected(self, tmp_path, suite):
         with pytest.raises(ConfigError):
             replay_sample(self.map_file(tmp_path), SuiteConfig(suite=suite, n=2, m=2))
+
+    @pytest.mark.parametrize("text", [json.dumps("automorphism(|a|=0.500, n=2)"), json.dumps({"n": 2, "m": 2}),
+                                      "poly(n=2, m=2)"], ids=["describe-string", "no-coeffs", "not-json"])
+    def test_file_without_a_polymap_rejected(self, tmp_path, text):
+        path = tmp_path / "report-failure-aut-0000.json"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            replay_sample(path, SuiteConfig(suite="main", n=2, m=2))
 
     def test_origin_replay_holds_only_the_replayed_sample(self, tmp_path):
         report = replay_sample(self.map_file(tmp_path), SuiteConfig(suite="origin", **SMALL))

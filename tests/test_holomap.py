@@ -6,13 +6,13 @@ import pytest
 from schwarzpick import cauchy, geometry, holomap
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import (
+    ComposedMap,
+    LineMap,
     MapDomainError,
     PolyMap,
     coefficient_checks,
-    compose_ball_automorphism,
     identity_polymap,
     random_polymap,
-    restrict_to_line,
 )
 
 
@@ -46,7 +46,7 @@ class TestEval:
         z = np.array([np.nan, 0.0])
         checks = (lambda: identity_polymap(2).eval(z[None, :]), lambda: geometry.as_ball_point(z),
                   lambda: cauchy.max_uniform_radius(z),
-                  lambda: restrict_to_line(identity_polymap(2), np.zeros(2), np.ones(2)).eval(np.array([np.nan])))
+                  lambda: LineMap(identity_polymap(2), np.zeros(2), np.ones(2)).eval(np.array([np.nan])))
         for check in checks:
             with pytest.raises(MapDomainError):
                 check()
@@ -156,20 +156,20 @@ class TestRandomPolymap:
 class TestCompose:
     def test_zero_parameter_negates(self):
         f = random_polymap(2, 2, 3, seed=1)
-        g = compose_ball_automorphism(np.zeros(2), f)
+        g = ComposedMap(np.zeros(2), f)
         z = np.array([[0.1, 0.2j], [0.3, -0.4]])
         assert np.allclose(g.eval(z), -f.eval(z), atol=1e-15)
 
     def test_composing_with_value_vanishes_there(self):
         f = random_polymap(2, 2, 3, seed=2)
         xi = np.array([0.2, 0.3j])
-        g = compose_ball_automorphism(f.eval(xi[None, :])[0], f)
+        g = ComposedMap(f.eval(xi[None, :])[0], f)
         assert np.linalg.norm(g.eval(xi[None, :])[0]) < 1e-14
 
     def test_involution(self):
         f = random_polymap(2, 2, 3, seed=3)
         a = np.array([0.3, 0.2 - 0.1j])
-        g = compose_ball_automorphism(a, compose_ball_automorphism(a, f))
+        g = ComposedMap(a, ComposedMap(a, f))
         rng = np.random.default_rng(4)
         z = 0.5 * (rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))) / 2
         assert np.max(np.abs(g.eval(z) - f.eval(z))) < 1e-12
@@ -177,7 +177,7 @@ class TestCompose:
 
 class TestRestrictToLine:
     def test_identity_along_axis(self):
-        line = restrict_to_line(identity_polymap(3), np.zeros(3), np.eye(3)[0])
+        line = LineMap(identity_polymap(3), np.zeros(3), np.eye(3)[0])
         assert line.radius == pytest.approx(1.0, abs=1e-15)
         lam = np.array([[0.5j]])
         assert np.allclose(line.eval(lam)[0], [0.5j, 0, 0], atol=1e-15)
@@ -185,13 +185,13 @@ class TestRestrictToLine:
     def test_zero_parameter_recovers_value(self):
         f = random_polymap(2, 2, 3, seed=8)
         z = np.array([0.2, 0.1j])
-        line = restrict_to_line(f, z, np.array([0.7, -0.2]))
+        line = LineMap(f, z, np.array([0.7, -0.2]))
         assert np.allclose(line.eval(np.array([[0.0]]))[0], f.eval(z[None, :])[0], atol=1e-15)
 
     def test_product_map_diagonal(self):
         f = PolyMap(2, 1, {(1, 1): [1.0]})
         beta = np.array([1.0, 1.0]) / math.sqrt(2)
-        line = restrict_to_line(f, np.zeros(2), beta)
+        line = LineMap(f, np.zeros(2), beta)
         lam = np.array([[0.6], [0.3j]])
         assert np.allclose(line.eval(lam)[:, 0], (lam[:, 0] ** 2) / 2, atol=1e-15)
 
@@ -202,7 +202,7 @@ class TestRestrictToLine:
             g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             z = 0.6 * g / np.linalg.norm(g) * rng.uniform()
             beta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            line = restrict_to_line(f, z, beta)
+            line = LineMap(f, z, beta)
             assert line.radius >= (1.0 - np.linalg.norm(z)) / np.linalg.norm(beta) - 1e-15
             lam = 0.9 * line.radius * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             direct = f.eval((z + lam * beta)[None, :])[0]
@@ -210,7 +210,7 @@ class TestRestrictToLine:
 
     def test_zero_direction_rejected(self):
         with pytest.raises(MapDomainError):
-            restrict_to_line(identity_polymap(2), np.zeros(2), np.zeros(2))
+            LineMap(identity_polymap(2), np.zeros(2), np.zeros(2))
 
 
 class TestCoefficientChecks:

@@ -16,3 +16,9 @@ def test_library_tour_runs(capsys):
 def test_public_names_resolve():
     missing = [name for name in schwarzpick.__all__ if not hasattr(schwarzpick, name)]
     assert not missing
+
+
+def test_public_names_documented():
+    text = README.read_text()
+    missing = [name for name in schwarzpick.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert not missing
