@@ -264,10 +264,11 @@ class _Point:
         # the right-hand sides do (from |f(z)|); the two differ in the last bit
         self.lhs_q = 1.0 - self.fz2
         self.rhs_q = 1.0 - self.fz_norm ** 2
-        if z is None:
-            if not self.fz_norm < 1.0:  # NaN fails too
-                raise MapDomainError(f"f(0) must lie strictly inside the unit ball (|f(0)| = {self.fz_norm:.6f})")
-        else:
+        # every bound assumes f maps into the ball; NaN fails too
+        if not (self.fz2 < 1.0 and self.fz_norm < 1.0):
+            at = "0" if z is None else "z"
+            raise MapDomainError(f"f({at}) must lie strictly inside the unit ball (|f({at})| = {self.fz_norm:.6f})")
+        if z is not None:
             self.z = z
             self.z2 = float(sq_norm(z))
             self.t = math.sqrt(self.z2)    # |z|, the t of rhs_partial
@@ -298,8 +299,6 @@ class _Point:
 
 def _metric(d, p: _Point) -> float:
     """H_f(z)(d, d), the left side of the metric bounds."""
-    if not p.fz2 < 1.0:  # NaN fails too
-        raise MapDomainError(f"f(z) must lie strictly inside the unit ball (|f(z)| = {p.fz_norm:.6f})")
     if not np.isfinite(d).all():
         raise MapDomainError("derivative entries must be finite")
     return geometry.metric_form(p.lhs_q, *_pair(d, p.conj_fz))

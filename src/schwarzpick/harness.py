@@ -11,8 +11,10 @@ import csv
 import io
 import json
 import math
+import operator
 import re
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -126,10 +128,17 @@ def _beta_set(rng, z: np.ndarray) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 # records and reports
 
-def _cvec(value) -> list | None:
+def _cvec(value, vectors: dict) -> list | None:
+    """The [[re, im], ...] list of a complex vector, built once per distinct
+    array in `vectors` (keyed by its bytes), so records that share a point or
+    a direction share one list."""
     if value is None:
         return None
-    return [[c.real, c.imag] for c in np.asarray(value, dtype=complex).reshape(-1).tolist()]
+    value = np.asarray(value, dtype=complex)
+    key = value.tobytes()
+    if key not in vectors:
+        vectors[key] = [[c.real, c.imag] for c in value.reshape(-1).tolist()]
+    return vectors[key]
 
 
 def _k_or_v(context: dict) -> str:
@@ -140,15 +149,18 @@ def _k_or_v(context: dict) -> str:
     return ""
 
 
-def record_from_report(suite: str, sample: str, report: bounds.BoundReport, **extra) -> dict:
+def record_from_report(suite: str, sample: str, report: bounds.BoundReport,
+                       vectors: dict | None = None, **extra) -> dict:
+    """The report's record; `vectors` is the _cvec cache its batch shares."""
+    vectors = {} if vectors is None else vectors
     rec = {
         "suite": suite,
         "sample": sample,
         "kind": "bound",
         "inequality": report.inequality,
         "k_or_v": _k_or_v(report.context),
-        "z": _cvec(report.context.get("z")),
-        "beta": _cvec(report.context.get("beta")),
+        "z": _cvec(report.context.get("z"), vectors),
+        "beta": _cvec(report.context.get("beta"), vectors),
         "lhs": report.lhs,
         "rhs": report.rhs,
         "slack": report.slack,
@@ -184,16 +196,109 @@ def _is_failure(record: dict, tol: float) -> bool:
     return not (math.isfinite(record["slack"]) and record["slack"] >= floor)
 
 
+def _reduce(fn, values: list) -> float:
+    """fn (min or max) of the values: NaN when any of them is NaN, whatever
+    its position, and 0.0 when there are none."""
+    if not values:
+        return 0.0
+    return math.nan if any(map(math.isnan, values)) else fn(values)
+
+
+def _summary(count: int, failure_count: int, slacks: list, ratios: list) -> dict:
+    return {"record_count": count, "failure_count": failure_count, "min_slack": _reduce(min, slacks),
+            "min_ratio": _reduce(min, ratios), "max_ratio": _reduce(max, ratios)}
+
+
 def summarize(records: list[dict], tol: float) -> dict:
-    slacks = [r["slack"] for r in records]
-    ratios = [r["ratio"] for r in records if r["kind"] == "bound"]
-    return {
-        "record_count": len(records),
-        "failure_count": sum(_is_failure(r, tol) for r in records),
-        "min_slack": min(slacks) if slacks else 0.0,
-        "min_ratio": min(ratios) if ratios else 0.0,
-        "max_ratio": max(ratios) if ratios else 0.0,
-    }
+    """Record and failure counts, the least slack over all records and the
+    ratio range over the bound records; a NaN makes its reduction NaN."""
+    return _summary(len(records), sum(_is_failure(r, tol) for r in records), [r["slack"] for r in records],
+                    [r["ratio"] for r in records if r["kind"] == "bound"])
+
+
+# --------------------------------------------------------------------------
+# report JSON: json.dumps(indent=2, sort_keys=True) bytes from record templates
+
+_json_string = json.encoder.encode_basestring_ascii
+
+#: json's text of the non-finite floats, keyed by float.__repr__.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _json_nested(value, depth: int) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) as it reads nested `depth`
+    levels deep; a raw newline is always indentation, never inside a string."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _records_json(records) -> str:
+    """The report's records list at depth 1.  Each record is written from the
+    %-template of its key set; a float is float.__repr__ (or NaN/Infinity),
+    a string is ASCII-escaped, and a [[re, im], ...] list of floats fills the
+    template of its length.  Any other record or value takes _json_nested."""
+    if type(records) is not list or not records:
+        return _json_nested(records, 1)
+    pad = "      "  # record members sit at depth 3
+    templates: dict[tuple, tuple | None] = {}
+    vector_templates: dict[int, str] = {}
+    # the records hold every list for the whole call, so no two share an id
+    vectors: dict[int, str] = {}
+
+    def vector(vec) -> str:
+        if not (vec and all(type(p) is list and len(p) == 2 for p in vec)
+                and all(type(x) is float for x in chain.from_iterable(vec))):
+            return _json_nested(vec, 3)
+        length = len(vec)
+        if length not in vector_templates:
+            pair = f"{pad}  [\n{pad}    %s,\n{pad}    %s\n{pad}  ]"
+            vector_templates[length] = "[\n" + ",\n".join([pair] * length) + f"\n{pad}]"
+        return vector_templates[length] % tuple(map(_json_float, chain.from_iterable(vec)))
+
+    def value(v) -> str:
+        kind = type(v)
+        if kind is float:
+            return _json_float(v)
+        if kind is str:
+            return _json_string(v)
+        if kind is list:
+            key = id(v)
+            if key not in vectors:
+                vectors[key] = vector(v)
+            return vectors[key]
+        if v is None or kind is bool:
+            return _JSON_CONSTANTS[v]
+        return _json_nested(v, 3)
+
+    def template(keys: tuple) -> tuple | None:
+        if not keys or not all(type(k) is str for k in keys):
+            return None
+        ordered = sorted(keys)
+        lines = ",\n".join(f"{pad}{_json_string(k).replace('%', '%%')}: %s" for k in ordered)
+        getter = operator.itemgetter(*ordered) if len(ordered) > 1 else lambda rec: (rec[ordered[0]],)
+        return "{\n" + lines + "\n    }", getter
+
+    out = []
+    for rec in records:
+        if type(rec) is dict:
+            keys = tuple(rec)
+            if keys not in templates:
+                templates[keys] = template(keys)
+            entry = templates[keys]
+        else:
+            entry = None
+        if entry is None:
+            out.append(_json_nested(rec, 2))
+        else:
+            text, getter = entry
+            out.append(text % tuple(map(value, getter(rec))))
+    return "[\n    " + ",\n    ".join(out) + "\n  ]"
 
 
 @dataclass
@@ -205,7 +310,14 @@ class Report:
     summary: dict
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
+        """The bytes of `json.dumps(vars(self), indent=2, sort_keys=True) + "\\n"`,
+        with the records written from templates rather than by json's
+        pure-Python indenting encoder."""
+        body = vars(self)
+        members = [f"  {_json_string(key)}: "
+                   + (_records_json(value) if key == "records" else _json_nested(value, 1))
+                   for key, value in sorted(body.items())]
+        return "{\n" + ",\n".join(members) + "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -235,31 +347,38 @@ def _csv_vec(pairs) -> str:
 
 def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
               expected: tuple[str, ...] | None = None) -> Report:
-    """Sort and flag the records, check the manifest, list each failing sample
+    """Sort the records, then in one pass flag them, collect the failing
+    samples and summarize; check the manifest and list each failing sample
     with its most negative failing slack and its map (`maps[sample]`, for
-    replay) and summarize."""
+    replay)."""
     records.sort(key=lambda r: (r["sample"], r["inequality"]))
-    for rec in records:
-        if rec["kind"] == "bound":
-            # negative slack within tolerance is discretization noise, not a violation
-            rec["tight"] = -config.tol <= rec["slack"] < 0.0
-    for ineq in (expected if expected is not None else expected_ids(config.suite, config.m)):
-        if not any(r["inequality"] == ineq for r in records):
-            raise AssertionError(f"suite {config.suite} produced no records for inequality {ineq}")
+    tol = config.tol
+    seen: set[str] = set()
+    slacks, ratios = [], []
     failing: dict[str, list[dict]] = {}
     for rec in records:
-        if _is_failure(rec, config.tol):
+        seen.add(rec["inequality"])
+        slack = rec["slack"]
+        slacks.append(slack)
+        if rec["kind"] == "bound":
+            ratios.append(rec["ratio"])
+            # negative slack within tolerance is discretization noise, not a violation
+            rec["tight"] = -tol <= slack < 0.0
+        if _is_failure(rec, tol):
             failing.setdefault(rec["sample"], []).append(rec)
+    for ineq in (expected if expected is not None else expected_ids(config.suite, config.m)):
+        if ineq not in seen:
+            raise AssertionError(f"suite {config.suite} produced no records for inequality {ineq}")
     failures = []
     for sample, recs in failing.items():
         f = maps[sample]
         described = f.to_json_dict() if isinstance(f, PolyMap) else f.describe()
         failures.append({"sample": sample, "suite": recs[0]["suite"],
-                         "worst_slack": min(r["slack"] for r in recs), "map": described})
+                         "worst_slack": _reduce(min, [r["slack"] for r in recs]), "map": described})
     echo = asdict(config)
     echo.pop("out")  # destination path is environment metadata, not canonical body
-    return Report(schema=SCHEMA, config=echo, records=records,
-                  failures=failures, summary=summarize(records, config.tol))
+    return Report(schema=SCHEMA, config=echo, records=records, failures=failures,
+                  summary=_summary(len(records), sum(map(len, failing.values())), slacks, ratios))
 
 
 def emit(report: Report, fmt: str, path) -> None:
@@ -320,8 +439,10 @@ def run_suite(config: SuiteConfig) -> Report:
 
 def _records(config, sample, f, requests, z=None, bundle=None):
     """One record per (inequality, kwargs) request, all at z and checked in one
-    batch that shares the partial `bundle` of f at z when given."""
-    return [record_from_report(config.suite, sample, report)
+    batch that shares the partial `bundle` of f at z when given, and one
+    [[re, im], ...] list per point and per direction."""
+    vectors: dict[bytes, list] = {}
+    return [record_from_report(config.suite, sample, report, vectors)
             for report in bounds.check_requests(f, requests, z=z, bundle=bundle)]
 
 

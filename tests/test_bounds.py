@@ -288,6 +288,16 @@ class TestCheckInequality:
         with pytest.raises(MapDomainError):
             bounds.check_inequality(f, ineq, z=z, bundle=bundle, **context)
 
+    @pytest.mark.parametrize("ineq, context", [
+        ("1.1", {"k": 1}), ("1.2", {"v": (1,)}), ("4.1", {"k": 1}),
+        ("5.1", {"v": (1,)}), ("5.2", {"v": (1,)}), ("5.3", {"v": (1,)}),
+    ], ids=["1.1", "1.2", "4.1", "5.1", "5.2", "5.3"])
+    def test_map_leaving_the_ball_raises(self, ineq, context):
+        # |f(0.2)| = 1.52: every id, not only the metric ones, must refuse the point
+        f = PolyMap(1, 1, {(0,): [1.5], (1,): [0.1]})
+        with pytest.raises(MapDomainError, match=r"f\(z\) must lie strictly inside"):
+            bounds.check_inequality(f, ineq, z=[0.2], **context)
+
     def test_ratio_convention_when_both_sides_vanish(self):
         rep = bounds.BoundReport.build("1.4", 0.0, 0.0, {})
         assert rep.ratio == 0.0

@@ -1,8 +1,10 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schwarzpick import bounds, cli, geometry, harness
 from schwarzpick.harness import (
@@ -17,16 +19,29 @@ from schwarzpick.harness import (
     sharpness_sweep,
     summarize,
 )
-from schwarzpick.holomap import PolyMap
+from schwarzpick.holomap import ComposedMap, PolyMap
 
 
 SMALL = dict(samples=2, degree=3, k_max=2)
+
+
+def dumps(report: Report) -> str:
+    """The reference bytes of a JSON report."""
+    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_non_finite_slack_counts_as_failure():
     records = [{"kind": "bound", "slack": s, "ratio": 0.5} for s in (1.0, np.nan, -np.inf, np.inf)]
     records.append({"kind": "certificate", "slack": np.nan, "ratio": 1.0})
     assert summarize(records, 1e-8)["failure_count"] == 4
+
+
+@pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan, 1.0]], ids=["nan-last", "nan-first"])
+def test_nan_makes_the_summary_nan_in_any_order(values):
+    records = [{"kind": "bound", "slack": v, "ratio": v} for v in values]
+    summary = summarize(records, 1e-8)
+    assert summary["failure_count"] == 1
+    assert all(math.isnan(summary[key]) for key in ("min_slack", "min_ratio", "max_ratio"))
 
 
 @pytest.mark.parametrize("suite, n, m", [("main", 2, 2), ("disk", 1, 1), ("partials", 2, 1), ("radial", 2, 1),
@@ -72,7 +87,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("suite", harness.SUITE_IDS)
     def test_byte_identical_reports(self, suite):
         cfg = SuiteConfig(suite=suite, n=1 if suite == "disk" else 2, m=2, seed=42, **SMALL)
-        assert run_suite(cfg).to_json() == run_suite(cfg).to_json()
+        report = run_suite(cfg)
+        assert report.to_json() == run_suite(cfg).to_json() == dumps(report)
 
     def test_seed_changes_report(self):
         a = run_suite(SuiteConfig(suite="main", n=2, m=2, seed=1, **SMALL))
@@ -159,6 +175,7 @@ class TestEqualitySuite:
         assert len(report.failures) == 45
         kinds = {f["map"].split("(")[0] for f in report.failures}
         assert kinds == {"extremal-origin", "extremal-k1"}
+        assert report.to_json() == dumps(report)
 
     def test_off_lattice_certificates(self):
         report = equality_suite(SuiteConfig(suite="equality", n=2, m=2, samples=1, seed=4))
@@ -202,13 +219,50 @@ class TestSharpnessSweep:
             sharpness_sweep(cfg, "remark2", radii=(0.9, 1.1))
 
 
+#: Floats whose JSON text is easy to get wrong: the non-finite ones, a signed
+#: zero, the least subnormal, a float that prints in exponent form, a numpy scalar.
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]),
+                    st.floats().map(np.float64))
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "a\nb", "é", "%s", "100%"]))
+_VALUES = st.one_of(_FLOATS, _TEXT, st.booleans(), st.none(), st.integers(), st.just([]),
+                    st.lists(st.tuples(_FLOATS, _FLOATS).map(list), min_size=1, max_size=4),
+                    st.dictionaries(_TEXT, st.integers(), max_size=2))
+_KEYS = st.one_of(st.sampled_from(["suite", "sample", "kind", "z", "beta", "lhs", "slack", "tight", "w_abs"]), _TEXT)
+
+
 class TestEmit:
+    @given(st.lists(st.dictionaries(_KEYS, _VALUES, max_size=8), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_json_bytes_are_json_dumps(self, records):
+        # records that share one list, as the records of one point do
+        vectors = [v for rec in records for v in rec.values() if type(v) is list]
+        if vectors:
+            records += [{"z": vectors[0], "beta": vectors[-1]}, {"beta": vectors[-1], "z": vectors[0]}]
+        report = Report(schema=harness.SCHEMA, config={"tol": math.nan}, records=records,
+                        failures=[{"map": "a\nb"}], summary=summarize([], 1e-8))
+        assert report.to_json() == dumps(report)
+
+    @pytest.mark.parametrize("records", [[], [{}], [{1: 0.5, 10: 0.25}], [[1.0, 2.0], 3, None],
+                                         [{"z": [[1.0, 2.0, 3.0]]}, {"z": [(1.0, 2.0)]}, {"z": [[1, 2.0]]}]],
+                             ids=["empty", "empty-record", "int-keys", "not-records", "not-pairs"])
+    def test_json_bytes_of_odd_records(self, records):
+        report = Report(schema=harness.SCHEMA, config={}, records=records, failures=[], summary={})
+        assert report.to_json() == dumps(report)
+
+    def test_emit_writes_to_json_and_to_csv(self, tmp_path):
+        report = run_suite(SuiteConfig(suite="main", n=2, m=2, **SMALL))
+        emit(report, "json", tmp_path / "report.json")
+        emit(report, "csv", tmp_path / "report.csv")
+        assert (tmp_path / "report.json").read_text() == report.to_json() == dumps(report)
+        assert (tmp_path / "report.csv").read_text() == report.to_csv()
+
     def test_json_round_trip(self, tmp_path):
         report = run_suite(SuiteConfig(suite="main", n=2, m=2, **SMALL))
         path = tmp_path / "report.json"
         emit(report, "json", path)
         back = Report.from_json(path.read_text())
         assert back.to_json() == report.to_json()
+        assert back.to_csv() == report.to_csv()
 
     def test_csv_row_count(self, tmp_path):
         report = run_suite(SuiteConfig(suite="main", n=2, m=2, **SMALL))
@@ -273,8 +327,20 @@ class TestFailureIsolation:
         assert len(side) == 1
         replayed = replay_sample(side[0], cfg)
         assert replayed.summary["failure_count"] > 0
+        assert report.to_json() == dumps(report) and replayed.to_json() == dumps(replayed)
         campaign = [r for r in report.records if r["sample"] == "poly-0000"]
         assert self.unnamed(replayed.records) == self.unnamed(campaign)
+
+    def test_failing_report_json_bytes(self):
+        # one failure listed as PolyMap JSON, one by its description
+        cfg = SuiteConfig(suite="main", n=2, m=2, **SMALL)
+        bad = self.bad_map()
+        maps = {"poly-0000": bad, "composed-0000": ComposedMap(np.zeros(2), bad)}
+        records = [rec for sample, f in maps.items()
+                   for rec in harness._main_records(cfg, harness._rng(cfg.seed, 0, 0), sample, f)]
+        report = harness._finalize(cfg, records, maps)
+        assert sorted(type(f["map"]).__name__ for f in report.failures) == ["dict", "str"]
+        assert report.to_json() == dumps(report)
 
     def test_replay_runs_at_the_failing_sample(self, tmp_path, monkeypatch):
         cfg = SuiteConfig(suite="main", n=2, m=2, samples=3, degree=3, k_max=2, seed=7)
@@ -322,6 +388,17 @@ class TestFinalize:
         assert report.summary["failure_count"] == 1
         assert [f["sample"] for f in report.failures] == ["remark2-k2-x0.50"]
         assert report.failures[0]["map"] == f.describe()
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("b", "a")], ids=["nan-last", "nan-first"])
+    def test_nan_worst_slack_in_any_order(self, names):
+        cfg = SuiteConfig(suite="sharpness")
+        records = [harness.certificate_record("sharpness", "remark2-k2-x0.50", name, measured=0.5, slack=slack)
+                   for name, slack in zip(names, (-1.0, math.nan))]
+        f = geometry.Remark2Map(0.5, np.array([0.99, 0.0]))
+        report = harness._finalize(cfg, records, {"remark2-k2-x0.50": f}, expected=("a",))
+        assert math.isnan(report.failures[0]["worst_slack"])
+        assert report.summary == summarize(report.records, cfg.tol)
+        assert math.isnan(report.summary["min_slack"]) and report.summary["failure_count"] == 2
 
     def test_sweep_failures_list_their_maps(self, monkeypatch):
         # an unreachable prediction fails every sweep-final-ratio certificate
