@@ -3,7 +3,6 @@ holomorphic maps between complex unit balls."""
 
 from . import bounds, cauchy, geometry, harness, multiindex
 from .bounds import BoundReport, check_inequality, check_requests, lhs_quadratic
-from .cauchy import frechet_derivative
 from .geometry import (AutomorphismMap, ExtremalK1Map, ExtremalOriginMap, Remark2Map, Remark3Map,
                        Remark4Map, bergman_metric)
 from .harness import Report, SuiteConfig, equality_suite, run_suite, sharpness_sweep
@@ -31,7 +30,6 @@ __all__ = [
     "check_inequality",
     "check_requests",
     "equality_suite",
-    "frechet_derivative",
     "geometry",
     "harness",
     "lhs_quadratic",

@@ -1,6 +1,6 @@
 """Right-hand-side bound formulas, the recurring left-hand quadratic form,
-the Moebius-power derivative coefficients, and the inequality checks, which
-evaluate every request at a point in one batch.
+and the inequality checks, which evaluate every request at a point in one
+batch.
 
 Inequality ids (aliases in parentheses) and their content:
 
@@ -29,8 +29,6 @@ import numpy as np
 from . import cauchy, geometry
 from . import multiindex as mi
 from .holomap import HoloMap, MapDomainError, hermitian_inner, sq_norm
-
-INEQUALITY_IDS = ("1.1", "1.2", "1.3", "1.4", "3.1", "3.2", "4.1", "5.1", "5.2", "5.3")
 
 _ALIASES = {"4.3": "1.4", "1.5": "5.1", "1.6": "5.2", "1.7": "5.3"}
 
@@ -187,66 +185,6 @@ def rhs_origin(a0_abs: float) -> float:
     return (1.0 - a0_abs ** 2) ** 2
 
 
-class AjCoefficients(NamedTuple):
-    """Magnitudes |A_j| of the Moebius-power derivative coefficients, their
-    term sum, and the closed form the sum must reproduce."""
-
-    orders: tuple[int, ...]
-    magnitudes: tuple[float, ...]
-    term_sum: float
-    closed_form: float
-
-
-def aj_coefficients(k: int, xi_abs: float, variant: str = "disk", v=None) -> AjCoefficients:
-    """Coefficient magnitudes in the expansion of d^k f through a Moebius change
-    of variable.
-
-    disk variant (j = 1..k):
-      |A_j| = |xi|^(k-j) k!(k-1)! / [(k-j)!(j-1)!] / (1-|xi|^2)^k,
-      sum = k! (1+|xi|)^(k-1) / (1-|xi|^2)^k.
-
-    radial variant for a multi-index v (j = 0..v_1, starting at 1 when
-    v = (v_1, 0, ..)):
-      |A_j| = |xi|^(v1-j) v!(k-1)! / [(v1-j)!(j-1+|v'|)!] / (1-|xi|^2)^((v1+|v|)/2),
-      sum = v! mu(|xi|) / (1-|xi|^2)^((v1+|v|)/2).
-    """
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    if not 0.0 <= xi_abs < 1.0:
-        raise ValueError("|xi| must lie in [0, 1)")
-    if variant == "disk":
-        orders = tuple(range(1, k + 1))
-        mags = tuple(
-            xi_abs ** (k - j) * math.factorial(k) * math.factorial(k - 1)
-            / (math.factorial(k - j) * math.factorial(j - 1))
-            / (1.0 - xi_abs ** 2) ** k
-            for j in orders
-        )
-        closed = math.factorial(k) * (1.0 + xi_abs) ** (k - 1) / (1.0 - xi_abs ** 2) ** k
-    elif variant == "radial":
-        if v is None:
-            raise ValueError("the radial variant requires the multi-index v")
-        v = mi.as_multiindex(v)
-        if sum(v) != k:
-            raise ValueError(f"degree of v must equal k={k}")
-        v1 = v[0]
-        rest = k - v1
-        start = 0 if rest > 0 else 1
-        orders = tuple(range(start, v1 + 1))
-        vfact = mi.multiindex_factorial(v)
-        mags = tuple(
-            xi_abs ** (v1 - j) * vfact * math.factorial(k - 1)
-            / (math.factorial(v1 - j) * math.factorial(j - 1 + rest))
-            / (1.0 - xi_abs ** 2) ** ((v1 + k) / 2.0)
-            for j in orders
-        )
-        closed = vfact * mu_factor(v, xi_abs) / (1.0 - xi_abs ** 2) ** ((v1 + k) / 2.0)
-    else:
-        raise ValueError("variant must be 'disk' or 'radial'")
-    return AjCoefficients(orders=orders, magnitudes=mags,
-                          term_sum=float(sum(mags)), closed_form=closed)
-
-
 class _Point:
     """One derivative table and what every request reading it shares: f(z)
     with |f(z)|^2 and |f(z)|; for a table at z also the scalars of z, each
@@ -355,6 +293,8 @@ _BOUNDS = {
     "5.2": _Bound("d^v", _norm, lambda p, r: rhs_partial(r.v, p.t, p.rhs_q).scalar, m1=True),
     "5.3": _Bound("d^v", _form, _on_axis_radial),
 }
+
+INEQUALITY_IDS = tuple(_BOUNDS)
 
 
 class _Request(NamedTuple):

@@ -24,14 +24,14 @@ picks the route:
 
 A `PolyMap` is differentiated exactly through its coefficient table, the
 ground truth the quadrature is validated against; every other map goes
-through one slice table.  The order-k directional derivative is assembled by
-two independent routes (multi-index sum of partials, and a one-variable
-derivative along the restricted line); `frechet_derivative` cross-checks them.
+through one slice table.  The order-k directional derivative D_k has two
+independent routes: `frechet_from_bundle` sums a bundle's partials, and
+`line_derivative` differentiates the one-variable restriction to the line;
+`route_gap` measures how far they disagree.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,15 +49,6 @@ NODES = 128
 #: Norm scale below which the two directional-derivative routes are treated
 #: as agreeing (both indistinguishable from zero at quadrature noise level).
 GAP_FLOOR = 1e-8
-
-
-class TorusError(ValueError):
-    """The node count cannot resolve the requested derivative order."""
-
-
-class QuadratureError(RuntimeError):
-    """The two directional-derivative routes disagree beyond tolerance,
-    which signals a quadrature configuration problem."""
 
 
 def max_uniform_radius(z) -> float:
@@ -79,22 +70,13 @@ def slice_radius(z) -> float:
     return RADIUS_FRACTION * max_uniform_radius(z)
 
 
-@dataclass(frozen=True)
-class DerivativeResult:
-    """A directional derivative and the relative gap between the two routes
-    that computed it."""
-
-    value: np.ndarray
-    route_gap: float
-
-
 def _slices(f: HoloMap, z, order: int) -> np.ndarray:
     """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! of f about z
     for every |alpha| <= order, as table[|alpha|, alpha_2, ..., alpha_n] of
     shape (order+1,)*n + (m,), from NODES * (order+1)^(n-1) slice values."""
     r = slice_radius(z)
     if NODES < 2 * order + 2:
-        raise TorusError(f"node count {NODES} cannot resolve derivative order {order}")
+        raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {order}")
     grid = order + 1
     # line directions (1, omega^j_2, ..., omega^j_n), shape (grid,)*(n-1) + (n,)
     phases = np.exp(2j * np.pi * np.arange(grid) / grid)
@@ -170,10 +152,12 @@ def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
 def line_derivative(f: HoloMap, z, beta, k: int) -> np.ndarray:
     """Order-k directional derivative via the one-variable restriction:
     the k-th derivative at 0 of lambda -> f(z + lambda beta), computed on a
-    single circle of NODES nodes at half the restriction radius."""
-    line = LineMap(f, z, beta)
+    single circle of NODES nodes at half the restriction radius.  A z that is
+    not a finite point of the domain ball raises MapDomainError, as in
+    `partial_bundle`."""
+    line = LineMap(f, geometry.as_ball_point(z, f.n), beta)
     if NODES < 2 * k + 2:
-        raise TorusError(f"node count {NODES} cannot resolve derivative order {k}")
+        raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {k}")
     rho = 0.5 * line.radius
     ts = np.arange(NODES)
     lam = rho * np.exp(2j * np.pi * ts / NODES)
@@ -192,29 +176,4 @@ def route_gap(d1, d2) -> float:
     if scale <= GAP_FLOOR:
         return 0.0
     return float(np.linalg.norm(np.asarray(d1) - np.asarray(d2))) / scale
-
-
-def frechet_derivative(f: HoloMap, z, beta, k: int, *,
-                       route_tol: float | None = 1e-9) -> DerivativeResult:
-    """Order-k directional derivative D_k(f, z, beta), computed by BOTH routes.
-
-    Route (i): multi-index sum of partials weighted by |alpha|!/alpha! and
-    beta^alpha.  Route (ii): one-variable derivative of the line restriction.
-    The returned value is route (i); the relative gap between routes is
-    recorded, and a QuadratureError is raised if it exceeds route_tol.
-    """
-    if k < 1:
-        raise ValueError("derivative order must be at least 1")
-    beta = np.asarray(beta, dtype=complex).reshape(f.n)
-    if float((beta.real ** 2 + beta.imag ** 2).sum()) == 0.0:
-        raise ValueError("direction must be non-zero")
-    bundle = partial_bundle(f, z, k)
-    d_sum = frechet_from_bundle(bundle, beta, k, f.n)
-    d_line = line_derivative(f, z, beta, k)
-    gap = route_gap(d_sum, d_line)
-    if route_tol is not None and gap > route_tol:
-        raise QuadratureError(
-            f"directional-derivative routes disagree (relative gap {gap:.3e} > {route_tol:.1e}); "
-            "check the quadrature configuration")
-    return DerivativeResult(value=d_sum, route_gap=gap)
 

@@ -333,43 +333,6 @@ class Remark4Map(HoloMap):
         return f"remark4(|xi|={abs(self.xi1):.3f}, |w|={abs(self.w):.6f}, n={self.n})"
 
 
-def remark2_derivative(xi, w, k: int) -> np.ndarray:
-    """Closed form of the k-th derivative of the remark2 family at its pinned point:
-
-    f_w^(k)(xi) = -e^{-ik arg xi} k! (1-|w|^2) (|w|+|xi|)^(k-1) / (1-|xi|^2)^k * w/|w|.
-    """
-    xi = complex(xi)
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    wn = float(np.linalg.norm(w))
-    phase = cmath.exp(-1j * k * cmath.phase(xi))
-    mag = math.factorial(k) * (1.0 - wn * wn) * (wn + abs(xi)) ** (k - 1) / (1.0 - abs(xi) ** 2) ** k
-    return -phase * mag * w / wn
-
-
-def remark3_derivative(xi1, w, v) -> complex:
-    """Closed form of the order-v partial of the remark3 family at its pinned point:
-
-    (-1)^(|v|+1) sqrt(|v|^|v|/v^v) v! (1-|w|^2) / (1-|xi|^2)^((v1+|v|)/2).
-    """
-    v = mi.as_multiindex(v)
-    k = sum(v)
-    s = math.sqrt(mi.sharpness_factor(v))
-    mag = s * mi.multiindex_factorial(v) * (1.0 - abs(complex(w)) ** 2)
-    mag /= (1.0 - abs(complex(xi1)) ** 2) ** ((v[0] + k) / 2.0)
-    return (-1.0) ** (k + 1) * mag
-
-
-def remark4_derivative(xi1, w, k: int) -> complex:
-    """Closed form of the k-th z1-derivative of the remark4 family at its pinned point:
-
-    -k! (1-|w|^2) (|w|+|xi|)^(k-1) / (1-|xi|^2)^k * (w/|w|) e^{-ik arg xi}.
-    """
-    xi1 = complex(xi1)
-    w = complex(w)
-    mag = math.factorial(k) * (1.0 - abs(w) ** 2) * (abs(w) + abs(xi1)) ** (k - 1) / (1.0 - abs(xi1) ** 2) ** k
-    return -mag * (w / abs(w)) * cmath.exp(-1j * k * cmath.phase(xi1))
-
-
 def linear_plus_square_map() -> PolyMap:
     """The two-variable scalar map z1 + z2^2/3: attains the origin coefficient
     bound at v = (1,0) while carrying a coefficient outside the extremal shape."""

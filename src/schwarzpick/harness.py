@@ -55,6 +55,9 @@ class SuiteConfig:
 def validate_config(config: SuiteConfig) -> None:
     if config.suite not in SUITE_IDS:
         raise ConfigError(f"unknown suite {config.suite!r}; expected one of {SUITE_IDS}")
+    for name in ("n", "m", "samples", "degree", "k_max", "seed"):
+        if type(getattr(config, name)) is not int:  # bool and numpy ints too
+            raise ConfigError(f"{name} must be an int, got {getattr(config, name)!r}")
     if not 1 <= config.n <= 4 or not 1 <= config.m <= 4:
         raise ConfigError("dimensions n, m must lie in 1..4 at desk scale")
     if config.samples < 1:
@@ -149,10 +152,8 @@ def _k_or_v(context: dict) -> str:
     return ""
 
 
-def record_from_report(suite: str, sample: str, report: bounds.BoundReport,
-                       vectors: dict | None = None, **extra) -> dict:
+def record_from_report(suite: str, sample: str, report: bounds.BoundReport, vectors: dict, **extra) -> dict:
     """The report's record; `vectors` is the _cvec cache its batch shares."""
-    vectors = {} if vectors is None else vectors
     rec = {
         "suite": suite,
         "sample": sample,
@@ -594,14 +595,15 @@ def equality_suite(config: SuiteConfig) -> Report:
 # --------------------------------------------------------------------------
 # sharpness sweeps
 
-def sweep_prediction(family: str, k: int, xi_abs: float, w_abs: float) -> float:
-    """Closed-form squared-ratio prediction ((|w|+|xi|)/(1+|xi|))^(2(k-1))."""
-    if family not in ("remark2", "remark4"):
-        raise ConfigError(f"unknown sweep family {family!r}")
+def sweep_prediction(k: int, xi_abs: float, w_abs: float) -> float:
+    """Closed-form squared-ratio prediction ((|w|+|xi|)/(1+|xi|))^(2(k-1)),
+    the same for both sweep families."""
     return ((w_abs + xi_abs) / (1.0 + xi_abs)) ** (2 * (k - 1))
 
 
 def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
+    if family not in ("remark2", "remark4"):
+        raise ConfigError(f"unknown sweep family {family!r}")
     if list(radii) != sorted(set(radii)) or not all(0.0 < r < 1.0 for r in radii):
         raise ConfigError("sweep radii must be strictly increasing inside (0, 1)")
     rng = _rng(config.seed, 200 if family == "remark2" else 201)
@@ -620,6 +622,7 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
                 f = geometry.Remark4Map(z[0], w_abs * w_dir, n=config.n)
             bundles[xi_abs, w_abs] = f, z, cauchy.partial_bundle(f, z, order)
     records = []
+    vectors: dict[bytes, list] = {}  # three points serve every record
     for k in range(1, order + 1):
         for xi_abs in (0.25, 0.5, 0.75):
             series = []
@@ -639,10 +642,10 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
                     lhs = bounds.lhs_quadratic(bundle[v], np.array([w_abs * w_dir]))
                     rhs = bounds.rhs_radial(v, t, q)
                     rep = bounds.BoundReport.build("5.3", lhs, rhs, {"z": z, "v": v})
-                predicted = sweep_prediction(family, k, xi_abs, w_abs)
+                predicted = sweep_prediction(k, xi_abs, w_abs)
                 series.append((w_abs, rep.ratio, predicted))
                 records.append(record_from_report(
-                    "sharpness", sample, rep,
+                    "sharpness", sample, rep, vectors,
                     family=family, w_abs=w_abs, xi_abs=xi_abs,
                     ratio_modulus=math.sqrt(rep.ratio), predicted=predicted,
                     predicted_modulus=math.sqrt(predicted)))

@@ -131,7 +131,7 @@ class PolyMap(HoloMap):
 
     kind = "poly"
 
-    def __init__(self, n, m, coeffs, max_degree=None, _root=None, _shift=None):
+    def __init__(self, n, m, coeffs, max_degree=None):
         self.n = int(n)
         self.m = int(m)
         table: dict[tuple[int, ...], np.ndarray] = {}
@@ -150,11 +150,7 @@ class PolyMap(HoloMap):
         # exponent matrix (one row per key, in key order) and coefficient matrix
         self.E = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.n)
         self.A = np.array(list(self.coeffs.values()), dtype=complex).reshape(-1, self.m)
-        # Root table + shift so that iterated differentiation applies one
-        # exact integer factor to the original coefficients (bitwise-stable).
-        self._root = self if _root is None else _root
-        self._shift = (0,) * self.n if _shift is None else _shift
-        self._shifted_rows: dict[tuple[int, ...], tuple] = {}
+        self._rows: dict[tuple[int, ...], tuple] = {}
 
     def _eval(self, z):
         return _poly_eval(self.E, self.A, z)
@@ -166,46 +162,31 @@ class PolyMap(HoloMap):
         """sum_alpha |a_alpha| (Euclidean norms); <= 1 certifies membership."""
         return float(sum(np.linalg.norm(c) for c in self.coeffs.values()))
 
-    def _shifted(self, alphas) -> list[tuple]:
+    def _partial_rows(self, alphas) -> list[tuple]:
         """Exponent and coefficient matrices of the order-alpha partial for each
-        alpha: the root rows with E >= shift + alpha, lowered by the total
-        shift and multiplied by one exact integer prod_j E_j!/(E_j - total_j)!
-        (Python ints) each.  The alphas not built yet are built together and
-        kept read-only on the map."""
+        alpha: the rows with E >= alpha, lowered by alpha and multiplied by one
+        exact integer prod_j E_j!/(E_j - alpha_j)! (Python ints) each.  The
+        alphas not built yet are built together and kept read-only on the map."""
         alphas = [mi.as_multiindex(a) for a in alphas]
         for a in alphas:
             if len(a) != self.n:
                 raise ValueError(f"derivative order {a} does not have dimension {self.n}")
-        missing = [a for a in dict.fromkeys(alphas) if a not in self._shifted_rows]
+        missing = [a for a in dict.fromkeys(alphas) if a not in self._rows]
         if missing:
-            root = self._root
-            totals = np.array(missing, dtype=np.int64).reshape(-1, self.n) + np.array(self._shift, dtype=np.int64)
-            which, rows = np.nonzero((root.E >= totals[:, None, :]).all(axis=2))
-            E, T = root.E[rows], totals[which]
-            perms = _perm_table(int(root.E.max(initial=0)))
+            shifts = np.array(missing, dtype=np.int64).reshape(-1, self.n)
+            which, rows = np.nonzero((self.E >= shifts[:, None, :]).all(axis=2))
+            E, T = self.E[rows], shifts[which]
+            perms = _perm_table(int(self.E.max(initial=0)))
             factors = perms[E[:, 0], T[:, 0]]
             for j in range(1, self.n):
                 factors = factors * perms[E[:, j], T[:, j]]
-            A = root.A[rows] * np.array(factors, dtype=float).reshape(-1, 1)
+            A = self.A[rows] * np.array(factors, dtype=float).reshape(-1, 1)
             E = E - T
             E.flags.writeable = A.flags.writeable = False
             edges = np.cumsum([0] + np.bincount(which, minlength=len(missing)).tolist()).tolist()
-            for a, total, lo, hi in zip(missing, totals.tolist(), edges, edges[1:]):
-                self._shifted_rows[a] = E[lo:hi], A[lo:hi], tuple(total)
-        return [self._shifted_rows[a] for a in alphas]
-
-    def partial(self, v) -> "PolyMap":
-        """Exact coefficient table of the order-v partial derivative.
-
-        The result coefficient at alpha is a_(alpha+v) * prod_j (alpha_j+v_j)!/alpha_j!.
-        Differentiation always resolves against the root table with a single
-        exact integer factor, so partial(v) then partial(w) reproduces
-        partial(v+w) bit for bit.
-        """
-        [(E, A, total)] = self._shifted([v])
-        return PolyMap(self.n, self.m, dict(zip(map(tuple, E.tolist()), A)),
-                       max_degree=max(0, self._root.max_degree - sum(total)),
-                       _root=self._root, _shift=total)
+            for a, lo, hi in zip(missing, edges, edges[1:]):
+                self._rows[a] = E[lo:hi], A[lo:hi]
+        return [self._rows[a] for a in alphas]
 
     def partial_value(self, z, v) -> np.ndarray:
         """Evaluate the exact order-v partial derivative at a single point z."""
@@ -219,7 +200,7 @@ class PolyMap(HoloMap):
         alpha then sums its own slice of shape (1, R) as `_poly_eval` does."""
         z = np.asarray(z, dtype=complex).reshape(self.n)
         check_inside_ball(z)
-        rows = [(E, A) for E, A, _ in self._shifted(alphas)]
+        rows = self._partial_rows(alphas)
         E = np.concatenate([self.E[:0]] + [E for E, _ in rows])
         mono = _monomials(_power_table(z[None, :], int(E.max()) if len(E) else 0), E)
         edges = np.cumsum([0] + [len(A) for _, A in rows]).tolist()
@@ -252,14 +233,6 @@ class PolyMap(HoloMap):
 
     def describe(self) -> str:
         return f"poly(n={self.n}, m={self.m}, deg={self.max_degree}, terms={len(self.coeffs)})"
-
-
-def identity_polymap(n: int) -> PolyMap:
-    coeffs = {}
-    for j in range(n):
-        alpha = tuple(1 if i == j else 0 for i in range(n))
-        coeffs[alpha] = np.eye(n)[j]
-    return PolyMap(n, n, coeffs)
 
 
 class ComposedMap(HoloMap):

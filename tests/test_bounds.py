@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from schwarzpick import bounds, cauchy, geometry
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import (ComposedMap, MapDomainError, PolyMap, hermitian_inner, identity_polymap,
-                                 random_polymap, sq_norm)
-from support import OpaqueMap
+from schwarzpick.holomap import ComposedMap, MapDomainError, PolyMap, hermitian_inner, random_polymap, sq_norm
+from support import OpaqueMap, aj_coefficients, identity_polymap, remark3_derivative
 
 
 def unit(rng, dim):
@@ -149,36 +148,36 @@ class TestRhsOrigin:
 
 class TestAjCoefficients:
     def test_disk_values_at_half(self):
-        got = bounds.aj_coefficients(2, 0.5)
+        got = aj_coefficients(2, 0.5)
         assert got.term_sum == pytest.approx(16.0 / 3.0, rel=1e-14)
         assert got.term_sum == pytest.approx(got.closed_form, rel=1e-14)
 
     def test_first_order_sum(self):
         for t in (0.0, 0.3, 0.8):
-            got = bounds.aj_coefficients(1, t)
+            got = aj_coefficients(1, t)
             assert got.term_sum == pytest.approx(1.0 / (1.0 - t * t), rel=1e-14)
 
     def test_center_keeps_only_top_term(self):
         for k in (1, 2, 3, 4):
-            got = bounds.aj_coefficients(k, 0.0)
+            got = aj_coefficients(k, 0.0)
             assert got.magnitudes[:-1] == tuple([0.0] * (k - 1))
             assert got.term_sum == pytest.approx(float(math.factorial(k)), rel=0)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_sum_identity(self, k):
         for t in np.arange(0.0, 0.91, 0.1):
-            got = bounds.aj_coefficients(k, float(t))
+            got = aj_coefficients(k, float(t))
             assert got.term_sum == pytest.approx(got.closed_form, rel=1e-12)
 
     def test_radial_variant_identity_and_value(self):
-        got = bounds.aj_coefficients(3, 0.5, variant="radial", v=(1, 2))
+        got = aj_coefficients(3, 0.5, variant="radial", v=(1, 2))
         assert got.orders == (0, 1)
         assert got.term_sum == pytest.approx(64.0 / 9.0, rel=1e-14)
         assert got.term_sum == pytest.approx(got.closed_form, rel=1e-12)
 
     def test_radial_variant_single_axis_matches_disk(self):
-        disk = bounds.aj_coefficients(3, 0.4)
-        radial = bounds.aj_coefficients(3, 0.4, variant="radial", v=(3,))
+        disk = aj_coefficients(3, 0.4)
+        radial = aj_coefficients(3, 0.4, variant="radial", v=(3,))
         assert radial.orders == disk.orders
         assert radial.magnitudes == pytest.approx(disk.magnitudes, rel=1e-14)
 
@@ -468,7 +467,7 @@ class TestRemarkRatioLaws:
             z = np.zeros(2, dtype=complex)
             z[0] = xi1
             dv = cauchy.partial_bundle(f, z, sum(v))[v]
-            display = geometry.remark3_derivative(xi1, w, v)
+            display = remark3_derivative(xi1, w, v)
             assert abs(dv[0] - display) <= 1e-8 * abs(display)
             ratio = bounds.lhs_quadratic(dv, f.eval(z[None, :])[0]) / bounds.rhs_radial(v, abs(xi1), 1.0 - abs(w) ** 2)
             assert ratio >= 2.0 ** (-2 * (sum(v) - 1)) - 1e-8

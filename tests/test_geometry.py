@@ -7,7 +7,7 @@ import pytest
 from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import ComposedMap, MapDomainError, random_polymap
-from support import jacobian
+from support import jacobian, remark2_derivative, remark3_derivative, remark4_derivative
 
 
 def unit(rng, dim):
@@ -244,7 +244,7 @@ class TestRemarkFamilies:
         w = 0.9 * np.array([0.6, 0.8j])
         f = geometry.Remark2Map(xi, w)
         quad = cauchy.partial_bundle(f, np.array([xi]), k)[(k,)]
-        closed = geometry.remark2_derivative(xi, w, k)
+        closed = remark2_derivative(xi, w, k)
         assert np.linalg.norm(quad - closed) <= 1e-8 * np.linalg.norm(closed)
 
     @pytest.mark.parametrize("v", [(1, 1), (2, 1), (1, 2), (2, 2)])
@@ -255,7 +255,7 @@ class TestRemarkFamilies:
         z = np.zeros(2, dtype=complex)
         z[0] = xi1
         quad = cauchy.partial_bundle(f, z, sum(v))[v][0]
-        closed = geometry.remark3_derivative(xi1, w, v)
+        closed = remark3_derivative(xi1, w, v)
         assert abs(quad - closed) <= 1e-8 * abs(closed)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -266,7 +266,7 @@ class TestRemarkFamilies:
         z = np.zeros(2, dtype=complex)
         z[0] = xi1
         quad = cauchy.partial_bundle(f, z, k)[(k, 0)][0]
-        closed = geometry.remark4_derivative(xi1, w, k)
+        closed = remark4_derivative(xi1, w, k)
         assert abs(abs(quad) - abs(closed)) <= 1e-8 * abs(closed)
         assert abs(quad - closed) <= 1e-8 * abs(closed)
 

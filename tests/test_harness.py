@@ -72,6 +72,13 @@ class TestConfigValidation:
         dict(suite="equality", n=3, m=2),
         dict(tol=float("nan")),
         dict(seed=-1),
+        dict(samples=2.5),
+        dict(n=2.0),
+        dict(k_max=2.5),
+        dict(seed=1.5),
+        dict(samples=True),
+        dict(m=np.int64(2)),
+        dict(degree="3"),
     ])
     def test_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -217,6 +224,14 @@ class TestSharpnessSweep:
             sharpness_sweep(cfg, "remark2", radii=(0.9, 0.5))
         with pytest.raises(ConfigError):
             sharpness_sweep(cfg, "remark2", radii=(0.9, 1.1))
+
+    def test_unknown_family_rejected_before_any_bundle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the family is checked before any derivative work")
+
+        monkeypatch.setattr(harness.cauchy, "partial_bundle", refuse)
+        with pytest.raises(ConfigError, match="bogus"):
+            sharpness_sweep(SuiteConfig(suite="sharpness"), "bogus")
 
 
 #: Floats whose JSON text is easy to get wrong: the non-finite ones, a signed

@@ -11,9 +11,9 @@ from schwarzpick.holomap import (
     MapDomainError,
     PolyMap,
     coefficient_checks,
-    identity_polymap,
     random_polymap,
 )
+from support import identity_polymap
 
 
 def linear_plus_square():
@@ -55,59 +55,45 @@ class TestEval:
 class TestPartial:
     def test_product_map(self):
         f = PolyMap(2, 1, {(1, 1): [1.0]})
-        d = f.partial((1, 1))
-        assert set(d.coeffs) == {(0, 0)}
-        assert d.coeffs[(0, 0)][0] == 1.0
+        for z in ([0.0, 0.0], [0.3 - 0.2j, 0.5j]):
+            assert f.partial_value(np.array(z), (1, 1))[0] == 1.0
+        assert f.partial_value(np.array([0.3 - 0.2j, 0.5j]), (1, 0))[0] == 0.5j
 
     def test_linear_plus_square(self):
-        d = linear_plus_square().partial((0, 2))
-        assert set(d.coeffs) == {(0, 0)}
-        assert d.coeffs[(0, 0)][0] == pytest.approx(2.0 / 3.0, abs=0)
+        f = linear_plus_square()
+        assert f.partial_value(np.array([0.4, -0.2j]), (0, 2))[0] == pytest.approx(2.0 / 3.0, abs=0)
+        assert f.partial_value(np.array([0.4, -0.2j]), (0, 1))[0] == pytest.approx(-0.4j / 3.0, rel=1e-15)
+        assert f.partial_value(np.array([0.4, -0.2j]), (1, 1))[0] == 0.0
 
     def test_zero_order_is_identity(self):
         f = random_polymap(2, 2, 3, seed=11)
-        d = f.partial((0, 0))
-        assert set(d.coeffs) == set(f.coeffs)
-        for alpha in f.coeffs:
-            assert np.array_equal(d.coeffs[alpha], f.coeffs[alpha])
-
-    def test_iterated_differentiation_is_bitwise_exact(self):
-        f = random_polymap(3, 2, 5, seed=23)
-        chained = f.partial((1, 0, 2)).partial((0, 1, 1))
-        direct = f.partial((1, 1, 3))
-        assert set(chained.coeffs) == set(direct.coeffs)
-        for alpha in direct.coeffs:
-            assert np.array_equal(chained.coeffs[alpha], direct.coeffs[alpha])
+        z = np.array([0.3 - 0.1j, 0.2 + 0.4j])
+        assert np.array_equal(f.partial_value(z, (0, 0)), f.eval(z[None])[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_partial_value_is_bitwise_the_table_value(self, n):
+        # the derivative's coefficient table, built here term by term:
+        # a_(alpha+v) prod_j (alpha_j+v_j)!/alpha_j! at alpha
         f = random_polymap(n, 2, 6, seed=40 + n)
         rng = np.random.default_rng(n)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z *= 0.7 / np.linalg.norm(z)
-        orders = mi.enumerate_up_to(n, 4)
-        for v in orders:
-            assert np.array_equal(f.partial_value(z, v), f.partial(v).eval(z[None])[0])
-        for u in orders:
-            du = f.partial(u)
-            for w in orders:
-                uw = tuple(a + b for a, b in zip(u, w))
-                assert np.array_equal(du.partial_value(z, w), f.partial_value(z, uw))
+        for v in mi.enumerate_up_to(n, 4):
+            table = {tuple(e - s for e, s in zip(alpha, v)):
+                     c * float(math.prod(math.perm(e, s) for e, s in zip(alpha, v)))
+                     for alpha, c in f.coeffs.items() if all(e >= s for e, s in zip(alpha, v))}
+            assert np.array_equal(f.partial_value(z, v), PolyMap(n, 2, table).eval(z[None])[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shifted_rows_built_together_are_bitwise_the_row_loop(self, n):
         f = random_polymap(n, 3, 6, seed=70 + n)
         orders = mi.enumerate_up_to(n, 5)
-        for g in (f, f.partial(orders[2])):
-            built = g._shifted(orders)
-            for alpha, (E, A, total) in zip(orders, built):
-                # one alpha at a time: keep, then one exact integer factor per row
-                want = tuple(s + a for s, a in zip(g._shift, alpha))
-                keep = np.all(f.E >= want, axis=1)
-                factors = [math.prod(math.perm(e, t) for e, t in zip(row, want)) for row in f.E[keep].tolist()]
-                assert total == want
-                assert E.tobytes() == (f.E[keep] - want).tobytes()
-                assert A.tobytes() == (f.A[keep] * np.array(factors, dtype=float).reshape(-1, 1)).tobytes()
+        for alpha, (E, A) in zip(orders, f._partial_rows(orders)):
+            # one alpha at a time: keep, then one exact integer factor per row
+            keep = np.all(f.E >= alpha, axis=1)
+            factors = [math.prod(math.perm(e, t) for e, t in zip(row, alpha)) for row in f.E[keep].tolist()]
+            assert E.tobytes() == (f.E[keep] - alpha).tobytes()
+            assert A.tobytes() == (f.A[keep] * np.array(factors, dtype=float).reshape(-1, 1)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_partial_values_share_one_power_table_bitwise(self, n):
@@ -117,13 +103,12 @@ class TestPartial:
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z *= 0.8 / np.linalg.norm(z)
         orders = mi.enumerate_up_to(n, 4)
-        for g in (f, f.partial(orders[1]), f.partial(orders[-1]).partial(orders[1])):
-            values = g.partial_values(z, orders)
-            for alpha, value in zip(orders, values):
-                assert np.array_equal(value, g.partial_value(z, alpha))
-                # the per-alpha power table the single-alpha evaluation once built
-                [(E, A, _)] = g._shifted([alpha])
-                assert np.array_equal(value, holomap._poly_eval(E, A, z[None, :])[0])
+        values = f.partial_values(z, orders)
+        for alpha, value in zip(orders, values):
+            assert np.array_equal(value, f.partial_value(z, alpha))
+            # the per-alpha power table the single-alpha evaluation once built
+            [(E, A)] = f._partial_rows([alpha])
+            assert np.array_equal(value, holomap._poly_eval(E, A, z[None, :])[0])
 
 
 class TestRandomPolymap:
