@@ -1,6 +1,6 @@
 """Right-hand-side bound formulas, the recurring left-hand quadratic form,
-and the inequality checks, which evaluate every request at a point in one
-batch.
+and the inequality checks, which evaluate a batch of requests as numpy
+columns.
 
 Inequality ids (aliases in parentheses) and their content:
 
@@ -20,6 +20,7 @@ Inequality ids (aliases in parentheses) and their content:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import cauchy, geometry
 from . import multiindex as mi
-from .holomap import HoloMap, MapDomainError, hermitian_inner, sq_norm
+from .holomap import HoloMap, MapDomainError, sq_norm
 
 _ALIASES = {"4.3": "1.4", "1.5": "5.1", "1.6": "5.2", "1.7": "5.3"}
 
@@ -68,27 +69,15 @@ def lhs_quadratic(value, fz) -> float:
     """
     value = np.asarray(value, dtype=complex).reshape(-1)
     fz = np.asarray(fz, dtype=complex).reshape(-1)
-    return _quadratic(value, np.conj(fz), 1.0 - float(sq_norm(fz)))
+    d2, ip = _moduli(value, np.conj(fz))
+    return float(_LHS["form"](d2, ip, 1.0 - float(sq_norm(fz)), None, None))
 
 
-def _pair(d, conj_fz) -> tuple[float, float]:
-    """|d|^2 and |<d, f(z)>| for conj_fz = conj(f(z))."""
-    return float(sq_norm(d)), abs(complex(np.add.reduce(d * conj_fz, axis=-1)))
-
-
-def _quadratic(d, conj_fz, q: float) -> float:
-    """lhs_quadratic(d, f(z)) for conj_fz = conj(f(z)) and q = 1-|f(z)|^2."""
-    d2, ip = _pair(d, conj_fz)
-    return ip * ip + q * d2
-
-
-def _direction(z, z2: float, beta) -> tuple[float, float]:
-    """The factors of rhs_main for the direction beta at z, for z2 = |z|^2:
-    1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2) and H_z(b,b)."""
-    b2 = float(sq_norm(beta))
-    ip = abs(complex(hermitian_inner(beta, z)))
-    pivot = math.sqrt((1.0 - z2) * b2 + ip * ip)
-    return 1.0 + ip / pivot, geometry.metric_form(1.0 - z2, b2, ip)
+def _moduli(d, conj_fz):
+    """|d|^2 and |<d, f(z)>| along the last axis, for conj_fz = conj(f(z)).
+    np.hypot rounds a modulus as abs(complex) does; np.abs does not."""
+    ip = np.add.reduce(d * conj_fz, axis=-1)
+    return sq_norm(d), np.hypot(ip.real, ip.imag)
 
 
 def rhs_main(k: int, lift: float, metric: float) -> float:
@@ -185,84 +174,27 @@ def rhs_origin(a0_abs: float) -> float:
     return (1.0 - a0_abs ** 2) ** 2
 
 
-class _Point:
-    """One derivative table and what every request reading it shares: f(z)
-    with |f(z)|^2 and |f(z)|; for a table at z also the scalars of z, each
-    direction's rhs_main factors and each directional derivative D_k.
-    Directions are keyed by their bytes, so equal directions share work."""
-
-    def __init__(self, table: dict, n: int, z=None):
-        self.table = table
-        self.n = n
-        self.fz = table[(0,) * n]
-        self.conj_fz = np.conj(self.fz)
-        self.fz2 = float(sq_norm(self.fz))
-        self.fz_norm = float(np.linalg.norm(self.fz))
-        # 1-|f(z)|^2 as the left-hand forms round it (from |f(z)|^2) and as
-        # the right-hand sides do (from |f(z)|); the two differ in the last bit
-        self.lhs_q = 1.0 - self.fz2
-        self.rhs_q = 1.0 - self.fz_norm ** 2
-        # every bound assumes f maps into the ball; NaN fails too
-        if not (self.fz2 < 1.0 and self.fz_norm < 1.0):
-            at = "0" if z is None else "z"
-            raise MapDomainError(f"f({at}) must lie strictly inside the unit ball (|f({at})| = {self.fz_norm:.6f})")
-        if z is not None:
-            self.z = z
-            self.z2 = float(sq_norm(z))
-            self.t = math.sqrt(self.z2)    # |z|, the t of rhs_partial
-            self.t1 = abs(complex(z[0]))   # |z_1|, the t of rhs_disk and rhs_radial
-            self.on_axis = not np.any(z[1:] != 0)
-        self._directions: dict[bytes, tuple[float, float]] = {}
-        self._frechet: dict[tuple[bytes, int], np.ndarray] = {}
-
-    def direction(self, beta) -> tuple[float, float]:
-        """rhs_main's factors for the direction beta at z."""
-        key = beta.tobytes()
-        if key not in self._directions:
-            self._directions[key] = _direction(self.z, self.z2, beta)
-        return self._directions[key]
-
-    def derivative(self, r: "_Request"):
-        """The derivative request r controls."""
-        kind = r.row.derivative
-        if kind == "D_k":
-            key = (r.beta.tobytes(), r.k)
-            if key not in self._frechet:
-                self._frechet[key] = cauchy.frechet_from_bundle(self.table, r.beta, r.k, self.n)
-            return self._frechet[key]
-        if kind == "slice":
-            return sum(self.table[a] * np.prod(r.beta ** np.array(a)) for a in r.indices)
-        return self.table[(r.k,) if kind == "d^k" else r.v]
+#: The left-hand forms over a batch's rows, of the columns |d|^2 and |<d, f(z)>|
+#: of each row's derivative d, q = 1-|f|^2 and q2 = q ** 2 as the left sides
+#: round them, and rq = 1-|f|^2 as the right sides round it.
+_LHS = {
+    "metric": lambda d2, ip, q, q2, rq: (q * d2 + ip * ip) / q2,  # H_f(z)(d, d)
+    "form": lambda d2, ip, q, q2, rq: ip * ip + q * d2,
+    "norm": lambda d2, ip, q, q2, rq: np.sqrt(d2),  # |d|: rounds as np.linalg.norm(d) for m = 1
+    "classical": lambda d2, ip, q, q2, rq: np.sqrt(d2) / rq,
+}
 
 
-def _metric(d, p: _Point) -> float:
-    """H_f(z)(d, d), the left side of the metric bounds."""
-    if not np.isfinite(d).all():
-        raise MapDomainError("derivative entries must be finite")
-    return geometry.metric_form(p.lhs_q, *_pair(d, p.conj_fz))
-
-
-def _form(d, p: _Point) -> float:
-    return _quadratic(d, p.conj_fz, p.lhs_q)
-
-
-def _norm(d, p: _Point) -> float:
-    return float(np.linalg.norm(d))
-
-
-def _classical(d, p: _Point) -> float:
-    return float(np.linalg.norm(d)) / p.rhs_q
-
-
-def _on_axis_radial(p: _Point, r: "_Request") -> float:
-    if not p.on_axis:
-        raise MapDomainError("the radial bound applies only on the z1-axis")
-    return rhs_radial(r.v, p.t1, p.rhs_q)
+# A derivative table and the scalars its rows share: f(z) (or a0), q, q2, rq
+# (the two roundings of 1-|f|^2 differ in the last bit), |f|, and for a table
+# at z also |z|, |z_1| and the lift and metric lists of rhs_main per direction.
+_Table = namedtuple("_Table", "table fz q q2 rq fz_norm t t1 lift metric", defaults=(None,) * 4)
 
 
 class _Bound(NamedTuple):
-    """One inequality id: the derivative it controls, its left-hand form
-    lhs(derivative, point) and its right-hand side rhs(point, request).
+    """One inequality id: the derivative it controls, the name of its
+    left-hand form in _LHS, and its right-hand side rhs(table, request,
+    direction index).
 
     derivative is one of
       d^k    f^(k)(z) for n = 1
@@ -273,147 +205,218 @@ class _Bound(NamedTuple):
     """
 
     derivative: str
-    lhs: Callable
+    lhs: str
     rhs: Callable
     k: int | None = None
     n1: bool = False
     m1: bool = False
+    axis: bool = False
+
+
+def _rhs_main(s: _Table, r, d: int) -> float:
+    return rhs_main(r.order, s.lift[d], s.metric[d])
 
 
 _BOUNDS = {
-    "1.1": _Bound("d^k", _classical, lambda p, r: math.sqrt(rhs_disk(r.k, p.t1, p.rhs_q)) / p.rhs_q,
+    "1.1": _Bound("d^k", "classical", lambda s, r, d: math.sqrt(rhs_disk(r.order, s.t1, s.rq)) / s.rq,
                   n1=True, m1=True),
-    "1.2": _Bound("d^v", _norm, lambda p, r: rhs_partial(r.v, p.t, p.rhs_q).benchmark_scalar, m1=True),
-    "1.3": _Bound("D_k", _metric, lambda p, r: rhs_main(r.k, *p.direction(r.beta)), k=1),
-    "1.4": _Bound("D_k", _metric, lambda p, r: rhs_main(r.k, *p.direction(r.beta))),
-    "3.1": _Bound("slice", _form, lambda p, r: rhs_origin(p.fz_norm)),
-    "3.2": _Bound("a_v", _form, lambda p, r: r.c.sharpness * rhs_origin(p.fz_norm)),
-    "4.1": _Bound("d^k", _form, lambda p, r: rhs_disk(r.k, p.t1, p.rhs_q), n1=True),
-    "5.1": _Bound("d^v", _form, lambda p, r: rhs_partial(r.v, p.t, p.rhs_q).squared),
-    "5.2": _Bound("d^v", _norm, lambda p, r: rhs_partial(r.v, p.t, p.rhs_q).scalar, m1=True),
-    "5.3": _Bound("d^v", _form, _on_axis_radial),
+    "1.2": _Bound("d^v", "norm", lambda s, r, d: rhs_partial(r.v, s.t, s.rq).benchmark_scalar, m1=True),
+    "1.3": _Bound("D_k", "metric", _rhs_main, k=1),
+    "1.4": _Bound("D_k", "metric", _rhs_main),
+    "3.1": _Bound("slice", "form", lambda s, r, d: rhs_origin(s.fz_norm)),
+    "3.2": _Bound("a_v", "form", lambda s, r, d: _constants(r.v).sharpness * rhs_origin(s.fz_norm)),
+    "4.1": _Bound("d^k", "form", lambda s, r, d: rhs_disk(r.order, s.t1, s.rq), n1=True),
+    "5.1": _Bound("d^v", "form", lambda s, r, d: rhs_partial(r.v, s.t, s.rq).squared),
+    "5.2": _Bound("d^v", "norm", lambda s, r, d: rhs_partial(r.v, s.t, s.rq).scalar, m1=True),
+    "5.3": _Bound("d^v", "form", lambda s, r, d: rhs_radial(r.v, s.t1, s.rq), axis=True),
 }
 
 INEQUALITY_IDS = tuple(_BOUNDS)
 
-
-class _Request(NamedTuple):
-    """One request with its context checked: the id, its table row, whether
-    it is an origin row, the direction, the order k (|v| for the rows that
-    read v), v with its constants, and the Taylor coefficients an origin row
-    reads."""
-
-    ineq: str
-    row: _Bound
-    origin: bool
-    beta: np.ndarray | None
-    k: int
-    v: tuple[int, ...] | None
-    c: _Constants | None
-    indices: list | None
+# A request's checked context less its direction: the id, its table row, k
+# (None when v is given), v, the order (k or |v|), and whether it reads the origin.
+_Request = namedtuple("_Request", "ineq row k v order origin")
+_CONTEXT = frozenset(("beta", "k", "v"))
 
 
-def _given(value, name: str, ineq: str):
-    if value is None:
-        raise ValueError(f"inequality {ineq} requires the argument {name}")
-    return value
-
-
-def _request(f: HoloMap, z, directions: dict, inequality: str, beta=None, k=None, v=None) -> _Request:
-    """Check one request's context; `directions` holds the checked
-    directions of the batch by their bytes."""
+@lru_cache(maxsize=4096)
+def _request(n: int, m: int, inequality: str, at_z: bool, with_beta: bool, k, v) -> _Request:
+    """Check a request's context for a map from C^n to C^m, once per distinct context."""
     ineq = normalize_inequality(inequality)
     row = _BOUNDS[ineq]
-    if row.n1 and f.n != 1:
+    if row.n1 and n != 1:
         raise ValueError(f"inequality {ineq} applies to one-variable maps")
-    if row.m1 and f.m != 1:
+    if row.m1 and m != 1:
         raise ValueError(f"inequality {ineq} applies to scalar-valued maps")
-    origin = row.derivative in ("slice", "a_v")
-    if not origin:
-        _given(z, "z", ineq)
-    if row.derivative in ("D_k", "slice"):
-        beta = np.asarray(_given(beta, "beta", ineq), dtype=complex).reshape(-1)
-        key = beta.tobytes()
-        if key not in directions:
-            directions[key] = geometry.as_direction(beta, f.n)
-        beta = directions[key]
-        if origin and abs(math.sqrt(float(sq_norm(beta))) - 1.0) > 1e-12:
-            raise MapDomainError("the origin slice bound requires a unit direction")
-    else:
-        beta = None
-    c = None
-    if row.derivative in ("d^v", "a_v"):
-        v = mi.as_multiindex(_given(v, "v", ineq))
-        if len(v) != f.n:
-            raise ValueError(f"multi-index {v} does not have dimension {f.n}")
-        c = _constants(v)
-        k = c.k
-    else:
-        v = None
-        k = int(row.k if row.k is not None else _given(k, "k", ineq))
-        if k < 1:
-            raise ValueError("order must be at least 1")
-    indices = None
-    if origin:
-        indices = mi.enumerate_indices(f.n, k) if v is None else [v]
-    return _Request(ineq, row, origin, beta, k, v, c, indices)
+    origin, reads_v = row.derivative in ("slice", "a_v"), row.derivative in ("d^v", "a_v")
+    for name, missing in (("z", not (origin or at_z)), ("beta", row.derivative in ("D_k", "slice") and not with_beta),
+                          ("v", reads_v and v is None), ("k", not reads_v and row.k is None and k is None)):
+        if missing:
+            raise ValueError(f"inequality {ineq} requires the argument {name}")
+    if reads_v:
+        v = mi.as_multiindex(v)
+        if len(v) != n:
+            raise ValueError(f"multi-index {v} does not have dimension {n}")
+        return _Request(ineq, row, None, v, _constants(v).k, origin)
+    k = int(row.k if row.k is not None else k)
+    if k < 1:
+        raise ValueError("order must be at least 1")
+    return _Request(ineq, row, k, None, k, origin)
 
 
-def _derivative(f: HoloMap, requests: list[_Request], z, bundle) -> list[_Point]:
-    """The derivative table each request reads, as one _Point per table.
+def _points(f: HoloMap, points) -> tuple[list[tuple], list[tuple], list]:
+    """Check every context of every (z, bundle, requests) point: one (_Request,
+    point, direction index or None) row per request; per point z, bundle and,
+    when a request reads z, |z|, |z_1| and rhs_main's factors by direction b,
+    H_z(b,b) and lift = 1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2), as
+    columns over the point's directions; and the checked directions."""
+    rows, pts, betas, lift, metric = [], [], [], {}, {}
+    for p, (z, bundle, requests) in enumerate(points):
+        first, start, directions = len(rows), len(betas), {}
+        for inequality, kwargs in requests:
+            if not kwargs.keys() <= _CONTEXT:
+                raise TypeError(f"unexpected request arguments {sorted(kwargs.keys() - _CONTEXT)}")
+            beta = kwargs.get("beta")
+            args = (f.n, f.m, inequality, z is not None, beta is not None, kwargs.get("k"), kwargs.get("v"))
+            try:
+                r = _request(*args)
+            except TypeError:  # an unhashable k or v
+                r = _request.__wrapped__(*args)
+            d = None
+            if r.row.derivative in ("D_k", "slice"):
+                beta = np.asarray(beta, dtype=complex).reshape(-1)
+                d = directions.setdefault(beta.tobytes(), len(betas))
+                if d == len(betas):
+                    betas.append(beta if beta.shape[0] == f.n else geometry.as_direction(beta, f.n))
+            rows.append((r, p, d))
+        if directions:
+            b = np.array(betas[start:])
+            b2 = sq_norm(b)
+            bad = ~(np.isfinite(b).all(axis=1) & (b2 != 0.0))
+            if bad.any():
+                geometry.as_direction(b[int(bad.argmax())], f.n)  # raises its error
+            unit = [d - start for r, _, d in rows[first:] if r.origin and d is not None]
+            if unit and (np.abs(np.sqrt(b2[unit]) - 1.0) > 1e-12).any():
+                raise MapDomainError("the origin slice bound requires a unit direction")
+        at_z = [r for r, _, _ in rows[first:] if not r.origin]
+        if at_z:
+            z = geometry.as_ball_point(z, f.n)
+            if (z[1:] != 0).any() and any(r.row.axis for r in at_z):
+                raise MapDomainError("the radial bound applies only on the z1-axis")
+            z2 = float(sq_norm(z))
+            if directions:
+                _, ip = _moduli(b, np.conj(z))
+                pivot = (1.0 - z2) * b2 + ip * ip
+                lift.update(enumerate((1.0 + ip / np.sqrt(pivot)).tolist(), start))
+                metric.update(enumerate((pivot / (1.0 - z2) ** 2).tolist(), start))
+        pts.append((z, bundle, (math.sqrt(z2), abs(complex(z[0])), lift, metric) if at_z else None))
+    return rows, pts, betas
 
-    Origin requests share one Taylor-coefficient lookup per derivative order;
-    the others share `bundle`, or else one partial bundle per order.  A slice
-    table's rounding depends on its order, so every request reads the numbers
-    it would read alone.
-    """
+
+def _table(table: dict, n: int, scalars) -> _Table:
+    fz = table[(0,) * n]
+    fz2 = float(sq_norm(fz))
+    fz_norm = float(np.linalg.norm(fz))
+    if not (fz2 < 1.0 and fz_norm < 1.0):  # every bound assumes f maps into the ball; NaN fails too
+        at = "0" if scalars is None else "z"
+        raise MapDomainError(f"f({at}) must lie strictly inside the unit ball (|f({at})| = {fz_norm:.6f})")
+    q = 1.0 - fz2  # q ** 2 is a float power: numpy's square of q rounds differently
+    return _Table(table, fz, q, q ** 2, 1.0 - fz_norm ** 2, fz_norm, *(scalars or ()))
+
+
+def _derivative(f: HoloMap, rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list, list, np.ndarray]:
+    """The tables the rows read, each row's table and every row's derivative,
+    as one (R, m) array.  Origin rows share one Taylor-coefficient lookup per
+    point and order, the others the point's bundle or else one partial bundle
+    per order: a slice table's rounding depends on its order, so every row
+    reads the numbers it would read alone.  The D_k (or slice) rows of one
+    order are one degree sum over their directions."""
     zero = (0,) * f.n
-    wanted: dict[int, dict] = {}
-    for r in requests:
+    wanted: dict[tuple, dict] = {}
+    for r, p, _ in rows:
         if r.origin:
-            wanted.setdefault(r.k, {zero: None}).update(dict.fromkeys(r.indices))
-    points: dict[tuple, _Point] = {}
-    out = []
-    for r in requests:
-        key = (r.origin, None if bundle is not None and not r.origin else r.k)
-        if key not in points:
+            indices = mi.enumerate_indices(f.n, r.order) if r.v is None else [r.v]
+            wanted.setdefault((p, r.order), {zero: None}).update(dict.fromkeys(indices))
+    groups: dict[tuple, int] = {}
+    orders: dict[tuple, list] = {}
+    tables, gs, reads = [], [], []
+    for i, (r, p, d) in enumerate(rows):
+        z, bundle, scalars = pts[p]
+        key = (p, r.origin, r.order if r.origin or bundle is None else None)
+        if key not in groups:
             if r.origin:
-                points[key] = _Point(cauchy.taylor_coefficients(f, list(wanted[r.k])), f.n)
+                table = cauchy.taylor_coefficients(f, list(wanted[p, r.order]))
             else:
-                table = bundle if bundle is not None else cauchy.partial_bundle(f, z, r.k)
-                points[key] = _Point(table, f.n, z)
-        out.append(points[key])
-    return out
+                table = bundle if bundle is not None else cauchy.partial_bundle(f, z, r.order)
+            groups[key] = len(tables)
+            tables.append(_table(table, f.n, None if r.origin else scalars))
+        gs.append(groups[key])
+        if d is None:
+            reads.append(i)
+        else:
+            orders.setdefault((r.origin, r.order), []).append(i)
+    out, betas = np.empty((len(rows), f.m), dtype=complex), np.array(betas)
+    if reads:  # d^k reads (k,), d^v and a_v read v
+        out[reads] = [tables[gs[i]].table[rows[i][0].v or (rows[i][0].k,)] for i in reads]
+    for (origin, k), idx in orders.items():
+        alphas = mi.enumerate_indices(f.n, k)
+        at = {g: j for j, g in enumerate(dict.fromkeys(gs[i] for i in idx))}
+        values = np.array([[tables[g].table[alpha] for alpha in alphas] for g in at])[[at[gs[i]] for i in idx]]
+        out[idx] = cauchy.degree_sum(values, betas[[rows[i][2] for i in idx]], k, f.n, weighted=not origin)
+        if not (origin or np.isfinite(out[idx]).all()):
+            raise MapDomainError("derivative entries must be finite")
+    return tables, gs, out
+
+
+#: A batch's reports as columns in request order: the id, the context (z or None at
+#: the origin, beta, k or None when v is given, v) and both sides, slack and ratio.
+Columns = namedtuple("Columns", "inequality z beta k v lhs rhs slack ratio")
+
+
+def check_columns(f: HoloMap, points) -> Columns:
+    """Evaluate the (id, kwargs) requests of every (z, bundle, requests) point
+    as one batch of columns; a `bundle` that is not None holds the partials of
+    f at z.  Every context is checked before any derivative work.  |d|^2,
+    |<d, f(z)>|, lhs, rhs, slack and ratio are float64 columns, and each
+    right-hand side is computed once per table, direction and k or v.  The
+    columns round as the scalar formulas do (see the README), so each row is
+    bitwise the report its request gets alone."""
+    rows, pts, betas = _points(f, points)
+    if not rows:
+        return Columns(*([] for _ in Columns._fields))
+    tables, gs, d = _derivative(f, rows, pts, betas)
+    g = np.array(gs)
+    d2, ip = _moduli(d, np.conj(np.array([t.fz for t in tables]))[g])
+    q, q2, rq = (np.array(column)[g] for column in zip(*((t.q, t.q2, t.rq) for t in tables)))
+    sides: dict[tuple, float] = {}
+    context = []
+    for (r, p, i), t in zip(rows, gs):
+        key = (r.row.rhs, t, r.order, r.v, i)
+        if key not in sides:
+            sides[key] = r.row.rhs(tables[t], r, i)
+        context.append((r.ineq, None if r.origin else pts[p][0], None if i is None else betas[i], r.k, r.v,
+                        sides[key]))
+    ids, zs, betas, ks, vs, rhs = zip(*context)
+    forms = [r.row.lhs for r, _, _ in rows]
+    lhs = np.empty(len(rows))
+    for form in dict.fromkeys(forms):
+        rows_of = np.array([other == form for other in forms])
+        lhs[rows_of] = _LHS[form](d2[rows_of], ip[rows_of], q[rows_of], q2[rows_of], rq[rows_of])
+    rhs = np.array(rhs)
+    ratio = np.divide(lhs, rhs, out=np.zeros(len(rows)), where=(lhs != 0.0) | (rhs != 0.0))
+    return Columns(ids, zs, betas, ks, vs, lhs.tolist(), rhs.tolist(), (rhs - lhs).tolist(), ratio.tolist())
 
 
 def check_requests(f: HoloMap, requests, *, z=None, bundle=None) -> list[BoundReport]:
-    """Evaluate (inequality, context) requests for a map and report both sides
-    of each, in request order.
-
-    Each request is an (id, kwargs) pair whose kwargs give the beta, k or v
-    the id needs; all requests share the point z and, when given, the
-    precomputed partial `bundle` of f at z.  Derivatives come from the exact
-    coefficient route for polynomial maps and from slice quadrature otherwise.
-    Every context is checked before any derivative work, and leaving out one
-    an id needs (z, beta, k or v) raises ValueError.  The requests share f(z),
-    the scalars of z, each direction's factors, each D_k and each v's
-    constants, computed once in the order a lone request computes them, so
-    every report is bitwise the one its request gets alone.
-    """
-    directions: dict[bytes, np.ndarray] = {}
-    reqs = [_request(f, z, directions, inequality, **kwargs) for inequality, kwargs in requests]
-    if not all(r.origin for r in reqs):
-        z = geometry.as_ball_point(z, f.n)
+    """Evaluate (inequality, context) requests for a map at one point and
+    report both sides of each, in request order: the `BoundReport` view of
+    `check_columns`.  Derivatives come from the exact coefficient route for
+    polynomial maps and from slice quadrature otherwise; leaving out a
+    context an id needs (z, beta, k or v) raises ValueError."""
     reports = []
-    for r, p in zip(reqs, _derivative(f, reqs, z, bundle)):
-        ctx = {} if r.origin else {"z": z}
-        if r.beta is not None:
-            ctx["beta"] = r.beta
-        if r.v is not None:
-            ctx["v"] = r.v
-        else:
-            ctx["k"] = r.k
-        reports.append(BoundReport.build(r.ineq, r.row.lhs(p.derivative(r), p), r.row.rhs(p, r), ctx))
+    for ineq, at, beta, k, v, lhs, rhs, slack, ratio in zip(*check_columns(f, [(z, bundle, requests)])):
+        context = {key: value for key, value in (("z", at), ("beta", beta), ("k", k), ("v", v)) if value is not None}
+        reports.append(BoundReport(ineq, lhs, rhs, slack, ratio, context))
     return reports
 
 

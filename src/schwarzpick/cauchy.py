@@ -125,13 +125,14 @@ def partial_bundle(f: HoloMap, z, max_order: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _degree_terms(n: int, k: int) -> tuple[tuple, tuple, np.ndarray]:
-    """The multi-indexes alpha of dimension n and degree k, their weights
-    |alpha|!/alpha! and their exponents as a read-only matrix, one row each."""
-    alphas = tuple(mi.enumerate_indices(n, k))
+def _degree_terms(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights |alpha|!/alpha! and the exponents of the multi-indexes
+    alpha of dimension n and degree k, one row each, as read-only arrays."""
+    alphas = mi.enumerate_indices(n, k)
+    weights = np.array([mi.multinomial_weight(alpha) for alpha in alphas], dtype=np.int64)
     exponents = np.array(alphas, dtype=np.int64).reshape(len(alphas), n)
-    exponents.flags.writeable = False
-    return alphas, tuple(mi.multinomial_weight(alpha) for alpha in alphas), exponents
+    weights.flags.writeable = exponents.flags.writeable = False
+    return weights, exponents
 
 
 def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
@@ -139,23 +140,33 @@ def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
 
     D_k(f, z, beta) = sum over |alpha| = k of (k!/alpha!) d^alpha f(z) beta^alpha.
     """
-    beta = np.asarray(beta, dtype=complex).reshape(n)
-    alphas, weights, exponents = _degree_terms(n, k)
-    acc = None
-    # a row's product is bitwise that of np.prod(beta ** alpha) for the row alone
-    for alpha, weight, power in zip(alphas, weights, np.multiply.reduce(beta ** exponents, axis=1)):
-        term = bundle[alpha] * (weight * power)
-        acc = term if acc is None else acc + term
+    return degree_sum(np.array([bundle[alpha] for alpha in mi.enumerate_indices(n, k)]), beta, k, n, weighted=True)
+
+
+def degree_sum(values, beta, k: int, n: int, weighted: bool = False) -> np.ndarray:
+    """sum over the j-th |alpha| = k of values[..., j, :] beta^alpha (times
+    |alpha|!/alpha! when `weighted`) for one direction beta or each row of a
+    stack; each power is bitwise np.prod(beta ** alpha) for its direction
+    alone, and the terms add in the order of alpha."""
+    beta = np.asarray(beta, dtype=complex)
+    if beta.ndim not in (1, 2) or beta.shape[-1] != n:
+        raise ValueError(f"expected directions in C^{n}, got shape {beta.shape}")
+    weights, exponents = _degree_terms(n, k)
+    powers = np.multiply.reduce(beta[..., None, :] ** exponents, axis=-1)
+    terms = values * (weights * powers if weighted else powers)[..., None]
+    acc = terms[..., 0, :]
+    for j in range(1, len(exponents)):
+        acc = acc + terms[..., j, :]
     return acc
 
 
 def line_derivative(f: HoloMap, z, beta, k: int) -> np.ndarray:
     """Order-k directional derivative via the one-variable restriction:
     the k-th derivative at 0 of lambda -> f(z + lambda beta), computed on a
-    single circle of NODES nodes at half the restriction radius.  A z that is
-    not a finite point of the domain ball raises MapDomainError, as in
-    `partial_bundle`."""
-    line = LineMap(f, geometry.as_ball_point(z, f.n), beta)
+    single circle of NODES nodes at half the restriction radius.  A z or beta
+    that is not a finite point of the domain ball or a finite non-zero
+    direction in C^n raises MapDomainError, as in the bound checks."""
+    line = LineMap(f, geometry.as_ball_point(z, f.n), geometry.as_direction(beta, f.n))
     if NODES < 2 * k + 2:
         raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {k}")
     rho = 0.5 * line.radius

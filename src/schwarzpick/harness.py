@@ -132,43 +132,23 @@ def _beta_set(rng, z: np.ndarray) -> list[np.ndarray]:
 # records and reports
 
 def _cvec(value, vectors: dict) -> list | None:
-    """The [[re, im], ...] list of a complex vector, built once per distinct
-    array in `vectors` (keyed by its bytes), so records that share a point or
-    a direction share one list."""
+    """The [[re, im], ...] list of a complex vector, built once per array in
+    `vectors`, which keys it by identity (the caller keeps every array alive),
+    so records that share a point or a direction share one list."""
     if value is None:
         return None
-    value = np.asarray(value, dtype=complex)
-    key = value.tobytes()
-    if key not in vectors:
-        vectors[key] = [[c.real, c.imag] for c in value.reshape(-1).tolist()]
-    return vectors[key]
+    if id(value) not in vectors:
+        vectors[id(value)] = [[c.real, c.imag] for c in np.asarray(value, dtype=complex).reshape(-1).tolist()]
+    return vectors[id(value)]
 
 
-def _k_or_v(context: dict) -> str:
-    if context.get("v") is not None:
-        return "v=" + ",".join(str(x) for x in context["v"])
-    if context.get("k") is not None:
-        return f"k={context['k']}"
-    return ""
+def _k_or_v(k, v) -> str:
+    return f"k={k}" if v is None else "v=" + ",".join(str(x) for x in v)
 
 
-def record_from_report(suite: str, sample: str, report: bounds.BoundReport, vectors: dict, **extra) -> dict:
-    """The report's record; `vectors` is the _cvec cache its batch shares."""
-    rec = {
-        "suite": suite,
-        "sample": sample,
-        "kind": "bound",
-        "inequality": report.inequality,
-        "k_or_v": _k_or_v(report.context),
-        "z": _cvec(report.context.get("z"), vectors),
-        "beta": _cvec(report.context.get("beta"), vectors),
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "ratio": report.ratio,
-    }
-    rec.update(extra)
-    return rec
+def _bound_record(suite, sample, inequality, k_or_v, z, beta, lhs, rhs, slack, ratio) -> dict:
+    return {"suite": suite, "sample": sample, "kind": "bound", "inequality": inequality, "k_or_v": k_or_v,
+            "z": z, "beta": beta, "lhs": lhs, "rhs": rhs, "slack": slack, "ratio": ratio}
 
 
 def certificate_record(suite: str, sample: str, name: str, measured: float, slack: float, **extra) -> dict:
@@ -438,17 +418,25 @@ def run_suite(config: SuiteConfig) -> Report:
     return _finalize(config, records, maps)
 
 
-def _records(config, sample, f, requests, z=None, bundle=None):
-    """One record per (inequality, kwargs) request, all at z and checked in one
-    batch that shares the partial `bundle` of f at z when given, and one
-    [[re, im], ...] list per point and per direction."""
-    vectors: dict[bytes, list] = {}
-    return [record_from_report(config.suite, sample, report, vectors)
-            for report in bounds.check_requests(f, requests, z=z, bundle=bundle)]
+def _records(config, sample, f, points):
+    """One record per (inequality, kwargs) request of every (z, bundle,
+    requests) point, zipped from one column batch (`bounds.check_columns`),
+    with one [[re, im], ...] list per point and per direction and one k_or_v
+    string per order."""
+    vectors: dict[int, list] = {}  # the columns hold every array
+    labels: dict = {}
+    out = []
+    for ineq, z, beta, k, v, lhs, rhs, slack, ratio in zip(*bounds.check_columns(f, points)):
+        order = k if v is None else v
+        if order not in labels:
+            labels[order] = _k_or_v(k, v)
+        out.append(_bound_record(config.suite, sample, ineq, labels[order], _cvec(z, vectors),
+                                 _cvec(beta, vectors), lhs, rhs, slack, ratio))
+    return out
 
 
 def _main_records(config, rng, sample, f):
-    out = []
+    points = []
     zs = [random_ball_point(rng, config.n, 0.9) for _ in range(2)]
     zs.append(random_unit_vector(rng, config.n) * rng.uniform(0.955, 0.99))
     for z in zs:
@@ -456,18 +444,15 @@ def _main_records(config, rng, sample, f):
         for beta in _beta_set(rng, z):
             requests.append(("1.3", {"beta": beta}))
             requests.extend(("1.4", {"beta": beta, "k": k}) for k in range(1, config.k_max + 1))
-        out.extend(_records(config, sample, f, requests, z, cauchy.partial_bundle(f, z, config.k_max)))
-    return out
+        points.append((z, cauchy.partial_bundle(f, z, config.k_max), requests))
+    return _records(config, sample, f, points)
 
 
 def _disk_records(config, rng, sample, f):
     requests = [(ineq, {"k": k}) for k in range(1, config.k_max + 1)
                 for ineq in expected_ids(config.suite, config.m)]
-    out = []
-    for _ in range(3):
-        z = random_ball_point(rng, 1, 0.9)
-        out.extend(_records(config, sample, f, requests, z, cauchy.partial_bundle(f, z, config.k_max)))
-    return out
+    zs = [random_ball_point(rng, 1, 0.9) for _ in range(3)]
+    return _records(config, sample, f, [(z, cauchy.partial_bundle(f, z, config.k_max), requests) for z in zs])
 
 
 def _partial_records(config, sample, f, ids, zs):
@@ -475,8 +460,7 @@ def _partial_records(config, sample, f, ids, zs):
     order = min(config.k_max, 4)
     orders = mi.enumerate_up_to(config.n, order, include_zero=False)
     requests = [(ineq, {"v": v}) for v in orders for ineq in ids]
-    return [rec for z in zs
-            for rec in _records(config, sample, f, requests, z, cauchy.partial_bundle(f, z, order))]
+    return _records(config, sample, f, [(z, cauchy.partial_bundle(f, z, order), requests) for z in zs])
 
 
 def _partials_records(config, rng, sample, f):
@@ -496,7 +480,7 @@ def _origin_records(config, rng, sample, f):
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     requests = [("3.1", {"beta": beta, "k": k}) for beta in betas for k in range(1, config.k_max + 1)]
     requests += [("3.2", {"v": v}) for v in orders]
-    return _records(config, sample, f, requests)
+    return _records(config, sample, f, [(None, None, requests)])
 
 
 def _extremal_origin(rng, m, a0_abs, v):
@@ -510,7 +494,7 @@ def _origin_extremal_records(config, rng, sample):
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     v = orders[int(rng.integers(len(orders)))]
     f = _extremal_origin(rng, config.m, float(rng.choice([0.0, 0.3, 0.7])), v)
-    return f, _records(config, sample, f, [("3.2", {"v": v})])
+    return f, _records(config, sample, f, [(None, None, [("3.2", {"v": v})])])
 
 
 #: Per-sample record builders of the polynomial sampling suites.
@@ -538,7 +522,7 @@ def equality_suite(config: SuiteConfig) -> Report:
             sample = f"ext-{idx:04d}"
             idx += 1
             maps[sample] = f = _extremal_origin(rng, config.m, a0_abs, v)
-            [rec] = _records(config, sample, f, [("3.2", {"v": v})])
+            [rec] = _records(config, sample, f, [(None, None, [("3.2", {"v": v})])])
             records.append(rec)
             records.append(certificate_record(
                 "equality", sample, "3.2-equality",
@@ -549,7 +533,7 @@ def equality_suite(config: SuiteConfig) -> Report:
     if config.n == 2:
         f = geometry.linear_plus_square_map()
         maps["remark-example"] = f
-        [rec] = _records(config, "remark-example", f, [("3.2", {"v": (1, 0)})])
+        [rec] = _records(config, "remark-example", f, [(None, None, [("3.2", {"v": (1, 0)})])])
         records.append(rec)
         records.append(certificate_record(
             "equality", "remark-example", "3.2-equality",
@@ -582,7 +566,7 @@ def equality_suite(config: SuiteConfig) -> Report:
         jac = geometry.jacobian_from_frame(xi, w0, frame)
         maps[sample] = f = geometry.ExtremalK1Map(xi, w0, jac)
         requests = [("1.3", {"beta": random_unit_vector(rng, config.n)}) for _ in range(50)]
-        recs = _records(config, sample, f, requests, xi, cauchy.partial_bundle(f, xi, 1))
+        recs = _records(config, sample, f, [(xi, cauchy.partial_bundle(f, xi, 1), requests)])
         worst = max(abs(r["slack"]) for r in recs)
         records.append(recs[-1])
         records.append(certificate_record(
@@ -622,7 +606,7 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
                 f = geometry.Remark4Map(z[0], w_abs * w_dir, n=config.n)
             bundles[xi_abs, w_abs] = f, z, cauchy.partial_bundle(f, z, order)
     records = []
-    vectors: dict[bytes, list] = {}  # three points serve every record
+    vectors: dict[int, list] = {}  # three points serve every record
     for k in range(1, order + 1):
         for xi_abs in (0.25, 0.5, 0.75):
             series = []
@@ -635,20 +619,19 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
                 t, q = abs(complex(z[0])), 1.0 - w_abs ** 2
                 if family == "remark2":
                     lhs = bounds.lhs_quadratic(bundle[(k,)], w_abs * w_dir)
-                    rhs = bounds.rhs_disk(k, t, q)
-                    rep = bounds.BoundReport.build("4.1", lhs, rhs, {"z": z, "k": k})
+                    rep = bounds.BoundReport.build("4.1", lhs, bounds.rhs_disk(k, t, q), {})
+                    v = None
                 else:
                     v = (k,) + (0,) * (config.n - 1)
                     lhs = bounds.lhs_quadratic(bundle[v], np.array([w_abs * w_dir]))
-                    rhs = bounds.rhs_radial(v, t, q)
-                    rep = bounds.BoundReport.build("5.3", lhs, rhs, {"z": z, "v": v})
+                    rep = bounds.BoundReport.build("5.3", lhs, bounds.rhs_radial(v, t, q), {})
                 predicted = sweep_prediction(k, xi_abs, w_abs)
                 series.append((w_abs, rep.ratio, predicted))
-                records.append(record_from_report(
-                    "sharpness", sample, rep, vectors,
-                    family=family, w_abs=w_abs, xi_abs=xi_abs,
-                    ratio_modulus=math.sqrt(rep.ratio), predicted=predicted,
-                    predicted_modulus=math.sqrt(predicted)))
+                records.append({**_bound_record("sharpness", sample, rep.inequality, _k_or_v(k, v),
+                                                _cvec(z, vectors), None, rep.lhs, rep.rhs, rep.slack, rep.ratio),
+                                "family": family, "w_abs": w_abs, "xi_abs": xi_abs,
+                                "ratio_modulus": math.sqrt(rep.ratio), "predicted": predicted,
+                                "predicted_modulus": math.sqrt(predicted)})
             ratios = [r for _, r, _ in series]
             mono_gap = min(b - a for a, b in zip(ratios, ratios[1:])) if len(ratios) > 1 else 0.0
             # nondecreasing up to quadrature noise (k = 1 series are constant)

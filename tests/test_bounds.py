@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schwarzpick import bounds, cauchy, geometry
+from schwarzpick import bounds, cauchy, geometry, harness
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import ComposedMap, MapDomainError, PolyMap, hermitian_inner, random_polymap, sq_norm
 from support import OpaqueMap, aj_coefficients, identity_polymap, remark3_derivative
@@ -308,19 +308,35 @@ class TestCheckInequality:
 
 
 def _requests(ineq, n, rng):
-    """Several contexts of one id, some sharing a direction or an order."""
+    """Several contexts of one id, some sharing a direction or an order; 1.3
+    and 1.4 come mixed in one batch."""
     def unit_direction():
         return unit(rng, n)
 
     orders = mi.enumerate_up_to(n, 3, include_zero=False)
     if ineq in ("1.3", "1.4"):
         betas = [unit_direction(), 2.0 * unit_direction(), np.eye(n)[0]]
-        return [(ineq, {"beta": b, "k": k}) for b in betas + betas[:1] for k in (1, 2, 3)]
+        other = "1.4" if ineq == "1.3" else "1.3"
+        return [(name, {"beta": b, "k": k}) for b in betas + betas[:1] for k in (1, 2, 3) for name in (ineq, other)]
     if ineq == "3.1":
         return [(ineq, {"beta": b, "k": k}) for b in (unit_direction(), np.eye(n)[-1]) for k in (1, 3, 2, 3)]
     if ineq in ("1.1", "4.1"):
         return [(ineq, {"k": k}) for k in (1, 2, 3, 2)]
     return [(ineq, {"v": v}) for v in orders + orders[:2]]
+
+
+def _points(ineq, n, rng):
+    """Points at |z| = 0.6, at a random |z| and at a random |z| in [0.99, 0.999],
+    on the z1-axis for 5.3."""
+    out = []
+    for radius in (0.6, rng.uniform(0.0, 0.99), rng.uniform(0.99, 0.999)):
+        z = np.zeros(n, dtype=complex)
+        if ineq == "5.3" or n == 1:
+            z[0] = radius * cmath.exp(2j * math.pi * rng.uniform())
+        else:
+            z = radius * unit(rng, n)
+        out.append(z)
+    return out
 
 
 def _same_report(a, b):
@@ -330,26 +346,41 @@ def _same_report(a, b):
         assert np.array_equal(value, b.context[key]) if key in ("z", "beta") else value == b.context[key]
 
 
+def _quadratic(d, fz):
+    """lhs_quadratic from scalars: |<d, f(z)>|^2 + (1-|f(z)|^2)|d|^2."""
+    ip = abs(complex(np.add.reduce(d * np.conj(fz))))
+    return ip * ip + (1.0 - float(sq_norm(fz))) * float(sq_norm(d))
+
+
+def _directional(bundle, beta, k, n):
+    """D_k as the term-by-term sum over alpha."""
+    acc = None
+    for alpha in mi.enumerate_indices(n, k):
+        term = bundle[alpha] * (mi.multinomial_weight(alpha) * np.prod(beta ** np.array(alpha)))
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def _reference(f, ineq, z, bundle, beta=None, k=None, v=None):
-    """(lhs, rhs) of one request from the public formulas, with |z| or |z_1|,
-    1-|f(z)|^2 (or |a0|) and the direction's factors derived here from z and
-    the bundle."""
+    """(lhs, rhs) of one request from scalar formulas, with |z| or |z_1|,
+    1-|f(z)|^2 (or |a0|), the direction's factors and D_k derived here from z
+    and the bundle."""
     zero = (0,) * f.n
     k = 1 if ineq == "1.3" else k
+    beta = None if beta is None else np.asarray(beta, dtype=complex)
     if ineq in ("3.1", "3.2"):
         indices = mi.enumerate_indices(f.n, k) if ineq == "3.1" else [v]
         coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
         a0 = coeffs[zero]
         a0_abs = float(np.linalg.norm(a0))
         if ineq == "3.1":
-            d = sum(coeffs[a] * np.prod(np.asarray(beta, dtype=complex) ** np.array(a)) for a in indices)
-            return bounds.lhs_quadratic(d, a0), bounds.rhs_origin(a0_abs)
-        return bounds.lhs_quadratic(coeffs[v], a0), mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
+            d = sum(coeffs[a] * np.prod(beta ** np.array(a)) for a in indices)
+            return _quadratic(d, a0), bounds.rhs_origin(a0_abs)
+        return _quadratic(coeffs[v], a0), mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
     fz = bundle[zero]
     q = 1.0 - float(np.linalg.norm(fz)) ** 2
     if ineq in ("1.3", "1.4"):
-        d = cauchy.frechet_from_bundle(bundle, beta, k, f.n)
-        beta = np.asarray(beta, dtype=complex)
+        d = _directional(bundle, beta, k, f.n)
         q_z, b2 = 1.0 - float(sq_norm(z)), float(sq_norm(beta))
         ip = abs(complex(hermitian_inner(beta, z)))
         lift = 1.0 + ip / math.sqrt(q_z * b2 + ip * ip)
@@ -361,10 +392,10 @@ def _reference(f, ineq, z, bundle, beta=None, k=None, v=None):
     return {
         "1.1": lambda: (norm / q, math.sqrt(bounds.rhs_disk(k, t1, q)) / q),
         "1.2": lambda: (norm, bounds.rhs_partial(v, t, q).benchmark_scalar),
-        "4.1": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_disk(k, t1, q)),
-        "5.1": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_partial(v, t, q).squared),
+        "4.1": lambda: (_quadratic(d, fz), bounds.rhs_disk(k, t1, q)),
+        "5.1": lambda: (_quadratic(d, fz), bounds.rhs_partial(v, t, q).squared),
         "5.2": lambda: (norm, bounds.rhs_partial(v, t, q).scalar),
-        "5.3": lambda: (bounds.lhs_quadratic(d, fz), bounds.rhs_radial(v, t1, q)),
+        "5.3": lambda: (_quadratic(d, fz), bounds.rhs_radial(v, t1, q)),
     }[ineq]()
 
 
@@ -372,26 +403,36 @@ class TestCheckRequests:
     @pytest.mark.parametrize("opaque", [False, True], ids=["poly", "slices"])
     @pytest.mark.parametrize("ineq", bounds.INEQUALITY_IDS)
     def test_batch_equals_single_requests(self, ineq, opaque):
+        # for m = 1..4, three points per map (one near the boundary) and batches that repeat
+        # a direction, an order or a v: each report of a one-point batch, and each row of one
+        # batch over all the points, is bitwise the lone request's report and the scalar oracle's
         row = bounds._BOUNDS[ineq]
         n = 1 if row.n1 else 2
-        f = random_polymap(n, 1 if row.m1 else 2, 4, seed=21)
-        f = OpaqueMap(f) if opaque else f
         rng = np.random.default_rng(22)
-        z = np.zeros(n, dtype=complex)
-        z[0] = 0.6 * cmath.exp(0.7j)
-        if ineq != "5.3" and n > 1:
-            z[1] = 0.2 - 0.3j
-        requests = _requests(ineq, n, rng)
-        for bundle in (None, cauchy.partial_bundle(f, z, 3)):
-            if bundle is not None and row.derivative in ("slice", "a_v"):
-                continue
-            batch = bounds.check_requests(f, requests, z=z, bundle=bundle)
-            assert len(batch) == len(requests)
-            for (name, kwargs), report in zip(requests, batch):
-                _same_report(report, bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs))
-                own = bundle if bundle is not None else cauchy.partial_bundle(f, z, report.context.get(
-                    "k", sum(report.context.get("v", ()))))
-                assert (report.lhs, report.rhs) == _reference(f, ineq, z, own, **kwargs)
+        for m in (1,) if row.m1 else (1, 2, 3, 4):
+            f = random_polymap(n, m, 4, seed=20 + m)
+            f = OpaqueMap(f) if opaque else f
+            origin = row.derivative in ("slice", "a_v")
+            for bundled in (False,) if origin else (False, True):
+                points = [(z, cauchy.partial_bundle(f, z, 3) if bundled else None, _requests(ineq, n, rng))
+                          for z in _points(ineq, n, rng)]
+                reports = []
+                for z, bundle, requests in points:
+                    batch = bounds.check_requests(f, requests, z=z, bundle=bundle)
+                    assert len(batch) == len(requests)
+                    for (name, kwargs), report in zip(requests, batch):
+                        _same_report(report, bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs))
+                        own = bundle if bundle is not None else cauchy.partial_bundle(f, z, report.context.get(
+                            "k", sum(report.context.get("v", ()))))
+                        assert (report.lhs, report.rhs) == _reference(f, name, z, own, **kwargs)
+                    reports += batch
+                for report, (name, *context, lhs, rhs, slack, ratio) in zip(
+                        reports, zip(*bounds.check_columns(f, points)), strict=True):
+                    assert (report.inequality, report.lhs, report.rhs, report.slack, report.ratio) == \
+                        (name, lhs, rhs, slack, ratio)
+                    for key, value in zip(("z", "beta", "k", "v"), context):
+                        assert (key in report.context) == (value is not None)
+                        assert value is None or np.array_equal(report.context[key], value)
 
     def test_context_checked_before_any_derivative_work(self, monkeypatch):
         def no_derivative(*args):
@@ -410,6 +451,94 @@ class TestCheckRequests:
         f = random_polymap(1, 2, 3, seed=14)
         with pytest.raises(ValueError, match="order must be at least 1|non-zero multi-index"):
             bounds.check_inequality(f, ineq, z=np.array([0.2]), **context)
+
+
+def _spread(rng, shape):
+    """Normal draws scaled across 16 decades, so every exponent range is hit."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
+def _parity(primitive, rng):
+    """(column result, scalar result) of one primitive on 10^4 seeded inputs."""
+    size = 10 ** 4
+    re, im = _spread(rng, size), _spread(rng, size)
+    if primitive == "hypot":
+        return np.hypot(re, im), [abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
+    if primitive == "sqrt":
+        x = np.abs(re)
+        return np.sqrt(x), [math.sqrt(a) for a in x.tolist()]
+    if primitive == "arithmetic":
+        a, b, c = re, im, _spread(rng, size)
+        column = (a * b + c) / b - a
+        return column, [(x * y + w) / y - x for x, y, w in zip(a.tolist(), b.tolist(), c.tolist())]
+    m = 1 + np.arange(size) % 4  # row lengths 1..4, each reduced as an (R, m) array
+    rows = [(re + 1j * im)[m == k].reshape(-1, 1)[: (m == k).sum() // k * k].reshape(-1, k) for k in (1, 2, 3, 4)]
+    if primitive == "add.reduce":
+        column = [np.add.reduce(x, axis=-1) for x in rows] + [np.add.reduce(x.real, axis=-1) for x in rows]
+        scalar = [[np.add.reduce(r) for r in x] for x in rows] + [[np.add.reduce(r) for r in x.real] for x in rows]
+        return np.concatenate(column), np.concatenate(scalar)
+    if primitive == "multiply":
+        other = [x[::-1] for x in rows]
+        return (np.concatenate([(x * y[0]).ravel() for x, y in zip(rows, other)]),
+                np.concatenate([(r * y[0]).ravel() for x, y in zip(rows, other) for r in x]))
+    if primitive == "power":
+        exps = [rng.integers(0, 6, size=x.shape) for x in rows]
+        return (np.concatenate([np.multiply.reduce(x ** e, axis=-1) for x, e in zip(rows, exps)]),
+                np.concatenate([[np.prod(r ** q) for r, q in zip(x, e)] for x, e in zip(rows, exps)]))
+    weights = rng.integers(1, 10 ** 4, size)  # "weights": an integer weight times a complex power
+    z = re + 1j * im
+    return weights * z, [int(w) * c for w, c in zip(weights.tolist(), z)]
+
+
+@pytest.mark.parametrize("primitive", ["hypot", "sqrt", "arithmetic", "add.reduce", "multiply", "power",
+                                       "weights"])
+def test_column_primitive_rounds_as_its_scalar_counterpart(primitive):
+    # the batch's columns are bitwise the lone request's scalars only while these hold; np.abs on
+    # complex values and array ** k (against float ** k) do not, which is why the columns avoid them
+    column, scalar = _parity(primitive, np.random.default_rng(61))
+    column, scalar = np.asarray(column), np.asarray(scalar)
+    assert column.shape == scalar.shape and column.size > 1000
+    assert column.tobytes() == scalar.tobytes(), f"{primitive} rounds differently in columns"
+
+
+class TestNonFiniteBundle:
+    """A bundle with one NaN partial, beside finite requests in the same batch."""
+
+    def setup_method(self):
+        self.f = random_polymap(2, 2, 3, seed=30)
+        self.z = np.array([0.3, 0.1j])
+        self.bundle = cauchy.partial_bundle(self.f, self.z, 2)
+        self.bundle[(1, 1)] = np.array([np.nan, 0.1 + 0.2j])
+
+    def test_directional_row_still_raises(self):
+        requests = [("5.1", {"v": (1, 0)}), ("1.4", {"beta": [1.0, 0.5j], "k": 1}),
+                    ("1.4", {"beta": [1.0, 0.5j], "k": 2})]
+        with pytest.raises(MapDomainError, match="derivative entries must be finite"):
+            bounds.check_requests(self.f, requests, z=self.z, bundle=self.bundle)
+
+    def test_partial_row_reports_nan_and_fails_the_sample(self):
+        requests = [("5.1", {"v": v}) for v in ((1, 0), (1, 1), (0, 2))] + [("1.4", {"beta": [1.0, 0.5j], "k": 1})]
+        reports = bounds.check_requests(self.f, requests, z=self.z, bundle=self.bundle)
+        assert [math.isnan(r.slack) for r in reports] == [False, True, False, False]
+        assert math.isnan(reports[1].lhs) and math.isnan(reports[1].ratio) and reports[1].rhs > 0
+        for (name, kwargs), report in zip(requests, reports):
+            alone = bounds.check_inequality(self.f, name, z=self.z, bundle=self.bundle, **kwargs)
+            assert np.array_equal([report.lhs, report.rhs, report.slack, report.ratio],
+                                  [alone.lhs, alone.rhs, alone.slack, alone.ratio], equal_nan=True)
+        config = harness.SuiteConfig(suite="partials", n=2, m=2)
+        records = harness._records(config, "poly-0000", self.f, [(self.z, self.bundle, requests)])
+        report = harness._finalize(config, records, {"poly-0000": self.f})
+        assert report.summary["failure_count"] == 1 and math.isnan(report.summary["min_slack"])
+        assert [failure["sample"] for failure in report.failures] == ["poly-0000"]
+
+    def test_both_sides_zero_give_zero_ratio(self):
+        # a direction of modulus 1e-100 underflows both sides of 1.4 at k >= 2 to zero
+        beta = 1e-100 * np.array([0.6, 0.8j])
+        requests = [("1.4", {"beta": beta, "k": k}) for k in (1, 2, 3)] + [("5.1", {"v": (2, 0)})]
+        reports = bounds.check_requests(self.f, requests, z=self.z)
+        assert [(r.lhs, r.rhs, r.ratio) for r in reports[1:3]] == [(0.0, 0.0, 0.0)] * 2
+        assert reports[0].ratio == reports[0].lhs / reports[0].rhs > 0.0
+        assert bounds.BoundReport.build("1.4", 0.0, 0.0, {}).ratio == 0.0
 
 
 class TestUniversalSoundness:

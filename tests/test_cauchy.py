@@ -140,6 +140,24 @@ class TestFrechetDerivative:
                     acc = term if acc is None else acc + term
                 assert cauchy.frechet_from_bundle(bundle, beta, k, n).tobytes() == acc.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_directions_are_bitwise_one_at_a_time(self, n):
+        # each row of a (D, n) stack, with its own values, sums as that row's direction does alone
+        rng = np.random.default_rng(50 + n)
+        for k in range(1, 6):
+            alphas = mi.enumerate_indices(n, k)
+            betas = np.array([sample_ball(rng, n, 2.0) for _ in range(5)] + [np.eye(n)[0]])
+            values = rng.standard_normal((len(betas), len(alphas), 3)) + 1j * rng.standard_normal(
+                (len(betas), len(alphas), 3))
+            for weighted in (False, True):
+                stacked = cauchy.degree_sum(values, betas, k, n, weighted=weighted)
+                for row, beta in enumerate(betas):
+                    alone = cauchy.degree_sum(values[row], beta, k, n, weighted=weighted)
+                    assert stacked[row].tobytes() == alone.tobytes()
+                    if weighted:
+                        bundle = dict(zip(alphas, values[row]))
+                        assert alone.tobytes() == cauchy.frechet_from_bundle(bundle, beta, k, n).tobytes()
+
     def test_routes_agree_and_gap_recorded(self):
         rng = np.random.default_rng(23)
         for seed in range(6):
@@ -273,3 +291,16 @@ def test_bad_point_raises_map_domain_error_on_both_routes(f, z):
         cauchy.partial_bundle(f, z, 2)
     with pytest.raises(MapDomainError):
         cauchy.line_derivative(f, z, np.array([1.0, 0.0]), 2)
+
+
+@pytest.mark.parametrize("beta, message", [([1.0, 0.0, 0.0], "expected a direction in C\\^2, got dimension 3"),
+                                           ([np.nan, 1.0], "direction entries must be finite"),
+                                           ([0.0, 0.0], "direction must be non-zero")],
+                         ids=["wrong-length", "nan", "zero"])
+def test_bad_direction_raises_the_direction_error_on_the_line_route(beta, message):
+    # before the check, a wrong length raised numpy's reshape error and a NaN a radius error
+    f = random_polymap(2, 2, 3, seed=1)
+    with pytest.raises(MapDomainError, match=f"^{message}$"):
+        cauchy.line_derivative(f, np.array([0.1, 0.2]), beta, 2)
+    with pytest.raises(MapDomainError, match=f"^{message}$"):
+        geometry.as_direction(beta, 2)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -49,12 +50,13 @@ def test_nan_makes_the_summary_nan_in_any_order(values):
 def test_reports_do_not_depend_on_how_requests_are_batched(monkeypatch, suite, n, m):
     cfg = SuiteConfig(suite=suite, n=n, m=m, seed=7, **SMALL)
     batched = run_suite(cfg).to_json()
-    check = bounds.check_requests
+    check = bounds.check_columns
 
-    def one_request_per_batch(f, requests, **kwargs):
-        return [report for request in requests for report in check(f, [request], **kwargs)]
+    def one_request_per_batch(f, points):
+        singles = [check(f, [(z, bundle, [request])]) for z, bundle, requests in points for request in requests]
+        return bounds.Columns(*(list(chain.from_iterable(column)) for column in zip(*singles)))
 
-    monkeypatch.setattr(harness.bounds, "check_requests", one_request_per_batch)
+    monkeypatch.setattr(harness.bounds, "check_columns", one_request_per_batch)
     assert run_suite(cfg).to_json() == batched
 
 
