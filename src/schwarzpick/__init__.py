@@ -2,7 +2,7 @@
 holomorphic maps between complex unit balls."""
 
 from . import bounds, cauchy, geometry, harness, multiindex
-from .bounds import BoundReport, check_inequality, check_requests, lhs_quadratic
+from .bounds import BoundReport, check_inequality
 from .geometry import (AutomorphismMap, ExtremalK1Map, ExtremalOriginMap, Remark2Map, Remark3Map,
                        Remark4Map, bergman_metric)
 from .harness import Report, SuiteConfig, equality_suite, run_suite, sharpness_sweep
@@ -28,11 +28,9 @@ __all__ = [
     "bounds",
     "cauchy",
     "check_inequality",
-    "check_requests",
     "equality_suite",
     "geometry",
     "harness",
-    "lhs_quadratic",
     "multiindex",
     "random_polymap",
     "run_suite",

@@ -1,6 +1,5 @@
-"""Right-hand-side bound formulas, the recurring left-hand quadratic form,
-and the inequality checks, which evaluate a batch of requests as numpy
-columns.
+"""Right-hand-side bound formulas and the inequality checks, which evaluate
+a batch of requests at points of one or more maps as numpy columns.
 
 Inequality ids (aliases in parentheses) and their content:
 
@@ -52,26 +51,6 @@ class BoundReport:
     ratio: float
     context: dict = field(default_factory=dict)
 
-    @staticmethod
-    def build(inequality: str, lhs: float, rhs: float, context: dict) -> "BoundReport":
-        lhs = float(lhs)
-        rhs = float(rhs)
-        ratio = 0.0 if (rhs == 0.0 and lhs == 0.0) else lhs / rhs
-        return BoundReport(inequality=inequality, lhs=lhs, rhs=rhs,
-                           slack=rhs - lhs, ratio=ratio, context=context)
-
-
-def lhs_quadratic(value, fz) -> float:
-    """|<D, f(z)>|^2 + (1-|f(z)|^2)|D|^2 - the form every quadratic bound controls.
-
-    Identically equal to (1-|f(z)|^2)^2 * H_f(z)(D, D), which ties the
-    coefficient bounds to the metric form of the order-k estimate.
-    """
-    value = np.asarray(value, dtype=complex).reshape(-1)
-    fz = np.asarray(fz, dtype=complex).reshape(-1)
-    d2, ip = _moduli(value, np.conj(fz))
-    return float(_LHS["form"](d2, ip, 1.0 - float(sq_norm(fz)), None, None))
-
 
 def _moduli(d, conj_fz):
     """|d|^2 and |<d, f(z)>| along the last axis, for conj_fz = conj(f(z)).
@@ -100,6 +79,7 @@ def rhs_disk(k: int, t: float, q: float) -> float:
 class _Constants(NamedTuple):
     """The combinatorial constants of a multi-index v that the bounds read."""
 
+    v: tuple[int, ...]  # v as a checked tuple
     k: int              # |v|
     sharpness: float    # |v|^|v| / v^v
     factorial: int      # v!
@@ -108,15 +88,24 @@ class _Constants(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def _constants(v: tuple[int, ...]) -> _Constants:
+def _cached_constants(v) -> _Constants:
+    v = mi.as_multiindex(v)
     k = sum(v)
     if k == 0:
         raise ValueError("v must be a non-zero multi-index")
     n = len(v)
     sharpness = mi.sharpness_factor(v)
     factorial = mi.multiindex_factorial(v)
-    return _Constants(k, sharpness, factorial, math.sqrt(sharpness) * factorial,
+    return _Constants(v, k, sharpness, factorial, math.sqrt(sharpness) * factorial,
                       (n ** (k / 2.0)) * math.factorial(k) * math.comb(n + k - 1, n - 1))
+
+
+def _constants(v) -> _Constants:
+    """The constants of v, which is checked once per distinct hashable v."""
+    try:
+        return _cached_constants(v)
+    except TypeError:  # an unhashable v, such as a list
+        return _cached_constants.__wrapped__(v)
 
 
 class PartialBounds(NamedTuple):
@@ -138,7 +127,7 @@ def rhs_partial(v, t: float, q: float) -> PartialBounds:
     The scalar bound never exceeds the benchmark: sqrt(|v|^|v|/v^v) <= n^(|v|/2),
     v! <= |v|! and the binomial is at least 1.
     """
-    c = _constants(mi.as_multiindex(v))
+    c = _constants(v)
     core = (1.0 + t) ** (c.k - 1) * q / (1.0 - t * t) ** c.k
     scalar = c.scalar * core
     return PartialBounds(squared=scalar * scalar, scalar=scalar, benchmark_scalar=c.benchmark * core)
@@ -147,9 +136,8 @@ def rhs_partial(v, t: float, q: float) -> PartialBounds:
 def mu_factor(v, z_abs: float) -> float:
     """Truncation of (1+t)^(|v|-1) to powers t^j with j <= v_1; the full
     binomial when v_1 = |v|."""
-    v = mi.as_multiindex(v)
-    k = sum(v)
-    return sum(math.comb(k - 1, l) * z_abs ** l for l in range(min(v[0], k - 1) + 1))
+    c = _constants(v)
+    return sum(math.comb(c.k - 1, l) * z_abs ** l for l in range(min(c.v[0], c.k - 1) + 1))
 
 
 def rhs_radial(v, t: float, q: float) -> float:
@@ -161,10 +149,9 @@ def rhs_radial(v, t: float, q: float) -> float:
     with mu the truncated binomial.  Coincides with the squared rhs_partial
     when v_1 = |v|.
     """
-    v = mi.as_multiindex(v)
     c = _constants(v)
-    core = c.factorial * mu_factor(v, t) * q
-    core /= (1.0 - t * t) ** ((v[0] + c.k) / 2.0)
+    core = c.factorial * mu_factor(c.v, t) * q
+    core /= (1.0 - t * t) ** ((c.v[0] + c.k) / 2.0)
     return c.sharpness * core * core
 
 
@@ -185,8 +172,9 @@ _LHS = {
 }
 
 
-# A derivative table and the scalars its rows share: f(z) (or a0), q, q2, rq
-# (the two roundings of 1-|f|^2 differ in the last bit), |f|, and for a table
+# A derivative table and the scalars its rows share: f(z) (a0 at the origin, w
+# at a pinned point), q, q2, rq (the two roundings of 1-|f|^2 differ in the last
+# bit; rq reads the pinned |w|), |f| (or the pinned |w|), and for a table
 # at z also |z|, |z_1| and the lift and metric lists of rhs_main per direction.
 _Table = namedtuple("_Table", "table fz q q2 rq fz_norm t t1 lift metric", defaults=(None,) * 4)
 
@@ -264,20 +252,44 @@ def _request(n: int, m: int, inequality: str, at_z: bool, with_beta: bool, k, v)
     return _Request(ineq, row, k, None, k, origin)
 
 
-def _points(f: HoloMap, points) -> tuple[list[tuple], list[tuple], list]:
-    """Check every context of every (z, bundle, requests) point: one (_Request,
-    point, direction index or None) row per request; per point z, bundle and,
-    when a request reads z, |z|, |z_1| and rhs_main's factors by direction b,
-    H_z(b,b) and lift = 1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2), as
-    columns over the point's directions; and the checked directions."""
+class Point(NamedTuple):
+    """One point of a `check_columns` batch.
+
+    f         the map; the maps of one batch share their (n, m)
+    z         the point, or None when every request reads the origin
+    bundle    the partials of f at z, or None to compute them
+    requests  (id, {"beta": ..., "k": ..., "v": ...}) pairs
+    pin       None, or (w, |w|) for a map pinned to f(z) = w: the left sides
+              read f(z) = w and the right sides 1-|w|^2 from the given |w|,
+              not from the norm of w, which may differ in the last bit
+    """
+
+    f: HoloMap
+    z: object
+    bundle: dict | None
+    requests: list
+    pin: tuple | None = None
+
+
+def _points(points) -> tuple[list[tuple], list[tuple], list]:
+    """Check that the maps share (n, m) and every context of every point: one
+    (_Request, point, direction index or None) row per request; per point f,
+    z, bundle, pin and, when a request reads z, |z|, |z_1| and rhs_main's
+    factors by direction b, H_z(b,b) and
+    lift = 1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2), as columns over
+    the point's directions; and the checked directions."""
     rows, pts, betas, lift, metric = [], [], [], {}, {}
-    for p, (z, bundle, requests) in enumerate(points):
+    for p, (f, z, bundle, requests, pin) in enumerate(points):
+        if p == 0:
+            n, m = f.n, f.m
+        elif (f.n, f.m) != (n, m):
+            raise ValueError(f"the maps of one batch must share (n, m) = ({n}, {m}); point {p} has ({f.n}, {f.m})")
         first, start, directions = len(rows), len(betas), {}
         for inequality, kwargs in requests:
             if not kwargs.keys() <= _CONTEXT:
                 raise TypeError(f"unexpected request arguments {sorted(kwargs.keys() - _CONTEXT)}")
             beta = kwargs.get("beta")
-            args = (f.n, f.m, inequality, z is not None, beta is not None, kwargs.get("k"), kwargs.get("v"))
+            args = (n, m, inequality, z is not None, beta is not None, kwargs.get("k"), kwargs.get("v"))
             try:
                 r = _request(*args)
             except TypeError:  # an unhashable k or v
@@ -287,20 +299,20 @@ def _points(f: HoloMap, points) -> tuple[list[tuple], list[tuple], list]:
                 beta = np.asarray(beta, dtype=complex).reshape(-1)
                 d = directions.setdefault(beta.tobytes(), len(betas))
                 if d == len(betas):
-                    betas.append(beta if beta.shape[0] == f.n else geometry.as_direction(beta, f.n))
+                    betas.append(beta if beta.shape[0] == n else geometry.as_direction(beta, n))
             rows.append((r, p, d))
         if directions:
             b = np.array(betas[start:])
             b2 = sq_norm(b)
             bad = ~(np.isfinite(b).all(axis=1) & (b2 != 0.0))
             if bad.any():
-                geometry.as_direction(b[int(bad.argmax())], f.n)  # raises its error
+                geometry.as_direction(b[int(bad.argmax())], n)  # raises its error
             unit = [d - start for r, _, d in rows[first:] if r.origin and d is not None]
             if unit and (np.abs(np.sqrt(b2[unit]) - 1.0) > 1e-12).any():
                 raise MapDomainError("the origin slice bound requires a unit direction")
         at_z = [r for r, _, _ in rows[first:] if not r.origin]
         if at_z:
-            z = geometry.as_ball_point(z, f.n)
+            z = geometry.as_ball_point(z, n)
             if (z[1:] != 0).any() and any(r.row.axis for r in at_z):
                 raise MapDomainError("the radial bound applies only on the z1-axis")
             z2 = float(sq_norm(z))
@@ -309,14 +321,17 @@ def _points(f: HoloMap, points) -> tuple[list[tuple], list[tuple], list]:
                 pivot = (1.0 - z2) * b2 + ip * ip
                 lift.update(enumerate((1.0 + ip / np.sqrt(pivot)).tolist(), start))
                 metric.update(enumerate((pivot / (1.0 - z2) ** 2).tolist(), start))
-        pts.append((z, bundle, (math.sqrt(z2), abs(complex(z[0])), lift, metric) if at_z else None))
+        pts.append((f, z, bundle, (math.sqrt(z2), abs(complex(z[0])), lift, metric) if at_z else None, pin))
     return rows, pts, betas
 
 
-def _table(table: dict, n: int, scalars) -> _Table:
-    fz = table[(0,) * n]
+def _table(table: dict, n: int, scalars, pin) -> _Table:
+    if pin is None:
+        fz = table[(0,) * n]
+        fz_norm = float(np.linalg.norm(fz))
+    else:
+        fz, fz_norm = pin
     fz2 = float(sq_norm(fz))
-    fz_norm = float(np.linalg.norm(fz))
     if not (fz2 < 1.0 and fz_norm < 1.0):  # every bound assumes f maps into the ball; NaN fails too
         at = "0" if scalars is None else "z"
         raise MapDomainError(f"f({at}) must lie strictly inside the unit ball (|f({at})| = {fz_norm:.6f})")
@@ -324,24 +339,25 @@ def _table(table: dict, n: int, scalars) -> _Table:
     return _Table(table, fz, q, q ** 2, 1.0 - fz_norm ** 2, fz_norm, *(scalars or ()))
 
 
-def _derivative(f: HoloMap, rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list, list, np.ndarray]:
+def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list, list, np.ndarray]:
     """The tables the rows read, each row's table and every row's derivative,
     as one (R, m) array.  Origin rows share one Taylor-coefficient lookup per
     point and order, the others the point's bundle or else one partial bundle
     per order: a slice table's rounding depends on its order, so every row
     reads the numbers it would read alone.  The D_k (or slice) rows of one
     order are one degree sum over their directions."""
-    zero = (0,) * f.n
+    n, m = pts[0][0].n, pts[0][0].m
+    zero = (0,) * n
     wanted: dict[tuple, dict] = {}
     for r, p, _ in rows:
         if r.origin:
-            indices = mi.enumerate_indices(f.n, r.order) if r.v is None else [r.v]
+            indices = mi.enumerate_indices(n, r.order) if r.v is None else [r.v]
             wanted.setdefault((p, r.order), {zero: None}).update(dict.fromkeys(indices))
     groups: dict[tuple, int] = {}
     orders: dict[tuple, list] = {}
     tables, gs, reads = [], [], []
     for i, (r, p, d) in enumerate(rows):
-        z, bundle, scalars = pts[p]
+        f, z, bundle, scalars, pin = pts[p]
         key = (p, r.origin, r.order if r.origin or bundle is None else None)
         if key not in groups:
             if r.origin:
@@ -349,20 +365,20 @@ def _derivative(f: HoloMap, rows: list[tuple], pts: list[tuple], betas: list) ->
             else:
                 table = bundle if bundle is not None else cauchy.partial_bundle(f, z, r.order)
             groups[key] = len(tables)
-            tables.append(_table(table, f.n, None if r.origin else scalars))
+            tables.append(_table(table, n, None if r.origin else scalars, pin))
         gs.append(groups[key])
         if d is None:
             reads.append(i)
         else:
             orders.setdefault((r.origin, r.order), []).append(i)
-    out, betas = np.empty((len(rows), f.m), dtype=complex), np.array(betas)
+    out, betas = np.empty((len(rows), m), dtype=complex), np.array(betas)
     if reads:  # d^k reads (k,), d^v and a_v read v
         out[reads] = [tables[gs[i]].table[rows[i][0].v or (rows[i][0].k,)] for i in reads]
     for (origin, k), idx in orders.items():
-        alphas = mi.enumerate_indices(f.n, k)
+        alphas = mi.enumerate_indices(n, k)
         at = {g: j for j, g in enumerate(dict.fromkeys(gs[i] for i in idx))}
         values = np.array([[tables[g].table[alpha] for alpha in alphas] for g in at])[[at[gs[i]] for i in idx]]
-        out[idx] = cauchy.degree_sum(values, betas[[rows[i][2] for i in idx]], k, f.n, weighted=not origin)
+        out[idx] = cauchy.degree_sum(values, betas[[rows[i][2] for i in idx]], k, n, weighted=not origin)
         if not (origin or np.isfinite(out[idx]).all()):
             raise MapDomainError("derivative entries must be finite")
     return tables, gs, out
@@ -373,18 +389,20 @@ def _derivative(f: HoloMap, rows: list[tuple], pts: list[tuple], betas: list) ->
 Columns = namedtuple("Columns", "inequality z beta k v lhs rhs slack ratio")
 
 
-def check_columns(f: HoloMap, points) -> Columns:
-    """Evaluate the (id, kwargs) requests of every (z, bundle, requests) point
-    as one batch of columns; a `bundle` that is not None holds the partials of
-    f at z.  Every context is checked before any derivative work.  |d|^2,
+def check_columns(points) -> Columns:
+    """Evaluate the requests of every `Point` as one batch of columns, in
+    request order.  Every map, point and context is checked before any
+    derivative work; leaving out a context an id needs (z, beta, k or v)
+    raises ValueError.  Derivatives come from the exact coefficient route
+    for polynomial maps and from slice quadrature otherwise.  |d|^2,
     |<d, f(z)>|, lhs, rhs, slack and ratio are float64 columns, and each
     right-hand side is computed once per table, direction and k or v.  The
     columns round as the scalar formulas do (see the README), so each row is
     bitwise the report its request gets alone."""
-    rows, pts, betas = _points(f, points)
+    rows, pts, betas = _points(points)
     if not rows:
         return Columns(*([] for _ in Columns._fields))
-    tables, gs, d = _derivative(f, rows, pts, betas)
+    tables, gs, d = _derivative(rows, pts, betas)
     g = np.array(gs)
     d2, ip = _moduli(d, np.conj(np.array([t.fz for t in tables]))[g])
     q, q2, rq = (np.array(column)[g] for column in zip(*((t.q, t.q2, t.rq) for t in tables)))
@@ -394,7 +412,7 @@ def check_columns(f: HoloMap, points) -> Columns:
         key = (r.row.rhs, t, r.order, r.v, i)
         if key not in sides:
             sides[key] = r.row.rhs(tables[t], r, i)
-        context.append((r.ineq, None if r.origin else pts[p][0], None if i is None else betas[i], r.k, r.v,
+        context.append((r.ineq, None if r.origin else pts[p][1], None if i is None else betas[i], r.k, r.v,
                         sides[key]))
     ids, zs, betas, ks, vs, rhs = zip(*context)
     forms = [r.row.lhs for r, _, _ in rows]
@@ -407,22 +425,11 @@ def check_columns(f: HoloMap, points) -> Columns:
     return Columns(ids, zs, betas, ks, vs, lhs.tolist(), rhs.tolist(), (rhs - lhs).tolist(), ratio.tolist())
 
 
-def check_requests(f: HoloMap, requests, *, z=None, bundle=None) -> list[BoundReport]:
-    """Evaluate (inequality, context) requests for a map at one point and
-    report both sides of each, in request order: the `BoundReport` view of
-    `check_columns`.  Derivatives come from the exact coefficient route for
-    polynomial maps and from slice quadrature otherwise; leaving out a
-    context an id needs (z, beta, k or v) raises ValueError."""
-    reports = []
-    for ineq, at, beta, k, v, lhs, rhs, slack, ratio in zip(*check_columns(f, [(z, bundle, requests)])):
-        context = {key: value for key, value in (("z", at), ("beta", beta), ("k", k), ("v", v)) if value is not None}
-        reports.append(BoundReport(ineq, lhs, rhs, slack, ratio, context))
-    return reports
-
-
 def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, v=None,
                      bundle=None) -> BoundReport:
     """Evaluate one inequality for a map at a single context and report both
-    sides: the one-request case of `check_requests`."""
-    [report] = check_requests(f, [(inequality, {"beta": beta, "k": k, "v": v})], z=z, bundle=bundle)
-    return report
+    sides: the one-request view of `check_columns`."""
+    [(ineq, at, beta, k, v, lhs, rhs, slack, ratio)] = zip(*check_columns(
+        [Point(f, z, bundle, [(inequality, {"beta": beta, "k": k, "v": v})])]))
+    context = {key: value for key, value in (("z", at), ("beta", beta), ("k", k), ("v", v)) if value is not None}
+    return BoundReport(ineq, lhs, rhs, slack, ratio, context)

@@ -47,12 +47,9 @@ def bergman_metric(z, beta) -> float:
     """
     z = as_ball_point(z)
     beta = as_direction(beta, z.shape[0], nonzero=False)
-    return metric_form(1.0 - float(sq_norm(z)), float(sq_norm(beta)), abs(complex(hermitian_inner(beta, z))))
-
-
-def metric_form(q: float, b2: float, ip: float) -> float:
-    """H_z(beta, beta) from q = 1-|z|^2, b2 = |beta|^2 and ip = |<beta,z>|."""
-    return (q * b2 + ip * ip) / q ** 2
+    q = 1.0 - float(sq_norm(z))
+    ip = abs(complex(hermitian_inner(beta, z)))
+    return (q * float(sq_norm(beta)) + ip * ip) / q ** 2
 
 
 def _projection_matrices(a: np.ndarray):

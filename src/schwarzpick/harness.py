@@ -388,18 +388,14 @@ def run_suite(config: SuiteConfig) -> Report:
     Suites `main`, `disk`, `partials`, `radial` and `origin` sample certified
     polynomial maps (plus ball automorphisms when n = m in `main`) and check
     the inequality ids assigned by the manifest.  `equality` and `sharpness`
-    delegate to their dedicated drivers.
+    raise ConfigError: `equality_suite` and `sharpness_sweep` run them.
     """
     validate_config(config)
-    if config.suite == "equality":
-        return equality_suite(config)
+    if config.suite not in _SAMPLE_RECORDS:
+        driver = "equality_suite" if config.suite == "equality" else "sharpness_sweep"
+        raise ConfigError(f"suite {config.suite!r} has its own driver; call {driver}")
     records: list[dict] = []
     maps: dict[str, object] = {}
-    if config.suite == "sharpness":
-        for family in ("remark2", "remark4"):
-            records.extend(_sweep_records(config, family, DEFAULT_SWEEP_RADII, maps))
-        return _finalize(config, records, maps)
-
     suite_code = SUITE_IDS.index(config.suite)
     for s in range(config.samples):
         rng = _rng(config.seed, suite_code, s)
@@ -420,13 +416,14 @@ def run_suite(config: SuiteConfig) -> Report:
 
 def _records(config, sample, f, points):
     """One record per (inequality, kwargs) request of every (z, bundle,
-    requests) point, zipped from one column batch (`bounds.check_columns`),
-    with one [[re, im], ...] list per point and per direction and one k_or_v
-    string per order."""
+    requests) point of the map f, zipped from one column batch
+    (`bounds.check_columns`), with one [[re, im], ...] list per point and per
+    direction and one k_or_v string per order."""
     vectors: dict[int, list] = {}  # the columns hold every array
     labels: dict = {}
     out = []
-    for ineq, z, beta, k, v, lhs, rhs, slack, ratio in zip(*bounds.check_columns(f, points)):
+    columns = bounds.check_columns([bounds.Point(f, *point) for point in points])
+    for ineq, z, beta, k, v, lhs, rhs, slack, ratio in zip(*columns):
         order = k if v is None else v
         if order not in labels:
             labels[order] = _k_or_v(k, v)
@@ -594,43 +591,40 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
     xi_phase = np.exp(2j * np.pi * rng.uniform())
     w_dir = random_unit_vector(rng, config.m) if family == "remark2" else np.exp(2j * np.pi * rng.uniform())
     order = min(config.k_max, 4)
-    # one partial bundle per (xi, |w|) serves every k
-    bundles = {}
-    for xi_abs in (0.25, 0.5, 0.75):
+    xis = (0.25, 0.5, 0.75)
+    # one point per (xi, |w|): one partial bundle serves every k.  The bounds take the
+    # pinned |f(xi)| = |w|, not norm(f(xi)): they differ in the last bit at a quarter of
+    # the points, which (1-|w|^2)^2 scales to 2e-11 relative in `ratio` at |w| = 0.99999,
+    # flipping `tight` flags
+    points = []
+    for xi_abs in xis:
         z = np.zeros(1 if family == "remark2" else config.n, dtype=complex)
         z[0] = xi_abs * xi_phase
         for w_abs in radii:
+            w = w_abs * w_dir
             if family == "remark2":
-                f = geometry.Remark2Map(z[0], w_abs * w_dir)
+                f = geometry.Remark2Map(z[0], w)
+                requests = [("4.1", {"k": k}) for k in range(1, order + 1)]
             else:
-                f = geometry.Remark4Map(z[0], w_abs * w_dir, n=config.n)
-            bundles[xi_abs, w_abs] = f, z, cauchy.partial_bundle(f, z, order)
+                f = geometry.Remark4Map(z[0], w, n=config.n)
+                requests = [("5.3", {"v": (k,) + (0,) * (config.n - 1)}) for k in range(1, order + 1)]
+            points.append(bounds.Point(f, z, cauchy.partial_bundle(f, z, order), requests,
+                                       (np.atleast_1d(w), w_abs)))
+    rows = list(zip(*bounds.check_columns(points)))  # the rows hold every z array
     records = []
-    vectors: dict[int, list] = {}  # three points serve every record
+    vectors: dict[int, list] = {}
     for k in range(1, order + 1):
-        for xi_abs in (0.25, 0.5, 0.75):
+        for i, xi_abs in enumerate(xis):
             series = []
             sample = f"{family}-k{k}-x{xi_abs:.2f}"
-            for w_abs in radii:
-                f, z, bundle = bundles[xi_abs, w_abs]
-                # the bound takes the pinned |f(xi)| = w_abs, not check_inequality's norm(f(xi)):
-                # they differ in the last bit at a quarter of the points, which (1-|w|^2)^2 scales
-                # to 2e-11 relative in `ratio` at |w| = 0.99999, flipping `tight` flags
-                t, q = abs(complex(z[0])), 1.0 - w_abs ** 2
-                if family == "remark2":
-                    lhs = bounds.lhs_quadratic(bundle[(k,)], w_abs * w_dir)
-                    rep = bounds.BoundReport.build("4.1", lhs, bounds.rhs_disk(k, t, q), {})
-                    v = None
-                else:
-                    v = (k,) + (0,) * (config.n - 1)
-                    lhs = bounds.lhs_quadratic(bundle[v], np.array([w_abs * w_dir]))
-                    rep = bounds.BoundReport.build("5.3", lhs, bounds.rhs_radial(v, t, q), {})
+            for j, w_abs in enumerate(radii):
+                ineq, z, _, row_k, v, lhs, rhs, slack, ratio = rows[(i * len(radii) + j) * order + k - 1]
                 predicted = sweep_prediction(k, xi_abs, w_abs)
-                series.append((w_abs, rep.ratio, predicted))
-                records.append({**_bound_record("sharpness", sample, rep.inequality, _k_or_v(k, v),
-                                                _cvec(z, vectors), None, rep.lhs, rep.rhs, rep.slack, rep.ratio),
+                series.append((w_abs, ratio, predicted))
+                records.append({**_bound_record("sharpness", sample, ineq, _k_or_v(row_k, v), _cvec(z, vectors),
+                                                None, lhs, rhs, slack, ratio),
                                 "family": family, "w_abs": w_abs, "xi_abs": xi_abs,
-                                "ratio_modulus": math.sqrt(rep.ratio), "predicted": predicted,
+                                "ratio_modulus": math.sqrt(ratio), "predicted": predicted,
                                 "predicted_modulus": math.sqrt(predicted)})
             ratios = [r for _, r, _ in series]
             mono_gap = min(b - a for a, b in zip(ratios, ratios[1:])) if len(ratios) > 1 else 0.0
@@ -638,7 +632,7 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
             records.append(certificate_record(
                 "sharpness", sample, "sweep-monotone", measured=mono_gap, slack=mono_gap + 1e-9,
                 family=family, xi_abs=xi_abs))
-            maps[sample] = f  # the map at the final |w|, the one sweep-final-ratio certifies
+            maps[sample] = points[(i + 1) * len(radii) - 1].f  # at the final |w|, which sweep-final-ratio certifies
             final_gap = ratios[-1] - (series[-1][2] - 1e-6)
             records.append(certificate_record(
                 "sharpness", sample, "sweep-final-ratio", measured=ratios[-1], slack=final_gap,

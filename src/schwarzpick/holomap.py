@@ -188,10 +188,6 @@ class PolyMap(HoloMap):
                 self._rows[a] = E[lo:hi], A[lo:hi]
         return [self._rows[a] for a in alphas]
 
-    def partial_value(self, z, v) -> np.ndarray:
-        """Evaluate the exact order-v partial derivative at a single point z."""
-        return self.partial_values(z, [v])[0]
-
     def partial_values(self, z, alphas) -> list[np.ndarray]:
         """Evaluate the exact order-alpha partial derivative at a single point z
         for each alpha in `alphas`, all from one power table of z.

@@ -8,7 +8,7 @@ import numpy as np
 
 from schwarzpick import bounds, cauchy
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import HoloMap, PolyMap
+from schwarzpick.holomap import HoloMap, PolyMap, sq_norm
 
 
 class OpaqueMap(HoloMap):
@@ -27,6 +27,16 @@ def jacobian(f, z) -> np.ndarray:
     from the order-1 partial bundle."""
     bundle = cauchy.partial_bundle(f, z, 1)
     return np.stack([bundle[e] for e in mi.enumerate_indices(f.n, 1)[::-1]], axis=1)
+
+
+def quadratic_form(d, fz) -> float:
+    """|<D, f(z)>|^2 + (1-|f(z)|^2)|D|^2 for D = d, the form every quadratic
+    bound (3.1, 3.2, 4.1, 5.1, 5.3) controls, from scalars.  It equals
+    (1-|f(z)|^2)^2 H_f(z)(D, D)."""
+    d = np.asarray(d, dtype=complex).reshape(-1)
+    fz = np.asarray(fz, dtype=complex).reshape(-1)
+    ip = abs(complex(np.add.reduce(d * np.conj(fz))))
+    return ip * ip + (1.0 - float(sq_norm(fz))) * float(sq_norm(d))
 
 
 def identity_polymap(n: int) -> PolyMap:

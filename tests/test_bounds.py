@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from schwarzpick import bounds, cauchy, geometry, harness
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import ComposedMap, MapDomainError, PolyMap, hermitian_inner, random_polymap, sq_norm
-from support import OpaqueMap, aj_coefficients, identity_polymap, remark3_derivative
+from support import OpaqueMap, aj_coefficients, identity_polymap, quadratic_form, remark3_derivative
 
 
 def unit(rng, dim):
@@ -21,16 +21,25 @@ def main_rhs(k, z, beta):
     return bounds.check_inequality(identity_polymap(len(z)), "1.4", z=z, beta=beta, k=k).rhs
 
 
+def form_lhs(d, fz):
+    """The quadratic left side of 4.1 for f(0) = fz and f'(0) = d, as
+    check_inequality reports it at z = 0."""
+    f = PolyMap(1, len(fz), {(0,): fz, (1,): d})
+    return bounds.check_inequality(f, "4.1", z=[0.0], k=1).lhs
+
+
 class TestLhsQuadratic:
+    """The left side |<D, f(z)>|^2 + (1-|f(z)|^2)|D|^2 of the quadratic bounds."""
+
     def test_center_at_origin(self):
         d = np.array([0.3, 0.4j])
-        assert bounds.lhs_quadratic(d, np.zeros(2)) == pytest.approx(0.25, rel=1e-14)
+        assert form_lhs(d, np.zeros(2)) == pytest.approx(0.25, rel=1e-14)
 
     def test_zero_derivative(self):
-        assert bounds.lhs_quadratic(np.zeros(2), np.array([0.5, 0.1])) == 0.0
+        assert form_lhs(np.zeros(2), np.array([0.5, 0.1])) == 0.0
 
     def test_scalar_example(self):
-        assert bounds.lhs_quadratic(np.array([1.0]), np.array([0.5])) == pytest.approx(1.0, rel=1e-15)
+        assert form_lhs(np.array([1.0]), np.array([0.5])) == pytest.approx(1.0, rel=1e-15)
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -38,7 +47,8 @@ class TestLhsQuadratic:
         rng = np.random.default_rng(seed)
         fz = 0.9 * unit(rng, m) * rng.uniform()
         d = 3.0 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        lhs = bounds.lhs_quadratic(d, fz)
+        lhs = form_lhs(d, fz)
+        assert lhs == quadratic_form(d, fz)
         scaled = (1.0 - np.linalg.norm(fz) ** 2) ** 2 * geometry.bergman_metric(fz, d)
         assert lhs == pytest.approx(scaled, rel=1e-12)
 
@@ -82,8 +92,10 @@ class TestRhsMain:
 class TestRhsDisk:
     def test_identity_map_first_order_equality(self):
         # the identity disk map attains the quadratic-form bound at k = 1
-        assert bounds.lhs_quadratic(np.array([1.0]), np.array([0.5])) == pytest.approx(
-            bounds.rhs_disk(1, 0.5, 1.0 - 0.5 ** 2), rel=1e-14)
+        rep = bounds.check_inequality(identity_polymap(1), "4.1", z=[0.5], k=1)
+        assert rep.lhs == pytest.approx(1.0, rel=1e-15)
+        assert rep.rhs == bounds.rhs_disk(1, 0.5, 1.0 - 0.5 ** 2)
+        assert rep.ratio == pytest.approx(1.0, rel=1e-14)
 
     def test_origin_value(self):
         assert bounds.rhs_disk(3, 0.0, 1.0) == pytest.approx(36.0, rel=0)
@@ -118,6 +130,23 @@ class TestRhsRadial:
             v = (k, 0)
             assert bounds.rhs_radial(v, 0.5, 1.0 - 0.2 ** 2) == pytest.approx(
                 bounds.rhs_partial(v, 0.5, 1.0 - 0.2 ** 2).squared, rel=1e-14)
+
+    @pytest.mark.parametrize("v", [(0, 0), (1, -1), (1.5, 1), (), [2, -1], "12", 3],
+                             ids=["zero", "negative", "fraction", "empty", "negative-list", "string", "int"])
+    def test_bad_multi_index_rejected(self, v):
+        # each public formula checks its v, whether or not an equal v was seen before
+        bounds.rhs_partial((1, 1), 0.5, 0.75)
+        for call in (lambda: bounds.rhs_partial(v, 0.5, 0.75), lambda: bounds.rhs_radial(v, 0.5, 0.75),
+                     lambda: bounds.mu_factor(v, 0.5)):
+            with pytest.raises((ValueError, TypeError)):
+                call()
+
+    def test_multi_index_of_any_int_sequence_accepted(self):
+        want = bounds.rhs_radial((2, 1), 0.5, 0.75)
+        for v in ([2, 1], np.array([2, 1]), (np.int64(2), 1), (2.0, 1)):
+            assert bounds.rhs_radial(v, 0.5, 0.75) == want
+            assert bounds.rhs_partial(v, 0.5, 0.75) == bounds.rhs_partial((2, 1), 0.5, 0.75)
+            assert bounds.mu_factor(v, 0.5) == bounds.mu_factor((2, 1), 0.5)
 
     def test_truncated_binomial(self):
         assert bounds.mu_factor((1, 2), 0.5) == pytest.approx(2.0, rel=0)
@@ -298,8 +327,10 @@ class TestCheckInequality:
             bounds.check_inequality(f, ineq, z=[0.2], **context)
 
     def test_ratio_convention_when_both_sides_vanish(self):
-        rep = bounds.BoundReport.build("1.4", 0.0, 0.0, {})
-        assert rep.ratio == 0.0
+        # a direction of modulus 1e-100 underflows both sides of 1.4 at k = 2 to zero
+        f = random_polymap(2, 2, 3, seed=30)
+        rep = bounds.check_inequality(f, "1.4", z=np.array([0.3, 0.1j]), beta=1e-100 * np.array([0.6, 0.8j]), k=2)
+        assert (rep.lhs, rep.rhs, rep.ratio) == (0.0, 0.0, 0.0)
 
     def test_constant_map_gives_zero_ratio(self):
         f = PolyMap(2, 2, {(0, 0): [0.2, 0.1j]})
@@ -339,17 +370,16 @@ def _points(ineq, n, rng):
     return out
 
 
-def _same_report(a, b):
-    assert (a.inequality, a.lhs, a.rhs, a.slack, a.ratio) == (b.inequality, b.lhs, b.rhs, b.slack, b.ratio)
-    assert a.context.keys() == b.context.keys()
-    for key, value in a.context.items():
-        assert np.array_equal(value, b.context[key]) if key in ("z", "beta") else value == b.context[key]
+def _report_row(report):
+    """A BoundReport as a column row: (id, z, beta, k, v, lhs, rhs, slack, ratio)."""
+    return (report.inequality, *(report.context.get(key) for key in ("z", "beta", "k", "v")),
+            report.lhs, report.rhs, report.slack, report.ratio)
 
 
-def _quadratic(d, fz):
-    """lhs_quadratic from scalars: |<d, f(z)>|^2 + (1-|f(z)|^2)|d|^2."""
-    ip = abs(complex(np.add.reduce(d * np.conj(fz))))
-    return ip * ip + (1.0 - float(sq_norm(fz))) * float(sq_norm(d))
+def _same_row(a, b):
+    assert a[:1] + a[3:] == b[:1] + b[3:]
+    for x, y in zip(a[1:3], b[1:3]):  # z and beta
+        assert (x is None) == (y is None) and (x is None or np.array_equal(x, y))
 
 
 def _directional(bundle, beta, k, n):
@@ -361,24 +391,23 @@ def _directional(bundle, beta, k, n):
     return acc
 
 
-def _reference(f, ineq, z, bundle, beta=None, k=None, v=None):
+def _reference(f, ineq, z, bundle, pin=None, beta=None, k=None, v=None):
     """(lhs, rhs) of one request from scalar formulas, with |z| or |z_1|,
     1-|f(z)|^2 (or |a0|), the direction's factors and D_k derived here from z
-    and the bundle."""
+    and the bundle; a pin (w, |w|) stands for f(z) (or a0) and its norm."""
     zero = (0,) * f.n
     k = 1 if ineq == "1.3" else k
     beta = None if beta is None else np.asarray(beta, dtype=complex)
     if ineq in ("3.1", "3.2"):
         indices = mi.enumerate_indices(f.n, k) if ineq == "3.1" else [v]
         coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
-        a0 = coeffs[zero]
-        a0_abs = float(np.linalg.norm(a0))
+        a0, a0_abs = pin or (coeffs[zero], float(np.linalg.norm(coeffs[zero])))
         if ineq == "3.1":
             d = sum(coeffs[a] * np.prod(beta ** np.array(a)) for a in indices)
-            return _quadratic(d, a0), bounds.rhs_origin(a0_abs)
-        return _quadratic(coeffs[v], a0), mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
-    fz = bundle[zero]
-    q = 1.0 - float(np.linalg.norm(fz)) ** 2
+            return quadratic_form(d, a0), bounds.rhs_origin(a0_abs)
+        return quadratic_form(coeffs[v], a0), mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
+    fz, fz_abs = pin or (bundle[zero], float(np.linalg.norm(bundle[zero])))
+    q = 1.0 - fz_abs ** 2
     if ineq in ("1.3", "1.4"):
         d = _directional(bundle, beta, k, f.n)
         q_z, b2 = 1.0 - float(sq_norm(z)), float(sq_norm(beta))
@@ -392,47 +421,53 @@ def _reference(f, ineq, z, bundle, beta=None, k=None, v=None):
     return {
         "1.1": lambda: (norm / q, math.sqrt(bounds.rhs_disk(k, t1, q)) / q),
         "1.2": lambda: (norm, bounds.rhs_partial(v, t, q).benchmark_scalar),
-        "4.1": lambda: (_quadratic(d, fz), bounds.rhs_disk(k, t1, q)),
-        "5.1": lambda: (_quadratic(d, fz), bounds.rhs_partial(v, t, q).squared),
+        "4.1": lambda: (quadratic_form(d, fz), bounds.rhs_disk(k, t1, q)),
+        "5.1": lambda: (quadratic_form(d, fz), bounds.rhs_partial(v, t, q).squared),
         "5.2": lambda: (norm, bounds.rhs_partial(v, t, q).scalar),
-        "5.3": lambda: (_quadratic(d, fz), bounds.rhs_radial(v, t1, q)),
+        "5.3": lambda: (quadratic_form(d, fz), bounds.rhs_radial(v, t1, q)),
     }[ineq]()
 
 
 class TestCheckRequests:
+    """Batches of requests through check_columns."""
+
     @pytest.mark.parametrize("opaque", [False, True], ids=["poly", "slices"])
     @pytest.mark.parametrize("ineq", bounds.INEQUALITY_IDS)
     def test_batch_equals_single_requests(self, ineq, opaque):
-        # for m = 1..4, three points per map (one near the boundary) and batches that repeat
-        # a direction, an order or a v: each report of a one-point batch, and each row of one
-        # batch over all the points, is bitwise the lone request's report and the scalar oracle's
+        # for m = 1..4, three points over two maps (one near the boundary) plus a pinned copy of
+        # the first, and batches that repeat a direction, an order or a v: each row of a one-point
+        # batch, and each row of one batch over all the points, is bitwise the lone request's row,
+        # check_inequality's report (unpinned points) and the scalar oracle's
         row = bounds._BOUNDS[ineq]
         n = 1 if row.n1 else 2
         rng = np.random.default_rng(22)
         for m in (1,) if row.m1 else (1, 2, 3, 4):
-            f = random_polymap(n, m, 4, seed=20 + m)
-            f = OpaqueMap(f) if opaque else f
+            maps = [random_polymap(n, m, 4, seed=20 + m), random_polymap(n, m, 3, seed=40 + m)]
+            maps = [OpaqueMap(f) for f in maps] if opaque else maps
             origin = row.derivative in ("slice", "a_v")
             for bundled in (False,) if origin else (False, True):
-                points = [(z, cauchy.partial_bundle(f, z, 3) if bundled else None, _requests(ineq, n, rng))
-                          for z in _points(ineq, n, rng)]
-                reports = []
-                for z, bundle, requests in points:
-                    batch = bounds.check_requests(f, requests, z=z, bundle=bundle)
+                points = []
+                for i, z in enumerate(_points(ineq, n, rng)):
+                    f = maps[i % 2]
+                    points.append(bounds.Point(f, z, cauchy.partial_bundle(f, z, 3) if bundled else None,
+                                               _requests(ineq, n, rng)))
+                points.append(points[0]._replace(pin=(0.7 * unit(rng, m), 0.7)))
+                rows = []
+                for f, z, bundle, requests, pin in points:
+                    batch = list(zip(*bounds.check_columns([bounds.Point(f, z, bundle, requests, pin)])))
                     assert len(batch) == len(requests)
-                    for (name, kwargs), report in zip(requests, batch):
-                        _same_report(report, bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs))
-                        own = bundle if bundle is not None else cauchy.partial_bundle(f, z, report.context.get(
-                            "k", sum(report.context.get("v", ()))))
-                        assert (report.lhs, report.rhs) == _reference(f, name, z, own, **kwargs)
-                    reports += batch
-                for report, (name, *context, lhs, rhs, slack, ratio) in zip(
-                        reports, zip(*bounds.check_columns(f, points)), strict=True):
-                    assert (report.inequality, report.lhs, report.rhs, report.slack, report.ratio) == \
-                        (name, lhs, rhs, slack, ratio)
-                    for key, value in zip(("z", "beta", "k", "v"), context):
-                        assert (key in report.context) == (value is not None)
-                        assert value is None or np.array_equal(report.context[key], value)
+                    for (name, kwargs), got in zip(requests, batch):
+                        [alone] = zip(*bounds.check_columns([bounds.Point(f, z, bundle, [(name, kwargs)], pin)]))
+                        _same_row(got, alone)
+                        if pin is None:
+                            report = bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs)
+                            _same_row(got, _report_row(report))
+                        order = got[3] or sum(got[4])
+                        own = bundle if bundle is not None else cauchy.partial_bundle(f, z, order)
+                        assert tuple(got[5:7]) == _reference(f, name, z, own, pin, **kwargs)
+                    rows += batch
+                for got, want in zip(zip(*bounds.check_columns(points)), rows, strict=True):
+                    _same_row(got, want)
 
     def test_context_checked_before_any_derivative_work(self, monkeypatch):
         def no_derivative(*args):
@@ -443,7 +478,19 @@ class TestCheckRequests:
         requests = [("1.4", {"beta": np.array([1.0, 0.0]), "k": 2}), ("5.1", {"v": (1, 1)}),
                     ("5.1", {"v": (1, 0, 0)})]
         with pytest.raises(ValueError, match="does not have dimension 2"):
-            bounds.check_requests(f, requests, z=np.array([0.3, 0.1j]))
+            bounds.check_columns([bounds.Point(f, np.array([0.3, 0.1j]), None, requests)])
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (2, 1)], ids=["n", "m"])
+    def test_maps_of_one_batch_share_n_and_m(self, monkeypatch, n, m):
+        def no_derivative(*args):
+            raise AssertionError("derivative work started before every map was checked")
+
+        monkeypatch.setattr(bounds, "_derivative", no_derivative)
+        f, g = random_polymap(2, 2, 3, seed=12), random_polymap(n, m, 3, seed=13)
+        points = [bounds.Point(f, np.array([0.3, 0.1j]), None, [("5.1", {"v": (1, 0)})]),
+                  bounds.Point(g, np.zeros(n), None, [("5.1", {"v": (1,) + (0,) * (n - 1)})])]
+        with pytest.raises(ValueError, match=rf"share \(n, m\) = \(2, 2\); point 1 has \({n}, {m}\)"):
+            bounds.check_columns(points)
 
     @pytest.mark.parametrize("ineq, context", [("4.1", {"k": 0}), ("1.4", {"beta": [1.0], "k": 0}),
                                                ("5.1", {"v": (0,)})])
@@ -514,17 +561,16 @@ class TestNonFiniteBundle:
         requests = [("5.1", {"v": (1, 0)}), ("1.4", {"beta": [1.0, 0.5j], "k": 1}),
                     ("1.4", {"beta": [1.0, 0.5j], "k": 2})]
         with pytest.raises(MapDomainError, match="derivative entries must be finite"):
-            bounds.check_requests(self.f, requests, z=self.z, bundle=self.bundle)
+            bounds.check_columns([bounds.Point(self.f, self.z, self.bundle, requests)])
 
     def test_partial_row_reports_nan_and_fails_the_sample(self):
         requests = [("5.1", {"v": v}) for v in ((1, 0), (1, 1), (0, 2))] + [("1.4", {"beta": [1.0, 0.5j], "k": 1})]
-        reports = bounds.check_requests(self.f, requests, z=self.z, bundle=self.bundle)
-        assert [math.isnan(r.slack) for r in reports] == [False, True, False, False]
-        assert math.isnan(reports[1].lhs) and math.isnan(reports[1].ratio) and reports[1].rhs > 0
-        for (name, kwargs), report in zip(requests, reports):
+        columns = bounds.check_columns([bounds.Point(self.f, self.z, self.bundle, requests)])
+        assert [math.isnan(slack) for slack in columns.slack] == [False, True, False, False]
+        assert math.isnan(columns.lhs[1]) and math.isnan(columns.ratio[1]) and columns.rhs[1] > 0
+        for (name, kwargs), *sides in zip(requests, columns.lhs, columns.rhs, columns.slack, columns.ratio):
             alone = bounds.check_inequality(self.f, name, z=self.z, bundle=self.bundle, **kwargs)
-            assert np.array_equal([report.lhs, report.rhs, report.slack, report.ratio],
-                                  [alone.lhs, alone.rhs, alone.slack, alone.ratio], equal_nan=True)
+            assert np.array_equal(sides, [alone.lhs, alone.rhs, alone.slack, alone.ratio], equal_nan=True)
         config = harness.SuiteConfig(suite="partials", n=2, m=2)
         records = harness._records(config, "poly-0000", self.f, [(self.z, self.bundle, requests)])
         report = harness._finalize(config, records, {"poly-0000": self.f})
@@ -535,10 +581,9 @@ class TestNonFiniteBundle:
         # a direction of modulus 1e-100 underflows both sides of 1.4 at k >= 2 to zero
         beta = 1e-100 * np.array([0.6, 0.8j])
         requests = [("1.4", {"beta": beta, "k": k}) for k in (1, 2, 3)] + [("5.1", {"v": (2, 0)})]
-        reports = bounds.check_requests(self.f, requests, z=self.z)
-        assert [(r.lhs, r.rhs, r.ratio) for r in reports[1:3]] == [(0.0, 0.0, 0.0)] * 2
-        assert reports[0].ratio == reports[0].lhs / reports[0].rhs > 0.0
-        assert bounds.BoundReport.build("1.4", 0.0, 0.0, {}).ratio == 0.0
+        columns = bounds.check_columns([bounds.Point(self.f, self.z, None, requests)])
+        assert list(zip(columns.lhs, columns.rhs, columns.ratio))[1:3] == [(0.0, 0.0, 0.0)] * 2
+        assert columns.ratio[0] == columns.lhs[0] / columns.rhs[0] > 0.0
 
 
 class TestUniversalSoundness:
@@ -584,7 +629,7 @@ class TestRemarkRatioLaws:
             for w_abs in (0.5, 0.9):
                 f = geometry.Remark2Map(xi, w_abs * w_dir)
                 dk = cauchy.partial_bundle(f, np.array([xi]), k)[(k,)]
-                ratio = bounds.lhs_quadratic(dk, w_abs * w_dir) / bounds.rhs_disk(k, abs(xi), 1.0 - w_abs ** 2)
+                ratio = quadratic_form(dk, w_abs * w_dir) / bounds.rhs_disk(k, abs(xi), 1.0 - w_abs ** 2)
                 predicted = ((w_abs + abs(xi)) / (1.0 + abs(xi))) ** (2 * (k - 1))
                 assert ratio == pytest.approx(predicted, abs=1e-8)
 
@@ -598,7 +643,7 @@ class TestRemarkRatioLaws:
             dv = cauchy.partial_bundle(f, z, sum(v))[v]
             display = remark3_derivative(xi1, w, v)
             assert abs(dv[0] - display) <= 1e-8 * abs(display)
-            ratio = bounds.lhs_quadratic(dv, f.eval(z[None, :])[0]) / bounds.rhs_radial(v, abs(xi1), 1.0 - abs(w) ** 2)
+            ratio = quadratic_form(dv, f.eval(z[None, :])[0]) / bounds.rhs_radial(v, abs(xi1), 1.0 - abs(w) ** 2)
             assert ratio >= 2.0 ** (-2 * (sum(v) - 1)) - 1e-8
             assert ratio == pytest.approx(1.0 / bounds.mu_factor(v, abs(xi1)) ** 2, rel=1e-9)
 

@@ -31,6 +31,14 @@ def dumps(report: Report) -> str:
     return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
 
 
+def reports(config: SuiteConfig) -> list[Report]:
+    """The reports of the config's suite from its driver, one per family for
+    the sharpness sweeps."""
+    if config.suite == "sharpness":
+        return [sharpness_sweep(config, family) for family in ("remark2", "remark4")]
+    return [equality_suite(config) if config.suite == "equality" else run_suite(config)]
+
+
 def test_non_finite_slack_counts_as_failure():
     records = [{"kind": "bound", "slack": s, "ratio": 0.5} for s in (1.0, np.nan, -np.inf, np.inf)]
     records.append({"kind": "certificate", "slack": np.nan, "ratio": 1.0})
@@ -46,18 +54,19 @@ def test_nan_makes_the_summary_nan_in_any_order(values):
 
 
 @pytest.mark.parametrize("suite, n, m", [("main", 2, 2), ("disk", 1, 1), ("partials", 2, 1), ("radial", 2, 1),
-                                         ("origin", 2, 2), ("equality", 2, 2)])
+                                         ("origin", 2, 2), ("equality", 2, 2), ("sharpness", 2, 2)])
 def test_reports_do_not_depend_on_how_requests_are_batched(monkeypatch, suite, n, m):
+    # the sharpness sweeps batch every map of a family, each point pinned
     cfg = SuiteConfig(suite=suite, n=n, m=m, seed=7, **SMALL)
-    batched = run_suite(cfg).to_json()
+    batched = [report.to_json() for report in reports(cfg)]
     check = bounds.check_columns
 
-    def one_request_per_batch(f, points):
-        singles = [check(f, [(z, bundle, [request])]) for z, bundle, requests in points for request in requests]
+    def one_request_per_batch(points):
+        singles = [check([point._replace(requests=[request])]) for point in points for request in point.requests]
         return bounds.Columns(*(list(chain.from_iterable(column)) for column in zip(*singles)))
 
     monkeypatch.setattr(harness.bounds, "check_columns", one_request_per_batch)
-    assert run_suite(cfg).to_json() == batched
+    assert [report.to_json() for report in reports(cfg)] == batched
 
 
 class TestConfigValidation:
@@ -96,8 +105,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("suite", harness.SUITE_IDS)
     def test_byte_identical_reports(self, suite):
         cfg = SuiteConfig(suite=suite, n=1 if suite == "disk" else 2, m=2, seed=42, **SMALL)
-        report = run_suite(cfg)
-        assert report.to_json() == run_suite(cfg).to_json() == dumps(report)
+        for report, again in zip(reports(cfg), reports(cfg), strict=True):
+            assert report.to_json() == again.to_json() == dumps(report)
 
     def test_seed_changes_report(self):
         a = run_suite(SuiteConfig(suite="main", n=2, m=2, seed=1, **SMALL))
@@ -144,12 +153,11 @@ class TestSuites:
             if rec["kind"] == "bound":
                 assert rec["tight"] == (-cfg.tol <= rec["slack"] < 0.0)
 
-    def test_run_suite_dispatches_equality_and_sharpness(self):
-        eq = run_suite(SuiteConfig(suite="equality", n=2, m=2, samples=1, seed=7))
-        assert eq.summary["failure_count"] == 0
-        sw = run_suite(SuiteConfig(suite="sharpness", n=2, m=2, k_max=2, seed=7))
-        assert sw.summary["failure_count"] == 0
-        assert {r["inequality"] for r in sw.records if r["kind"] == "bound"} == {"4.1", "5.3"}
+    @pytest.mark.parametrize("suite, driver", [("equality", "equality_suite"), ("sharpness", "sharpness_sweep")])
+    def test_run_suite_names_the_driver_of_a_non_sampling_suite(self, monkeypatch, suite, driver):
+        monkeypatch.setattr(harness, driver, None)  # run_suite must not delegate
+        with pytest.raises(ConfigError, match=f"call {driver}"):
+            run_suite(SuiteConfig(suite=suite, n=2, m=2))
 
     def test_automorphism_contexts_have_unit_ratio_at_first_order(self):
         cfg = SuiteConfig(suite="main", n=2, m=2, samples=4, degree=3, k_max=2, seed=5)
@@ -421,12 +429,12 @@ class TestFinalize:
         # an unreachable prediction fails every sweep-final-ratio certificate
         monkeypatch.setattr(harness, "sweep_prediction", lambda *args: 2.0)
         cfg = SuiteConfig(suite="sharpness", n=2, m=2, k_max=2, seed=7)
-        sweep = sharpness_sweep(cfg, "remark2", radii=(0.9, 0.99))
-        suite = run_suite(cfg)
-        for report, final_w in ((sweep, "|w|=0.990000"), (suite, "|w|=0.999900")):
+        short = sharpness_sweep(cfg, "remark2", radii=(0.9, 0.99))
+        remark4 = sharpness_sweep(cfg, "remark4")
+        for report, family, final_w in ((short, "remark2", "|w|=0.990000"), (remark4, "remark4", "|w|=0.999900")):
             assert report.failures
             for failure in report.failures:
-                assert failure["map"].startswith(("remark2(", "remark4("))
+                assert failure["map"].startswith(family + "(")
                 assert final_w in failure["map"]
 
 
