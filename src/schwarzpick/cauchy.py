@@ -15,6 +15,8 @@ and a (K+1)^(n-1)-point DFT over j separates each alpha with |alpha| = k
 exactly, because alpha_2..alpha_n <= K.  The radius r is RADIUS_FRACTION of the largest
 uniform polytorus about z inside the ball, so every slice point lies on that
 polytorus; the error is spectrally small because the integrand is analytic.
+Everything but r, z and the map values depends on (n, K) alone and is built
+once per (n, K), on first use.
 
 The derivative layer has one entry point per purpose, and the map's type
 picks the route:
@@ -32,7 +34,10 @@ independent routes: `frechet_from_bundle` sums a bundle's partials, and
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,58 +75,104 @@ def slice_radius(z) -> float:
     return RADIUS_FRACTION * max_uniform_radius(z)
 
 
+def _check_order(order) -> int:
+    """A derivative order as an int: ValueError unless it is a non-negative
+    int (a bool is not), CapacityError above multiindex.MAX_DEGREE."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"derivative order must be a non-negative int, got {order!r}")
+    if order > mi.MAX_DEGREE:
+        raise mi.CapacityError(f"degree {order} exceeds the supported maximum {mi.MAX_DEGREE}")
+    return int(order)
+
+
+class _Plan(NamedTuple):
+    """Everything a slice table of dimension n and order K takes from (n, K)
+    alone, as read-only arrays: the phase-grid directions, the unit circle
+    of the nodes, the node and phase DFT matrices, the exponents -k of the
+    radius, the axis order of the final transpose, and per alpha with
+    |alpha| <= K its table index and alpha!."""
+
+    beta: np.ndarray       # (K+1,)*(n-1) + (n,)
+    unit: np.ndarray       # e^(2 pi i t / NODES), shape (NODES,) + (1,)*n
+    node_dft: np.ndarray   # (K+1, NODES)
+    phase_dft: np.ndarray  # (K+1, K+1)
+    powers: np.ndarray     # -k, shape (K+1,) + (1,)*n
+    axes: tuple
+    readout: Mapping       # alpha -> (table index, alpha!)
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, order: int) -> _Plan:
+    """The plan of every slice table of dimension n and order `order`, built
+    on first use; `_slices` reads it in place of rebuilding its parts."""
+    grid = order + 1
+    phases = np.exp(2j * np.pi * np.arange(grid) / grid)
+    beta = np.stack([np.ones((grid,) * (n - 1))]
+                    + list(np.meshgrid(*[phases] * (n - 1), indexing="ij")), axis=-1)
+    unit = np.exp(2j * np.pi * np.arange(NODES) / NODES).reshape((NODES,) + (1,) * n)
+    ks = np.arange(grid)
+    node_dft = np.exp(-2j * np.pi * np.outer(ks, np.arange(NODES)) / NODES) / NODES
+    phase_dft = np.exp(-2j * np.pi * np.outer(ks, ks) / grid) / grid
+    powers = (-ks.astype(float)).reshape((grid,) + (1,) * n)
+    for array in (beta, unit, node_dft, phase_dft, powers):
+        array.flags.writeable = False
+    readout = {alpha: ((sum(alpha),) + alpha[1:], mi.multiindex_factorial(alpha))
+               for alpha in mi.enumerate_up_to(n, order)}
+    return _Plan(beta, unit, node_dft, phase_dft, powers, tuple(range(n))[::-1] + (n,),
+                 MappingProxyType(readout))
+
+
 def _slices(f: HoloMap, z, order: int) -> np.ndarray:
     """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! of f about z
     for every |alpha| <= order, as table[|alpha|, alpha_2, ..., alpha_n] of
-    shape (order+1,)*n + (m,), from NODES * (order+1)^(n-1) slice values."""
-    r = slice_radius(z)
+    shape (order+1,)*n + (m,), from NODES * (order+1)^(n-1) slice values;
+    the arithmetic takes everything but f and z from `_plan(f.n, order)`."""
     if NODES < 2 * order + 2:
         raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {order}")
-    grid = order + 1
-    # line directions (1, omega^j_2, ..., omega^j_n), shape (grid,)*(n-1) + (n,)
-    phases = np.exp(2j * np.pi * np.arange(grid) / grid)
-    beta = np.stack([np.ones((grid,) * (f.n - 1))]
-                    + list(np.meshgrid(*[phases] * (f.n - 1), indexing="ij")), axis=-1)
-    circle = r * np.exp(2j * np.pi * np.arange(NODES) / NODES)
-    values = f.eval(z + circle.reshape((NODES,) + (1,) * f.n) * beta)
-    ks = np.arange(grid)
+    r = slice_radius(z)
+    plan = _plan(f.n, order)
+    values = f.eval(z + (r * plan.unit) * plan.beta)
     # a computed DFT row k >= 1 sums to zero only up to rounding and would leak
     # f(z) into P_k; near the boundary f(z) dwarfs the derivatives, so centre first
     center = values.mean(axis=0)
-    table = np.tensordot(np.exp(-2j * np.pi * np.outer(ks, np.arange(NODES)) / NODES) / NODES,
-                         values - center, axes=(1, 0))
+    table = np.tensordot(plan.node_dft, values - center, axes=(1, 0))
     table[0] += center
-    phase_dft = np.exp(-2j * np.pi * np.outer(ks, ks) / grid) / grid
     for axis in range(1, f.n):
-        table = np.tensordot(phase_dft, table, axes=(1, axis))
-    table = np.transpose(table, tuple(range(f.n))[::-1] + (f.n,))
-    return table * (r ** -ks.astype(float)).reshape((grid,) + (1,) * f.n)
+        table = np.tensordot(plan.phase_dft, table, axes=(1, axis))
+    return np.transpose(table, plan.axes) * r ** plan.powers
 
 
 def taylor_coefficients(f: HoloMap, indices) -> dict:
     """Taylor coefficients a_alpha = d^alpha f(0) / alpha! at the origin for
     each alpha in `indices`: read from a `PolyMap`'s table, otherwise from one
-    slice table.  An index whose length is not f.n raises ValueError."""
+    slice table.  An index whose length is not f.n raises ValueError, and one
+    of degree above multiindex.MAX_DEGREE CapacityError, on both routes."""
     indices = [mi.as_multiindex(a) for a in indices]
     for a in indices:
         if len(a) != f.n:
             raise ValueError(f"multi-index {a} does not have dimension {f.n}")
+    if not indices:
+        return {}
+    order = _check_order(max(sum(a) for a in indices))
     if isinstance(f, PolyMap):
         return {a: f.coefficient(a) for a in indices}
-    table = _slices(f, np.zeros(f.n), max(sum(a) for a in indices))
-    return {a: table[(sum(a),) + a[1:]] for a in indices}
+    table, readout = _slices(f, np.zeros(f.n), order), _plan(f.n, order).readout
+    return {a: table[readout[a][0]] for a in indices}
 
 
 def partial_bundle(f: HoloMap, z, max_order: int) -> dict:
     """All partials d^alpha f(z), |alpha| <= max_order, as a dict keyed by alpha:
-    exact for a `PolyMap`, from one slice table otherwise.  A z that is not a
-    finite point of the domain ball raises MapDomainError on both routes."""
+    exact for a `PolyMap`, from one slice table otherwise.  An order that is
+    not a non-negative int raises ValueError, one above
+    multiindex.MAX_DEGREE CapacityError, and a z that is not a finite point
+    of the domain ball MapDomainError, on both routes."""
+    max_order = _check_order(max_order)
     z = geometry.as_ball_point(z, f.n)
-    alphas = mi.enumerate_up_to(f.n, max_order)
     if isinstance(f, PolyMap):
+        alphas = mi.enumerate_up_to(f.n, max_order)
         return dict(zip(alphas, f.partial_values(z, alphas)))
     table = _slices(f, z, max_order)
-    return {alpha: table[(sum(alpha),) + alpha[1:]] * mi.multiindex_factorial(alpha) for alpha in alphas}
+    return {alpha: table[index] * factorial for alpha, (index, factorial) in _plan(f.n, max_order).readout.items()}
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +216,9 @@ def line_derivative(f: HoloMap, z, beta, k: int) -> np.ndarray:
     the k-th derivative at 0 of lambda -> f(z + lambda beta), computed on a
     single circle of NODES nodes at half the restriction radius.  A z or beta
     that is not a finite point of the domain ball or a finite non-zero
-    direction in C^n raises MapDomainError, as in the bound checks."""
+    direction in C^n raises MapDomainError, as in the bound checks, and k is
+    checked as `partial_bundle` checks its order."""
+    k = _check_order(k)
     line = LineMap(f, geometry.as_ball_point(z, f.n), geometry.as_direction(beta, f.n))
     if NODES < 2 * k + 2:
         raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {k}")

@@ -511,20 +511,19 @@ def equality_suite(config: SuiteConfig) -> Report:
     records: list[dict] = []
     maps: dict[str, object] = {}
 
-    # origin-extremal grid: all v with |v| <= 4, |a0| in {0, 0.3, 0.7}
+    # origin-extremal grid: all v with |v| <= 4, |a0| in {0, 0.3, 0.7}, checked as one batch
     rng = _rng(config.seed, 100)
-    idx = 0
-    for v in mi.enumerate_up_to(config.n, 4, include_zero=False):
-        for a0_abs in (0.0, 0.3, 0.7):
-            sample = f"ext-{idx:04d}"
-            idx += 1
-            maps[sample] = f = _extremal_origin(rng, config.m, a0_abs, v)
-            [rec] = _records(config, sample, f, [(None, None, [("3.2", {"v": v})])])
-            records.append(rec)
-            records.append(certificate_record(
-                "equality", sample, "3.2-equality",
-                measured=abs(rec["slack"]), slack=EQUALITY_TOL - abs(rec["slack"]),
-                k_or_v=rec["k_or_v"]))
+    grid = [(v, _extremal_origin(rng, config.m, a0_abs, v))
+            for v in mi.enumerate_up_to(config.n, 4, include_zero=False) for a0_abs in (0.0, 0.3, 0.7)]
+    columns = bounds.check_columns([bounds.Point(f, None, None, [("3.2", {"v": v})]) for v, f in grid])
+    for idx, ((v, f), (ineq, _, _, k, _, lhs, rhs, slack, ratio)) in enumerate(zip(grid, zip(*columns))):
+        sample = f"ext-{idx:04d}"
+        maps[sample] = f
+        k_or_v = _k_or_v(k, v)
+        records.append(_bound_record("equality", sample, ineq, k_or_v, None, None, lhs, rhs, slack, ratio))
+        records.append(certificate_record(
+            "equality", sample, "3.2-equality",
+            measured=abs(slack), slack=EQUALITY_TOL - abs(slack), k_or_v=k_or_v))
 
     # linear-plus-square example: equality at v = (1,0) with an off-shape coefficient
     if config.n == 2:
@@ -646,7 +645,9 @@ def sharpness_sweep(config: SuiteConfig, family: str, radii=DEFAULT_SWEEP_RADII)
     validate_config(config)
     maps: dict[str, object] = {}
     records = _sweep_records(config, family, radii, maps)
-    cfg = SuiteConfig(**{**asdict(config), "suite": "sharpness"})
+    # the report echoes the dimensions checked: remark2 maps have n = 1, remark4 maps m = 1
+    checked = {"n": 1} if family == "remark2" else {"m": 1}
+    cfg = SuiteConfig(**{**asdict(config), "suite": "sharpness", **checked})
     return _finalize(cfg, records, maps, expected=("4.1",) if family == "remark2" else ("5.3",))
 
 

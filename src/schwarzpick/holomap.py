@@ -30,8 +30,15 @@ def hermitian_inner(u, w):
 
 
 def sq_norm(z):
+    """sum_j |z_j|^2 along the last axis, added column by column in order:
+    bitwise np.add.reduce(axis=-1) for the short last axes of this package,
+    without the reduction's fixed cost."""
     z = np.asarray(z)
-    return np.add.reduce(z.real ** 2 + z.imag ** 2, axis=-1)
+    sq = z.real ** 2 + z.imag ** 2
+    acc = sq[..., 0]
+    for j in range(1, sq.shape[-1]):
+        acc = acc + sq[..., j]
+    return acc
 
 
 def check_inside_ball(z, label="z"):

@@ -22,6 +22,29 @@ class OpaqueMap(HoloMap):
         return self.inner._eval(z)
 
 
+def unplanned_slices(f, z, order: int) -> np.ndarray:
+    """The slice table of `cauchy._slices` computed without a plan: the
+    directions, the circle and both DFT matrices are built in the call.
+    The planned table must equal it bitwise."""
+    r = cauchy.slice_radius(z)
+    grid = order + 1
+    phases = np.exp(2j * np.pi * np.arange(grid) / grid)
+    beta = np.stack([np.ones((grid,) * (f.n - 1))]
+                    + list(np.meshgrid(*[phases] * (f.n - 1), indexing="ij")), axis=-1)
+    circle = r * np.exp(2j * np.pi * np.arange(cauchy.NODES) / cauchy.NODES)
+    values = f.eval(z + circle.reshape((cauchy.NODES,) + (1,) * f.n) * beta)
+    ks = np.arange(grid)
+    center = values.mean(axis=0)
+    table = np.tensordot(np.exp(-2j * np.pi * np.outer(ks, np.arange(cauchy.NODES)) / cauchy.NODES) / cauchy.NODES,
+                         values - center, axes=(1, 0))
+    table[0] += center
+    phase_dft = np.exp(-2j * np.pi * np.outer(ks, ks) / grid) / grid
+    for axis in range(1, f.n):
+        table = np.tensordot(phase_dft, table, axes=(1, axis))
+    table = np.transpose(table, tuple(range(f.n))[::-1] + (f.n,))
+    return table * (r ** -ks.astype(float)).reshape((grid,) + (1,) * f.n)
+
+
 def jacobian(f, z) -> np.ndarray:
     """Holomorphic Jacobian of f at z (m x n), column j = df/dz_j, stacked
     from the order-1 partial bundle."""

@@ -548,6 +548,18 @@ def test_column_primitive_rounds_as_its_scalar_counterpart(primitive):
     assert column.tobytes() == scalar.tobytes(), f"{primitive} rounds differently in columns"
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_column_sum_sq_norm_is_the_reduction(width):
+    # sq_norm adds its last axis column by column; np.add.reduce adds these short axes in the same order
+    rng = np.random.default_rng(62 + width)
+    z = _spread(rng, (10 ** 4, width)) + 1j * _spread(rng, (10 ** 4, width))
+    squares = z.real ** 2 + z.imag ** 2
+    for stacked in (z, z.reshape(100, 100, width)):
+        assert sq_norm(stacked).tobytes() == np.add.reduce(stacked.real ** 2 + stacked.imag ** 2, axis=-1).tobytes()
+    singles = np.array([sq_norm(row) for row in z])
+    assert singles.tobytes() == np.array([np.add.reduce(row) for row in squares]).tobytes()
+
+
 class TestNonFiniteBundle:
     """A bundle with one NaN partial, beside finite requests in the same batch."""
 

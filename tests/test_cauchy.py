@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import ComposedMap, MapDomainError, PolyMap, random_polymap, sq_norm
-from support import OpaqueMap, identity_polymap, jacobian
+from support import OpaqueMap, identity_polymap, jacobian, unplanned_slices
 
 
 def sample_ball(rng, n, radius):
@@ -181,7 +182,10 @@ class TestSpectralConvergence:
             base = cauchy.partial_bundle(f, z, sum(v))[v]
             with monkeypatch.context() as patch:
                 patch.setattr(cauchy, "NODES", 2 * cauchy.NODES)
+                # plans are built from NODES, so the finer nodes need a cache of their own
+                patch.setattr(cauchy, "_plan", lru_cache(cauchy._plan.__wrapped__))
                 fine = cauchy.partial_bundle(f, z, sum(v))[v]
+                assert cauchy._plan(f.n, sum(v)).unit.shape[0] == cauchy.NODES
             assert np.linalg.norm(base - fine) <= 1e-12 * max(1.0, np.linalg.norm(fine))
 
 
@@ -235,6 +239,66 @@ class TestSlices:
         assert np.all(sq_norm(points) < 1.0)
         # every slice point lies on the uniform polytorus of the slice radius
         assert np.allclose(np.abs(points - z), cauchy.slice_radius(z), rtol=1e-12, atol=0)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("n, orders", [(1, range(9)), (2, range(9)), (3, range(9)), (4, range(5))])
+    def test_slices_are_bitwise_the_unplanned_table(self, n, orders):
+        f = geometry.AutomorphismMap(np.full(n, 0.3 / math.sqrt(n)) * np.exp(1j * np.arange(n)))
+        u = np.exp(-0.7j * np.arange(n)) / math.sqrt(n)
+        for order in orders:
+            for radius in (0.0, 0.5, 0.9, 0.99):
+                z = radius * u
+                planned, unplanned = cauchy._slices(f, z, order), unplanned_slices(f, z, order)
+                assert planned.shape == unplanned.shape == (order + 1,) * n + (n,)
+                assert planned.tobytes() == unplanned.tobytes(), f"order {order}, |z| = {radius}"
+
+    def test_plan_arrays_are_read_only(self):
+        plan = cauchy._plan(3, 2)
+        for name in ("beta", "unit", "node_dft", "phase_dft", "powers"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(plan, name).flat[0] = 0.0
+        with pytest.raises(TypeError):
+            plan.readout[(0, 0, 0)] = ((0, 0, 0), 1)
+
+    def test_unresolvable_order_raises_before_a_plan_is_built(self):
+        # order 64 is within MAX_DEGREE but needs 130 nodes
+        before = cauchy._plan.cache_info()
+        with pytest.raises(mi.CapacityError, match="node count"):
+            cauchy.partial_bundle(OpaqueMap(PolyMap(1, 1, {(4,): [0.5]})), np.zeros(1), 64)
+        with pytest.raises(mi.CapacityError, match="node count"):
+            cauchy.taylor_coefficients(OpaqueMap(PolyMap(1, 1, {(4,): [0.5]})), [(64,)])
+        assert cauchy._plan.cache_info() == before
+
+
+ROUTES = [random_polymap(2, 2, 3, seed=7), OpaqueMap(random_polymap(2, 2, 3, seed=7))]
+
+
+@pytest.mark.parametrize("f", ROUTES, ids=["exact", "slices"])
+class TestOrderChecks:
+    """Orders and index lists are checked alike on both routes."""
+
+    @pytest.mark.parametrize("order", [-1, True, False, 2.0, "2"])
+    def test_order_that_is_not_a_non_negative_int_rejected(self, f, order):
+        with pytest.raises(ValueError, match="derivative order must be a non-negative int"):
+            cauchy.partial_bundle(f, np.zeros(2), order)
+        with pytest.raises(ValueError, match="derivative order must be a non-negative int"):
+            cauchy.line_derivative(f, np.zeros(2), np.array([1.0, 0.0]), order)
+
+    def test_order_above_max_degree_rejected(self, f):
+        with pytest.raises(mi.CapacityError, match="exceeds the supported maximum"):
+            cauchy.partial_bundle(f, np.zeros(2), mi.MAX_DEGREE + 6)
+        with pytest.raises(mi.CapacityError, match="exceeds the supported maximum"):
+            cauchy.taylor_coefficients(f, [(1, 0), (mi.MAX_DEGREE, 6)])
+
+    def test_empty_index_list_gives_no_coefficients(self, f):
+        assert cauchy.taylor_coefficients(f, []) == {}
+
+    def test_numpy_order_is_an_order(self, f):
+        z = np.array([0.1, 0.2j])
+        bundle = cauchy.partial_bundle(f, z, np.int64(2))
+        assert list(bundle) == mi.enumerate_up_to(2, 2)
+        assert all(np.array_equal(bundle[a], value) for a, value in cauchy.partial_bundle(f, z, 2).items())
 
 
 def test_jacobian_of_identity():

@@ -54,7 +54,8 @@ def test_nan_makes_the_summary_nan_in_any_order(values):
 
 
 @pytest.mark.parametrize("suite, n, m", [("main", 2, 2), ("disk", 1, 1), ("partials", 2, 1), ("radial", 2, 1),
-                                         ("origin", 2, 2), ("equality", 2, 2), ("sharpness", 2, 2)])
+                                         ("origin", 2, 2), ("equality", 2, 2), ("equality", 3, 3),
+                                         ("sharpness", 2, 2)])
 def test_reports_do_not_depend_on_how_requests_are_batched(monkeypatch, suite, n, m):
     # the sharpness sweeps batch every map of a family, each point pinned
     cfg = SuiteConfig(suite=suite, n=n, m=m, seed=7, **SMALL)
@@ -227,6 +228,14 @@ class TestSharpnessSweep:
         assert len(ratios) == 3
         assert ratios == sorted(ratios)
         assert report.summary["failure_count"] == 0
+
+    @pytest.mark.parametrize("family, checked", [("remark2", (1, 2)), ("remark4", (3, 1))])
+    def test_config_echoes_the_dimensions_checked(self, family, checked):
+        # remark2 maps are disk maps and remark4 maps scalar, whatever n and m are configured
+        report = sharpness_sweep(SuiteConfig(suite="sharpness", n=3, m=2, k_max=2, seed=24), family, radii=(0.9,))
+        assert (report.config["n"], report.config["m"]) == checked
+        z_lengths = {len(r["z"]) for r in report.records if r["kind"] == "bound"}
+        assert z_lengths == {checked[0]}
 
     def test_bad_radii_rejected(self):
         cfg = SuiteConfig(suite="sharpness")

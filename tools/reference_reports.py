@@ -13,7 +13,9 @@ The command lines are:
     33-point ladder and on the default radii, with n, m and --kmax varied
     over the seeds;
   - one configuration per sampling suite, and one run whose tolerance fails
-    records, so failure lists and replay side files are compared too.
+    records, so failure lists and replay side files are compared too;
+  - the equality suite at (n, m) = (1, 1), (2, 3), (3, 4) and (4, 4), so its
+    origin-extremal grid is compared at every n.
 Each report is written as `<index>-<name>.json` and `.csv`; `commands.txt`
 lists the command line of each index.
 """
@@ -38,6 +40,9 @@ SUITE_LINES = [
     "check --suite radial --n 3 --m 3 --samples 3 --seed 5",
     "check --suite origin --n 3 --m 2 --kmax 5 --samples 3 --seed 5",
     "equality --n 2 --m 3 --seed 5",
+    "equality --n 1 --m 1 --seed 5",
+    "equality --n 3 --m 4 --seed 5",
+    "equality --n 4 --m 4 --seed 5",
 ]
 
 
