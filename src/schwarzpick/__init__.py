@@ -2,7 +2,7 @@
 holomorphic maps between complex unit balls."""
 
 from . import bounds, cauchy, geometry, harness, multiindex
-from .bounds import BoundReport, check_inequality
+from .bounds import check_inequality
 from .geometry import (AutomorphismMap, ExtremalK1Map, ExtremalOriginMap, Remark2Map, Remark3Map,
                        Remark4Map, bergman_metric)
 from .harness import Report, SuiteConfig, equality_suite, run_suite, sharpness_sweep
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutomorphismMap",
-    "BoundReport",
     "ComposedMap",
     "ExtremalK1Map",
     "ExtremalOriginMap",

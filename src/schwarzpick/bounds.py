@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -38,18 +37,6 @@ def normalize_inequality(inequality: str) -> str:
     if out not in INEQUALITY_IDS:
         raise ValueError(f"unknown inequality id {inequality!r}")
     return out
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One inequality evaluation: both sides, slack, ratio, and context."""
-
-    inequality: str
-    lhs: float
-    rhs: float
-    slack: float
-    ratio: float
-    context: dict = field(default_factory=dict)
 
 
 def _moduli(d, conj_fz):
@@ -384,24 +371,24 @@ def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list,
     return tables, gs, out
 
 
-#: A batch's reports as columns in request order: the id, the context (z or None at
-#: the origin, beta, k or None when v is given, v) and both sides, slack and ratio.
-Columns = namedtuple("Columns", "inequality z beta k v lhs rhs slack ratio")
+#: One evaluated request: the id, the context (z or None at the origin, beta,
+#: k or None when v is given, v) and both sides, slack and ratio as floats.
+Row = namedtuple("Row", "inequality z beta k v lhs rhs slack ratio")
 
 
-def check_columns(points) -> Columns:
-    """Evaluate the requests of every `Point` as one batch of columns, in
-    request order.  Every map, point and context is checked before any
-    derivative work; leaving out a context an id needs (z, beta, k or v)
-    raises ValueError.  Derivatives come from the exact coefficient route
+def check_columns(points) -> list[Row]:
+    """Evaluate the requests of every `Point` as one batch of columns and
+    return one `Row` per request, in request order.  Every map, point and
+    context is checked before any derivative work; leaving out a context an
+    id needs (z, beta, k or v) raises ValueError.  Derivatives come from the exact coefficient route
     for polynomial maps and from slice quadrature otherwise.  |d|^2,
     |<d, f(z)>|, lhs, rhs, slack and ratio are float64 columns, and each
     right-hand side is computed once per table, direction and k or v.  The
     columns round as the scalar formulas do (see the README), so each row is
-    bitwise the report its request gets alone."""
+    bitwise the row its request gets alone."""
     rows, pts, betas = _points(points)
     if not rows:
-        return Columns(*([] for _ in Columns._fields))
+        return []
     tables, gs, d = _derivative(rows, pts, betas)
     g = np.array(gs)
     d2, ip = _moduli(d, np.conj(np.array([t.fz for t in tables]))[g])
@@ -422,14 +409,12 @@ def check_columns(points) -> Columns:
         lhs[rows_of] = _LHS[form](d2[rows_of], ip[rows_of], q[rows_of], q2[rows_of], rq[rows_of])
     rhs = np.array(rhs)
     ratio = np.divide(lhs, rhs, out=np.zeros(len(rows)), where=(lhs != 0.0) | (rhs != 0.0))
-    return Columns(ids, zs, betas, ks, vs, lhs.tolist(), rhs.tolist(), (rhs - lhs).tolist(), ratio.tolist())
+    return list(map(Row, ids, zs, betas, ks, vs, lhs.tolist(), rhs.tolist(), (rhs - lhs).tolist(),
+                    ratio.tolist()))
 
 
-def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, v=None,
-                     bundle=None) -> BoundReport:
-    """Evaluate one inequality for a map at a single context and report both
-    sides: the one-request view of `check_columns`."""
-    [(ineq, at, beta, k, v, lhs, rhs, slack, ratio)] = zip(*check_columns(
-        [Point(f, z, bundle, [(inequality, {"beta": beta, "k": k, "v": v})])]))
-    context = {key: value for key, value in (("z", at), ("beta", beta), ("k", k), ("v", v)) if value is not None}
-    return BoundReport(ineq, lhs, rhs, slack, ratio, context)
+def check_inequality(f: HoloMap, inequality: str, *, z=None, beta=None, k=None, v=None, bundle=None) -> Row:
+    """Evaluate one inequality for a map at a single context: the one-request
+    view of `check_columns`."""
+    [row] = check_columns([Point(f, z, bundle, [(inequality, {"beta": beta, "k": k, "v": v})])])
+    return row

@@ -13,8 +13,8 @@ import json
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass
-from itertools import chain
+from dataclasses import asdict, dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +68,8 @@ def validate_config(config: SuiteConfig) -> None:
         raise ConfigError("k_max must lie in 1..8")
     if not 1 <= config.degree <= 8:
         raise ConfigError("degree must lie in 1..8")
+    if isinstance(config.tol, bool) or not isinstance(config.tol, (int, float)):
+        raise ConfigError(f"tol must be a number, got {config.tol!r}")
     if not (math.isfinite(config.tol) and config.tol > 0):
         raise ConfigError("tol must be positive and finite")
     if config.fmt not in ("json", "csv"):
@@ -144,11 +146,6 @@ def _cvec(value, vectors: dict) -> list | None:
 
 def _k_or_v(k, v) -> str:
     return f"k={k}" if v is None else "v=" + ",".join(str(x) for x in v)
-
-
-def _bound_record(suite, sample, inequality, k_or_v, z, beta, lhs, rhs, slack, ratio) -> dict:
-    return {"suite": suite, "sample": sample, "kind": "bound", "inequality": inequality, "k_or_v": k_or_v,
-            "z": z, "beta": beta, "lhs": lhs, "rhs": rhs, "slack": slack, "ratio": ratio}
 
 
 def certificate_record(suite: str, sample: str, name: str, measured: float, slack: float, **extra) -> dict:
@@ -414,21 +411,22 @@ def run_suite(config: SuiteConfig) -> Report:
     return _finalize(config, records, maps)
 
 
-def _records(config, sample, f, points):
-    """One record per (inequality, kwargs) request of every (z, bundle,
-    requests) point of the map f, zipped from one column batch
-    (`bounds.check_columns`), with one [[re, im], ...] list per point and per
-    direction and one k_or_v string per order."""
-    vectors: dict[int, list] = {}  # the columns hold every array
+def _records(config, samples, points) -> list[dict]:
+    """The bound record of every request of the `bounds.Point`s, from one
+    `bounds.check_columns` batch: labelled with config.suite and, request by
+    request, the next name of `samples`, with one [[re, im], ...] list per
+    point and per direction and one k_or_v string per order."""
+    vectors: dict[int, list] = {}  # the rows hold every array
     labels: dict = {}
     out = []
-    columns = bounds.check_columns([bounds.Point(f, *point) for point in points])
-    for ineq, z, beta, k, v, lhs, rhs, slack, ratio in zip(*columns):
-        order = k if v is None else v
+    rows = bounds.check_columns(points)
+    for sample, row in zip(samples, rows):
+        order = row.k if row.v is None else row.v
         if order not in labels:
-            labels[order] = _k_or_v(k, v)
-        out.append(_bound_record(config.suite, sample, ineq, labels[order], _cvec(z, vectors),
-                                 _cvec(beta, vectors), lhs, rhs, slack, ratio))
+            labels[order] = _k_or_v(row.k, row.v)
+        out.append({"suite": config.suite, "sample": sample, "kind": "bound", "inequality": row.inequality,
+                    "k_or_v": labels[order], "z": _cvec(row.z, vectors), "beta": _cvec(row.beta, vectors),
+                    "lhs": row.lhs, "rhs": row.rhs, "slack": row.slack, "ratio": row.ratio})
     return out
 
 
@@ -441,15 +439,16 @@ def _main_records(config, rng, sample, f):
         for beta in _beta_set(rng, z):
             requests.append(("1.3", {"beta": beta}))
             requests.extend(("1.4", {"beta": beta, "k": k}) for k in range(1, config.k_max + 1))
-        points.append((z, cauchy.partial_bundle(f, z, config.k_max), requests))
-    return _records(config, sample, f, points)
+        points.append(bounds.Point(f, z, cauchy.partial_bundle(f, z, config.k_max), requests))
+    return _records(config, repeat(sample), points)
 
 
 def _disk_records(config, rng, sample, f):
     requests = [(ineq, {"k": k}) for k in range(1, config.k_max + 1)
                 for ineq in expected_ids(config.suite, config.m)]
     zs = [random_ball_point(rng, 1, 0.9) for _ in range(3)]
-    return _records(config, sample, f, [(z, cauchy.partial_bundle(f, z, config.k_max), requests) for z in zs])
+    return _records(config, repeat(sample),
+                    [bounds.Point(f, z, cauchy.partial_bundle(f, z, config.k_max), requests) for z in zs])
 
 
 def _partial_records(config, sample, f, ids, zs):
@@ -457,7 +456,8 @@ def _partial_records(config, sample, f, ids, zs):
     order = min(config.k_max, 4)
     orders = mi.enumerate_up_to(config.n, order, include_zero=False)
     requests = [(ineq, {"v": v}) for v in orders for ineq in ids]
-    return _records(config, sample, f, [(z, cauchy.partial_bundle(f, z, order), requests) for z in zs])
+    return _records(config, repeat(sample), [bounds.Point(f, z, cauchy.partial_bundle(f, z, order), requests)
+                                             for z in zs])
 
 
 def _partials_records(config, rng, sample, f):
@@ -477,7 +477,7 @@ def _origin_records(config, rng, sample, f):
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     requests = [("3.1", {"beta": beta, "k": k}) for beta in betas for k in range(1, config.k_max + 1)]
     requests += [("3.2", {"v": v}) for v in orders]
-    return _records(config, sample, f, [(None, None, requests)])
+    return _records(config, repeat(sample), [bounds.Point(f, None, None, requests)])
 
 
 def _extremal_origin(rng, m, a0_abs, v):
@@ -491,7 +491,7 @@ def _origin_extremal_records(config, rng, sample):
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     v = orders[int(rng.integers(len(orders)))]
     f = _extremal_origin(rng, config.m, float(rng.choice([0.0, 0.3, 0.7])), v)
-    return f, _records(config, sample, f, [(None, None, [("3.2", {"v": v})])])
+    return f, _records(config, repeat(sample), [bounds.Point(f, None, None, [("3.2", {"v": v})])])
 
 
 #: Per-sample record builders of the polynomial sampling suites.
@@ -507,6 +507,7 @@ def equality_suite(config: SuiteConfig) -> Report:
     grid, the first-order extremal construction, the linear-plus-square
     example (equality with an off-shape coefficient), and the off-lattice
     Taylor-coefficient vanishing for extremal maps."""
+    config = replace(config, suite="equality")
     validate_config(config)
     records: list[dict] = []
     maps: dict[str, object] = {}
@@ -515,28 +516,26 @@ def equality_suite(config: SuiteConfig) -> Report:
     rng = _rng(config.seed, 100)
     grid = [(v, _extremal_origin(rng, config.m, a0_abs, v))
             for v in mi.enumerate_up_to(config.n, 4, include_zero=False) for a0_abs in (0.0, 0.3, 0.7)]
-    columns = bounds.check_columns([bounds.Point(f, None, None, [("3.2", {"v": v})]) for v, f in grid])
-    for idx, ((v, f), (ineq, _, _, k, _, lhs, rhs, slack, ratio)) in enumerate(zip(grid, zip(*columns))):
-        sample = f"ext-{idx:04d}"
-        maps[sample] = f
-        k_or_v = _k_or_v(k, v)
-        records.append(_bound_record("equality", sample, ineq, k_or_v, None, None, lhs, rhs, slack, ratio))
+    samples = [f"ext-{idx:04d}" for idx in range(len(grid))]
+    maps.update(zip(samples, (f for _, f in grid)))
+    for rec in _records(config, samples, [bounds.Point(f, None, None, [("3.2", {"v": v})]) for v, f in grid]):
+        records.append(rec)
         records.append(certificate_record(
-            "equality", sample, "3.2-equality",
-            measured=abs(slack), slack=EQUALITY_TOL - abs(slack), k_or_v=k_or_v))
+            config.suite, rec["sample"], "3.2-equality",
+            measured=abs(rec["slack"]), slack=EQUALITY_TOL - abs(rec["slack"]), k_or_v=rec["k_or_v"]))
 
     # linear-plus-square example: equality at v = (1,0) with an off-shape coefficient
     if config.n == 2:
         f = geometry.linear_plus_square_map()
         maps["remark-example"] = f
-        [rec] = _records(config, "remark-example", f, [(None, None, [("3.2", {"v": (1, 0)})])])
+        [rec] = _records(config, repeat("remark-example"), [bounds.Point(f, None, None, [("3.2", {"v": (1, 0)})])])
         records.append(rec)
         records.append(certificate_record(
-            "equality", "remark-example", "3.2-equality",
+            config.suite, "remark-example", "3.2-equality",
             measured=abs(rec["slack"]), slack=1e-12 - abs(rec["slack"]), k_or_v="v=1,0"))
         off_form = float(np.linalg.norm(f.coefficient((0, 2))))
         records.append(certificate_record(
-            "equality", "remark-example", "off-shape-coefficient",
+            config.suite, "remark-example", "off-shape-coefficient",
             measured=off_form, slack=off_form - 1e-6, k_or_v="v=0,2"))
 
     # off-lattice Taylor-coefficient vanishing (rigidity of the extremal shape)
@@ -549,7 +548,7 @@ def equality_suite(config: SuiteConfig) -> Report:
             lattice = {tuple(j * x for x in v) for j in range(0, 9)}
             worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
             records.append(certificate_record(
-                "equality", sample, "off-lattice-vanishing",
+                config.suite, sample, "off-lattice-vanishing",
                 measured=worst, slack=1e-9 - worst, k_or_v="v=" + ",".join(map(str, v))))
 
     # first-order extremal constructions: metric equality in every direction
@@ -562,11 +561,11 @@ def equality_suite(config: SuiteConfig) -> Report:
         jac = geometry.jacobian_from_frame(xi, w0, frame)
         maps[sample] = f = geometry.ExtremalK1Map(xi, w0, jac)
         requests = [("1.3", {"beta": random_unit_vector(rng, config.n)}) for _ in range(50)]
-        recs = _records(config, sample, f, [(xi, cauchy.partial_bundle(f, xi, 1), requests)])
+        recs = _records(config, repeat(sample), [bounds.Point(f, xi, cauchy.partial_bundle(f, xi, 1), requests)])
         worst = max(abs(r["slack"]) for r in recs)
         records.append(recs[-1])
         records.append(certificate_record(
-            "equality", sample, "first-order-equality",
+            config.suite, sample, "first-order-equality",
             measured=worst, slack=EQUALITY_TOL - worst))
 
     return _finalize(config, records, maps)
@@ -584,19 +583,19 @@ def sweep_prediction(k: int, xi_abs: float, w_abs: float) -> float:
 def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
     if family not in ("remark2", "remark4"):
         raise ConfigError(f"unknown sweep family {family!r}")
-    if list(radii) != sorted(set(radii)) or not all(0.0 < r < 1.0 for r in radii):
-        raise ConfigError("sweep radii must be strictly increasing inside (0, 1)")
+    radii = list(radii)
+    if not radii or radii != sorted(set(radii)) or not all(0.0 < r < 1.0 for r in radii):
+        raise ConfigError("sweep radii must be a non-empty, strictly increasing ladder inside (0, 1)")
     rng = _rng(config.seed, 200 if family == "remark2" else 201)
     xi_phase = np.exp(2j * np.pi * rng.uniform())
     w_dir = random_unit_vector(rng, config.m) if family == "remark2" else np.exp(2j * np.pi * rng.uniform())
     order = min(config.k_max, 4)
-    xis = (0.25, 0.5, 0.75)
     # one point per (xi, |w|): one partial bundle serves every k.  The bounds take the
     # pinned |f(xi)| = |w|, not norm(f(xi)): they differ in the last bit at a quarter of
     # the points, which (1-|w|^2)^2 scales to 2e-11 relative in `ratio` at |w| = 0.99999,
     # flipping `tight` flags
-    points = []
-    for xi_abs in xis:
+    points, samples, params = [], [], []
+    for xi_abs in (0.25, 0.5, 0.75):
         z = np.zeros(1 if family == "remark2" else config.n, dtype=complex)
         z[0] = xi_abs * xi_phase
         for w_abs in radii:
@@ -609,46 +608,42 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
                 requests = [("5.3", {"v": (k,) + (0,) * (config.n - 1)}) for k in range(1, order + 1)]
             points.append(bounds.Point(f, z, cauchy.partial_bundle(f, z, order), requests,
                                        (np.atleast_1d(w), w_abs)))
-    rows = list(zip(*bounds.check_columns(points)))  # the rows hold every z array
-    records = []
-    vectors: dict[int, list] = {}
-    for k in range(1, order + 1):
-        for i, xi_abs in enumerate(xis):
-            series = []
-            sample = f"{family}-k{k}-x{xi_abs:.2f}"
-            for j, w_abs in enumerate(radii):
-                ineq, z, _, row_k, v, lhs, rhs, slack, ratio = rows[(i * len(radii) + j) * order + k - 1]
-                predicted = sweep_prediction(k, xi_abs, w_abs)
-                series.append((w_abs, ratio, predicted))
-                records.append({**_bound_record("sharpness", sample, ineq, _k_or_v(row_k, v), _cvec(z, vectors),
-                                                None, lhs, rhs, slack, ratio),
-                                "family": family, "w_abs": w_abs, "xi_abs": xi_abs,
-                                "ratio_modulus": math.sqrt(ratio), "predicted": predicted,
-                                "predicted_modulus": math.sqrt(predicted)})
-            ratios = [r for _, r, _ in series]
-            mono_gap = min(b - a for a, b in zip(ratios, ratios[1:])) if len(ratios) > 1 else 0.0
-            # nondecreasing up to quadrature noise (k = 1 series are constant)
-            records.append(certificate_record(
-                "sharpness", sample, "sweep-monotone", measured=mono_gap, slack=mono_gap + 1e-9,
-                family=family, xi_abs=xi_abs))
-            maps[sample] = points[(i + 1) * len(radii) - 1].f  # at the final |w|, which sweep-final-ratio certifies
-            final_gap = ratios[-1] - (series[-1][2] - 1e-6)
-            records.append(certificate_record(
-                "sharpness", sample, "sweep-final-ratio", measured=ratios[-1], slack=final_gap,
-                family=family, xi_abs=xi_abs))
+            for k in range(1, order + 1):
+                sample = f"{family}-k{k}-x{xi_abs:.2f}"
+                maps[sample] = f  # left at the final |w|, which sweep-final-ratio certifies
+                samples.append(sample)
+                params.append((xi_abs, w_abs, sweep_prediction(k, xi_abs, w_abs)))
+    records = _records(config, samples, points)
+    series: dict[str, list[dict]] = {}
+    for rec, (xi_abs, w_abs, predicted) in zip(records, params):
+        rec.update(family=family, w_abs=w_abs, xi_abs=xi_abs, ratio_modulus=math.sqrt(rec["ratio"]),
+                   predicted=predicted, predicted_modulus=math.sqrt(predicted))
+        series.setdefault(rec["sample"], []).append(rec)
+    for sample, recs in series.items():
+        ratios = [rec["ratio"] for rec in recs]
+        mono_gap = min(b - a for a, b in zip(ratios, ratios[1:])) if len(ratios) > 1 else 0.0
+        # nondecreasing up to quadrature noise (k = 1 series are constant)
+        records.append(certificate_record(
+            config.suite, sample, "sweep-monotone", measured=mono_gap, slack=mono_gap + 1e-9,
+            family=family, xi_abs=recs[-1]["xi_abs"]))
+        final_gap = ratios[-1] - (recs[-1]["predicted"] - 1e-6)
+        records.append(certificate_record(
+            config.suite, sample, "sweep-final-ratio", measured=ratios[-1], slack=final_gap,
+            family=family, xi_abs=recs[-1]["xi_abs"]))
     return records
 
 
 def sharpness_sweep(config: SuiteConfig, family: str, radii=DEFAULT_SWEEP_RADII) -> Report:
     """Sweep |w| toward the boundary for one sharpness family and record the
     attained ratios against their closed-form predictions."""
+    config = replace(config, suite="sharpness")
     validate_config(config)
     maps: dict[str, object] = {}
     records = _sweep_records(config, family, radii, maps)
     # the report echoes the dimensions checked: remark2 maps have n = 1, remark4 maps m = 1
     checked = {"n": 1} if family == "remark2" else {"m": 1}
-    cfg = SuiteConfig(**{**asdict(config), "suite": "sharpness", **checked})
-    return _finalize(cfg, records, maps, expected=("4.1",) if family == "remark2" else ("5.3",))
+    return _finalize(replace(config, **checked), records, maps,
+                     expected=("4.1",) if family == "remark2" else ("5.3",))
 
 
 def replay_sample(path, config: SuiteConfig) -> Report:

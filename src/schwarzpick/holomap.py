@@ -8,7 +8,6 @@ are only ever evaluated pointwise, never expanded into truncated series.
 """
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache
 
@@ -219,9 +218,6 @@ class PolyMap(HoloMap):
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PolyMap":
         coeffs = {
@@ -229,10 +225,6 @@ class PolyMap(HoloMap):
             for entry in payload["coeffs"]
         }
         return cls(payload["n"], payload["m"], coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolyMap":
-        return cls.from_json_dict(json.loads(text))
 
     def describe(self) -> str:
         return f"poly(n={self.n}, m={self.m}, deg={self.max_degree}, terms={len(self.coeffs)})"

@@ -1,5 +1,6 @@
 import cmath
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -370,12 +371,6 @@ def _points(ineq, n, rng):
     return out
 
 
-def _report_row(report):
-    """A BoundReport as a column row: (id, z, beta, k, v, lhs, rhs, slack, ratio)."""
-    return (report.inequality, *(report.context.get(key) for key in ("z", "beta", "k", "v")),
-            report.lhs, report.rhs, report.slack, report.ratio)
-
-
 def _same_row(a, b):
     assert a[:1] + a[3:] == b[:1] + b[3:]
     for x, y in zip(a[1:3], b[1:3]):  # z and beta
@@ -454,19 +449,18 @@ class TestCheckRequests:
                 points.append(points[0]._replace(pin=(0.7 * unit(rng, m), 0.7)))
                 rows = []
                 for f, z, bundle, requests, pin in points:
-                    batch = list(zip(*bounds.check_columns([bounds.Point(f, z, bundle, requests, pin)])))
+                    batch = bounds.check_columns([bounds.Point(f, z, bundle, requests, pin)])
                     assert len(batch) == len(requests)
                     for (name, kwargs), got in zip(requests, batch):
-                        [alone] = zip(*bounds.check_columns([bounds.Point(f, z, bundle, [(name, kwargs)], pin)]))
+                        [alone] = bounds.check_columns([bounds.Point(f, z, bundle, [(name, kwargs)], pin)])
                         _same_row(got, alone)
                         if pin is None:
-                            report = bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs)
-                            _same_row(got, _report_row(report))
-                        order = got[3] or sum(got[4])
+                            _same_row(got, bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs))
+                        order = got.k or sum(got.v)
                         own = bundle if bundle is not None else cauchy.partial_bundle(f, z, order)
-                        assert tuple(got[5:7]) == _reference(f, name, z, own, pin, **kwargs)
+                        assert (got.lhs, got.rhs) == _reference(f, name, z, own, pin, **kwargs)
                     rows += batch
-                for got, want in zip(zip(*bounds.check_columns(points)), rows, strict=True):
+                for got, want in zip(bounds.check_columns(points), rows, strict=True):
                     _same_row(got, want)
 
     def test_context_checked_before_any_derivative_work(self, monkeypatch):
@@ -577,14 +571,15 @@ class TestNonFiniteBundle:
 
     def test_partial_row_reports_nan_and_fails_the_sample(self):
         requests = [("5.1", {"v": v}) for v in ((1, 0), (1, 1), (0, 2))] + [("1.4", {"beta": [1.0, 0.5j], "k": 1})]
-        columns = bounds.check_columns([bounds.Point(self.f, self.z, self.bundle, requests)])
-        assert [math.isnan(slack) for slack in columns.slack] == [False, True, False, False]
-        assert math.isnan(columns.lhs[1]) and math.isnan(columns.ratio[1]) and columns.rhs[1] > 0
-        for (name, kwargs), *sides in zip(requests, columns.lhs, columns.rhs, columns.slack, columns.ratio):
+        points = [bounds.Point(self.f, self.z, self.bundle, requests)]
+        rows = bounds.check_columns(points)
+        assert [math.isnan(row.slack) for row in rows] == [False, True, False, False]
+        assert math.isnan(rows[1].lhs) and math.isnan(rows[1].ratio) and rows[1].rhs > 0
+        for (name, kwargs), row in zip(requests, rows):
             alone = bounds.check_inequality(self.f, name, z=self.z, bundle=self.bundle, **kwargs)
-            assert np.array_equal(sides, [alone.lhs, alone.rhs, alone.slack, alone.ratio], equal_nan=True)
+            assert np.array_equal(row[5:], alone[5:], equal_nan=True)  # lhs, rhs, slack, ratio
         config = harness.SuiteConfig(suite="partials", n=2, m=2)
-        records = harness._records(config, "poly-0000", self.f, [(self.z, self.bundle, requests)])
+        records = harness._records(config, repeat("poly-0000"), points)
         report = harness._finalize(config, records, {"poly-0000": self.f})
         assert report.summary["failure_count"] == 1 and math.isnan(report.summary["min_slack"])
         assert [failure["sample"] for failure in report.failures] == ["poly-0000"]
@@ -593,9 +588,9 @@ class TestNonFiniteBundle:
         # a direction of modulus 1e-100 underflows both sides of 1.4 at k >= 2 to zero
         beta = 1e-100 * np.array([0.6, 0.8j])
         requests = [("1.4", {"beta": beta, "k": k}) for k in (1, 2, 3)] + [("5.1", {"v": (2, 0)})]
-        columns = bounds.check_columns([bounds.Point(self.f, self.z, None, requests)])
-        assert list(zip(columns.lhs, columns.rhs, columns.ratio))[1:3] == [(0.0, 0.0, 0.0)] * 2
-        assert columns.ratio[0] == columns.lhs[0] / columns.rhs[0] > 0.0
+        rows = bounds.check_columns([bounds.Point(self.f, self.z, None, requests)])
+        assert [(row.lhs, row.rhs, row.ratio) for row in rows[1:3]] == [(0.0, 0.0, 0.0)] * 2
+        assert rows[0].ratio == rows[0].lhs / rows[0].rhs > 0.0
 
 
 class TestUniversalSoundness:

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from itertools import chain
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,11 +63,20 @@ def test_reports_do_not_depend_on_how_requests_are_batched(monkeypatch, suite, n
     check = bounds.check_columns
 
     def one_request_per_batch(points):
-        singles = [check([point._replace(requests=[request])]) for point in points for request in point.requests]
-        return bounds.Columns(*(list(chain.from_iterable(column)) for column in zip(*singles)))
+        return [row for point in points for request in point.requests
+                for row in check([point._replace(requests=[request])])]
 
     monkeypatch.setattr(harness.bounds, "check_columns", one_request_per_batch)
     assert [report.to_json() for report in reports(cfg)] == batched
+
+
+@pytest.mark.parametrize("suite", harness.SUITE_IDS)
+def test_drivers_run_their_own_suite_whatever_the_config_names(suite):
+    cfg = SuiteConfig(suite=suite, n=2, m=2, seed=8, **SMALL)
+    assert equality_suite(cfg).to_json() == equality_suite(replace(cfg, suite="equality")).to_json()
+    for family in ("remark2", "remark4"):
+        own = sharpness_sweep(replace(cfg, suite="sharpness"), family, radii=(0.9, 0.99))
+        assert sharpness_sweep(cfg, family, radii=(0.9, 0.99)).to_json() == own.to_json()
 
 
 class TestConfigValidation:
@@ -91,6 +100,9 @@ class TestConfigValidation:
         dict(samples=True),
         dict(m=np.int64(2)),
         dict(degree="3"),
+        dict(tol=True),
+        dict(tol="1e-8"),
+        dict(tol=None),
     ])
     def test_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -243,6 +255,8 @@ class TestSharpnessSweep:
             sharpness_sweep(cfg, "remark2", radii=(0.9, 0.5))
         with pytest.raises(ConfigError):
             sharpness_sweep(cfg, "remark2", radii=(0.9, 1.1))
+        with pytest.raises(ConfigError, match="non-empty"):
+            sharpness_sweep(cfg, "remark2", radii=())
 
     def test_unknown_family_rejected_before_any_bundle(self, monkeypatch):
         def refuse(*args):

@@ -15,7 +15,9 @@ The command lines are:
   - one configuration per sampling suite, and one run whose tolerance fails
     records, so failure lists and replay side files are compared too;
   - the equality suite at (n, m) = (1, 1), (2, 3), (3, 4) and (4, 4), so its
-    origin-extremal grid is compared at every n.
+    origin-extremal grid is compared at every n;
+  - the equality suite and both sharpness families at --tol 1e-20, which
+    fail records, so the failure lists of both drivers are compared too.
 Each report is written as `<index>-<name>.json` and `.csv`; `commands.txt`
 lists the command line of each index.
 """
@@ -43,6 +45,9 @@ SUITE_LINES = [
     "equality --n 1 --m 1 --seed 5",
     "equality --n 3 --m 4 --seed 5",
     "equality --n 4 --m 4 --seed 5",
+    "equality --n 2 --m 2 --tol 1e-20 --seed 5",
+    "sharpness --family remark2 --tol 1e-20 --seed 5",
+    "sharpness --family remark4 --n 2 --m 1 --tol 1e-20 --seed 5",
 ]
 
 
