@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .harness import (
     DEFAULT_SWEEP_RADII,
@@ -38,7 +39,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `spv` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="spv", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

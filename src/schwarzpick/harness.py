@@ -182,18 +182,6 @@ def _reduce(fn, values: list) -> float:
     return math.nan if any(map(math.isnan, values)) else fn(values)
 
 
-def _summary(count: int, failure_count: int, slacks: list, ratios: list) -> dict:
-    return {"record_count": count, "failure_count": failure_count, "min_slack": _reduce(min, slacks),
-            "min_ratio": _reduce(min, ratios), "max_ratio": _reduce(max, ratios)}
-
-
-def summarize(records: list[dict], tol: float) -> dict:
-    """Record and failure counts, the least slack over all records and the
-    ratio range over the bound records; a NaN makes its reduction NaN."""
-    return _summary(len(records), sum(_is_failure(r, tol) for r in records), [r["slack"] for r in records],
-                    [r["ratio"] for r in records if r["kind"] == "bound"])
-
-
 # --------------------------------------------------------------------------
 # report JSON: json.dumps(indent=2, sort_keys=True) bytes from record templates
 
@@ -297,12 +285,6 @@ class Report:
                    for key, value in sorted(body.items())]
         return "{\n" + ",\n".join(members) + "\n}\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        body = json.loads(text)
-        return cls(schema=body["schema"], config=body["config"], records=body["records"],
-                   failures=body["failures"], summary=body["summary"])
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -356,7 +338,9 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
     echo = asdict(config)
     echo.pop("out")  # destination path is environment metadata, not canonical body
     return Report(schema=SCHEMA, config=echo, records=records, failures=failures,
-                  summary=_summary(len(records), sum(map(len, failing.values())), slacks, ratios))
+                  summary={"record_count": len(records), "failure_count": sum(map(len, failing.values())),
+                           "min_slack": _reduce(min, slacks), "min_ratio": _reduce(min, ratios),
+                           "max_ratio": _reduce(max, ratios)})
 
 
 def emit(report: Report, fmt: str, path) -> None:
@@ -388,27 +372,27 @@ def run_suite(config: SuiteConfig) -> Report:
     raise ConfigError: `equality_suite` and `sharpness_sweep` run them.
     """
     validate_config(config)
-    if config.suite not in _SAMPLE_RECORDS:
+    if config.suite not in _SAMPLE_POINTS:
         driver = "equality_suite" if config.suite == "equality" else "sharpness_sweep"
         raise ConfigError(f"suite {config.suite!r} has its own driver; call {driver}")
-    records: list[dict] = []
-    maps: dict[str, object] = {}
+    # each sample draws from its own generator, so checking the whole suite's bounds
+    # in one batch moves no draw; a sample's points all hold its map
+    points, samples, maps = [], [], {}
     suite_code = SUITE_IDS.index(config.suite)
     for s in range(config.samples):
         rng = _rng(config.seed, suite_code, s)
-        sample = f"poly-{s:04d}"
-        maps[sample] = f = random_polymap(config.n, config.m, config.degree, rng)
-        records.extend(_SAMPLE_RECORDS[config.suite](config, rng, sample, f))
+        f = random_polymap(config.n, config.m, config.degree, rng)
+        drawn = [(f"poly-{s:04d}", _SAMPLE_POINTS[config.suite](config, rng, f))]
         if config.suite == "main" and config.n == config.m:
-            aut_sample = f"aut-{s:04d}"
-            maps[aut_sample] = geometry.AutomorphismMap(random_ball_point(rng, config.m, 0.5))
-            records.extend(_main_records(config, rng, aut_sample, maps[aut_sample]))
+            aut = geometry.AutomorphismMap(random_ball_point(rng, config.m, 0.5))
+            drawn.append((f"aut-{s:04d}", _main_points(config, rng, aut)))
         elif config.suite == "origin":
-            ext_sample = f"ext-{s:04d}"
-            maps[ext_sample], ext_records = _origin_extremal_records(config, rng, ext_sample)
-            records.extend(ext_records)
-
-    return _finalize(config, records, maps)
+            drawn.append((f"ext-{s:04d}", _origin_extremal_points(config, rng)))
+        for sample, pts in drawn:
+            maps[sample] = pts[0].f
+            points += pts
+            samples += [sample] * sum(len(p.requests) for p in pts)
+    return _finalize(config, _records(config, samples, points), maps)
 
 
 def _records(config, samples, points) -> list[dict]:
@@ -430,7 +414,7 @@ def _records(config, samples, points) -> list[dict]:
     return out
 
 
-def _main_records(config, rng, sample, f):
+def _main_points(config, rng, f):
     points = []
     zs = [random_ball_point(rng, config.n, 0.9) for _ in range(2)]
     zs.append(random_unit_vector(rng, config.n) * rng.uniform(0.955, 0.99))
@@ -440,44 +424,42 @@ def _main_records(config, rng, sample, f):
             requests.append(("1.3", {"beta": beta}))
             requests.extend(("1.4", {"beta": beta, "k": k}) for k in range(1, config.k_max + 1))
         points.append(bounds.Point(f, z, cauchy.partial_bundle(f, z, config.k_max), requests))
-    return _records(config, repeat(sample), points)
+    return points
 
 
-def _disk_records(config, rng, sample, f):
+def _disk_points(config, rng, f):
     requests = [(ineq, {"k": k}) for k in range(1, config.k_max + 1)
                 for ineq in expected_ids(config.suite, config.m)]
     zs = [random_ball_point(rng, 1, 0.9) for _ in range(3)]
-    return _records(config, repeat(sample),
-                    [bounds.Point(f, z, cauchy.partial_bundle(f, z, config.k_max), requests) for z in zs])
+    return [bounds.Point(f, z, cauchy.partial_bundle(f, z, config.k_max), requests) for z in zs]
 
 
-def _partial_records(config, sample, f, ids, zs):
-    """Records of each id for every non-zero v with |v| <= min(k_max, 4), at each z."""
+def _partial_points(config, f, ids, zs):
+    """Points requesting each id for every non-zero v with |v| <= min(k_max, 4), at each z."""
     order = min(config.k_max, 4)
     orders = mi.enumerate_up_to(config.n, order, include_zero=False)
     requests = [(ineq, {"v": v}) for v in orders for ineq in ids]
-    return _records(config, repeat(sample), [bounds.Point(f, z, cauchy.partial_bundle(f, z, order), requests)
-                                             for z in zs])
+    return [bounds.Point(f, z, cauchy.partial_bundle(f, z, order), requests) for z in zs]
 
 
-def _partials_records(config, rng, sample, f):
+def _partials_points(config, rng, f):
     zs = [random_ball_point(rng, config.n, 0.9) for _ in range(2)]
-    return _partial_records(config, sample, f, expected_ids(config.suite, config.m), zs)
+    return _partial_points(config, f, expected_ids(config.suite, config.m), zs)
 
 
-def _radial_records(config, rng, sample, f):
+def _radial_points(config, rng, f):
     zs = [np.zeros(config.n, dtype=complex) for _ in range(2)]
     for z in zs:
         z[0] = rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
-    return _partial_records(config, sample, f, ("5.3",), zs)
+    return _partial_points(config, f, ("5.3",), zs)
 
 
-def _origin_records(config, rng, sample, f):
+def _origin_points(config, rng, f):
     betas = _beta_set(rng, np.zeros(config.n, dtype=complex))
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     requests = [("3.1", {"beta": beta, "k": k}) for beta in betas for k in range(1, config.k_max + 1)]
     requests += [("3.2", {"v": v}) for v in orders]
-    return _records(config, repeat(sample), [bounds.Point(f, None, None, requests)])
+    return [bounds.Point(f, None, None, requests)]
 
 
 def _extremal_origin(rng, m, a0_abs, v):
@@ -486,17 +468,17 @@ def _extremal_origin(rng, m, a0_abs, v):
     return geometry.extremal_origin_from_direction(a0, random_unit_vector(rng, m), v)
 
 
-def _origin_extremal_records(config, rng, sample):
-    """One origin-extremal construction checked through the quadrature route."""
+def _origin_extremal_points(config, rng):
+    """One origin-extremal construction, to be checked through the quadrature route."""
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     v = orders[int(rng.integers(len(orders)))]
     f = _extremal_origin(rng, config.m, float(rng.choice([0.0, 0.3, 0.7])), v)
-    return f, _records(config, repeat(sample), [bounds.Point(f, None, None, [("3.2", {"v": v})])])
+    return [bounds.Point(f, None, None, [("3.2", {"v": v})])]
 
 
-#: Per-sample record builders of the polynomial sampling suites.
-_SAMPLE_RECORDS = {"main": _main_records, "disk": _disk_records, "partials": _partials_records,
-                   "radial": _radial_records, "origin": _origin_records}
+#: Per-sample point builders of the polynomial sampling suites.
+_SAMPLE_POINTS = {"main": _main_points, "disk": _disk_points, "partials": _partials_points,
+                  "radial": _radial_points, "origin": _origin_points}
 
 
 # --------------------------------------------------------------------------
@@ -658,10 +640,10 @@ def replay_sample(path, config: SuiteConfig) -> Report:
         raise ConfigError(f"{path} does not hold a PolyMap in JSON: {exc!r}") from exc
     cfg = SuiteConfig(**{**asdict(config), "n": f.n, "m": f.m, "samples": 1})
     validate_config(cfg)
-    if cfg.suite not in _SAMPLE_RECORDS:
+    if cfg.suite not in _SAMPLE_POINTS:
         raise ConfigError(f"suite {cfg.suite!r} does not sample polynomial maps; nothing to replay")
     match = re.search(r"-failure-poly-(\d+)$", path.stem)
     rng = _rng(cfg.seed, SUITE_IDS.index(cfg.suite), int(match.group(1)) if match else 0)
     random_polymap(cfg.n, cfg.m, cfg.degree, rng)  # the sample's own map, drawn as run_suite draws it
     sample = f"replay-{path.stem}"
-    return _finalize(cfg, _SAMPLE_RECORDS[cfg.suite](cfg, rng, sample, f), {sample: f})
+    return _finalize(cfg, _records(cfg, repeat(sample), _SAMPLE_POINTS[cfg.suite](cfg, rng, f)), {sample: f})

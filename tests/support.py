@@ -1,12 +1,13 @@
 """Test-only helpers shared by the test modules, and the closed-form oracles
 the tests compare the package against; no oracle goes through `cauchy`."""
 import cmath
+import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from schwarzpick import bounds, cauchy
+from schwarzpick import bounds, cauchy, harness
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import HoloMap, PolyMap, sq_norm
 
@@ -45,6 +46,30 @@ def unplanned_slices(f, z, order: int) -> np.ndarray:
     return table * (r ** -ks.astype(float)).reshape((grid,) + (1,) * f.n)
 
 
+def summarize(records: list[dict], tol: float) -> dict:
+    """A report summary computed record by record: the record count, the
+    records whose slack is not finite or lies below -tol (below 0 for a
+    certificate), the least slack over all records and the ratio range over
+    the bound records, each NaN when a NaN enters it and 0.0 when nothing does."""
+
+    def reduce(fn, values):
+        return 0.0 if not values else math.nan if any(map(math.isnan, values)) else fn(values)
+
+    failures = sum(not (math.isfinite(r["slack"]) and r["slack"] >= (0.0 if r["kind"] == "certificate" else -tol))
+                   for r in records)
+    slacks = [r["slack"] for r in records]
+    ratios = [r["ratio"] for r in records if r["kind"] == "bound"]
+    return {"record_count": len(records), "failure_count": failures, "min_slack": reduce(min, slacks),
+            "min_ratio": reduce(min, ratios), "max_ratio": reduce(max, ratios)}
+
+
+def report_from_json(text: str) -> harness.Report:
+    """The `Report` whose JSON `text` is."""
+    body = json.loads(text)
+    return harness.Report(schema=body["schema"], config=body["config"], records=body["records"],
+                          failures=body["failures"], summary=body["summary"])
+
+
 def jacobian(f, z) -> np.ndarray:
     """Holomorphic Jacobian of f at z (m x n), column j = df/dz_j, stacked
     from the order-1 partial bundle."""
@@ -60,6 +85,20 @@ def quadratic_form(d, fz) -> float:
     fz = np.asarray(fz, dtype=complex).reshape(-1)
     ip = abs(complex(np.add.reduce(d * np.conj(fz))))
     return ip * ip + (1.0 - float(sq_norm(fz))) * float(sq_norm(d))
+
+
+def random_polymap_tables(n: int, m: int, degree: int, seed, margin: float = 0.05):
+    """`E`, `A` and `coeffs` of `random_polymap(n, m, degree, seed, margin)`
+    built coefficient by coefficient: m real and then m imaginary parts
+    drawn per alpha in `enumerate_up_to` order, one norm per coefficient in
+    the certificate sum, zero coefficients dropped and the keys sorted."""
+    rng = np.random.default_rng(seed)
+    drawn = {alpha: rng.standard_normal(m) + 1j * rng.standard_normal(m) for alpha in mi.enumerate_up_to(n, degree)}
+    scale = (1.0 - margin) / sum(np.linalg.norm(c) for c in drawn.values())
+    table = {alpha: c * scale for alpha, c in sorted(drawn.items()) if np.any(c * scale != 0)}
+    E = np.array(list(table), dtype=np.int64).reshape(-1, n)
+    A = np.array(list(table.values()), dtype=complex).reshape(-1, m)
+    return E, A, table
 
 
 def identity_polymap(n: int) -> PolyMap:

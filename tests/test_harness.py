@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from schwarzpick.harness import (
     replay_sample,
     run_suite,
     sharpness_sweep,
-    summarize,
 )
 from schwarzpick.holomap import ComposedMap, PolyMap
+
+from support import report_from_json, summarize
 
 
 SMALL = dict(samples=2, degree=3, k_max=2)
@@ -68,6 +70,26 @@ def test_reports_do_not_depend_on_how_requests_are_batched(monkeypatch, suite, n
 
     monkeypatch.setattr(harness.bounds, "check_columns", one_request_per_batch)
     assert [report.to_json() for report in reports(cfg)] == batched
+
+
+@pytest.mark.parametrize("suite, n, m", [("main", 2, 2), ("main", 3, 2), ("disk", 1, 2), ("partials", 2, 1),
+                                         ("radial", 2, 2), ("origin", 2, 2)])
+def test_one_bound_batch_per_sampling_suite(monkeypatch, tmp_path, suite, n, m):
+    batches = []
+    check = bounds.check_columns
+
+    def counted(points):
+        batches.append(len(points))
+        return check(points)
+
+    monkeypatch.setattr(harness.bounds, "check_columns", counted)
+    cfg = SuiteConfig(suite=suite, n=n, m=m, seed=7, samples=3, degree=3, k_max=2)
+    report = run_suite(cfg)
+    assert len(batches) == 1 and report.summary["record_count"] == len(report.records) > 0
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(harness.random_polymap(n, m, 3, seed=1).to_json_dict()))
+    replay_sample(path, cfg)
+    assert len(batches) == 2
 
 
 @pytest.mark.parametrize("suite", harness.SUITE_IDS)
@@ -308,7 +330,7 @@ class TestEmit:
         report = run_suite(SuiteConfig(suite="main", n=2, m=2, **SMALL))
         path = tmp_path / "report.json"
         emit(report, "json", path)
-        back = Report.from_json(path.read_text())
+        back = report_from_json(path.read_text())
         assert back.to_json() == report.to_json()
         assert back.to_csv() == report.to_csv()
 
@@ -385,7 +407,8 @@ class TestFailureIsolation:
         bad = self.bad_map()
         maps = {"poly-0000": bad, "composed-0000": ComposedMap(np.zeros(2), bad)}
         records = [rec for sample, f in maps.items()
-                   for rec in harness._main_records(cfg, harness._rng(cfg.seed, 0, 0), sample, f)]
+                   for rec in harness._records(cfg, repeat(sample),
+                                               harness._main_points(cfg, harness._rng(cfg.seed, 0, 0), f))]
         report = harness._finalize(cfg, records, maps)
         assert sorted(type(f["map"]).__name__ for f in report.failures) == ["dict", "str"]
         assert report.to_json() == dumps(report)
@@ -489,6 +512,40 @@ class TestCli:
     def test_malformed_radii_exit_two(self, capsys):
         assert cli.main(["sharpness", "--radii", "0.9,abc"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_one_parser_gives_what_fresh_parsers_give(self, tmp_path, monkeypatch, capsys):
+        # bad argv sits between good ones, so the shared parser is reused after an error
+        argvs = [["check", "--suite", "radial", "--m", "1", "--samples", "1", "--degree", "3", "--kmax", "2"],
+                 ["sharpness", "--family", "remark4", "--n", "2", "--m", "1", "--radii", "0.9,0.99", "--kmax", "2"],
+                 ["check", "--suite", "main", "--n", "7"],
+                 ["check", "--suite", "bogus"],
+                 ["equality", "--n", "2", "--m", "2", "--tol", "1e-20"],
+                 ["check", "--suite", "disk", "--m", "2", "--samples", "1", "--degree", "3", "--kmax", "2",
+                  "--format", "csv"]]
+
+        def run_all(tag):
+            outcomes = []
+            for i, argv in enumerate(argvs):
+                out = tmp_path / f"{tag}-{i}.report"
+                try:
+                    code = cli.main(argv + ["--out", str(out)])
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                outcomes.append((code, capsys.readouterr(), out.read_text() if out.exists() else None))
+            return outcomes
+
+        shared = run_all("shared")
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert [code for code, _, _ in shared] == [0, 0, 2, ("exit", 2), 1, 0]
+        assert run_all("fresh") == shared
+
+    def test_bad_argv_exits_two(self, capsys):
+        for argv in (["check", "--suite", "bogus"], ["nonsense"], [], ["check", "--n", "two"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "usage: spv" in capsys.readouterr().err
 
     def test_equality_and_sharpness_commands(self):
         assert cli.main(["equality", "--n", "2", "--m", "2", "--samples", "1"]) == 0

@@ -14,7 +14,7 @@ from schwarzpick.holomap import (
     coefficient_checks,
     random_polymap,
 )
-from support import identity_polymap
+from support import identity_polymap, random_polymap_tables
 
 
 def linear_plus_square():
@@ -51,6 +51,19 @@ class TestEval:
         for check in checks:
             with pytest.raises(MapDomainError):
                 check()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chunked_evaluation_is_bitwise_one_evaluation(self, monkeypatch, n):
+        # the maps and grid size of the slice tests (m = 2, at most 126 monomials); for m = 1,
+        # or more monomials, the BLAS product can round a row differently in another chunk
+        f = random_polymap(n, 2, 5, seed=30 + n)
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((16000, n)) + 1j * rng.standard_normal((16000, n))
+        z = 0.95 * g / np.linalg.norm(g, axis=1, keepdims=True) * rng.uniform(size=(16000, 1)) ** (1 / (2 * n))
+        values = f.eval(z)
+        for chunk in (1 << 13, 1 << 14, 1 << 16, 1 << 17, 1 << 20, 126 << 16):  # the last: 65,536 points at n = 4
+            monkeypatch.setattr(holomap, "_EVAL_CHUNK", chunk)
+            assert f.eval(z).tobytes() == values.tobytes()
 
 
 class TestPartial:
@@ -137,6 +150,59 @@ class TestRandomPolymap:
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             random_polymap(2, 2, 3, seed=0, margin=1.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_draw_is_the_per_alpha_draw_bitwise(self, n):
+        for m in range(1, 5):
+            for degree in range(1, 9):
+                for margin in (0.05, 0.3):
+                    seed = 1000 * n + 100 * m + degree
+                    f = random_polymap(n, m, degree, seed=seed, margin=margin)
+                    E, A, coeffs = random_polymap_tables(n, m, degree, seed, margin)
+                    assert f.E.dtype == E.dtype and np.array_equal(f.E, E)
+                    assert f.A.shape == A.shape and f.A.tobytes() == A.tobytes()
+                    assert list(f.coeffs) == list(coeffs)
+                    assert all(f.coeffs[k].tobytes() == c.tobytes() for k, c in coeffs.items())
+
+
+class TestPolyMapTable:
+    def test_zero_coefficients_dropped_and_keys_sorted(self):
+        f = PolyMap(2, 2, {(0, 1): [0.0, 0.5], (1, 0): [0.0, 0.0], (0, 0): [0.25, 0.0], (2, 0): [0.0, np.nan]})
+        assert list(f.coeffs) == [(0, 0), (0, 1), (2, 0)]  # NaN is not zero
+        assert f.E.tolist() == [[0, 0], [0, 1], [2, 0]]
+        assert all(type(a) is int for key in f.coeffs for a in key)
+        assert f.max_degree == 2
+        assert PolyMap(2, 2, {(1, 0): [0.0, 0.0]}).E.shape == (0, 2)
+        assert PolyMap(2, 3, {}).A.shape == (0, 3)
+
+    def test_coefficients_are_the_rows_of_A(self):
+        f = random_polymap(3, 2, 4, seed=21)
+        assert len(f.coeffs) == len(f.A) == len(f.E)
+        for row, (alpha, c), e in zip(f.A, f.coeffs.items(), f.E.tolist()):
+            assert alpha == tuple(e)
+            assert c.tobytes() == row.tobytes() == f.coefficient(alpha).tobytes()
+            assert f.coefficient(list(alpha)).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("coeffs", [{(1,): [0.5, 0.0]}, {(1, 0, 0): [0.5, 0.0]}, {(1, 0): [0.5, 0.0], (1,): [0.1, 0.0]},
+                                        {(1, 0): [0.5]}, {(1, 0): [0.5, 0.0, 0.0]}, {(1, 0): [0.5, 0.0], (0, 1): [0.1]},
+                                        {(-1, 0): [0.5, 0.0]}, {(1.5, 0): [0.5, 0.0]}, {(): [0.5, 0.0]},
+                                        {(1, 0): [0.5, 0.0], (0, 1): [[0.1, 0.0], [0.0, 0.1]]}],
+                             ids=["short-index", "long-index", "ragged-indices", "short-value", "long-value",
+                                  "ragged-values", "negative-index", "fractional-index", "empty-index", "matrix-value"])
+    def test_bad_index_or_value_raises(self, coeffs):
+        with pytest.raises(ValueError):
+            PolyMap(2, 2, coeffs)
+
+    def test_entry_by_entry_route_normalises_as_the_array_route(self):
+        # integral floats and numpy ints as indices, scalars and (1, m) rows as values
+        odd = PolyMap(2, 1, {(1.0, 0): 0.5, (np.int64(0), np.int64(2)): [[0.25]], (0, 0): np.array([0.125])})
+        plain = PolyMap(2, 1, {(1, 0): [0.5], (0, 2): [0.25], (0, 0): [0.125]})
+        assert list(odd.coeffs) == list(plain.coeffs) and all(type(a) is int for key in odd.coeffs for a in key)
+        assert np.array_equal(odd.E, plain.E) and odd.A.tobytes() == plain.A.tobytes()
+
+    def test_degree_above_max_degree_raises(self):
+        with pytest.raises(ValueError, match="max_degree"):
+            PolyMap(2, 1, {(2, 1): [0.5]}, max_degree=2)
 
 
 class TestCompose:
