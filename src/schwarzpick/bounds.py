@@ -383,9 +383,9 @@ def check_columns(points) -> list[Row]:
     id needs (z, beta, k or v) raises ValueError.  Derivatives come from the exact coefficient route
     for polynomial maps and from slice quadrature otherwise.  |d|^2,
     |<d, f(z)>|, lhs, rhs, slack and ratio are float64 columns, and each
-    right-hand side is computed once per table, direction and k or v.  The
-    columns round as the scalar formulas do (see the README), so each row is
-    bitwise the row its request gets alone."""
+    right-hand side is one scalar call per request.  The columns round as
+    the scalar formulas do (see the README), so each row is bitwise the row
+    its request gets alone."""
     rows, pts, betas = _points(points)
     if not rows:
         return []
@@ -393,15 +393,8 @@ def check_columns(points) -> list[Row]:
     g = np.array(gs)
     d2, ip = _moduli(d, np.conj(np.array([t.fz for t in tables]))[g])
     q, q2, rq = (np.array(column)[g] for column in zip(*((t.q, t.q2, t.rq) for t in tables)))
-    sides: dict[tuple, float] = {}
-    context = []
-    for (r, p, i), t in zip(rows, gs):
-        key = (r.row.rhs, t, r.order, r.v, i)
-        if key not in sides:
-            sides[key] = r.row.rhs(tables[t], r, i)
-        context.append((r.ineq, None if r.origin else pts[p][1], None if i is None else betas[i], r.k, r.v,
-                        sides[key]))
-    ids, zs, betas, ks, vs, rhs = zip(*context)
+    ids, zs, betas, ks, vs, rhs = zip(*[(r.ineq, None if r.origin else pts[p][1], None if i is None else betas[i],
+                                         r.k, r.v, r.row.rhs(tables[t], r, i)) for (r, p, i), t in zip(rows, gs)])
     forms = [r.row.lhs for r, _, _ in rows]
     lhs = np.empty(len(rows))
     for form in dict.fromkeys(forms):

@@ -11,10 +11,9 @@ import csv
 import io
 import json
 import math
-import operator
 import re
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import bounds, cauchy, geometry
 from . import multiindex as mi
 from .holomap import PolyMap, random_polymap, sq_norm
 
-SCHEMA = "spv-report/1"
+SCHEMA = "spv-report/2"
 
 SUITE_IDS = ("main", "disk", "partials", "radial", "origin", "equality", "sharpness")
 
@@ -133,6 +132,10 @@ def _beta_set(rng, z: np.ndarray) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 # records and reports
 
+#: One report record as a compact, key-sorted JSON line (the C encoder).
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+
+
 def _cvec(value, vectors: dict) -> list | None:
     """The [[re, im], ...] list of a complex vector, built once per array in
     `vectors`, which keys it by identity (the caller keeps every array alive),
@@ -182,91 +185,6 @@ def _reduce(fn, values: list) -> float:
     return math.nan if any(map(math.isnan, values)) else fn(values)
 
 
-# --------------------------------------------------------------------------
-# report JSON: json.dumps(indent=2, sort_keys=True) bytes from record templates
-
-_json_string = json.encoder.encode_basestring_ascii
-
-#: json's text of the non-finite floats, keyed by float.__repr__.
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-def _json_nested(value, depth: int) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) as it reads nested `depth`
-    levels deep; a raw newline is always indentation, never inside a string."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-
-
-def _records_json(records) -> str:
-    """The report's records list at depth 1.  Each record is written from the
-    %-template of its key set; a float is float.__repr__ (or NaN/Infinity),
-    a string is ASCII-escaped, and a [[re, im], ...] list of floats fills the
-    template of its length.  Any other record or value takes _json_nested."""
-    if type(records) is not list or not records:
-        return _json_nested(records, 1)
-    pad = "      "  # record members sit at depth 3
-    templates: dict[tuple, tuple | None] = {}
-    vector_templates: dict[int, str] = {}
-    # the records hold every list for the whole call, so no two share an id
-    vectors: dict[int, str] = {}
-
-    def vector(vec) -> str:
-        if not (vec and all(type(p) is list and len(p) == 2 for p in vec)
-                and all(type(x) is float for x in chain.from_iterable(vec))):
-            return _json_nested(vec, 3)
-        length = len(vec)
-        if length not in vector_templates:
-            pair = f"{pad}  [\n{pad}    %s,\n{pad}    %s\n{pad}  ]"
-            vector_templates[length] = "[\n" + ",\n".join([pair] * length) + f"\n{pad}]"
-        return vector_templates[length] % tuple(map(_json_float, chain.from_iterable(vec)))
-
-    def value(v) -> str:
-        kind = type(v)
-        if kind is float:
-            return _json_float(v)
-        if kind is str:
-            return _json_string(v)
-        if kind is list:
-            key = id(v)
-            if key not in vectors:
-                vectors[key] = vector(v)
-            return vectors[key]
-        if v is None or kind is bool:
-            return _JSON_CONSTANTS[v]
-        return _json_nested(v, 3)
-
-    def template(keys: tuple) -> tuple | None:
-        if not keys or not all(type(k) is str for k in keys):
-            return None
-        ordered = sorted(keys)
-        lines = ",\n".join(f"{pad}{_json_string(k).replace('%', '%%')}: %s" for k in ordered)
-        getter = operator.itemgetter(*ordered) if len(ordered) > 1 else lambda rec: (rec[ordered[0]],)
-        return "{\n" + lines + "\n    }", getter
-
-    out = []
-    for rec in records:
-        if type(rec) is dict:
-            keys = tuple(rec)
-            if keys not in templates:
-                templates[keys] = template(keys)
-            entry = templates[keys]
-        else:
-            entry = None
-        if entry is None:
-            out.append(_json_nested(rec, 2))
-        else:
-            text, getter = entry
-            out.append(text % tuple(map(value, getter(rec))))
-    return "[\n    " + ",\n    ".join(out) + "\n  ]"
-
-
 @dataclass
 class Report:
     schema: str
@@ -276,14 +194,15 @@ class Report:
     summary: dict
 
     def to_json(self) -> str:
-        """The bytes of `json.dumps(vars(self), indent=2, sort_keys=True) + "\\n"`,
-        with the records written from templates rather than by json's
-        pure-Python indenting encoder."""
-        body = vars(self)
-        members = [f"  {_json_string(key)}: "
-                   + (_records_json(value) if key == "records" else _json_nested(value, 1))
-                   for key, value in sorted(body.items())]
-        return "{\n" + ",\n".join(members) + "\n}\n"
+        """`json.dumps(indent=2, sort_keys=True)` of the report, except that
+        each record is one line of `_encode_record`, so a diff of two
+        reports names the records that changed."""
+        text = json.dumps({**vars(self), "records": []}, indent=2, sort_keys=True)
+        if self.records:
+            # only a top-level member starts a line with two spaces and a key
+            lines = ",\n    ".join(map(_encode_record, self.records))
+            text = text.replace('\n  "records": []', '\n  "records": [\n    ' + lines + "\n  ]", 1)
+        return text + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -70,6 +70,31 @@ def report_from_json(text: str) -> harness.Report:
                           failures=body["failures"], summary=body["summary"])
 
 
+def report_json(report: harness.Report) -> str:
+    """The schema-2 JSON bytes of a report, built line by line: the lines of
+    `json.dumps(indent=2, sort_keys=True)` of the report with its records
+    emptied, where a non-empty `"records": []` member opens instead on its
+    own line, then holds one four-space-indented `json.dumps(record,
+    sort_keys=True)` line per record, each but the last ending in a comma,
+    and closes on `  ],`."""
+    header = json.dumps({**vars(report), "records": []}, indent=2, sort_keys=True).split("\n")
+    if report.records:
+        lines = ["    " + json.dumps(rec, sort_keys=True) + "," for rec in report.records]
+        lines[-1] = lines[-1][:-1]
+        at = header.index('  "records": [],')
+        header[at:at + 1] = ['  "records": ['] + lines + ["  ],"]
+    return "\n".join(header) + "\n"
+
+
+def record_lines(text: str) -> list[str]:
+    """The lines between `"records": [` and its `]` in a schema-2 report."""
+    lines = text.split("\n")
+    if '  "records": [],' in lines:
+        return []
+    start = lines.index('  "records": [') + 1
+    return lines[start:lines.index("  ],", start)]
+
+
 def jacobian(f, z) -> np.ndarray:
     """Holomorphic Jacobian of f at z (m x n), column j = df/dz_j, stacked
     from the order-1 partial bundle."""

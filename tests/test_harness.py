@@ -22,15 +22,22 @@ from schwarzpick.harness import (
 )
 from schwarzpick.holomap import ComposedMap, PolyMap
 
-from support import report_from_json, summarize
+from support import record_lines, report_from_json, summarize
+from support import report_json as dumps  # the reference bytes of a JSON report
 
 
 SMALL = dict(samples=2, degree=3, k_max=2)
 
 
-def dumps(report: Report) -> str:
-    """The reference bytes of a JSON report."""
-    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
+def same(a, b) -> bool:
+    """a == b, with NaN equal to NaN at any depth."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same(a[key], b[key]) for key in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
 
 
 def reports(config: SuiteConfig) -> list[Report]:
@@ -142,6 +149,7 @@ class TestDeterminism:
         cfg = SuiteConfig(suite=suite, n=1 if suite == "disk" else 2, m=2, seed=42, **SMALL)
         for report, again in zip(reports(cfg), reports(cfg), strict=True):
             assert report.to_json() == again.to_json() == dumps(report)
+            assert len(record_lines(report.to_json())) == report.summary["record_count"]
 
     def test_seed_changes_report(self):
         a = run_suite(SuiteConfig(suite="main", n=2, m=2, seed=1, **SMALL))
@@ -310,7 +318,9 @@ class TestEmit:
             records += [{"z": vectors[0], "beta": vectors[-1]}, {"beta": vectors[-1], "z": vectors[0]}]
         report = Report(schema=harness.SCHEMA, config={"tol": math.nan}, records=records,
                         failures=[{"map": "a\nb"}], summary=summarize([], 1e-8))
-        assert report.to_json() == dumps(report)
+        text = report.to_json()
+        assert text == dumps(report)
+        assert same(json.loads(text), vars(report))
 
     @pytest.mark.parametrize("records", [[], [{}], [{1: 0.5, 10: 0.25}], [[1.0, 2.0], 3, None],
                                          [{"z": [[1.0, 2.0, 3.0]]}, {"z": [(1.0, 2.0)]}, {"z": [[1, 2.0]]}]],
@@ -325,6 +335,14 @@ class TestEmit:
         emit(report, "csv", tmp_path / "report.csv")
         assert (tmp_path / "report.json").read_text() == report.to_json() == dumps(report)
         assert (tmp_path / "report.csv").read_text() == report.to_csv()
+
+    def test_schema_2_writes_each_record_on_its_own_line(self):
+        report = run_suite(SuiteConfig(suite="main", n=2, m=2, **SMALL))
+        text = report.to_json()
+        assert harness.SCHEMA == json.loads(text)["schema"] == "spv-report/2"
+        lines = record_lines(text)
+        assert len(lines) == report.summary["record_count"] == len(report.records)
+        assert all(same(json.loads(line.removesuffix(",")), rec) for line, rec in zip(lines, report.records))
 
     def test_json_round_trip(self, tmp_path):
         report = run_suite(SuiteConfig(suite="main", n=2, m=2, **SMALL))

@@ -4,8 +4,10 @@
 
 Run it in two checkouts (copy this file into the older one if it lacks it)
 and compare the outputs with `diff -r OUTDIR_A OUTDIR_B`: a refactor that
-keeps every report byte-identical shows no difference.  The script imports
-the package from the `src/` next to it and changes nothing in the checkout.
+keeps every report byte-identical shows no difference, and a change to the
+reports shows each changed record as its own changed line, since a JSON
+report holds one record per line.  The script imports the package from the
+`src/` next to it and changes nothing in the checkout.
 
 The command lines are:
   - every line of `perfbench/run.py`'s `workloads()` at seeds 7, 11 and 42;
