@@ -88,11 +88,8 @@ def _cached_constants(v) -> _Constants:
 
 
 def _constants(v) -> _Constants:
-    """The constants of v, which is checked once per distinct hashable v."""
-    try:
-        return _cached_constants(v)
-    except TypeError:  # an unhashable v, such as a list
-        return _cached_constants.__wrapped__(v)
+    """The constants of v, which is checked once per distinct v."""
+    return _cached_constants(tuple(v))
 
 
 class PartialBounds(NamedTuple):
@@ -275,25 +272,19 @@ def _points(points) -> tuple[list[tuple], list[tuple], list]:
         for inequality, kwargs in requests:
             if not kwargs.keys() <= _CONTEXT:
                 raise TypeError(f"unexpected request arguments {sorted(kwargs.keys() - _CONTEXT)}")
-            beta = kwargs.get("beta")
-            args = (n, m, inequality, z is not None, beta is not None, kwargs.get("k"), kwargs.get("v"))
-            try:
-                r = _request(*args)
-            except TypeError:  # an unhashable k or v
-                r = _request.__wrapped__(*args)
+            beta, v = kwargs.get("beta"), kwargs.get("v")
+            r = _request(n, m, inequality, z is not None, beta is not None, kwargs.get("k"),
+                         None if v is None else tuple(v))
             d = None
             if r.row.derivative in ("D_k", "slice"):
                 beta = np.asarray(beta, dtype=complex).reshape(-1)
                 d = directions.setdefault(beta.tobytes(), len(betas))
                 if d == len(betas):
-                    betas.append(beta if beta.shape[0] == n else geometry.as_direction(beta, n))
+                    betas.append(geometry.as_direction(beta, n))
             rows.append((r, p, d))
         if directions:
             b = np.array(betas[start:])
             b2 = sq_norm(b)
-            bad = ~(np.isfinite(b).all(axis=1) & (b2 != 0.0))
-            if bad.any():
-                geometry.as_direction(b[int(bad.argmax())], n)  # raises its error
             unit = [d - start for r, _, d in rows[first:] if r.origin and d is not None]
             if unit and (np.abs(np.sqrt(b2[unit]) - 1.0) > 1e-12).any():
                 raise MapDomainError("the origin slice bound requires a unit direction")

@@ -284,12 +284,11 @@ class Remark3Map(HoloMap):
         self._s = math.sqrt(mi.sharpness_factor(self.v))
         xi = np.zeros(self.n, dtype=complex)
         xi[0] = xi1
-        self._auto = AutomorphismMap(xi) if xi1 != 0 else None
+        self._auto = AutomorphismMap(xi)
         self._vexp = np.array(self.v)
 
     def _eval(self, z):
-        y = self._auto._eval(z) if self._auto is not None else -z
-        u = self._s * np.prod(y ** self._vexp, axis=-1)
+        u = self._s * np.prod(self._auto._eval(z) ** self._vexp, axis=-1)
         return ((self.w - u) / (1.0 - np.conj(self.w) * u))[..., None]
 
     def describe(self) -> str:

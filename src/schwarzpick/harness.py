@@ -159,7 +159,7 @@ def certificate_record(suite: str, sample: str, name: str, measured: float, slac
         "kind": "certificate",
         "inequality": name,
         "k_or_v": extra.pop("k_or_v", ""),
-        "z": extra.pop("z", None),
+        "z": None,
         "beta": None,
         "lhs": float(measured),
         "rhs": float(measured) + float(slack),
@@ -433,11 +433,11 @@ def equality_suite(config: SuiteConfig) -> Report:
         records.append(rec)
         records.append(certificate_record(
             config.suite, "remark-example", "3.2-equality",
-            measured=abs(rec["slack"]), slack=1e-12 - abs(rec["slack"]), k_or_v="v=1,0"))
+            measured=abs(rec["slack"]), slack=1e-12 - abs(rec["slack"]), k_or_v=rec["k_or_v"]))
         off_form = float(np.linalg.norm(f.coefficient((0, 2))))
         records.append(certificate_record(
             config.suite, "remark-example", "off-shape-coefficient",
-            measured=off_form, slack=off_form - 1e-6, k_or_v="v=0,2"))
+            measured=off_form, slack=off_form - 1e-6, k_or_v=_k_or_v(None, (0, 2))))
 
     # off-lattice Taylor-coefficient vanishing (rigidity of the extremal shape)
     rng = _rng(config.seed, 101)
@@ -450,7 +450,7 @@ def equality_suite(config: SuiteConfig) -> Report:
             worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
             records.append(certificate_record(
                 config.suite, sample, "off-lattice-vanishing",
-                measured=worst, slack=1e-9 - worst, k_or_v="v=" + ",".join(map(str, v))))
+                measured=worst, slack=1e-9 - worst, k_or_v=_k_or_v(None, v)))
 
     # first-order extremal constructions: metric equality in every direction
     rng = _rng(config.seed, 102)

@@ -107,16 +107,8 @@ def _poly_eval(E, A, z):
 
 def _coefficient_matrices(n: int, m: int, coeffs: dict) -> tuple[np.ndarray, np.ndarray]:
     """A coefficient table as an int64 exponent matrix and a complex coefficient
-    matrix, one row per entry.  Keys other than n non-negative ints, or values
-    that do not stack into m entries each, take the entry-by-entry checks,
-    which normalise them or raise ValueError for the first bad key or value."""
-    keys, values = list(coeffs), list(coeffs.values())
-    try:
-        E, A = np.array(keys), np.array(values, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # ragged keys or values
-        E = A = np.empty(0)
-    if E.dtype.kind == "i" and E.shape == (len(keys), n) and (E >= 0).all() and A.size == len(keys) * m:
-        return E.astype(np.int64), A.reshape(len(keys), m)
+    matrix, one row per entry; each key is normalised as a multi-index and each
+    value to m entries, or the first bad one raises ValueError."""
     keys, values = [], []
     for alpha, value in coeffs.items():
         keys.append(mi.as_multiindex(alpha))
@@ -159,7 +151,7 @@ class PolyMap(HoloMap):
 
     kind = "poly"
 
-    def __init__(self, n, m, coeffs, max_degree=None):
+    def __init__(self, n, m, coeffs):
         self.n, self.m = int(n), int(m)
         E, A = _coefficient_matrices(self.n, self.m, coeffs)
         nonzero = (A != 0).any(axis=1)
@@ -167,10 +159,7 @@ class PolyMap(HoloMap):
         order = np.lexsort(E[nonzero].T[::-1])  # the last key of lexsort sorts first
         self.E, self.A = E[nonzero][order], A[nonzero][order]
         self.coeffs = dict(zip(map(tuple, self.E.tolist()), self.A))
-        found = int(self.E.sum(axis=1).max(initial=0))
-        self.max_degree = found if max_degree is None else int(max_degree)
-        if found > self.max_degree:
-            raise ValueError(f"coefficient of degree {found} exceeds max_degree={self.max_degree}")
+        self.max_degree = int(self.E.sum(axis=1).max(initial=0))
         self._rows: dict[tuple[int, ...], tuple] = {}
 
     def _eval(self, z):
@@ -294,16 +283,11 @@ class LineMap(HoloMap):
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            z = z.reshape(1)
-        if z.shape[-1] == 1 and z.ndim > 1:
-            lam = z[..., 0]
-        else:
-            lam = z
-        if not np.max(np.abs(lam)) < self.radius:
+        if z.ndim == 0 or z.shape[-1] != 1:
+            raise MapDomainError("expected points of shape (..., 1)")
+        if not np.max(np.abs(z)) < self.radius:
             raise MapDomainError(f"|lambda| must stay below the restriction radius {self.radius:.6f}")
-        pts = self.z0 + lam[..., None] * self.beta
-        return self.base._eval(pts)
+        return self.base._eval(self.z0 + z * self.beta)
 
     __call__ = eval
 
@@ -323,7 +307,7 @@ def random_polymap(n: int, m: int, degree: int, seed, margin: float = 0.05) -> P
     coeffs = draws[:, 0] + 1j * draws[:, 1]
     # one norm per row: a norm along axis 1 differs in the last bit for some rows
     total = sum(np.linalg.norm(c) for c in coeffs)
-    return PolyMap(n, m, dict(zip(alphas, coeffs * ((1.0 - margin) / total))), max_degree=degree)
+    return PolyMap(n, m, dict(zip(alphas, coeffs * ((1.0 - margin) / total))))
 
 
 class CoefficientChecks:

@@ -474,6 +474,50 @@ class TestCheckRequests:
         with pytest.raises(ValueError, match="does not have dimension 2"):
             bounds.check_columns([bounds.Point(f, np.array([0.3, 0.1j]), None, requests)])
 
+    @pytest.mark.parametrize("beta, message", [
+        ([np.nan, 0.0], "entries must be finite"), ([np.inf, 0.0], "entries must be finite"),
+        ([0.0, 0.0], "must be non-zero"), ([1.0, 0.0, 0.0], "in C\\^2, got dimension 3"),
+    ], ids=["nan", "inf", "zero", "length-3"])
+    @pytest.mark.parametrize("ineq", ["1.3", "1.4", "3.1"])
+    def test_bad_direction_raises_before_any_derivative_work(self, monkeypatch, ineq, beta, message):
+        def no_derivative(*args):
+            raise AssertionError("derivative work started before every direction was checked")
+
+        monkeypatch.setattr(bounds, "_derivative", no_derivative)
+        f = random_polymap(2, 2, 3, seed=12)
+        z = None if ineq == "3.1" else np.array([0.3, 0.1j])
+        good, bad = ({"beta": np.array(b, dtype=complex), "k": 2} for b in ([1.0, 0.0], beta))
+        with pytest.raises(MapDomainError, match=message):
+            bounds.check_inequality(f, ineq, z=z, **bad)
+        with pytest.raises(MapDomainError, match=message):
+            bounds.check_columns([bounds.Point(f, z, None, [(ineq, good)]), bounds.Point(f, z, None, [(ineq, bad)])])
+
+    @pytest.mark.parametrize("ineq, m, context, maps", [
+        ("1.1", 1, {"k": 1}, "one-variable"), ("4.1", 1, {"k": 1}, "one-variable"),
+        ("1.2", 2, {"v": (1, 0)}, "scalar-valued"), ("5.2", 2, {"v": (1, 0)}, "scalar-valued"),
+    ])
+    def test_id_for_other_dimensions_rejected(self, ineq, m, context, maps):
+        f = random_polymap(2, m, 3, seed=15)
+        with pytest.raises(ValueError, match=f"inequality {ineq} applies to {maps} maps"):
+            bounds.check_inequality(f, ineq, z=np.array([0.3, 0.1j]), **context)
+
+    def test_unknown_request_argument_raises(self):
+        f = random_polymap(2, 2, 3, seed=12)
+        point = bounds.Point(f, np.array([0.3, 0.1j]), None, [("5.1", {"v": (1, 0), "w": 1})])
+        with pytest.raises(TypeError, match=r"unexpected request arguments \['w'\]"):
+            bounds.check_columns([point])
+
+    @pytest.mark.parametrize("as_v", [list, np.array], ids=["list", "array"])
+    @pytest.mark.parametrize("ineq", ["3.2", "5.1", "5.3"])
+    def test_v_as_any_int_sequence_gives_the_tuple_row(self, ineq, as_v):
+        f = random_polymap(2, 2, 3, seed=12)
+        z = np.array([0.3, 0.0])  # on the z1-axis, for 5.3
+        want = bounds.check_inequality(f, ineq, z=z, v=(2, 1))
+        _same_row(bounds.check_inequality(f, ineq, z=z, v=as_v((2, 1))), want)
+
+    def test_empty_batch_gives_no_rows(self):
+        assert bounds.check_columns([]) == []
+
     @pytest.mark.parametrize("n, m", [(3, 2), (2, 1)], ids=["n", "m"])
     def test_maps_of_one_batch_share_n_and_m(self, monkeypatch, n, m):
         def no_derivative(*args):

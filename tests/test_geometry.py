@@ -258,6 +258,16 @@ class TestRemarkFamilies:
         closed = remark3_derivative(xi1, w, v)
         assert abs(quad - closed) <= 1e-8 * abs(closed)
 
+    @pytest.mark.parametrize("v", [(1, 1), (2, 1), (1, 2, 3)])
+    def test_remark3_at_the_origin_is_the_closed_form_of_minus_z(self, v):
+        # phi_0 = -identity, so xi = 0 gives g(-z) with g(y) = (w - s y^v)/(1 - conj(w) s y^v)
+        w = 0.45 * cmath.exp(-1.1j)
+        rng = np.random.default_rng(len(v))
+        z = 0.4 * (rng.standard_normal((20, len(v))) + 1j * rng.standard_normal((20, len(v)))) / len(v)
+        u = math.sqrt(mi.sharpness_factor(v)) * np.prod((-z) ** np.array(v), axis=-1)
+        want = ((w - u) / (1.0 - np.conj(w) * u))[..., None]
+        assert geometry.Remark3Map(0.0, w, v).eval(z).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_remark4_derivative_modulus(self, k):
         xi1 = 0.5 * cmath.exp(1.1j)

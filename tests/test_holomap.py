@@ -42,6 +42,11 @@ class TestEval:
         with pytest.raises(MapDomainError):
             f.eval(np.array([[0.8, 0.8]]))
 
+    @pytest.mark.parametrize("z", [np.zeros(3), np.zeros((4, 1)), np.array(0.0)], ids=["3", "4x1", "0-d"])
+    def test_rejects_points_of_wrong_width(self, z):
+        with pytest.raises(MapDomainError, match=r"shape \(\.\.\., 2\)"):
+            identity_polymap(2).eval(z)
+
     def test_rejects_nan_points(self):
         # nan >= 1 is False, so every inside-the-ball check is written as not (x < 1)
         z = np.array([np.nan, 0.0])
@@ -194,15 +199,12 @@ class TestPolyMapTable:
             PolyMap(2, 2, coeffs)
 
     def test_entry_by_entry_route_normalises_as_the_array_route(self):
-        # integral floats and numpy ints as indices, scalars and (1, m) rows as values
+        # integral floats and numpy ints as indices, scalars and (1, m) rows as values give the
+        # matrices of the plain table
         odd = PolyMap(2, 1, {(1.0, 0): 0.5, (np.int64(0), np.int64(2)): [[0.25]], (0, 0): np.array([0.125])})
         plain = PolyMap(2, 1, {(1, 0): [0.5], (0, 2): [0.25], (0, 0): [0.125]})
         assert list(odd.coeffs) == list(plain.coeffs) and all(type(a) is int for key in odd.coeffs for a in key)
         assert np.array_equal(odd.E, plain.E) and odd.A.tobytes() == plain.A.tobytes()
-
-    def test_degree_above_max_degree_raises(self):
-        with pytest.raises(ValueError, match="max_degree"):
-            PolyMap(2, 1, {(2, 1): [0.5]}, max_degree=2)
 
 
 class TestCompose:
@@ -217,6 +219,11 @@ class TestCompose:
         xi = np.array([0.2, 0.3j])
         g = ComposedMap(f.eval(xi[None, :])[0], f)
         assert np.linalg.norm(g.eval(xi[None, :])[0]) < 1e-14
+
+    @pytest.mark.parametrize("a", [np.zeros(1), np.zeros(3)], ids=["1", "3"])
+    def test_parameter_of_other_dimension_rejected(self, a):
+        with pytest.raises(MapDomainError, match=f"automorphism dimension {len(a)} does not match codomain 2"):
+            ComposedMap(a, random_polymap(2, 2, 3, seed=1))
 
     def test_involution(self):
         f = random_polymap(2, 2, 3, seed=3)
@@ -263,6 +270,13 @@ class TestRestrictToLine:
     def test_zero_direction_rejected(self):
         with pytest.raises(MapDomainError):
             LineMap(identity_polymap(2), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("lam", [np.array(0.1), np.array([0.1, 0.2, 0.3])], ids=["0-d", "vector"])
+    def test_eval_takes_points_of_shape_dots_1(self, lam):
+        line = LineMap(identity_polymap(2), np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(MapDomainError, match=r"shape \(\.\.\., 1\)"):
+            line.eval(lam)
+        assert np.array_equal(line.eval(lam[..., None]), lam[..., None] * [1.0, 0.0])
 
 
 class TestCoefficientChecks:

@@ -14,20 +14,24 @@ The command lines are:
   - both sharpness families at seeds 7, 11, 12-18 and 42, each on the
     33-point ladder and on the default radii, with n, m and --kmax varied
     over the seeds;
-  - one configuration per sampling suite, and one run whose tolerance fails
-    records, so failure lists and replay side files are compared too;
+  - one configuration per sampling suite, and one `main` run at --tol 1e-14;
   - the equality suite at (n, m) = (1, 1), (2, 3), (3, 4) and (4, 4), so its
     origin-extremal grid is compared at every n;
   - the equality suite and both sharpness families at --tol 1e-20, which
     fail records, so the failure lists of both drivers are compared too.
 Each report is written as `<index>-<name>.json` and `.csv`; `commands.txt`
-lists the command line of each index.
+lists the command line of each index.  After them, `replay_sample` re-runs
+the `main` contexts on a polynomial map that leaves the ball,
+f(z) = 1.005 z, written as `replay-main-failure-poly-0001.json`; its
+report fails records, so a sampling suite's failure list and its replay
+side file (`<index>-replay-main-failure-<sample>.json`) are compared too.
 """
 from __future__ import annotations
 
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -92,7 +96,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     sys.path.insert(0, str(ROOT / "src"))
-    from schwarzpick import cli
+    from schwarzpick import cli, harness
+    from schwarzpick.holomap import PolyMap
 
     listing = []
     for index, line in enumerate(command_lines()):
@@ -104,8 +109,16 @@ def main(argv=None) -> int:
             if code not in (0, 1):
                 print(f"exit {code}: {' '.join(line)}", file=sys.stderr)
                 return 2
+    replay = out / "replay-main-failure-poly-0001.json"
+    f = PolyMap(2, 2, {(1, 0): [1.005, 0], (0, 1): [0, 1.005]})
+    replay.write_text(json.dumps(f.to_json_dict(), sort_keys=True) + "\n")
+    config = harness.SuiteConfig(suite="main", degree=3, k_max=2, seed=7)
+    report, index = harness.replay_sample(replay, config), len(listing)
+    listing.append(f"{index:03d} replay_sample({replay.name}, {config})")
+    for fmt in ("json", "csv"):
+        harness.emit(report, fmt, out / f"{index:03d}-replay-main.{fmt}")
     (out / "commands.txt").write_text("\n".join(listing) + "\n")
-    print(f"{len(listing)} command lines, {2 * len(listing)} reports in {out}")
+    print(f"{index} command lines and a replay, {2 * len(listing)} reports in {out}")
     return 0
 
 
