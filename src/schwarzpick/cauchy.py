@@ -16,7 +16,9 @@ exactly, because alpha_2..alpha_n <= K.  The radius r is RADIUS_FRACTION of the 
 uniform polytorus about z inside the ball, so every slice point lies on that
 polytorus; the error is spectrally small because the integrand is analytic.
 Everything but r, z and the map values depends on (n, K) alone and is built
-once per (n, K), on first use.
+once per (n, K), on first use.  At the origin r depends on n alone, so an
+origin table reads its points from a per-(n, K) grid, built on first use too
+and kept apart from the plan, which `partial_bundle` also reads.
 
 The derivative layer has one entry point per purpose, and the map's type
 picks the route:
@@ -89,14 +91,18 @@ class _Plan(NamedTuple):
     """Everything a slice table of dimension n and order K takes from (n, K)
     alone, as read-only arrays: the phase-grid directions, the unit circle
     of the nodes, the node and phase DFT matrices, the exponents -k of the
-    radius, the axis order of the final transpose, and per alpha with
-    |alpha| <= K its table index and alpha!."""
+    radius, the axis order that brings each phase axis to the front for its
+    DFT and the order of the final transpose, and per alpha with |alpha| <= K
+    its table index and alpha!.  The points of an origin table are not part
+    of it: they come from `_origin_grid`, built only for the (n, K) that
+    `taylor_coefficients` asks for."""
 
     beta: np.ndarray       # (K+1,)*(n-1) + (n,)
     unit: np.ndarray       # e^(2 pi i t / NODES), shape (NODES,) + (1,)*n
     node_dft: np.ndarray   # (K+1, NODES)
     phase_dft: np.ndarray  # (K+1, K+1)
     powers: np.ndarray     # -k, shape (K+1,) + (1,)*n
+    moves: tuple           # per phase axis, the transpose putting it first
     axes: tuple
     readout: Mapping       # alpha -> (table index, alpha!)
 
@@ -116,29 +122,53 @@ def _plan(n: int, order: int) -> _Plan:
     powers = (-ks.astype(float)).reshape((grid,) + (1,) * n)
     for array in (beta, unit, node_dft, phase_dft, powers):
         array.flags.writeable = False
+    moves = tuple((axis,) + tuple(i for i in range(n + 1) if i != axis) for axis in range(1, n))
     readout = {alpha: ((sum(alpha),) + alpha[1:], mi.multiindex_factorial(alpha))
                for alpha in mi.enumerate_up_to(n, order)}
-    return _Plan(beta, unit, node_dft, phase_dft, powers, tuple(range(n))[::-1] + (n,),
+    return _Plan(beta, unit, node_dft, phase_dft, powers, moves, tuple(range(n))[::-1] + (n,),
                  MappingProxyType(readout))
+
+
+@lru_cache(maxsize=None)
+def _origin_grid(n: int, order: int) -> np.ndarray:
+    """The slice points of every origin table of dimension n and order
+    `order`, shape (NODES,) + (order+1,)*(n-1) + (n,), as a read-only array:
+    z = 0 fixes the radius at slice_radius(0), so the points depend on
+    (n, order) alone.  Built on first use by the expression `_slices` uses
+    about any other z, so an origin table is bitwise the table about z = 0."""
+    origin, plan = np.zeros(n), _plan(n, order)
+    points = origin + (slice_radius(origin) * plan.unit) * plan.beta
+    points.flags.writeable = False
+    return points
 
 
 def _slices(f: HoloMap, z, order: int) -> np.ndarray:
     """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! of f about z
-    for every |alpha| <= order, as table[|alpha|, alpha_2, ..., alpha_n] of
-    shape (order+1,)*n + (m,), from NODES * (order+1)^(n-1) slice values;
-    the arithmetic takes everything but f and z from `_plan(f.n, order)`."""
+    (about the origin when z is None) for every |alpha| <= order, as
+    table[|alpha|, alpha_2, ..., alpha_n] of shape (order+1,)*n + (m,), from
+    NODES * (order+1)^(n-1) slice values; the arithmetic takes everything but
+    f and z from `_plan(f.n, order)`, and an origin table reads its points
+    from `_origin_grid(f.n, order)`.  Each DFT axis is one `np.dot` on the
+    table moved to 2-D, the call `np.tensordot` makes, so the table is bitwise
+    the `tensordot` one."""
     if NODES < 2 * order + 2:
         raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {order}")
-    r = slice_radius(z)
     plan = _plan(f.n, order)
-    values = f.eval(z + (r * plan.unit) * plan.beta)
+    if z is None:
+        r, points = slice_radius(np.zeros(f.n)), _origin_grid(f.n, order)
+    else:
+        r = slice_radius(z)
+        points = z + (r * plan.unit) * plan.beta
+    values = f.eval(points)
     # a computed DFT row k >= 1 sums to zero only up to rounding and would leak
     # f(z) into P_k; near the boundary f(z) dwarfs the derivatives, so centre first
     center = values.mean(axis=0)
-    table = np.tensordot(plan.node_dft, values - center, axes=(1, 0))
+    table = np.dot(plan.node_dft, (values - center).reshape(NODES, -1))
+    table = table.reshape((order + 1,) + values.shape[1:])
     table[0] += center
-    for axis in range(1, f.n):
-        table = np.tensordot(plan.phase_dft, table, axes=(1, axis))
+    for move in plan.moves:
+        table = table.transpose(move)
+        table = np.dot(plan.phase_dft, table.reshape(order + 1, -1)).reshape(table.shape)
     return np.transpose(table, plan.axes) * r ** plan.powers
 
 
@@ -156,7 +186,7 @@ def taylor_coefficients(f: HoloMap, indices) -> dict:
     order = _check_order(max(sum(a) for a in indices))
     if isinstance(f, PolyMap):
         return {a: f.coefficient(a) for a in indices}
-    table, readout = _slices(f, np.zeros(f.n), order), _plan(f.n, order).readout
+    table, readout = _slices(f, None, order), _plan(f.n, order).readout
     return {a: table[readout[a][0]] for a in indices}
 
 

@@ -13,6 +13,7 @@ from .holomap import (
     HoloMap,
     MapDomainError,
     PolyMap,
+    _monomial,
     hermitian_inner,
     mobius_point,
     sq_norm,
@@ -138,10 +139,9 @@ class ExtremalOriginMap(HoloMap):
         self.n = len(self.v)
         self.m = self.a0.shape[0]
         self._c = complex(hermitian_inner(self.av, self.a0)) / (1.0 - a02)
-        self._vexp = np.array(self.v)
 
     def _eval(self, z):
-        zv = np.prod(z ** self._vexp, axis=-1)
+        zv = _monomial(z, self.v)
         return self.a0 + self.av * (zv / (1.0 + self._c * zv))[..., None]
 
     def describe(self) -> str:

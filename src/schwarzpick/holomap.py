@@ -76,6 +76,22 @@ def _power_table(zc, dmax: int) -> np.ndarray:
     return pows
 
 
+def _monomial(z, v) -> np.ndarray:
+    """z^v at the points z (shape (..., n)) for one multi-index v, shape (...):
+    each z_j^(v_j) by successive multiplication, the factors multiplied in
+    the order of j.  Bitwise the value `_monomials(_power_table(z, max(v)), [v])`
+    computes, but for the sign of a zero part, which that route's leading
+    multiplication by 1 can flip; no (N, n, max(v) + 1) table is built."""
+    mono = None
+    for j, e in enumerate(v):
+        if e:
+            power = z[..., j]
+            for _ in range(e - 1):
+                power = power * z[..., j]
+            mono = power if mono is None else mono * power
+    return np.ones(z.shape[:-1], dtype=complex) if mono is None else mono
+
+
 def _monomials(pows, E):
     """z^E[r] for every row r of E at the points of a power table, shape (N, R)."""
     mono = pows[:, 0, E[:, 0]]

@@ -253,13 +253,33 @@ class TestPlan:
                 assert planned.shape == unplanned.shape == (order + 1,) * n + (n,)
                 assert planned.tobytes() == unplanned.tobytes(), f"order {order}, |z| = {radius}"
 
+    @pytest.mark.parametrize("n, orders", [(1, range(9)), (2, range(9)), (3, range(9)), (4, range(5))])
+    def test_origin_tables_are_bitwise_the_unplanned_table(self, n, orders):
+        # an origin table reads its points from the cached grid, not from z = 0
+        f = geometry.AutomorphismMap(np.full(n, 0.3 / math.sqrt(n)) * np.exp(1j * np.arange(n)))
+        for order in orders:
+            unplanned = unplanned_slices(f, np.zeros(n), order)
+            assert cauchy._slices(f, None, order).tobytes() == unplanned.tobytes(), f"order {order}"
+            alphas = mi.enumerate_up_to(n, order)
+            coeffs = cauchy.taylor_coefficients(f, alphas)
+            for alpha in alphas:
+                assert coeffs[alpha].tobytes() == unplanned[(sum(alpha),) + alpha[1:]].tobytes(), alpha
+
     def test_plan_arrays_are_read_only(self):
         plan = cauchy._plan(3, 2)
-        for name in ("beta", "unit", "node_dft", "phase_dft", "powers"):
+        arrays = [getattr(plan, name) for name in ("beta", "unit", "node_dft", "phase_dft", "powers")]
+        for array in arrays + [cauchy._origin_grid(3, 2)]:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(plan, name).flat[0] = 0.0
+                array.flat[0] = 0.0
         with pytest.raises(TypeError):
             plan.readout[(0, 0, 0)] = ((0, 0, 0), 1)
+
+    def test_partial_bundle_builds_no_origin_grid(self):
+        # the grid serves taylor_coefficients alone, even for a bundle about z = 0
+        before = cauchy._origin_grid.cache_info()
+        for n in (1, 2, 3):
+            cauchy.partial_bundle(OpaqueMap(random_polymap(n, 2, 3, seed=n)), np.zeros(n), 7)
+        assert cauchy._origin_grid.cache_info() == before
 
     def test_unresolvable_order_raises_before_a_plan_is_built(self):
         # order 64 is within MAX_DEGREE but needs 130 nodes
@@ -368,3 +388,9 @@ def test_bad_direction_raises_the_direction_error_on_the_line_route(beta, messag
         cauchy.line_derivative(f, np.array([0.1, 0.2]), beta, 2)
     with pytest.raises(MapDomainError, match=f"^{message}$"):
         geometry.as_direction(beta, 2)
+
+
+@pytest.mark.parametrize("beta", [np.ones(3), np.ones((2, 2, 2)), np.ones(())], ids=["length-3", "3-d", "0-d"])
+def test_degree_sum_rejects_directions_of_the_wrong_shape(beta):
+    with pytest.raises(ValueError, match="^expected directions in C\\^2, got shape"):
+        cauchy.degree_sum(np.ones((3, 1)), beta, 2, 2)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from schwarzpick import cauchy, geometry
+from schwarzpick import cauchy, geometry, holomap
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import ComposedMap, MapDomainError, random_polymap
 from support import jacobian, remark2_derivative, remark3_derivative, remark4_derivative
@@ -139,6 +139,15 @@ class TestExtremalOrigin:
         for _ in range(200):
             z = 0.95 * unit(rng, 2) * rng.uniform() ** 0.25
             assert np.linalg.norm(f.eval(z[None, :])[0]) < 1.0
+
+    def test_monomial_is_the_one_a_polymap_evaluates(self):
+        # z^v by successive multiplication, bitwise a PolyMap's monomial, not numpy's complex power
+        rng = np.random.default_rng(8)
+        for v in [(1, 0), (2, 1), (3, 3, 2), (1, 2, 1, 1), (0, 4, 0)]:
+            f = geometry.extremal_origin_from_direction(0.3 * unit(rng, 2), unit(rng, 2), v)
+            z = np.array([0.9 * unit(rng, len(v)) * rng.uniform() for _ in range(50)])
+            zv = holomap._monomials(holomap._power_table(z, max(v)), np.array([v]))[:, 0]
+            assert f.eval(z).tobytes() == (f.a0 + f.av * (zv / (1.0 + f._c * zv))[:, None]).tobytes(), v
 
     def test_violated_equality_condition_rejected(self):
         with pytest.raises(MapDomainError):
@@ -298,6 +307,20 @@ def test_nan_parameter_raises(build):
     with pytest.raises(MapDomainError):
         build()
 
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: geometry.ExtremalOriginMap([0.0, 0.0], [0.5, 0.0], (0, 0)), "v must be a non-zero multi-index"),
+    (lambda: geometry.ExtremalOriginMap([0.0, 0.0], [1.0, 0.0, 0.0], (1, 0)),
+     "a0 and a_v must live in the same codomain"),
+    (lambda: geometry.Remark3Map(0.5, 0.5, (0, 0, 0)), "v must be a non-zero multi-index"),
+    (lambda: geometry.Remark4Map(0.0, 0.5, n=2), "the pinned point must be non-zero"),
+    (lambda: geometry.ExtremalK1Map([0.1, 0.0], [0.0, 0.2, 0.0], np.eye(2)), "Jacobian must have shape \\(3, 2\\)"),
+], ids=["extremal-origin-zero-v", "extremal-origin-codomains", "remark3-zero-v", "remark4-pinned-at-0",
+        "extremal-k1-jacobian-shape"])
+def test_malformed_parameter_rejected(build, message):
+    with pytest.raises(MapDomainError, match=message):
+        build()
 
 def test_frame_and_jacobian_are_inverse_constructions():
     rng = np.random.default_rng(42)

@@ -70,6 +70,21 @@ class TestEval:
             monkeypatch.setattr(holomap, "_EVAL_CHUNK", chunk)
             assert f.eval(z).tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_monomial_is_the_power_table_monomial(self, n):
+        # the extremal maps' z^v: bitwise what a PolyMap evaluates, and within rounding of
+        # np.prod(z ** v), which numpy does not evaluate by multiplication
+        rng = np.random.default_rng(90 + n)
+        g = rng.standard_normal((40, 5, n)) + 1j * rng.standard_normal((40, 5, n))
+        z = 0.95 * g / np.linalg.norm(g, axis=-1, keepdims=True) * rng.uniform(size=(40, 5, 1)) ** (1 / (2 * n))
+        for v in mi.enumerate_up_to(n, 8):
+            mono = holomap._monomial(z, v)
+            assert mono.shape == z.shape[:-1]
+            table = holomap._monomials(holomap._power_table(z.reshape(-1, n), max(v)), np.array([v]))
+            assert mono.tobytes() == table.reshape(z.shape[:-1]).tobytes(), v
+            power = np.prod(z ** np.array(v), axis=-1)
+            assert np.all(np.abs(mono - power) <= 2e-15 * sum(v) * np.abs(power)), v
+
 
 class TestPartial:
     def test_product_map(self):

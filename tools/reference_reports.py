@@ -6,7 +6,9 @@ Run it in two checkouts (copy this file into the older one if it lacks it)
 and compare the outputs with `diff -r OUTDIR_A OUTDIR_B`: a refactor that
 keeps every report byte-identical shows no difference, and a change to the
 reports shows each changed record as its own changed line, since a JSON
-report holds one record per line.  The script imports the package from the
+report holds one record per line.  `python3 tools/compare_reports.py
+OUTDIR_A OUTDIR_B` sums such a change up: the changed records of each report
+grouped by sample prefix and inequality.  The script imports the package from the
 `src/` next to it and changes nothing in the checkout.
 
 The command lines are:
