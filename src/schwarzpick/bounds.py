@@ -25,9 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import cauchy, geometry
+from . import cauchy
 from . import multiindex as mi
-from .holomap import HoloMap, MapDomainError, sq_norm
+from .holomap import HoloMap, MapDomainError, as_ball_point, as_direction, sq_norm
 
 _ALIASES = {"4.3": "1.4", "1.5": "5.1", "1.6": "5.2", "1.7": "5.3"}
 
@@ -280,7 +280,7 @@ def _points(points) -> tuple[list[tuple], list[tuple], list]:
                 beta = np.asarray(beta, dtype=complex).reshape(-1)
                 d = directions.setdefault(beta.tobytes(), len(betas))
                 if d == len(betas):
-                    betas.append(geometry.as_direction(beta, n))
+                    betas.append(as_direction(beta, n))
             rows.append((r, p, d))
         if directions:
             b = np.array(betas[start:])
@@ -290,7 +290,7 @@ def _points(points) -> tuple[list[tuple], list[tuple], list]:
                 raise MapDomainError("the origin slice bound requires a unit direction")
         at_z = [r for r, _, _ in rows[first:] if not r.origin]
         if at_z:
-            z = geometry.as_ball_point(z, n)
+            z = as_ball_point(z, n)
             if (z[1:] != 0).any() and any(r.row.axis for r in at_z):
                 raise MapDomainError("the radial bound applies only on the z1-axis")
             z2 = float(sq_norm(z))

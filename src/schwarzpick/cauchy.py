@@ -29,9 +29,11 @@ picks the route:
 A `PolyMap` is differentiated exactly through its coefficient table, the
 ground truth the quadrature is validated against; every other map goes
 through one slice table.  The order-k directional derivative D_k has two
-independent routes: `frechet_from_bundle` sums a bundle's partials, and
-`line_derivative` differentiates the one-variable restriction to the line;
-`route_gap` measures how far they disagree.
+routes: `frechet_from_bundle` sums a bundle's partials, and
+`line_derivative` reads one slice table of the one-variable restriction to
+the line, normalised to the unit disk.  They share the trapezoid DFT but
+neither their points nor their assembly; `route_gap` measures how far they
+disagree.
 """
 from __future__ import annotations
 
@@ -43,9 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
 from . import multiindex as mi
-from .holomap import HoloMap, LineMap, MapDomainError, PolyMap
+from .holomap import HoloMap, LineMap, PolyMap, as_ball_point
 
 #: Fraction of the largest safe uniform polytorus radius used for the slices.
 RADIUS_FRACTION = 0.6
@@ -61,13 +62,10 @@ GAP_FLOOR = 1e-8
 def max_uniform_radius(z) -> float:
     """Largest r such that the uniform polytorus of radius r about z stays
     inside the unit ball: solves sum_j (|z_j| + r)^2 = 1."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    az = np.abs(z)
+    az = np.abs(as_ball_point(z))
     s = float(az.sum())
     z2 = float((az ** 2).sum())
-    if not z2 < 1.0:
-        raise MapDomainError("evaluation point must lie strictly inside the unit ball")
-    n = z.shape[0]
+    n = az.shape[0]
     return (-s + math.sqrt(s * s + n * (1.0 - z2))) / n
 
 
@@ -197,7 +195,7 @@ def partial_bundle(f: HoloMap, z, max_order: int) -> dict:
     multiindex.MAX_DEGREE CapacityError, and a z that is not a finite point
     of the domain ball MapDomainError, on both routes."""
     max_order = _check_order(max_order)
-    z = geometry.as_ball_point(z, f.n)
+    z = as_ball_point(z, f.n)
     if isinstance(f, PolyMap):
         alphas = mi.enumerate_up_to(f.n, max_order)
         return dict(zip(alphas, f.partial_values(z, alphas)))
@@ -243,22 +241,16 @@ def degree_sum(values, beta, k: int, n: int, weighted: bool = False) -> np.ndarr
 
 def line_derivative(f: HoloMap, z, beta, k: int) -> np.ndarray:
     """Order-k directional derivative via the one-variable restriction:
-    the k-th derivative at 0 of lambda -> f(z + lambda beta), computed on a
-    single circle of NODES nodes at half the restriction radius.  A z or beta
-    that is not a finite point of the domain ball or a finite non-zero
-    direction in C^n raises MapDomainError, as in the bound checks, and k is
-    checked as `partial_bundle` checks its order."""
+    k!/R^k times the degree-k Taylor coefficient of lambda ->
+    f(z + lambda R beta), the restriction normalised to the unit disk by its
+    radius R, read from one slice table.  A z or beta that is not a finite
+    point of the domain ball or a finite non-zero direction in C^n raises
+    MapDomainError, as in the bound checks, and k is checked as
+    `partial_bundle` checks its order."""
     k = _check_order(k)
-    line = LineMap(f, geometry.as_ball_point(z, f.n), geometry.as_direction(beta, f.n))
-    if NODES < 2 * k + 2:
-        raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {k}")
-    rho = 0.5 * line.radius
-    ts = np.arange(NODES)
-    lam = rho * np.exp(2j * np.pi * ts / NODES)
-    vals = line.eval(lam[:, None])
-    phases = np.exp(-2j * np.pi * k * ts / NODES)
-    coeff = (vals * phases[:, None]).sum(axis=0) / (NODES * rho ** k)
-    return math.factorial(k) * coeff
+    line = LineMap(f, z, beta)
+    disk = LineMap(f, line.z0, line.radius * line.beta)
+    return math.factorial(k) / line.radius ** k * taylor_coefficients(disk, [(k,)])[(k,)]
 
 
 def route_gap(d1, d2) -> float:

@@ -14,30 +14,12 @@ from .holomap import (
     MapDomainError,
     PolyMap,
     _monomial,
+    as_ball_point,
+    as_direction,
     hermitian_inner,
     mobius_point,
     sq_norm,
 )
-
-
-def as_ball_point(z, n: int | None = None) -> np.ndarray:
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if n is not None and z.shape[0] != n:
-        raise MapDomainError(f"expected a point in C^{n}, got dimension {z.shape[0]}")
-    if not sq_norm(z) < 1.0:  # NaN fails too
-        raise MapDomainError(f"point must lie strictly inside the unit ball (|z| = {math.sqrt(sq_norm(z)):.6f})")
-    return z
-
-
-def as_direction(beta, n: int | None = None, nonzero: bool = True) -> np.ndarray:
-    beta = np.asarray(beta, dtype=complex).reshape(-1)
-    if n is not None and beta.shape[0] != n:
-        raise MapDomainError(f"expected a direction in C^{n}, got dimension {beta.shape[0]}")
-    if not np.isfinite(beta).all():
-        raise MapDomainError("direction entries must be finite")
-    if nonzero and sq_norm(beta) == 0.0:
-        raise MapDomainError("direction must be non-zero")
-    return beta
 
 
 def bergman_metric(z, beta) -> float:
@@ -314,6 +296,8 @@ class Remark4Map(HoloMap):
             raise MapDomainError("xi must lie inside the unit ball")
         if w == 0 or not abs(w) < 1.0:
             raise MapDomainError("w must lie in the punctured unit disk")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise MapDomainError(f"n must be an int >= 1, got {n!r}")
         self.xi1 = xi1
         self.w = w
         self.n = int(n)

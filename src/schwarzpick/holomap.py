@@ -42,9 +42,33 @@ def sq_norm(z):
 
 
 def check_inside_ball(z, label="z"):
-    worst = float(np.max(sq_norm(z)))
+    sq = sq_norm(z)
+    worst = float(sq.max() if sq.ndim else sq)  # one point skips the reduction's fixed cost
     if not worst < 1.0:  # NaN fails too
         raise MapDomainError(f"{label} must lie strictly inside the unit ball (|{label}| = {math.sqrt(worst):.6f})")
+
+
+def as_ball_point(z, n: int | None = None) -> np.ndarray:
+    """z as a flat complex vector: MapDomainError unless it has n entries
+    (any number when n is None) and lies strictly inside the unit ball."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if n is not None and z.shape[0] != n:
+        raise MapDomainError(f"expected a point in C^{n}, got dimension {z.shape[0]}")
+    check_inside_ball(z)
+    return z
+
+
+def as_direction(beta, n: int | None = None, nonzero: bool = True) -> np.ndarray:
+    """beta as a flat complex vector: MapDomainError unless it has n entries
+    (any number when n is None), all finite, and is non-zero when `nonzero`."""
+    beta = np.asarray(beta, dtype=complex).reshape(-1)
+    if n is not None and beta.shape[0] != n:
+        raise MapDomainError(f"expected a direction in C^{n}, got dimension {beta.shape[0]}")
+    if not np.isfinite(beta).all():
+        raise MapDomainError("direction entries must be finite")
+    if nonzero and sq_norm(beta) == 0.0:
+        raise MapDomainError("direction must be non-zero")
+    return beta
 
 
 def mobius_point(a, w):
@@ -182,7 +206,10 @@ class PolyMap(HoloMap):
         return _poly_eval(self.E, self.A, z)
 
     def coefficient(self, alpha) -> np.ndarray:
-        return self.coeffs.get(mi.as_multiindex(alpha), np.zeros(self.m, dtype=complex))
+        alpha = mi.as_multiindex(alpha)
+        if len(alpha) != self.n:
+            raise ValueError(f"multi-index {alpha} does not have dimension {self.n}")
+        return self.coeffs.get(alpha, np.zeros(self.m, dtype=complex))
 
     def certificate_sum(self) -> float:
         """sum_alpha |a_alpha| (Euclidean norms); <= 1 certifies membership."""
@@ -220,8 +247,7 @@ class PolyMap(HoloMap):
 
         Every alpha's monomials come from one product over all rows, and each
         alpha then sums its own slice of shape (1, R) as `_poly_eval` does."""
-        z = np.asarray(z, dtype=complex).reshape(self.n)
-        check_inside_ball(z)
+        z = as_ball_point(z, self.n)
         rows = self._partial_rows(alphas)
         E = np.concatenate([self.E[:0]] + [E for E, _ in rows])
         mono = _monomials(_power_table(z[None, :], int(E.max()) if len(E) else 0), E)
@@ -256,9 +282,7 @@ class ComposedMap(HoloMap):
     kind = "composed"
 
     def __init__(self, a, inner: HoloMap):
-        a = np.asarray(a, dtype=complex).reshape(-1)
-        if not sq_norm(a) < 1.0:  # NaN fails too
-            raise MapDomainError("automorphism parameter must lie inside the unit ball")
+        a = as_ball_point(a)
         if a.shape[0] != inner.m:
             raise MapDomainError(f"automorphism dimension {a.shape[0]} does not match codomain {inner.m}")
         self.a = a
@@ -284,12 +308,9 @@ class LineMap(HoloMap):
 
     def __init__(self, base: HoloMap, z0, beta):
         self.base = base
-        self.z0 = np.asarray(z0, dtype=complex).reshape(base.n)
-        self.beta = np.asarray(beta, dtype=complex).reshape(base.n)
+        self.z0 = as_ball_point(z0, base.n)
+        self.beta = as_direction(beta, base.n)
         bnorm2 = float(sq_norm(self.beta))
-        if bnorm2 == 0.0:
-            raise MapDomainError("direction must be non-zero")
-        check_inside_ball(self.z0, "z0")
         p = abs(complex(hermitian_inner(self.beta, self.z0)))
         z2 = float(sq_norm(self.z0))
         # largest t with |z0|^2 + 2 t p + t^2 |beta|^2 = 1
@@ -374,8 +395,7 @@ def coefficient_checks(f: PolyMap, v, beta) -> CoefficientChecks:
     if not isinstance(f, PolyMap):
         raise TypeError("coefficient checks require a polynomial coefficient table")
     v = mi.as_multiindex(v)
-    if len(v) != f.n:
-        raise ValueError(f"multi-index {v} does not have dimension {f.n}")
+    av = f.coefficient(v)  # ValueError unless v has dimension f.n
     kv = sum(v)
     if kv == 0:
         raise ValueError("v must be a non-zero multi-index")
@@ -392,7 +412,7 @@ def coefficient_checks(f: PolyMap, v, beta) -> CoefficientChecks:
     return CoefficientChecks(
         boundary_power_sum=float(np.sum(c2 * boundary)),
         weighted_power_sum=float(np.sum(c2 * weights)),
-        single_coefficient=float(np.linalg.norm(f.coefficient(v))),
+        single_coefficient=float(np.linalg.norm(av)),
         single_coefficient_bound=math.sqrt(mi.sharpness_factor(v)),
         slice_power_sum=float(np.sum(np.linalg.norm(slices, axis=1) ** 2)),
     )

@@ -42,3 +42,17 @@ def test_changed_records_are_grouped_and_counts_decide_the_exit(tmp_path, capsys
     harness.emit(harness.Report(**moved), "json", b / "000-equality.json")
     assert compare_reports.main([str(a), str(b)]) == 1
     assert "record count" in capsys.readouterr().out
+
+
+def test_moved_certificate_shows_in_its_lhs(tmp_path, capsys):
+    # every certificate has ratio 0, so only |dlhs| shows how far its `measured` moved
+    report = harness.equality_suite(harness.SuiteConfig(n=1, m=1, seed=5))
+    a = write_reports(tmp_path / "a", report)
+    moved = json.loads((a / "000-equality.json").read_text())
+    [i, *_] = [i for i, rec in enumerate(moved["records"]) if rec["inequality"] == "3.2-equality"]
+    moved["records"][i]["lhs"] += 0.125
+    b = write_reports(tmp_path / "b", harness.Report(**moved))
+    assert compare_reports.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "000-equality.json: 1 of" in out and "failure_count unchanged (0)" in out
+    assert "  ext 3.2-equality: 1 records, max |dratio| 0, max |dlhs| 0.125\n" in out

@@ -75,6 +75,10 @@ class TestMoebiusJacobian:
             ja = geometry.moebius_jacobian(a, "a")
             assert np.max(np.abs(j0 @ ja - np.eye(3))) < 1e-12
 
+    def test_unknown_point_name_rejected(self):
+        with pytest.raises(ValueError, match="^at must be 'origin' or 'a'$"):
+            geometry.moebius_jacobian(np.array([0.3, 0.1j]), at="b")
+
     def test_matches_finite_differences_at_origin(self):
         a = np.array([0.35 + 0.1j, -0.25])
         j0 = geometry.moebius_jacobian(a, "origin")
@@ -316,8 +320,12 @@ def test_nan_parameter_raises(build):
     (lambda: geometry.Remark3Map(0.5, 0.5, (0, 0, 0)), "v must be a non-zero multi-index"),
     (lambda: geometry.Remark4Map(0.0, 0.5, n=2), "the pinned point must be non-zero"),
     (lambda: geometry.ExtremalK1Map([0.1, 0.0], [0.0, 0.2, 0.0], np.eye(2)), "Jacobian must have shape \\(3, 2\\)"),
+    (lambda: geometry.Remark4Map(0.5, 0.5, n=0), "n must be an int >= 1, got 0"),
+    (lambda: geometry.Remark4Map(0.5, 0.5, n=-1), "n must be an int >= 1, got -1"),
+    (lambda: geometry.Remark4Map(0.5, 0.5, n=True), "n must be an int >= 1, got True"),
+    (lambda: geometry.Remark4Map(0.5, 0.5, n=2.7), "n must be an int >= 1, got 2.7"),
 ], ids=["extremal-origin-zero-v", "extremal-origin-codomains", "remark3-zero-v", "remark4-pinned-at-0",
-        "extremal-k1-jacobian-shape"])
+        "extremal-k1-jacobian-shape", "remark4-n-0", "remark4-n-negative", "remark4-n-bool", "remark4-n-float"])
 def test_malformed_parameter_rejected(build, message):
     with pytest.raises(MapDomainError, match=message):
         build()

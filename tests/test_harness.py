@@ -374,6 +374,13 @@ class TestEmit:
         with pytest.raises(OSError, match="no/such/dir"):
             emit(report, "json", tmp_path / "no" / "such" / "dir" / "x.json")
 
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        report = Report(schema=harness.SCHEMA, config={}, records=[], failures=[],
+                        summary=summarize([], 1e-8))
+        with pytest.raises(ConfigError, match="^unknown output format 'xml'$"):
+            emit(report, "xml", tmp_path / "report.xml")
+        assert not (tmp_path / "report.xml").exists()
+
 
 class TestFailureIsolation:
     def bad_map(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,16 @@ class TestPartial:
             [(E, A)] = f._partial_rows([alpha])
             assert np.array_equal(value, holomap._poly_eval(E, A, z[None, :])[0])
 
+    @pytest.mark.parametrize("z", [np.zeros(3), np.zeros(1), np.zeros((2, 2))], ids=["3", "1", "2x2"])
+    def test_point_of_wrong_length_rejected(self, z):
+        with pytest.raises(MapDomainError, match="^expected a point in C\\^2, got dimension"):
+            random_polymap(2, 2, 3, seed=1).partial_values(z, [(1, 0)])
+
+    @pytest.mark.parametrize("alpha", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_order_of_wrong_dimension_rejected(self, alpha):
+        with pytest.raises(ValueError, match="^" + re.escape(f"derivative order {alpha} does not have dimension 2") + "$"):
+            random_polymap(2, 2, 3, seed=1).partial_values(np.zeros(2), [(1, 0), alpha])
+
 
 class TestRandomPolymap:
     def test_deterministic_given_seed(self):
@@ -202,6 +213,11 @@ class TestPolyMapTable:
             assert alpha == tuple(e)
             assert c.tobytes() == row.tobytes() == f.coefficient(alpha).tobytes()
             assert f.coefficient(list(alpha)).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("alpha", [(1, 0, 0), (1,), (0, 0, 0)], ids=["long", "short", "long-zero"])
+    def test_coefficient_of_wrong_dimension_rejected(self, alpha):
+        with pytest.raises(ValueError, match="^" + re.escape(f"multi-index {alpha} does not have dimension 2") + "$"):
+            random_polymap(2, 2, 3, seed=1).coefficient(alpha)
 
     @pytest.mark.parametrize("coeffs", [{(1,): [0.5, 0.0]}, {(1, 0, 0): [0.5, 0.0]}, {(1, 0): [0.5, 0.0], (1,): [0.1, 0.0]},
                                         {(1, 0): [0.5]}, {(1, 0): [0.5, 0.0, 0.0]}, {(1, 0): [0.5, 0.0], (0, 1): [0.1]},
@@ -286,6 +302,19 @@ class TestRestrictToLine:
         with pytest.raises(MapDomainError):
             LineMap(identity_polymap(2), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("z0, beta, message", [
+        (np.zeros(2), [np.nan, 0.0], "direction entries must be finite"),
+        (np.zeros(2), [np.inf, 0.0], "direction entries must be finite"),
+        (np.zeros(2), [0.0, complex(0.0, -np.inf)], "direction entries must be finite"),
+        (np.zeros(3), np.ones(2), "expected a point in C\\^2, got dimension 3"),
+        (np.zeros(1), np.ones(2), "expected a point in C\\^2, got dimension 1"),
+        (np.zeros(2), np.ones(3), "expected a direction in C\\^2, got dimension 3"),
+        (np.zeros(2), np.ones(1), "expected a direction in C\\^2, got dimension 1"),
+    ], ids=["nan-beta", "inf-beta", "imaginary-inf-beta", "long-z0", "short-z0", "long-beta", "short-beta"])
+    def test_malformed_point_or_direction_rejected(self, z0, beta, message):
+        with pytest.raises(MapDomainError, match=f"^{message}$"):
+            LineMap(identity_polymap(2), z0, beta)
+
     @pytest.mark.parametrize("lam", [np.array(0.1), np.array([0.1, 0.2, 0.3])], ids=["0-d", "vector"])
     def test_eval_takes_points_of_shape_dots_1(self, lam):
         line = LineMap(identity_polymap(2), np.zeros(2), np.array([1.0, 0.0]))
@@ -320,6 +349,16 @@ class TestCoefficientChecks:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(MapDomainError):
             coefficient_checks(linear_plus_square(), (1, 0), np.array([1.0, 0.5]))
+
+    def test_map_without_a_coefficient_table_rejected(self):
+        with pytest.raises(TypeError, match="^coefficient checks require a polynomial coefficient table$"):
+            coefficient_checks(ComposedMap(np.zeros(2), identity_polymap(2)), (1, 0), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("v, message", [((1, 0, 0), "multi-index \\(1, 0, 0\\) does not have dimension 2"),
+                                            ((0, 0), "v must be a non-zero multi-index")], ids=["long", "zero"])
+    def test_malformed_v_rejected(self, v, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coefficient_checks(linear_plus_square(), v, np.array([1.0, 0.0]))
 
     @staticmethod
     def loop_sums(f, v, beta):

@@ -55,6 +55,18 @@ def test_sharpness_factor_rejects_zero_index():
         mi.sharpness_factor((0, 0))
 
 
+def test_sharpness_factor_rejects_degree_above_max():
+    with pytest.raises(mi.CapacityError, match=f"^degree {mi.MAX_DEGREE + 1} exceeds the supported maximum"):
+        mi.sharpness_factor((mi.MAX_DEGREE, 1))
+
+
+@pytest.mark.parametrize("n, k, message", [(0, 1, "dimension must be at least 1"), (2, -1, "degree must be non-negative")],
+                         ids=["dimension-0", "degree-negative"])
+def test_enumerate_rejects_bad_dimension_or_degree(n, k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mi.enumerate_indices(n, k)
+
+
 def test_sharpness_factor_large_degree():
     # (60^60)/(30^30 * 30^30) = 2^60 exactly
     assert mi.sharpness_factor((30, 30)) == 2.0 ** 60

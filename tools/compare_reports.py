@@ -4,12 +4,14 @@
 
 Prints the files present in only one directory.  For each JSON report whose
 bytes differ it prints the changed records, paired by position, grouped by
-(sample prefix, inequality) with their count and largest |delta ratio|, the
-summary fields that moved, and whether `summary.failure_count` moved.  Other
-files that differ (CSV reports, side files) are listed by name.  Records and
-fields compare as `json.dumps(sort_keys=True)` text, so floats compare by
-repr and NaN equals NaN.  Exits 1 when the two file sets or any report's
-record count differ, 0 otherwise.  Standard library only.
+(sample prefix, inequality) with their count and largest |delta ratio| and
+|delta lhs| (a certificate has ratio 0 and keeps its `measured` value in
+`lhs`, so only the second shows it move), the summary fields that moved, and
+whether `summary.failure_count` moved.  Other files that differ (CSV
+reports, side files) are listed by name.  Records and fields compare as
+`json.dumps(sort_keys=True)` text, so floats compare by repr and NaN equals
+NaN.  Exits 1 when the two file sets or any report's record count differ,
+0 otherwise.  Standard library only.
 """
 from __future__ import annotations
 
@@ -30,12 +32,17 @@ def prefix(sample: str) -> str:
     return head if head and tail.isdigit() else sample
 
 
-def ratio_delta(old: dict, new: dict) -> float:
-    """|new ratio - old ratio|, NaN when either is not a number."""
+def delta(old: dict, new: dict, key: str) -> float:
+    """|new[key] - old[key]|, NaN when either is not a number."""
     try:
-        return abs(float(new["ratio"]) - float(old["ratio"]))
+        return abs(float(new[key]) - float(old[key]))
     except (KeyError, TypeError, ValueError):
         return math.nan
+
+
+def largest(values) -> float:
+    """The largest of the values that are not NaN, NaN when there is none."""
+    return max((v for v in values if v == v), default=math.nan)  # v == v skips NaN
 
 
 def compare_report(name: str, old: dict, new: dict) -> bool:
@@ -51,11 +58,13 @@ def compare_report(name: str, old: dict, new: dict) -> bool:
     groups = defaultdict(list)
     for a, b in zip(before, after):
         if text(a) != text(b):
-            groups[prefix(str(b.get("sample"))), str(b.get("inequality"))].append(ratio_delta(a, b))
+            groups[prefix(str(b.get("sample"))), str(b.get("inequality"))].append(
+                (delta(a, b, "ratio"), delta(a, b, "lhs")))
     print(f"{name}: {sum(map(len, groups.values()))} of {len(after)} records changed; {moved}")
     for (sample, inequality), deltas in sorted(groups.items()):
-        largest = max((d for d in deltas if d == d), default=math.nan)  # d == d skips NaN
-        print(f"  {sample} {inequality}: {len(deltas)} records, max |dratio| {largest:.3g}")
+        ratios, lhs = zip(*deltas)
+        print(f"  {sample} {inequality}: {len(deltas)} records, max |dratio| {largest(ratios):.3g}, "
+              f"max |dlhs| {largest(lhs):.3g}")
     fields = [key for key in sorted(set(summary_old) | set(summary_new))
               if text(summary_old.get(key)) != text(summary_new.get(key))]
     if fields:
