@@ -76,7 +76,6 @@ class _Constants(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _cached_constants(v) -> _Constants:
-    v = mi.as_multiindex(v)
     k = sum(v)
     if k == 0:
         raise ValueError("v must be a non-zero multi-index")
@@ -88,8 +87,8 @@ def _cached_constants(v) -> _Constants:
 
 
 def _constants(v) -> _Constants:
-    """The constants of v, which is checked once per distinct v."""
-    return _cached_constants(tuple(v))
+    """The constants of v, checked before the cache: (True, 1) hashes like (1, 1)."""
+    return _cached_constants(mi.as_multiindex(v))
 
 
 class PartialBounds(NamedTuple):
@@ -213,7 +212,8 @@ _CONTEXT = frozenset(("beta", "k", "v"))
 
 @lru_cache(maxsize=4096)
 def _request(n: int, m: int, inequality: str, at_z: bool, with_beta: bool, k, v) -> _Request:
-    """Check a request's context for a map from C^n to C^m, once per distinct context."""
+    """Check a request's context for a map from C^n to C^m, once per distinct
+    context; k and v arrive checked, as 2.0, True and (True, 1) hash like 2, 1 and (1, 1)."""
     ineq = normalize_inequality(inequality)
     row = _BOUNDS[ineq]
     if row.n1 and n != 1:
@@ -226,11 +226,8 @@ def _request(n: int, m: int, inequality: str, at_z: bool, with_beta: bool, k, v)
         if missing:
             raise ValueError(f"inequality {ineq} requires the argument {name}")
     if reads_v:
-        v = mi.as_multiindex(v)
-        if len(v) != n:
-            raise ValueError(f"multi-index {v} does not have dimension {n}")
         return _Request(ineq, row, None, v, _constants(v).k, origin)
-    k = int(row.k if row.k is not None else k)
+    k = row.k if row.k is not None else k
     if k < 1:
         raise ValueError("order must be at least 1")
     return _Request(ineq, row, k, None, k, origin)
@@ -272,13 +269,14 @@ def _points(points) -> tuple[list[tuple], list[tuple], list]:
         for inequality, kwargs in requests:
             if not kwargs.keys() <= _CONTEXT:
                 raise TypeError(f"unexpected request arguments {sorted(kwargs.keys() - _CONTEXT)}")
-            beta, v = kwargs.get("beta"), kwargs.get("v")
-            r = _request(n, m, inequality, z is not None, beta is not None, kwargs.get("k"),
-                         None if v is None else tuple(v))
+            beta, k, v = kwargs.get("beta"), kwargs.get("k"), kwargs.get("v")
+            k = None if k is None else mi.check_order(k)
+            v = None if v is None else mi.as_multiindex_of(v, n)
+            r = _request(n, m, inequality, z is not None, beta is not None, k, v)
             d = None
             if r.row.derivative in ("D_k", "slice"):
-                beta = np.asarray(beta, dtype=complex).reshape(-1)
-                d = directions.setdefault(beta.tobytes(), len(betas))
+                beta = np.asarray(beta, dtype=complex)
+                d = directions.setdefault((beta.shape, beta.tobytes()), len(betas))
                 if d == len(betas):
                     betas.append(as_direction(beta, n))
             rows.append((r, p, d))

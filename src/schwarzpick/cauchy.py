@@ -75,16 +75,6 @@ def slice_radius(z) -> float:
     return RADIUS_FRACTION * max_uniform_radius(z)
 
 
-def _check_order(order) -> int:
-    """A derivative order as an int: ValueError unless it is a non-negative
-    int (a bool is not), CapacityError above multiindex.MAX_DEGREE."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"derivative order must be a non-negative int, got {order!r}")
-    if order > mi.MAX_DEGREE:
-        raise mi.CapacityError(f"degree {order} exceeds the supported maximum {mi.MAX_DEGREE}")
-    return int(order)
-
-
 class _Plan(NamedTuple):
     """Everything a slice table of dimension n and order K takes from (n, K)
     alone, as read-only arrays: the phase-grid directions, the unit circle
@@ -173,15 +163,12 @@ def _slices(f: HoloMap, z, order: int) -> np.ndarray:
 def taylor_coefficients(f: HoloMap, indices) -> dict:
     """Taylor coefficients a_alpha = d^alpha f(0) / alpha! at the origin for
     each alpha in `indices`: read from a `PolyMap`'s table, otherwise from one
-    slice table.  An index whose length is not f.n raises ValueError, and one
-    of degree above multiindex.MAX_DEGREE CapacityError, on both routes."""
-    indices = [mi.as_multiindex(a) for a in indices]
-    for a in indices:
-        if len(a) != f.n:
-            raise ValueError(f"multi-index {a} does not have dimension {f.n}")
+    slice table.  Each index is checked by `multiindex.as_multiindex_of` and
+    their largest degree by `multiindex.check_order`, on both routes."""
+    indices = [mi.as_multiindex_of(a, f.n) for a in indices]
     if not indices:
         return {}
-    order = _check_order(max(sum(a) for a in indices))
+    order = mi.check_order(max(sum(a) for a in indices))
     if isinstance(f, PolyMap):
         return {a: f.coefficient(a) for a in indices}
     table, readout = _slices(f, None, order), _plan(f.n, order).readout
@@ -190,11 +177,10 @@ def taylor_coefficients(f: HoloMap, indices) -> dict:
 
 def partial_bundle(f: HoloMap, z, max_order: int) -> dict:
     """All partials d^alpha f(z), |alpha| <= max_order, as a dict keyed by alpha:
-    exact for a `PolyMap`, from one slice table otherwise.  An order that is
-    not a non-negative int raises ValueError, one above
-    multiindex.MAX_DEGREE CapacityError, and a z that is not a finite point
-    of the domain ball MapDomainError, on both routes."""
-    max_order = _check_order(max_order)
+    exact for a `PolyMap`, from one slice table otherwise.  The order is
+    checked by `multiindex.check_order` and z by `holomap.as_ball_point`, on
+    both routes."""
+    max_order = mi.check_order(max_order)
     z = as_ball_point(z, f.n)
     if isinstance(f, PolyMap):
         alphas = mi.enumerate_up_to(f.n, max_order)
@@ -245,9 +231,9 @@ def line_derivative(f: HoloMap, z, beta, k: int) -> np.ndarray:
     f(z + lambda R beta), the restriction normalised to the unit disk by its
     radius R, read from one slice table.  A z or beta that is not a finite
     point of the domain ball or a finite non-zero direction in C^n raises
-    MapDomainError, as in the bound checks, and k is checked as
-    `partial_bundle` checks its order."""
-    k = _check_order(k)
+    MapDomainError, as in the bound checks, and k is checked by
+    `multiindex.check_order`."""
+    k = mi.check_order(k)
     line = LineMap(f, z, beta)
     disk = LineMap(f, line.z0, line.radius * line.beta)
     return math.factorial(k) / line.radius ** k * taylor_coefficients(disk, [(k,)])[(k,)]

@@ -83,8 +83,6 @@ class AutomorphismMap(HoloMap):
 def origin_equality_gap(a0, av, v) -> float:
     """Signed gap of the origin coefficient bound:
     |<a_v,a_0>|^2 + (1-|a_0|^2)|a_v|^2 - (|v|^|v|/v^v)(1-|a_0|^2)^2."""
-    a0 = np.asarray(a0, dtype=complex).reshape(-1)
-    av = np.asarray(av, dtype=complex).reshape(-1)
     a02 = float(sq_norm(a0))
     ip = abs(complex(hermitian_inner(av, a0)))
     lhs = ip * ip + (1.0 - a02) * float(sq_norm(av))
@@ -108,13 +106,9 @@ class ExtremalOriginMap(HoloMap):
         self.v = mi.as_multiindex(v)
         if sum(self.v) == 0:
             raise MapDomainError("v must be a non-zero multi-index")
-        self.a0 = np.asarray(a0, dtype=complex).reshape(-1)
-        self.av = np.asarray(av, dtype=complex).reshape(-1)
-        if self.a0.shape != self.av.shape:
-            raise MapDomainError("a0 and a_v must live in the same codomain")
+        self.a0 = as_ball_point(a0)
+        self.av = as_direction(av, self.a0.shape[0])
         a02 = float(sq_norm(self.a0))
-        if not a02 < 1.0:  # NaN fails too
-            raise MapDomainError("a0 must lie inside the unit ball")
         gap = origin_equality_gap(self.a0, self.av, self.v)
         if not abs(gap) <= 1e-12 * max(1.0, mi.sharpness_factor(self.v) * (1.0 - a02) ** 2):
             raise MapDomainError(f"(a0, a_v, v) do not satisfy the equality condition (gap {gap:.3e})")
@@ -132,8 +126,8 @@ class ExtremalOriginMap(HoloMap):
 
 def extremal_origin_from_direction(a0, direction, v) -> ExtremalOriginMap:
     """Scale a codomain direction to the exact equality locus and construct the map."""
-    a0 = np.asarray(a0, dtype=complex).reshape(-1)
-    u = np.asarray(direction, dtype=complex).reshape(-1)
+    a0 = as_ball_point(a0)
+    u = as_direction(direction, a0.shape[0])
     u = u / np.linalg.norm(u)
     a02 = float(sq_norm(a0))
     ip = abs(complex(hermitian_inner(u, a0)))
@@ -189,8 +183,6 @@ def normalized_frame(xi, w0, jac) -> np.ndarray:
     """phi'_{w0}(w0) . J . phi'_xi(0): the derivative of the map renormalised
     to fix the origin. An isometry exactly when the first-order bound is
     attained at xi in every direction."""
-    xi = as_ball_point(xi)
-    w0 = as_ball_point(w0)
     jac = np.asarray(jac, dtype=complex)
     return moebius_jacobian(w0, at="a") @ jac @ moebius_jacobian(xi, at="origin")
 
@@ -198,10 +190,20 @@ def normalized_frame(xi, w0, jac) -> np.ndarray:
 def jacobian_from_frame(xi, w0, frame) -> np.ndarray:
     """Inverse of `normalized_frame`: the Jacobian whose renormalised frame is
     the given m x n matrix (use an isometry to hit the equality case)."""
-    xi = as_ball_point(xi)
-    w0 = as_ball_point(w0)
     frame = np.asarray(frame, dtype=complex)
     return moebius_jacobian(w0, at="origin") @ frame @ moebius_jacobian(xi, at="a")
+
+
+def _disk_point(x, what: str = "the pinned point", nonzero: bool = True) -> complex:
+    """A scalar parameter of a remark family as a complex number:
+    MapDomainError unless it lies inside the unit disk and, when `nonzero`,
+    is non-zero."""
+    x = complex(x)
+    if nonzero and x == 0:
+        raise MapDomainError(f"{what} must be non-zero (its argument sets the phase)")
+    if not abs(x) < 1.0:  # NaN fails too
+        raise MapDomainError(f"{what} must lie inside the unit disk")
+    return x
 
 
 class Remark2Map(HoloMap):
@@ -215,18 +217,13 @@ class Remark2Map(HoloMap):
     kind = "remark2"
 
     def __init__(self, xi, w):
-        xi = complex(xi)
-        if xi == 0:
-            raise MapDomainError("the pinned point must be non-zero (its argument sets the phase)")
-        if not abs(xi) < 1.0:  # NaN fails too
-            raise MapDomainError("the pinned point must lie inside the unit disk")
-        self.xi = xi
-        self.w = np.asarray(w, dtype=complex).reshape(-1)
+        self.xi = _disk_point(xi)
+        self.w = as_ball_point(w)
         wnorm = math.sqrt(float(sq_norm(self.w)))
-        if wnorm == 0.0 or not wnorm < 1.0:
+        if wnorm == 0.0:
             raise MapDomainError("w must lie in the punctured unit ball")
         self._wnorm = wnorm
-        self._phase = cmath.exp(-1j * cmath.phase(xi))
+        self._phase = cmath.exp(-1j * cmath.phase(self.xi))
         self.n = 1
         self.m = self.w.shape[0]
 
@@ -255,17 +252,11 @@ class Remark3Map(HoloMap):
             raise MapDomainError("v must be a non-zero multi-index")
         self.n = len(self.v)
         self.m = 1
-        xi1 = complex(xi1)
-        if not abs(xi1) < 1.0:  # NaN fails too
-            raise MapDomainError("xi must lie inside the unit ball")
-        self.xi1 = xi1
-        w = complex(w)
-        if not abs(w) < 1.0:
-            raise MapDomainError("w must lie inside the unit disk")
-        self.w = w
+        self.xi1 = _disk_point(xi1, nonzero=False)
+        self.w = _disk_point(w, "w", nonzero=False)
         self._s = math.sqrt(mi.sharpness_factor(self.v))
         xi = np.zeros(self.n, dtype=complex)
-        xi[0] = xi1
+        xi[0] = self.xi1
         self._auto = AutomorphismMap(xi)
         self._vexp = np.array(self.v)
 
@@ -288,21 +279,13 @@ class Remark4Map(HoloMap):
     kind = "remark4"
 
     def __init__(self, xi1, w, n=1):
-        xi1 = complex(xi1)
-        w = complex(w)
-        if xi1 == 0:
-            raise MapDomainError("the pinned point must be non-zero (its argument sets the phase)")
-        if not abs(xi1) < 1.0:  # NaN fails too
-            raise MapDomainError("xi must lie inside the unit ball")
-        if w == 0 or not abs(w) < 1.0:
-            raise MapDomainError("w must lie in the punctured unit disk")
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        self.xi1 = _disk_point(xi1)
+        self.w = _disk_point(w, "w")
+        if not (mi.is_order(n) and n >= 1):
             raise MapDomainError(f"n must be an int >= 1, got {n!r}")
-        self.xi1 = xi1
-        self.w = w
         self.n = int(n)
         self.m = 1
-        self._phase = cmath.exp(-1j * (cmath.phase(xi1) - cmath.phase(w)))
+        self._phase = cmath.exp(-1j * (cmath.phase(self.xi1) - cmath.phase(self.w)))
 
     def _eval(self, z):
         y1 = (self.xi1 - z[..., 0]) / (1.0 - np.conj(self.xi1) * z[..., 0])

@@ -32,13 +32,14 @@ def hermitian_inner(u, w):
 def sq_norm(z):
     """sum_j |z_j|^2 along the last axis, added column by column in order:
     bitwise np.add.reduce(axis=-1) for the short last axes of this package,
-    without the reduction's fixed cost."""
+    without the reduction's fixed cost.  The columns are the rows of the
+    transpose, so a single vector adds numpy scalars, not 0-d arrays."""
     z = np.asarray(z)
-    sq = z.real ** 2 + z.imag ** 2
-    acc = sq[..., 0]
-    for j in range(1, sq.shape[-1]):
-        acc = acc + sq[..., j]
-    return acc
+    columns = (z.real ** 2 + z.imag ** 2).T
+    acc = columns[0]
+    for j in range(1, len(columns)):
+        acc = acc + columns[j]
+    return acc.T
 
 
 def check_inside_ball(z, label="z"):
@@ -48,22 +49,30 @@ def check_inside_ball(z, label="z"):
         raise MapDomainError(f"{label} must lie strictly inside the unit ball (|{label}| = {math.sqrt(worst):.6f})")
 
 
+def _vector(x, n: int | None, what: str) -> np.ndarray:
+    """x as a complex vector (a 0-d x as one entry): MapDomainError unless it
+    has at most one axis and n entries (any number when n is None)."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim > 1:
+        raise MapDomainError(f"a {what} must be a vector, got shape {x.shape}")
+    x = x.reshape(-1)
+    if n is not None and x.shape[0] != n:
+        raise MapDomainError(f"expected a {what} in C^{n}, got dimension {x.shape[0]}")
+    return x
+
+
 def as_ball_point(z, n: int | None = None) -> np.ndarray:
-    """z as a flat complex vector: MapDomainError unless it has n entries
-    (any number when n is None) and lies strictly inside the unit ball."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if n is not None and z.shape[0] != n:
-        raise MapDomainError(f"expected a point in C^{n}, got dimension {z.shape[0]}")
+    """z as a complex vector: MapDomainError unless `_vector` takes it and it
+    lies strictly inside the unit ball."""
+    z = _vector(z, n, "point")
     check_inside_ball(z)
     return z
 
 
 def as_direction(beta, n: int | None = None, nonzero: bool = True) -> np.ndarray:
-    """beta as a flat complex vector: MapDomainError unless it has n entries
-    (any number when n is None), all finite, and is non-zero when `nonzero`."""
-    beta = np.asarray(beta, dtype=complex).reshape(-1)
-    if n is not None and beta.shape[0] != n:
-        raise MapDomainError(f"expected a direction in C^{n}, got dimension {beta.shape[0]}")
+    """beta as a complex vector: MapDomainError unless `_vector` takes it, its
+    entries are finite and, when `nonzero`, it is non-zero."""
+    beta = _vector(beta, n, "direction")
     if not np.isfinite(beta).all():
         raise MapDomainError("direction entries must be finite")
     if nonzero and sq_norm(beta) == 0.0:
@@ -151,9 +160,7 @@ def _coefficient_matrices(n: int, m: int, coeffs: dict) -> tuple[np.ndarray, np.
     value to m entries, or the first bad one raises ValueError."""
     keys, values = [], []
     for alpha, value in coeffs.items():
-        keys.append(mi.as_multiindex(alpha))
-        if len(keys[-1]) != n:
-            raise ValueError(f"coefficient index {keys[-1]} does not have dimension {n}")
+        keys.append(mi.as_multiindex_of(alpha, n))
         values.append(np.asarray(value, dtype=complex).reshape(m))
     return np.array(keys, dtype=np.int64).reshape(-1, n), np.array(values, dtype=complex).reshape(-1, m)
 
@@ -166,13 +173,18 @@ class HoloMap:
     kind: str = "holomap"
 
     def eval(self, z):
+        """f(z): MapDomainError unless z has shape (..., n) and lies in the domain."""
         z = np.asarray(z, dtype=complex)
         if z.ndim == 0 or z.shape[-1] != self.n:
             raise MapDomainError(f"expected points of shape (..., {self.n})")
-        check_inside_ball(z)
+        self._check_domain(z)
         return self._eval(z)
 
     __call__ = eval
+
+    def _check_domain(self, z) -> None:
+        """MapDomainError unless every point of z lies in the domain: the unit ball."""
+        check_inside_ball(z)
 
     def _eval(self, z):  # pragma: no cover - interface
         raise NotImplementedError
@@ -206,10 +218,7 @@ class PolyMap(HoloMap):
         return _poly_eval(self.E, self.A, z)
 
     def coefficient(self, alpha) -> np.ndarray:
-        alpha = mi.as_multiindex(alpha)
-        if len(alpha) != self.n:
-            raise ValueError(f"multi-index {alpha} does not have dimension {self.n}")
-        return self.coeffs.get(alpha, np.zeros(self.m, dtype=complex))
+        return self.coeffs.get(mi.as_multiindex_of(alpha, self.n), np.zeros(self.m, dtype=complex))
 
     def certificate_sum(self) -> float:
         """sum_alpha |a_alpha| (Euclidean norms); <= 1 certifies membership."""
@@ -220,10 +229,7 @@ class PolyMap(HoloMap):
         alpha: the rows with E >= alpha, lowered by alpha and multiplied by one
         exact integer prod_j E_j!/(E_j - alpha_j)! (Python ints) each.  The
         alphas not built yet are built together and kept read-only on the map."""
-        alphas = [mi.as_multiindex(a) for a in alphas]
-        for a in alphas:
-            if len(a) != self.n:
-                raise ValueError(f"derivative order {a} does not have dimension {self.n}")
+        alphas = [mi.as_multiindex_of(a, self.n) for a in alphas]
         missing = [a for a in dict.fromkeys(alphas) if a not in self._rows]
         if missing:
             shifts = np.array(missing, dtype=np.int64).reshape(-1, self.n)
@@ -301,7 +307,7 @@ class LineMap(HoloMap):
     """One-variable restriction lambda -> f(z0 + lambda * beta).
 
     `radius` is the largest disk |lambda| < radius guaranteed to stay inside
-    the domain ball; it is at least (1 - |z0|)/|beta|.
+    the domain ball, and the map's domain; it is at least (1 - |z0|)/|beta|.
     """
 
     kind = "line"
@@ -318,15 +324,12 @@ class LineMap(HoloMap):
         self.n = 1
         self.m = base.m
 
-    def eval(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 0 or z.shape[-1] != 1:
-            raise MapDomainError("expected points of shape (..., 1)")
+    def _check_domain(self, z) -> None:
         if not np.max(np.abs(z)) < self.radius:
             raise MapDomainError(f"|lambda| must stay below the restriction radius {self.radius:.6f}")
-        return self.base._eval(self.z0 + z * self.beta)
 
-    __call__ = eval
+    def _eval(self, z):
+        return self.base._eval(self.z0 + z * self.beta)
 
 
 def random_polymap(n: int, m: int, degree: int, seed, margin: float = 0.05) -> PolyMap:
@@ -399,7 +402,7 @@ def coefficient_checks(f: PolyMap, v, beta) -> CoefficientChecks:
     kv = sum(v)
     if kv == 0:
         raise ValueError("v must be a non-zero multi-index")
-    beta = np.asarray(beta, dtype=complex).reshape(f.n)
+    beta = as_direction(beta, f.n)
     if abs(math.sqrt(float(sq_norm(beta))) - 1.0) > 1e-12:
         raise MapDomainError("beta must be a unit vector")
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 #: Hard cap on supported degrees; bounds above this are astronomically loose.
 MAX_DEGREE = 64
 
@@ -12,16 +14,39 @@ class CapacityError(ValueError):
     """A requested multi-index degree exceeds the supported range."""
 
 
+def is_order(x) -> bool:
+    """The rule for orders and multi-index entries: a non-negative int or numpy integer, not a bool."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer)) and x >= 0
+
+
+def check_order(order) -> int:
+    """A derivative order as an int: ValueError unless `is_order`,
+    CapacityError above MAX_DEGREE."""
+    if not is_order(order):
+        raise ValueError(f"derivative order must be a non-negative int, got {order!r}")
+    if order > MAX_DEGREE:
+        raise CapacityError(f"degree {order} exceeds the supported maximum {MAX_DEGREE}")
+    return int(order)
+
+
 def as_multiindex(alpha) -> tuple[int, ...]:
-    """Normalise to a tuple of non-negative ints, rejecting anything else."""
+    """Normalise to a tuple of ints, each entry checked by `is_order`."""
     if type(alpha) is tuple and alpha and all(type(a) is int and a >= 0 for a in alpha):
         return alpha
-    out = tuple(int(a) for a in alpha)
+    out = tuple(alpha)
     if len(out) == 0:
         raise ValueError("multi-index must have at least one entry")
-    if any(a != b for a, b in zip(out, alpha)) or any(a < 0 for a in out):
-        raise ValueError(f"multi-index entries must be non-negative integers, got {tuple(alpha)}")
-    return out
+    if not all(is_order(a) for a in out):
+        raise ValueError(f"multi-index entries must be non-negative integers, got {out}")
+    return tuple(int(a) for a in out)
+
+
+def as_multiindex_of(alpha, n: int) -> tuple[int, ...]:
+    """`as_multiindex(alpha)`: ValueError unless it has n entries."""
+    alpha = as_multiindex(alpha)
+    if len(alpha) != n:
+        raise ValueError(f"multi-index {alpha} does not have dimension {n}")
+    return alpha
 
 
 def multinomial_weight(alpha) -> int:
@@ -30,9 +55,7 @@ def multinomial_weight(alpha) -> int:
     MAX_DEGREE.
     """
     a = as_multiindex(alpha)
-    k = sum(a)
-    if k > MAX_DEGREE:
-        raise CapacityError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
+    k = check_order(sum(a))
     num = math.factorial(k)
     for aj in a:
         num //= math.factorial(aj)
@@ -59,8 +82,7 @@ def sharpness_factor(v) -> float:
     k = sum(a)
     if k == 0:
         raise ValueError("sharpness factor is undefined for the zero multi-index")
-    if k > MAX_DEGREE:
-        raise CapacityError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
+    check_order(k)
     den = 1
     for aj in a:
         den *= aj ** aj if aj > 0 else 1

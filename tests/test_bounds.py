@@ -132,8 +132,9 @@ class TestRhsRadial:
             assert bounds.rhs_radial(v, 0.5, 1.0 - 0.2 ** 2) == pytest.approx(
                 bounds.rhs_partial(v, 0.5, 1.0 - 0.2 ** 2).squared, rel=1e-14)
 
-    @pytest.mark.parametrize("v", [(0, 0), (1, -1), (1.5, 1), (), [2, -1], "12", 3],
-                             ids=["zero", "negative", "fraction", "empty", "negative-list", "string", "int"])
+    @pytest.mark.parametrize("v", [(0, 0), (1, -1), (1.5, 1), (2.0, 1), (True, 1), (), [2, -1], "12", 3],
+                             ids=["zero", "negative", "fraction", "integral-float", "bool", "empty", "negative-list",
+                                  "string", "int"])
     def test_bad_multi_index_rejected(self, v):
         # each public formula checks its v, whether or not an equal v was seen before
         bounds.rhs_partial((1, 1), 0.5, 0.75)
@@ -144,7 +145,7 @@ class TestRhsRadial:
 
     def test_multi_index_of_any_int_sequence_accepted(self):
         want = bounds.rhs_radial((2, 1), 0.5, 0.75)
-        for v in ([2, 1], np.array([2, 1]), (np.int64(2), 1), (2.0, 1)):
+        for v in ([2, 1], np.array([2, 1]), (np.int64(2), 1)):
             assert bounds.rhs_radial(v, 0.5, 0.75) == want
             assert bounds.rhs_partial(v, 0.5, 0.75) == bounds.rhs_partial((2, 1), 0.5, 0.75)
             assert bounds.mu_factor(v, 0.5) == bounds.mu_factor((2, 1), 0.5)
@@ -477,7 +478,8 @@ class TestCheckRequests:
     @pytest.mark.parametrize("beta, message", [
         ([np.nan, 0.0], "entries must be finite"), ([np.inf, 0.0], "entries must be finite"),
         ([0.0, 0.0], "must be non-zero"), ([1.0, 0.0, 0.0], "in C\\^2, got dimension 3"),
-    ], ids=["nan", "inf", "zero", "length-3"])
+        ([[1.0, 0.0]], r"^a direction must be a vector, got shape \(1, 2\)$"),
+    ], ids=["nan", "inf", "zero", "length-3", "two-axes"])
     @pytest.mark.parametrize("ineq", ["1.3", "1.4", "3.1"])
     def test_bad_direction_raises_before_any_derivative_work(self, monkeypatch, ineq, beta, message):
         def no_derivative(*args):
@@ -529,6 +531,26 @@ class TestCheckRequests:
                   bounds.Point(g, np.zeros(n), None, [("5.1", {"v": (1,) + (0,) * (n - 1)})])]
         with pytest.raises(ValueError, match=rf"share \(n, m\) = \(2, 2\); point 1 has \({n}, {m}\)"):
             bounds.check_columns(points)
+
+    @pytest.mark.parametrize("k", [2.7, 2.0, True, "2"], ids=["fraction", "integral-float", "bool", "string"])
+    def test_order_that_is_not_an_int_rejected_after_its_valid_twin(self, k):
+        # 2.0 and True hash like 2 and 1, so the check must run before the cached context check
+        f, z, beta = random_polymap(2, 2, 3, seed=12), np.array([0.3, 0.1j]), np.array([1.0, 0.5j])
+        for twin in (1, 2):
+            bounds.check_inequality(f, "1.4", z=z, beta=beta, k=twin)
+        with pytest.raises(ValueError, match="derivative order must be a non-negative int"):
+            bounds.check_inequality(f, "1.4", z=z, beta=beta, k=k)
+        point = bounds.Point(f, z, None, [("1.4", {"beta": beta, "k": 2}), ("1.4", {"beta": beta, "k": k})])
+        with pytest.raises(ValueError, match="derivative order must be a non-negative int"):
+            bounds.check_columns([point])
+
+    @pytest.mark.parametrize("v", [(True, 1), (1.0, 1)], ids=["bool", "integral-float"])
+    @pytest.mark.parametrize("ineq", ["3.2", "5.1"])
+    def test_multi_index_that_is_not_ints_rejected_after_its_valid_twin(self, ineq, v):
+        f, z = random_polymap(2, 2, 3, seed=12), np.array([0.3, 0.1j])
+        bounds.check_inequality(f, ineq, z=z, v=(1, 1))
+        with pytest.raises(ValueError, match="multi-index entries must be non-negative integers"):
+            bounds.check_inequality(f, ineq, z=z, v=v)
 
     @pytest.mark.parametrize("ineq, context", [("4.1", {"k": 0}), ("1.4", {"beta": [1.0], "k": 0}),
                                                ("5.1", {"v": (0,)})])

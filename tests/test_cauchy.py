@@ -305,6 +305,12 @@ class TestOrderChecks:
         with pytest.raises(ValueError, match="derivative order must be a non-negative int"):
             cauchy.line_derivative(f, np.zeros(2), np.array([1.0, 0.0]), order)
 
+    @pytest.mark.parametrize("index", [(True, 1), (1.0, 1)], ids=["bool", "integral-float"])
+    def test_index_that_is_not_ints_rejected_after_its_valid_twin(self, f, index):
+        cauchy.taylor_coefficients(f, [(1, 1)])
+        with pytest.raises(ValueError, match="multi-index entries must be non-negative integers"):
+            cauchy.taylor_coefficients(f, [index])
+
     def test_order_above_max_degree_rejected(self, f):
         with pytest.raises(mi.CapacityError, match="exceeds the supported maximum"):
             cauchy.partial_bundle(f, np.zeros(2), mi.MAX_DEGREE + 6)

@@ -158,7 +158,7 @@ class TestExtremalOrigin:
             geometry.ExtremalOriginMap(np.zeros(2), np.array([0.5, 0.0]), (1, 1))
 
     def test_center_on_the_sphere_rejected(self):
-        with pytest.raises(MapDomainError, match="a0 must lie inside"):
+        with pytest.raises(MapDomainError, match="must lie strictly inside the unit ball"):
             geometry.ExtremalOriginMap([1, 0], [0.5, 0], (1, 1))
 
 
@@ -316,7 +316,7 @@ def test_nan_parameter_raises(build):
 @pytest.mark.parametrize("build, message", [
     (lambda: geometry.ExtremalOriginMap([0.0, 0.0], [0.5, 0.0], (0, 0)), "v must be a non-zero multi-index"),
     (lambda: geometry.ExtremalOriginMap([0.0, 0.0], [1.0, 0.0, 0.0], (1, 0)),
-     "a0 and a_v must live in the same codomain"),
+     "expected a direction in C\\^2, got dimension 3"),
     (lambda: geometry.Remark3Map(0.5, 0.5, (0, 0, 0)), "v must be a non-zero multi-index"),
     (lambda: geometry.Remark4Map(0.0, 0.5, n=2), "the pinned point must be non-zero"),
     (lambda: geometry.ExtremalK1Map([0.1, 0.0], [0.0, 0.2, 0.0], np.eye(2)), "Jacobian must have shape \\(3, 2\\)"),
@@ -324,11 +324,33 @@ def test_nan_parameter_raises(build):
     (lambda: geometry.Remark4Map(0.5, 0.5, n=-1), "n must be an int >= 1, got -1"),
     (lambda: geometry.Remark4Map(0.5, 0.5, n=True), "n must be an int >= 1, got True"),
     (lambda: geometry.Remark4Map(0.5, 0.5, n=2.7), "n must be an int >= 1, got 2.7"),
+    (lambda: geometry.ExtremalOriginMap([0, 0], [np.nan, 0], (1, 1)), "^direction entries must be finite$"),
+    (lambda: geometry.ExtremalOriginMap(np.zeros((1, 2)), [2.0, 0.0], (1, 1)),
+     r"^a point must be a vector, got shape \(1, 2\)$"),
+    # numpy's divide warning is an error in this suite, so this also fails if the zero is divided
+    (lambda: geometry.extremal_origin_from_direction([0.3], [0.0], (1,)), "^direction must be non-zero$"),
+    (lambda: geometry.extremal_origin_from_direction([0.3], [[1.0]], (1,)),
+     r"^a direction must be a vector, got shape \(1, 1\)$"),
+    (lambda: geometry.Remark2Map(0.5, np.full((1, 2), 0.3)), r"^a point must be a vector, got shape \(1, 2\)$"),
+    (lambda: geometry.Remark2Map(1.5, [0.5]), "^the pinned point must lie inside the unit disk$"),
+    (lambda: geometry.Remark3Map(1.5, 0.5, (1, 1)), "^the pinned point must lie inside the unit disk$"),
+    (lambda: geometry.Remark4Map(1.5, 0.5), "^the pinned point must lie inside the unit disk$"),
+    (lambda: geometry.Remark2Map(0.0, [0.5]), r"^the pinned point must be non-zero \(its argument sets the phase\)$"),
+    (lambda: geometry.Remark2Map(0.5, [0.0, 0.0]), "^w must lie in the punctured unit ball$"),
 ], ids=["extremal-origin-zero-v", "extremal-origin-codomains", "remark3-zero-v", "remark4-pinned-at-0",
-        "extremal-k1-jacobian-shape", "remark4-n-0", "remark4-n-negative", "remark4-n-bool", "remark4-n-float"])
+        "extremal-k1-jacobian-shape", "remark4-n-0", "remark4-n-negative", "remark4-n-bool", "remark4-n-float",
+        "extremal-origin-nan-a_v", "extremal-origin-a0-two-axes", "from-direction-zero", "from-direction-two-axes",
+        "remark2-w-two-axes", "remark2-xi-outside", "remark3-xi-outside", "remark4-xi-outside", "remark2-pinned-at-0",
+        "remark2-w-zero"])
 def test_malformed_parameter_rejected(build, message):
     with pytest.raises(MapDomainError, match=message):
         build()
+
+
+def test_describe_names_each_parameter():
+    assert geometry.AutomorphismMap(np.array([0.3, 0.4j])).describe() == "automorphism(|a|=0.500, n=2)"
+    assert geometry.Remark3Map(0.5j, 0.25, (1, 2)).describe() == "remark3(v=(1, 2), |xi|=0.500, |w|=0.250)"
+
 
 def test_frame_and_jacobian_are_inverse_constructions():
     rng = np.random.default_rng(42)

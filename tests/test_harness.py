@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import runpy
+import sys
 from dataclasses import replace
 from itertools import repeat
 
@@ -485,6 +487,11 @@ class TestFinalize:
         assert [f["sample"] for f in report.failures] == ["remark2-k2-x0.50"]
         assert report.failures[0]["map"] == f.describe()
 
+    def test_missing_inequality_raises(self):
+        rec = harness.certificate_record("sharpness", "remark2-k2-x0.50", "a", measured=0.5, slack=0.1)
+        with pytest.raises(AssertionError, match="^suite sharpness produced no records for inequality b$"):
+            harness._finalize(SuiteConfig(suite="sharpness"), [rec], {}, expected=("a", "b"))
+
     @pytest.mark.parametrize("names", [("a", "b"), ("b", "a")], ids=["nan-last", "nan-first"])
     def test_nan_worst_slack_in_any_order(self, names):
         cfg = SuiteConfig(suite="sharpness")
@@ -518,6 +525,17 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "failures=0" in capsys.readouterr().out
+
+    def test_module_runs_as_a_script(self, tmp_path, monkeypatch, capsys):
+        # out of sys.modules, so runpy does not warn that it runs an imported module again
+        monkeypatch.delitem(sys.modules, "schwarzpick.cli")
+        monkeypatch.setattr(sys, "argv", ["spv", "check", "--suite", "radial", "--n", "2", "--m", "1",
+                                          "--samples", "1", "--degree", "2", "--kmax", "1",
+                                          "--out", str(tmp_path / "r.json")])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("schwarzpick.cli", run_name="__main__")
+        assert exit_info.value.code == 0
+        assert (tmp_path / "r.json").exists() and "suite=radial" in capsys.readouterr().out
 
     def test_disk_suite_defaults_n(self):
         assert cli.main(["check", "--suite", "disk", "--m", "1",

@@ -9,6 +9,7 @@ from schwarzpick import cauchy, geometry, holomap
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import (
     ComposedMap,
+    HoloMap,
     LineMap,
     MapDomainError,
     PolyMap,
@@ -145,14 +146,17 @@ class TestPartial:
             [(E, A)] = f._partial_rows([alpha])
             assert np.array_equal(value, holomap._poly_eval(E, A, z[None, :])[0])
 
-    @pytest.mark.parametrize("z", [np.zeros(3), np.zeros(1), np.zeros((2, 2))], ids=["3", "1", "2x2"])
-    def test_point_of_wrong_length_rejected(self, z):
-        with pytest.raises(MapDomainError, match="^expected a point in C\\^2, got dimension"):
+    @pytest.mark.parametrize("z, message", [(np.zeros(3), "^expected a point in C\\^2, got dimension 3$"),
+                                            (np.zeros(1), "^expected a point in C\\^2, got dimension 1$"),
+                                            (np.zeros((2, 2)), "^a point must be a vector, got shape \\(2, 2\\)$")],
+                             ids=["3", "1", "2x2"])
+    def test_point_of_wrong_length_rejected(self, z, message):
+        with pytest.raises(MapDomainError, match=message):
             random_polymap(2, 2, 3, seed=1).partial_values(z, [(1, 0)])
 
     @pytest.mark.parametrize("alpha", [(1,), (1, 0, 0)], ids=["short", "long"])
     def test_order_of_wrong_dimension_rejected(self, alpha):
-        with pytest.raises(ValueError, match="^" + re.escape(f"derivative order {alpha} does not have dimension 2") + "$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"multi-index {alpha} does not have dimension 2") + "$"):
             random_polymap(2, 2, 3, seed=1).partial_values(np.zeros(2), [(1, 0), alpha])
 
 
@@ -230,12 +234,14 @@ class TestPolyMapTable:
             PolyMap(2, 2, coeffs)
 
     def test_entry_by_entry_route_normalises_as_the_array_route(self):
-        # integral floats and numpy ints as indices, scalars and (1, m) rows as values give the
-        # matrices of the plain table
-        odd = PolyMap(2, 1, {(1.0, 0): 0.5, (np.int64(0), np.int64(2)): [[0.25]], (0, 0): np.array([0.125])})
+        # numpy ints as index entries, scalars and (1, m) rows as values give the matrices of the
+        # plain table; an integral float is not an index entry
+        odd = PolyMap(2, 1, {(np.int64(1), 0): 0.5, (np.int64(0), np.int64(2)): [[0.25]], (0, 0): np.array([0.125])})
         plain = PolyMap(2, 1, {(1, 0): [0.5], (0, 2): [0.25], (0, 0): [0.125]})
         assert list(odd.coeffs) == list(plain.coeffs) and all(type(a) is int for key in odd.coeffs for a in key)
         assert np.array_equal(odd.E, plain.E) and odd.A.tobytes() == plain.A.tobytes()
+        with pytest.raises(ValueError, match="multi-index entries must be non-negative integers"):
+            PolyMap(2, 1, {(1.0, 0): 0.5})
 
 
 class TestCompose:
@@ -315,12 +321,36 @@ class TestRestrictToLine:
         with pytest.raises(MapDomainError, match=f"^{message}$"):
             LineMap(identity_polymap(2), z0, beta)
 
+    def test_one_evaluator_checks_the_restriction_radius(self):
+        assert LineMap.eval is HoloMap.eval and LineMap.__call__ is HoloMap.__call__
+        line = LineMap(identity_polymap(2), np.zeros(2), np.array([2.0, 0.0]))  # radius 0.5
+        assert line(np.array([[0.25j]])).tolist() == [[0.5j, 0.0]]
+        assert line.describe() == "line(n=1, m=2)"
+        with pytest.raises(MapDomainError, match=r"^\|lambda\| must stay below the restriction radius 0\.500000$"):
+            line(np.array([[0.1], [0.5]]))
+
     @pytest.mark.parametrize("lam", [np.array(0.1), np.array([0.1, 0.2, 0.3])], ids=["0-d", "vector"])
     def test_eval_takes_points_of_shape_dots_1(self, lam):
         line = LineMap(identity_polymap(2), np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(MapDomainError, match=r"shape \(\.\.\., 1\)"):
             line.eval(lam)
         assert np.array_equal(line.eval(lam[..., None]), lam[..., None] * [1.0, 0.0])
+
+
+class TestVectors:
+    """Points and directions are vectors: a 0-d value is one entry, two axes are rejected."""
+
+    def test_point_with_two_axes_rejected(self):
+        with pytest.raises(MapDomainError, match=r"^a point must be a vector, got shape \(2, 2\)$"):
+            cauchy.partial_bundle(random_polymap(4, 1, 2, seed=1), np.zeros((2, 2)), 1)
+
+    def test_direction_with_two_axes_rejected(self):
+        with pytest.raises(MapDomainError, match=r"^a direction must be a vector, got shape \(2, 2\)$"):
+            holomap.as_direction(np.ones((2, 2)), 4)
+
+    def test_0d_value_is_a_vector_of_one_entry(self):
+        assert holomap.as_ball_point(0.5j, 1).tolist() == [0.5j]
+        assert holomap.as_direction(np.array(2.0), 1).tolist() == [2.0]
 
 
 class TestCoefficientChecks:
