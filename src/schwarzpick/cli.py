@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .harness import (
     DEFAULT_SWEEP_RADII,
+    UNREAD,
     ConfigError,
     SuiteConfig,
     emit,
@@ -24,15 +25,16 @@ from .harness import (
     sharpness_sweep,
 )
 
-_SUITE_DEFAULT_N = {"disk": 1}
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    """The options of `command`: every SuiteConfig setting but the ones its driver never reads."""
     parser.add_argument("--n", type=int, default=None, help="domain dimension")
     parser.add_argument("--m", type=int, default=2, help="codomain dimension")
-    parser.add_argument("--samples", type=int, default=20, help="sampled maps per suite")
-    parser.add_argument("--degree", type=int, default=4, help="polynomial degree cap")
-    parser.add_argument("--kmax", type=int, default=4, help="maximum derivative order")
+    for flag, name, default, text in (("--samples", "samples", 20, "sampled maps per suite"),
+                                      ("--degree", "degree", 4, "polynomial degree cap"),
+                                      ("--kmax", "k_max", 4, "maximum derivative order")):
+        if name not in UNREAD.get(command, ()):
+            parser.add_argument(flag, dest=name, metavar=flag[2:].upper(), type=int, default=default, help=text)
     parser.add_argument("--seed", type=int, default=42, help="64-bit seed; reports are seed-deterministic")
     parser.add_argument("--tol", type=float, default=1e-8, help="slack tolerance (violation below -tol)")
     parser.add_argument("--out", type=str, default=None, help="write the report to this path")
@@ -47,39 +49,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("--suite", default="main",
-                         choices=("main", "disk", "partials", "radial", "origin"))
-    _add_common(p_check)
+    p_check.add_argument("--suite", default="main", choices=("main", "disk", "partials", "radial", "origin"))
+    _add_settings(p_check, "check")
 
-    p_eq = sub.add_parser("equality", help="certify the equality cases")
-    _add_common(p_eq)
+    _add_settings(sub.add_parser("equality", help="certify the equality cases"), "equality")
 
     p_sh = sub.add_parser("sharpness", help="run an asymptotic-sharpness sweep")
     p_sh.add_argument("--family", default="remark2", choices=("remark2", "remark4"))
-    p_sh.add_argument("--radii", type=str, default=None,
-                      help="comma-separated |w| ladder, e.g. 0.9,0.99,0.999")
-    _add_common(p_sh)
+    p_sh.add_argument("--radii", type=str, default=None, help="comma-separated |w| ladder, e.g. 0.9,0.99,0.999")
+    _add_settings(p_sh, "sharpness")
 
     return parser
 
 
-def _config(args, suite: str) -> SuiteConfig:
-    n = args.n if args.n is not None else _SUITE_DEFAULT_N.get(suite, 2)
-    return SuiteConfig(suite=suite, n=n, m=args.m, samples=args.samples, degree=args.degree,
-                       k_max=args.kmax, seed=args.seed, tol=args.tol, out=args.out, fmt=args.fmt)
+def _config(args) -> SuiteConfig:
+    """The SuiteConfig of the parsed options; a setting the command does not take keeps its default."""
+    suite = args.suite if args.command == "check" else args.command
+    n = args.n if args.n is not None else 1 if suite == "disk" else 2
+    read = {name: getattr(args, name) for name in ("samples", "degree", "k_max") if name in args}
+    return SuiteConfig(suite=suite, n=n, m=args.m, seed=args.seed, tol=args.tol, out=args.out, fmt=args.fmt, **read)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    config = _config(args)
     try:
         if args.command == "check":
-            config = _config(args, args.suite)
             report = run_suite(config)
         elif args.command == "equality":
-            config = _config(args, "equality")
             report = equality_suite(config)
         else:
-            config = _config(args, "sharpness")
             radii = DEFAULT_SWEEP_RADII
             if args.radii:
                 try:

@@ -32,6 +32,9 @@ DEFAULT_SWEEP_RADII = (0.9, 0.99, 0.999, 0.9999)
 #: Certification threshold for equality-suite slacks.
 EQUALITY_TOL = 1e-9
 
+#: The SuiteConfig fields a driver never reads, by suite: its reports do not echo them.
+UNREAD = {"equality": ("samples", "degree", "k_max"), "sharpness": ("samples", "degree")}
+
 
 class ConfigError(ValueError):
     """Invalid suite configuration; reported before any computation."""
@@ -254,8 +257,8 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
         described = f.to_json_dict() if isinstance(f, PolyMap) else f.describe()
         failures.append({"sample": sample, "suite": recs[0]["suite"],
                          "worst_slack": _reduce(min, [r["slack"] for r in recs]), "map": described})
-    echo = asdict(config)
-    echo.pop("out")  # destination path is environment metadata, not canonical body
+    unread = ("out", *UNREAD.get(config.suite, ()))  # out: the path is environment metadata, not canonical body
+    echo = {name: value for name, value in asdict(config).items() if name not in unread}
     return Report(schema=SCHEMA, config=echo, records=records, failures=failures,
                   summary={"record_count": len(records), "failure_count": sum(map(len, failing.values())),
                            "min_slack": _reduce(min, slacks), "min_ratio": _reduce(min, ratios),

@@ -42,11 +42,11 @@ def sq_norm(z):
     return acc.T
 
 
-def check_inside_ball(z, label="z"):
+def check_inside_ball(z):
     sq = sq_norm(z)
     worst = float(sq.max() if sq.ndim else sq)  # one point skips the reduction's fixed cost
     if not worst < 1.0:  # NaN fails too
-        raise MapDomainError(f"{label} must lie strictly inside the unit ball (|{label}| = {math.sqrt(worst):.6f})")
+        raise MapDomainError(f"z must lie strictly inside the unit ball (|z| = {math.sqrt(worst):.6f})")
 
 
 def _vector(x, n: int | None, what: str) -> np.ndarray:
@@ -204,7 +204,7 @@ class PolyMap(HoloMap):
     kind = "poly"
 
     def __init__(self, n, m, coeffs):
-        self.n, self.m = int(n), int(m)
+        self.n, self.m = mi.check_dimension(n), mi.check_dimension(m)
         E, A = _coefficient_matrices(self.n, self.m, coeffs)
         nonzero = (A != 0).any(axis=1)
         # exponent and coefficient matrices, one row per non-zero entry in key order

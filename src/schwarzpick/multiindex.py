@@ -29,6 +29,13 @@ def check_order(order) -> int:
     return int(order)
 
 
+def check_dimension(n) -> int:
+    """A dimension as an int: ValueError unless `is_order` and at least 1."""
+    if not (is_order(n) and n >= 1):
+        raise ValueError(f"dimension must be an int >= 1, got {n!r}")
+    return int(n)
+
+
 def as_multiindex(alpha) -> tuple[int, ...]:
     """Normalise to a tuple of ints, each entry checked by `is_order`."""
     if type(alpha) is tuple and alpha and all(type(a) is int and a >= 0 for a in alpha):
@@ -106,16 +113,13 @@ def enumerate_indices(n: int, k: int) -> list[tuple[int, ...]]:
     The ordering is part of the public contract: reports and coefficient
     tables iterate in this order.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    return list(_enumerate_cached(n, k))
+    # checked before the cache, where 2.0 and True would hit the entries of 2 and 1
+    return list(_enumerate_cached(check_dimension(n), check_order(k)))
 
 
 def enumerate_up_to(n: int, max_degree: int, include_zero: bool = True) -> list[tuple[int, ...]]:
     """All multi-indexes of dimension n with degree <= max_degree, by degree then lex."""
     out: list[tuple[int, ...]] = []
-    for k in range(0 if include_zero else 1, max_degree + 1):
+    for k in range(0 if include_zero else 1, check_order(max_degree) + 1):
         out.extend(enumerate_indices(n, k))
     return out

@@ -56,3 +56,17 @@ def test_moved_certificate_shows_in_its_lhs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "000-equality.json: 1 of" in out and "failure_count unchanged (0)" in out
     assert "  ext 3.2-equality: 1 records, max |dratio| 0, max |dlhs| 0.125\n" in out
+
+
+def test_config_keys_are_named_by_change(tmp_path, capsys):
+    report = harness.equality_suite(harness.SuiteConfig(n=1, m=1, seed=5))
+    a = write_reports(tmp_path / "a", report)
+    moved = json.loads((a / "000-equality.json").read_text())
+    del moved["config"]["tol"], moved["config"]["fmt"]
+    moved["config"].update(seed=6, width=3)
+    b = write_reports(tmp_path / "b", harness.Report(**moved))
+    assert compare_reports.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "000-equality.json: 0 of" in out and "failure_count unchanged (0)" in out
+    assert "  config keys added: width\n  config keys removed: fmt, tol\n  config keys changed: seed\n" in out
+    assert "config changed" not in out

@@ -591,6 +591,37 @@ class TestCli:
             assert "usage: spv" in capsys.readouterr().err
 
     def test_equality_and_sharpness_commands(self):
-        assert cli.main(["equality", "--n", "2", "--m", "2", "--samples", "1"]) == 0
+        assert cli.main(["equality", "--n", "2", "--m", "2"]) == 0
         assert cli.main(["sharpness", "--family", "remark4", "--n", "2", "--m", "1",
                          "--radii", "0.9,0.99", "--kmax", "2"]) == 0
+
+    @pytest.mark.parametrize("command, taken, dropped", [
+        ("check", ["--suite", "--n", "--m", "--samples", "--degree", "--kmax", "--seed", "--tol", "--out",
+                   "--format"], []),
+        ("equality", ["--n", "--m", "--seed", "--tol", "--out", "--format"], ["--samples", "--degree", "--kmax"]),
+        ("sharpness", ["--family", "--radii", "--n", "--m", "--kmax", "--seed", "--tol", "--out", "--format"],
+         ["--samples", "--degree"]),
+    ])
+    def test_each_command_takes_the_settings_its_driver_reads(self, capsys, command, taken, dropped):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert re.findall(r"^  (--\w+)", capsys.readouterr().out, re.M) == taken
+        for option in dropped:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, option, "2"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage: spv" in err and f"unrecognized arguments: {option} 2" in err
+
+    def test_config_echoes_exactly_the_settings_its_driver_reads(self, tmp_path):
+        argvs = {"check": ["check", "--suite", "disk", "--m", "1", "--samples", "1", "--degree", "2", "--kmax", "1"],
+                 "equality": ["equality", "--n", "1", "--m", "1"],
+                 "sharpness": ["sharpness", "--radii", "0.9", "--kmax", "2"]}
+        read = {"check": {"suite", "n", "m", "samples", "degree", "k_max", "seed", "tol", "fmt"},
+                "equality": {"suite", "n", "m", "seed", "tol", "fmt"},
+                "sharpness": {"suite", "n", "m", "k_max", "seed", "tol", "fmt"}}
+        for command, argv in argvs.items():
+            out = tmp_path / f"{command}.json"
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            assert set(json.loads(out.read_text())["config"]) == read[command]

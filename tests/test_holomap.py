@@ -243,6 +243,16 @@ class TestPolyMapTable:
         with pytest.raises(ValueError, match="multi-index entries must be non-negative integers"):
             PolyMap(2, 1, {(1.0, 0): 0.5})
 
+    @pytest.mark.parametrize("n, m, bad", [(2.7, 1, 2.7), (True, 1, True), (2, 1.0, 1.0), (0, 1, 0),
+                                           (2, np.int64(0), np.int64(0))],
+                             ids=["fractional-n", "bool-n", "integral-float-m", "zero-n", "zero-numpy-m"])
+    def test_dimension_that_is_not_an_int_of_at_least_one_rejected(self, n, m, bad):
+        # int() once made PolyMap(2.7, ...) a map with n = 2 and PolyMap(True, ...) one with n = 1
+        with pytest.raises(ValueError, match="^" + re.escape(f"dimension must be an int >= 1, got {bad!r}") + "$"):
+            PolyMap(n, m, {(1, 0): [0.5]})
+        f = PolyMap(np.int64(2), 1, {(1, 0): [0.5]})
+        assert type(f.n) is int and PolyMap.from_json_dict(json.loads(json.dumps(f.to_json_dict()))).n == 2
+
 
 class TestCompose:
     def test_zero_parameter_negates(self):

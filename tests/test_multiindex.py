@@ -60,11 +60,26 @@ def test_sharpness_factor_rejects_degree_above_max():
         mi.sharpness_factor((mi.MAX_DEGREE, 1))
 
 
-@pytest.mark.parametrize("n, k, message", [(0, 1, "dimension must be at least 1"), (2, -1, "degree must be non-negative")],
+@pytest.mark.parametrize("n, k, message", [(0, 1, "dimension must be an int >= 1, got 0"),
+                                            (2, -1, "derivative order must be a non-negative int, got -1")],
                          ids=["dimension-0", "degree-negative"])
 def test_enumerate_rejects_bad_dimension_or_degree(n, k, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         mi.enumerate_indices(n, k)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("n, k", [(2, True), (2, 2.0), (True, 2), (2.0, 2)],
+                         ids=["bool-degree", "integral-float-degree", "bool-dimension", "integral-float-dimension"])
+def test_enumerate_rejects_what_is_not_an_int_before_its_cache(n, k, warm):
+    # 2.0 == 2 and True == 1 hash equal, so a check behind the cache passed once a valid twin was cached
+    mi._enumerate_cached.cache_clear()
+    if warm:
+        mi.enumerate_indices(int(n), int(k))
+    with pytest.raises(ValueError, match="must be"):
+        mi.enumerate_indices(n, k)
+    with pytest.raises(ValueError, match="must be"):
+        mi.enumerate_up_to(n, k)
 
 
 def test_sharpness_factor_large_degree():

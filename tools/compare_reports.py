@@ -6,12 +6,12 @@ Prints the files present in only one directory.  For each JSON report whose
 bytes differ it prints the changed records, paired by position, grouped by
 (sample prefix, inequality) with their count and largest |delta ratio| and
 |delta lhs| (a certificate has ratio 0 and keeps its `measured` value in
-`lhs`, so only the second shows it move), the summary fields that moved, and
-whether `summary.failure_count` moved.  Other files that differ (CSV
-reports, side files) are listed by name.  Records and fields compare as
-`json.dumps(sort_keys=True)` text, so floats compare by repr and NaN equals
-NaN.  Exits 1 when the two file sets or any report's record count differ,
-0 otherwise.  Standard library only.
+`lhs`, so only the second shows it move), the summary fields that moved, the
+`config` keys added, removed or changed, and whether `summary.failure_count`
+moved.  Other files that differ (CSV reports, side files) are listed by
+name.  Records and fields compare as `json.dumps(sort_keys=True)` text, so
+floats compare by repr and NaN equals NaN.  Exits 1 when the two file sets
+or any report's record count differ, 0 otherwise.  Standard library only.
 """
 from __future__ import annotations
 
@@ -69,7 +69,14 @@ def compare_report(name: str, old: dict, new: dict) -> bool:
               if text(summary_old.get(key)) != text(summary_new.get(key))]
     if fields:
         print(f"  summary fields moved: {', '.join(fields)}")
-    for key in sorted((set(old) | set(new)) - {"records", "summary"}):
+    config_old, config_new = old.get("config", {}), new.get("config", {})
+    for verb, keys in (("added", config_new.keys() - config_old.keys()),
+                       ("removed", config_old.keys() - config_new.keys()),
+                       ("changed", [key for key in config_old.keys() & config_new.keys()
+                                    if text(config_old[key]) != text(config_new[key])])):
+        if keys:
+            print(f"  config keys {verb}: {', '.join(sorted(keys))}")
+    for key in sorted((set(old) | set(new)) - {"records", "summary", "config"}):
         if text(old.get(key)) != text(new.get(key)):
             print(f"  {key} changed")
     return True
