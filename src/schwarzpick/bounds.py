@@ -27,7 +27,7 @@ import numpy as np
 
 from . import cauchy
 from . import multiindex as mi
-from .holomap import HoloMap, MapDomainError, as_ball_point, as_direction, sq_norm
+from .holomap import HoloMap, MapDomainError, as_ball_point, as_direction, hermitian_inner, sq_norm
 
 _ALIASES = {"4.3": "1.4", "1.5": "5.1", "1.6": "5.2", "1.7": "5.3"}
 
@@ -39,10 +39,10 @@ def normalize_inequality(inequality: str) -> str:
     return out
 
 
-def _moduli(d, conj_fz):
-    """|d|^2 and |<d, f(z)>| along the last axis, for conj_fz = conj(f(z)).
-    np.hypot rounds a modulus as abs(complex) does; np.abs does not."""
-    ip = np.add.reduce(d * conj_fz, axis=-1)
+def _moduli(d, fz):
+    """|d|^2 and |<d, f(z)>| along the last axis.  np.hypot rounds a modulus
+    as abs(complex) does; np.abs does not."""
+    ip = hermitian_inner(d, fz)
     return sq_norm(d), np.hypot(ip.real, ip.imag)
 
 
@@ -293,7 +293,7 @@ def _points(points) -> tuple[list[tuple], list[tuple], list]:
                 raise MapDomainError("the radial bound applies only on the z1-axis")
             z2 = float(sq_norm(z))
             if directions:
-                _, ip = _moduli(b, np.conj(z))
+                _, ip = _moduli(b, z)
                 pivot = (1.0 - z2) * b2 + ip * ip
                 lift.update(enumerate((1.0 + ip / np.sqrt(pivot)).tolist(), start))
                 metric.update(enumerate((pivot / (1.0 - z2) ** 2).tolist(), start))
@@ -380,7 +380,7 @@ def check_columns(points) -> list[Row]:
         return []
     tables, gs, d = _derivative(rows, pts, betas)
     g = np.array(gs)
-    d2, ip = _moduli(d, np.conj(np.array([t.fz for t in tables]))[g])
+    d2, ip = _moduli(d, np.array([t.fz for t in tables])[g])
     q, q2, rq = (np.array(column)[g] for column in zip(*((t.q, t.q2, t.rq) for t in tables)))
     ids, zs, betas, ks, vs, rhs = zip(*[(r.ineq, None if r.origin else pts[p][1], None if i is None else betas[i],
                                          r.k, r.v, r.row.rhs(tables[t], r, i)) for (r, p, i), t in zip(rows, gs)])

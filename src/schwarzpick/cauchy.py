@@ -30,8 +30,8 @@ A `PolyMap` is differentiated exactly through its coefficient table, the
 ground truth the quadrature is validated against; every other map goes
 through one slice table.  The order-k directional derivative D_k has two
 routes: `frechet_from_bundle` sums a bundle's partials, and
-`line_derivative` reads one slice table of the one-variable restriction to
-the line, normalised to the unit disk.  They share the trapezoid DFT but
+`line_derivative` reads one slice table of `LineMap`, the one-variable
+restriction to the line normalised to the unit disk, the domain of every map.  They share the trapezoid DFT but
 neither their points nor their assembly; `route_gap` measures how far they
 disagree.
 """
@@ -227,16 +227,14 @@ def degree_sum(values, beta, k: int, n: int, weighted: bool = False) -> np.ndarr
 
 def line_derivative(f: HoloMap, z, beta, k: int) -> np.ndarray:
     """Order-k directional derivative via the one-variable restriction:
-    k!/R^k times the degree-k Taylor coefficient of lambda ->
-    f(z + lambda R beta), the restriction normalised to the unit disk by its
-    radius R, read from one slice table.  A z or beta that is not a finite
-    point of the domain ball or a finite non-zero direction in C^n raises
-    MapDomainError, as in the bound checks, and k is checked by
-    `multiindex.check_order`."""
+    k!/R^k times the degree-k Taylor coefficient of `LineMap(f, z, beta)`,
+    lambda -> f(z + lambda R beta) on the unit disk for its radius R, read
+    from one slice table.  A z or beta that is not a finite point of the
+    domain ball or a finite non-zero direction in C^n raises MapDomainError,
+    as in the bound checks, and k is checked by `multiindex.check_order`."""
     k = mi.check_order(k)
     line = LineMap(f, z, beta)
-    disk = LineMap(f, line.z0, line.radius * line.beta)
-    return math.factorial(k) / line.radius ** k * taylor_coefficients(disk, [(k,)])[(k,)]
+    return math.factorial(k) / line.radius ** k * taylor_coefficients(line, [(k,)])[(k,)]
 
 
 def route_gap(d1, d2) -> float:

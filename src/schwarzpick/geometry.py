@@ -171,7 +171,7 @@ class ExtremalK1Map(HoloMap):
         jdz = dz @ self.jac.T
         denom = (1.0 - hermitian_inner(z, self.xi)) / (1.0 - self._xi2)
         denom = denom + hermitian_inner(jdz, self.w0) / (1.0 - self._w02)
-        if np.min(np.abs(denom)) <= self._DENOM_GUARD:
+        if np.min(np.abs(denom), initial=np.inf) <= self._DENOM_GUARD:
             raise MapDomainError("extremal map denominator vanished inside the ball")
         return self.w0 + jdz / denom[..., None]
 

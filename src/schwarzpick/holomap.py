@@ -44,7 +44,7 @@ def sq_norm(z):
 
 def check_inside_ball(z):
     sq = sq_norm(z)
-    worst = float(sq.max() if sq.ndim else sq)  # one point skips the reduction's fixed cost
+    worst = float(sq.max(initial=0.0) if sq.ndim else sq)  # one point skips the reduction's fixed cost
     if not worst < 1.0:  # NaN fails too
         raise MapDomainError(f"z must lie strictly inside the unit ball (|z| = {math.sqrt(worst):.6f})")
 
@@ -173,18 +173,14 @@ class HoloMap:
     kind: str = "holomap"
 
     def eval(self, z):
-        """f(z): MapDomainError unless z has shape (..., n) and lies in the domain."""
+        """f(z): MapDomainError unless z has shape (..., n) and lies in the unit ball."""
         z = np.asarray(z, dtype=complex)
         if z.ndim == 0 or z.shape[-1] != self.n:
             raise MapDomainError(f"expected points of shape (..., {self.n})")
-        self._check_domain(z)
+        check_inside_ball(z)
         return self._eval(z)
 
     __call__ = eval
-
-    def _check_domain(self, z) -> None:
-        """MapDomainError unless every point of z lies in the domain: the unit ball."""
-        check_inside_ball(z)
 
     def _eval(self, z):  # pragma: no cover - interface
         raise NotImplementedError
@@ -304,10 +300,12 @@ class ComposedMap(HoloMap):
 
 
 class LineMap(HoloMap):
-    """One-variable restriction lambda -> f(z0 + lambda * beta).
+    """One-variable restriction lambda -> f(z0 + lambda * radius * beta),
+    normalised to the unit disk, the domain of every map.
 
-    `radius` is the largest disk |lambda| < radius guaranteed to stay inside
-    the domain ball, and the map's domain; it is at least (1 - |z0|)/|beta|.
+    `radius` is the largest R such that z0 + lambda beta stays in the domain
+    ball for every |lambda| < R, at least (1 - |z0|)/|beta|; the attribute
+    `beta` holds radius * beta.
     """
 
     kind = "line"
@@ -315,18 +313,15 @@ class LineMap(HoloMap):
     def __init__(self, base: HoloMap, z0, beta):
         self.base = base
         self.z0 = as_ball_point(z0, base.n)
-        self.beta = as_direction(beta, base.n)
-        bnorm2 = float(sq_norm(self.beta))
-        p = abs(complex(hermitian_inner(self.beta, self.z0)))
+        beta = as_direction(beta, base.n)
+        bnorm2 = float(sq_norm(beta))
+        p = abs(complex(hermitian_inner(beta, self.z0)))
         z2 = float(sq_norm(self.z0))
         # largest t with |z0|^2 + 2 t p + t^2 |beta|^2 = 1
         self.radius = (-p + math.sqrt(p * p + bnorm2 * (1.0 - z2))) / bnorm2
+        self.beta = self.radius * beta
         self.n = 1
         self.m = base.m
-
-    def _check_domain(self, z) -> None:
-        if not np.max(np.abs(z)) < self.radius:
-            raise MapDomainError(f"|lambda| must stay below the restriction radius {self.radius:.6f}")
 
     def _eval(self, z):
         return self.base._eval(self.z0 + z * self.beta)

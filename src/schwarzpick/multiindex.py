@@ -96,15 +96,15 @@ def sharpness_factor(v) -> float:
     return (k ** k) / den
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=None, typed=True)
+def _enumerate(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """`enumerate_indices(n, k)` as a tuple, n checked by `check_dimension`
+    and k by `check_order` on the first call per typed key: 2.0 and True
+    miss the entries of 2 and 1."""
+    n, k = check_dimension(n), check_order(k)
     if n == 1:
         return ((k,),)
-    out = []
-    for first in range(k + 1):
-        for rest in _enumerate_cached(n - 1, k - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(k + 1) for rest in _enumerate(n - 1, k - first))
 
 
 def enumerate_indices(n: int, k: int) -> list[tuple[int, ...]]:
@@ -113,8 +113,7 @@ def enumerate_indices(n: int, k: int) -> list[tuple[int, ...]]:
     The ordering is part of the public contract: reports and coefficient
     tables iterate in this order.
     """
-    # checked before the cache, where 2.0 and True would hit the entries of 2 and 1
-    return list(_enumerate_cached(check_dimension(n), check_order(k)))
+    return list(_enumerate(n, k))
 
 
 def enumerate_up_to(n: int, max_degree: int, include_zero: bool = True) -> list[tuple[int, ...]]:

@@ -6,7 +6,8 @@ import pytest
 
 from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import ComposedMap, MapDomainError, PolyMap, random_polymap, sq_norm
+from schwarzpick.holomap import (ComposedMap, HoloMap, MapDomainError, PolyMap, hermitian_inner, random_polymap,
+                                 sq_norm)
 from support import OpaqueMap, identity_polymap, jacobian, unplanned_slices
 
 
@@ -168,6 +169,37 @@ class TestFrechetDerivative:
             g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             beta = g / np.linalg.norm(g)
             assert cauchy.route_gap(summed(f, z, beta, 3), cauchy.line_derivative(f, z, beta, 3)) <= 1e-9
+
+    def test_line_route_is_bitwise_the_two_restriction_construction(self):
+        # the oracle: the restriction of radius R with |lambda| < R as its domain, then a second
+        # restriction along R beta for the unit disk, whose degree-k coefficient gives D_k
+        class Restriction(HoloMap):
+            def __init__(self, f, z0, beta):
+                self.f, self.z0, self.beta, self.n, self.m = f, z0, beta, 1, f.m
+
+            def _eval(self, lam):
+                return self.f._eval(self.z0 + lam * self.beta)
+
+        def two_restrictions(f, z, beta, k):
+            z, beta = np.asarray(z, dtype=complex), np.asarray(beta, dtype=complex)
+            b2, p, z2 = float(sq_norm(beta)), abs(complex(hermitian_inner(beta, z))), float(sq_norm(z))
+            radius = (-p + math.sqrt(p * p + b2 * (1.0 - z2))) / b2
+            disk = Restriction(f, z, radius * beta)
+            return math.factorial(k) / radius ** k * cauchy.taylor_coefficients(disk, [(k,)])[(k,)]
+
+        rng = np.random.default_rng(31)
+        maps = [random_polymap(3, 2, 4, seed=s) for s in range(4)]
+        maps += [geometry.AutomorphismMap(np.array([0.3, 0.1j, -0.2])),
+                 geometry.extremal_origin_from_direction(np.array([0.3, 0.1j, 0.0]), np.array([1.0, 0.4, 0.2j]),
+                                                         (1, 1, 1)),
+                 geometry.Remark3Map(0.45, 0.5, (1, 2, 0))]
+        for f in maps:
+            for scale in (0.3, 0.9, 0.999):
+                g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                z = scale * g / np.linalg.norm(g)
+                beta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                for k in (1, 2, 3, 4):
+                    assert cauchy.line_derivative(f, z, beta, k).tobytes() == two_restrictions(f, z, beta, k).tobytes()
 
 
 class TestSpectralConvergence:

@@ -59,6 +59,27 @@ class TestEval:
             with pytest.raises(MapDomainError):
                 check()
 
+    @pytest.mark.parametrize("f", [
+        identity_polymap(2),
+        ComposedMap(np.array([0.3, 0.1j]), random_polymap(2, 2, 3, seed=1)),
+        LineMap(random_polymap(2, 3, 3, seed=2), np.array([0.2, 0.1j]), np.array([1.0, -0.5j])),
+        geometry.AutomorphismMap(np.array([0.3, 0.1j, 0.2])),
+        geometry.extremal_origin_from_direction(np.array([0.3, 0.1j]), np.array([1.0, 0.4]), (1, 1)),
+        geometry.ExtremalK1Map(np.array([0.2, 0.1j]), np.array([0.1, 0.3, 0.0]),
+                               geometry.jacobian_from_frame(np.array([0.2, 0.1j]), np.array([0.1, 0.3, 0.0]),
+                                                            np.eye(3, 2))),
+        geometry.Remark2Map(0.5, np.array([0.8, 0.1])),
+        geometry.Remark3Map(0.45, 0.5, (1, 1)),
+        geometry.Remark4Map(0.45, 0.6, n=2),
+    ], ids=["poly", "composed", "line", "automorphism", "extremal-origin", "extremal-k1", "remark2", "remark3",
+            "remark4"])
+    def test_empty_batch_evaluates_and_nan_still_fails(self, f):
+        # the domain check reduced an empty batch with max(), which has no identity
+        for shape in ((0, f.n), (3, 0, f.n)):
+            assert f.eval(np.zeros(shape)).shape == shape[:-1] + (f.m,)
+        with pytest.raises(MapDomainError, match="unit ball"):
+            f.eval(np.full((2, f.n), np.nan))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_chunked_evaluation_is_bitwise_one_evaluation(self, monkeypatch, n):
         # the maps and grid size of the slice tests (m = 2, at most 126 monomials); for m = 1,
@@ -310,9 +331,32 @@ class TestRestrictToLine:
             beta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             line = LineMap(f, z, beta)
             assert line.radius >= (1.0 - np.linalg.norm(z)) / np.linalg.norm(beta) - 1e-15
-            lam = 0.9 * line.radius * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            direct = f.eval((z + lam * beta)[None, :])[0]
+            ip = holomap.hermitian_inner(beta, z)
+            assert np.linalg.norm(z + line.radius * np.conj(ip) / abs(ip) * beta) == pytest.approx(1.0, abs=1e-14)
+            lam = 0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            direct = f.eval((z + lam * line.radius * beta)[None, :])[0]
             assert np.max(np.abs(line.eval(np.array([[lam]]))[0] - direct)) < 1e-13
+
+    def test_eval_is_bitwise_the_map_on_the_scaled_line(self):
+        rng = np.random.default_rng(21)
+        maps = [random_polymap(3, 2, 4, seed=s) for s in range(3)]
+        maps.append(geometry.AutomorphismMap(np.array([0.3, 0.1j, -0.2])))
+        lam = (0.999 * rng.uniform(size=(50, 1)) ** 0.5) * np.exp(2j * np.pi * rng.uniform(size=(50, 1)))
+        for f in maps:
+            for scale in (0.3, 0.9, 0.999):
+                g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                z = scale * g / np.linalg.norm(g)
+                b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                line = LineMap(f, z, b)
+                assert line.beta.tobytes() == (line.radius * b).tobytes()
+                assert line(lam).tobytes() == f(z + lam * (line.radius * b)).tobytes()
+
+    @pytest.mark.parametrize("lam", [1.0, -1j, 1.5, 0.6 + 0.8j, np.nan, complex(0.0, np.nan)],
+                             ids=["1", "-i", "1.5", "unit-phase", "nan", "imaginary-nan"])
+    def test_unit_disk_is_the_domain(self, lam):
+        line = LineMap(identity_polymap(2), np.zeros(2), np.array([2.0, 0.0]))  # radius 0.5
+        with pytest.raises(MapDomainError, match=r"^z must lie strictly inside the unit ball"):
+            line(np.array([[0.1], [lam]]))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(MapDomainError):
@@ -332,12 +376,16 @@ class TestRestrictToLine:
             LineMap(identity_polymap(2), z0, beta)
 
     def test_one_evaluator_checks_the_restriction_radius(self):
+        # the restriction radius scales the direction, so the one domain is the unit disk
         assert LineMap.eval is HoloMap.eval and LineMap.__call__ is HoloMap.__call__
+        assert not hasattr(LineMap, "_check_domain")
         line = LineMap(identity_polymap(2), np.zeros(2), np.array([2.0, 0.0]))  # radius 0.5
-        assert line(np.array([[0.25j]])).tolist() == [[0.5j, 0.0]]
+        assert line.radius == 0.5 and line.beta.tolist() == [1.0, 0.0]
+        assert line(np.array([[0.25j]])).tolist() == [[0.25j, 0.0]]
         assert line.describe() == "line(n=1, m=2)"
-        with pytest.raises(MapDomainError, match=r"^\|lambda\| must stay below the restriction radius 0\.500000$"):
-            line(np.array([[0.1], [0.5]]))
+        assert line(np.array([[0.1], [0.5]])).tolist() == [[0.1, 0.0], [0.5, 0.0]]
+        with pytest.raises(MapDomainError, match=r"^z must lie strictly inside the unit ball \(\|z\| = 1\.000000\)$"):
+            line(np.array([[0.1], [1.0]]))
 
     @pytest.mark.parametrize("lam", [np.array(0.1), np.array([0.1, 0.2, 0.3])], ids=["0-d", "vector"])
     def test_eval_takes_points_of_shape_dots_1(self, lam):

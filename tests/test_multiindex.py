@@ -73,7 +73,7 @@ def test_enumerate_rejects_bad_dimension_or_degree(n, k, message):
                          ids=["bool-degree", "integral-float-degree", "bool-dimension", "integral-float-dimension"])
 def test_enumerate_rejects_what_is_not_an_int_before_its_cache(n, k, warm):
     # 2.0 == 2 and True == 1 hash equal, so a check behind the cache passed once a valid twin was cached
-    mi._enumerate_cached.cache_clear()
+    mi._enumerate.cache_clear()
     if warm:
         mi.enumerate_indices(int(n), int(k))
     with pytest.raises(ValueError, match="must be"):
