@@ -27,16 +27,18 @@ from .harness import (
 
 
 def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
-    """The options of `command`: every SuiteConfig setting but the ones its driver never reads."""
+    """The options of `command`: the SuiteConfig settings its driver reads, with their defaults, then the output."""
     parser.add_argument("--n", type=int, default=None, help="domain dimension")
-    parser.add_argument("--m", type=int, default=2, help="codomain dimension")
-    for flag, name, default, text in (("--samples", "samples", 20, "sampled maps per suite"),
-                                      ("--degree", "degree", 4, "polynomial degree cap"),
-                                      ("--kmax", "k_max", 4, "maximum derivative order")):
+    parser.add_argument("--m", type=int, default=SuiteConfig.m, help="codomain dimension")
+    for flag, name, text in (("--samples", "samples", "sampled maps per suite"),
+                             ("--degree", "degree", "polynomial degree cap"),
+                             ("--kmax", "k_max", "maximum derivative order")):
         if name not in UNREAD.get(command, ()):
-            parser.add_argument(flag, dest=name, metavar=flag[2:].upper(), type=int, default=default, help=text)
-    parser.add_argument("--seed", type=int, default=42, help="64-bit seed; reports are seed-deterministic")
-    parser.add_argument("--tol", type=float, default=1e-8, help="slack tolerance (violation below -tol)")
+            parser.add_argument(flag, dest=name, metavar=flag[2:].upper(), type=int,
+                                default=getattr(SuiteConfig, name), help=text)
+    parser.add_argument("--seed", type=int, default=SuiteConfig.seed,
+                        help="64-bit seed; reports are seed-deterministic")
+    parser.add_argument("--tol", type=float, default=SuiteConfig.tol, help="slack tolerance (violation below -tol)")
     parser.add_argument("--out", type=str, default=None, help="write the report to this path")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
@@ -49,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("--suite", default="main", choices=("main", "disk", "partials", "radial", "origin"))
+    p_check.add_argument("--suite", default=SuiteConfig.suite,
+                         choices=("main", "disk", "partials", "radial", "origin"))
     _add_settings(p_check, "check")
 
     _add_settings(sub.add_parser("equality", help="certify the equality cases"), "equality")
@@ -65,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(args) -> SuiteConfig:
     """The SuiteConfig of the parsed options; a setting the command does not take keeps its default."""
     suite = args.suite if args.command == "check" else args.command
-    n = args.n if args.n is not None else 1 if suite == "disk" else 2
+    n = args.n if args.n is not None else 1 if suite == "disk" else SuiteConfig.n
     read = {name: getattr(args, name) for name in ("samples", "degree", "k_max") if name in args}
-    return SuiteConfig(suite=suite, n=n, m=args.m, seed=args.seed, tol=args.tol, out=args.out, fmt=args.fmt, **read)
+    return SuiteConfig(suite=suite, n=n, m=args.m, seed=args.seed, tol=args.tol, **read)
 
 
 def main(argv=None) -> int:
@@ -80,7 +83,7 @@ def main(argv=None) -> int:
             report = equality_suite(config)
         else:
             radii = DEFAULT_SWEEP_RADII
-            if args.radii:
+            if args.radii is not None:
                 try:
                     radii = tuple(float(r) for r in args.radii.split(","))
                 except ValueError:
@@ -90,9 +93,9 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    if config.out:
+    if args.out:
         try:
-            emit(report, config.fmt, config.out)
+            emit(report, args.fmt, args.out)
         except OSError as exc:
             print(exc, file=sys.stderr)
             return 2

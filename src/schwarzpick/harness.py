@@ -50,8 +50,6 @@ class SuiteConfig:
     k_max: int = 4
     seed: int = 42
     tol: float = 1e-8
-    out: str | None = None
-    fmt: str = "json"
 
 
 def validate_config(config: SuiteConfig) -> None:
@@ -74,8 +72,6 @@ def validate_config(config: SuiteConfig) -> None:
         raise ConfigError(f"tol must be a number, got {config.tol!r}")
     if not (math.isfinite(config.tol) and config.tol > 0):
         raise ConfigError("tol must be positive and finite")
-    if config.fmt not in ("json", "csv"):
-        raise ConfigError(f"unknown output format {config.fmt!r}")
     if config.suite == "disk" and config.n != 1:
         raise ConfigError("the disk suite requires n = 1")
     if config.suite == "equality" and config.n > config.m:
@@ -257,7 +253,7 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
         described = f.to_json_dict() if isinstance(f, PolyMap) else f.describe()
         failures.append({"sample": sample, "suite": recs[0]["suite"],
                          "worst_slack": _reduce(min, [r["slack"] for r in recs]), "map": described})
-    unread = ("out", *UNREAD.get(config.suite, ()))  # out: the path is environment metadata, not canonical body
+    unread = UNREAD.get(config.suite, ())
     echo = {name: value for name, value in asdict(config).items() if name not in unread}
     return Report(schema=SCHEMA, config=echo, records=records, failures=failures,
                   summary={"record_count": len(records), "failure_count": sum(map(len, failing.values())),

@@ -62,11 +62,11 @@ def test_config_keys_are_named_by_change(tmp_path, capsys):
     report = harness.equality_suite(harness.SuiteConfig(n=1, m=1, seed=5))
     a = write_reports(tmp_path / "a", report)
     moved = json.loads((a / "000-equality.json").read_text())
-    del moved["config"]["tol"], moved["config"]["fmt"]
+    del moved["config"]["tol"], moved["config"]["m"]
     moved["config"].update(seed=6, width=3)
     b = write_reports(tmp_path / "b", harness.Report(**moved))
     assert compare_reports.main([str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "000-equality.json: 0 of" in out and "failure_count unchanged (0)" in out
-    assert "  config keys added: width\n  config keys removed: fmt, tol\n  config keys changed: seed\n" in out
+    assert "  config keys added: width\n  config keys removed: m, tol\n  config keys changed: seed\n" in out
     assert "config changed" not in out

@@ -3,7 +3,7 @@ import math
 import re
 import runpy
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -119,7 +119,6 @@ class TestConfigValidation:
         dict(m=0),
         dict(degree=0),
         dict(tol=-1.0),
-        dict(fmt="xml"),
         dict(suite="disk", n=2),
         dict(suite="equality", n=3, m=2),
         dict(tol=float("nan")),
@@ -138,6 +137,12 @@ class TestConfigValidation:
     def test_rejected(self, kw):
         with pytest.raises(ConfigError):
             harness.validate_config(SuiteConfig(**kw))
+
+    def test_config_holds_only_the_settings_drivers_read(self):
+        assert [f.name for f in fields(SuiteConfig)] == ["suite", "n", "m", "samples", "degree", "k_max",
+                                                         "seed", "tol"]
+        with pytest.raises(TypeError):
+            SuiteConfig(fmt="csv")
 
     def test_manifest_nonempty_for_every_suite(self):
         for suite in harness.SUITE_IDS:
@@ -553,8 +558,25 @@ class TestCli:
         assert f"cannot write report to {out}" in capsys.readouterr().err
 
     def test_malformed_radii_exit_two(self, capsys):
-        assert cli.main(["sharpness", "--radii", "0.9,abc"]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        for radii in ("0.9,abc", ""):  # an empty list is an error, not the default ladder
+            assert cli.main(["sharpness", "--radii", radii]) == 2
+            err = capsys.readouterr().err
+            assert err == f"configuration error: --radii must be comma-separated numbers: {radii!r}\n"
+
+    @pytest.mark.parametrize("argv, config", [
+        (["check"], SuiteConfig()),
+        (["check", "--suite", "disk"], SuiteConfig(suite="disk", n=1)),
+        (["equality"], SuiteConfig(suite="equality")),
+        (["sharpness"], SuiteConfig(suite="sharpness")),
+    ])
+    def test_options_default_to_the_config_defaults(self, argv, config):
+        assert cli._config(cli.build_parser().parse_args(argv)) == config
+
+    def test_csv_out_writes_the_bytes_emit_writes(self, tmp_path):
+        small = ["--samples", "1", "--degree", "3", "--kmax", "2"]
+        assert cli.main(["check", *small, "--format", "csv", "--out", str(tmp_path / "x.csv")]) == 0
+        emit(run_suite(SuiteConfig(samples=1, degree=3, k_max=2)), "csv", tmp_path / "y.csv")
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
 
     def test_one_parser_gives_what_fresh_parsers_give(self, tmp_path, monkeypatch, capsys):
         # bad argv sits between good ones, so the shared parser is reused after an error
@@ -618,9 +640,9 @@ class TestCli:
         argvs = {"check": ["check", "--suite", "disk", "--m", "1", "--samples", "1", "--degree", "2", "--kmax", "1"],
                  "equality": ["equality", "--n", "1", "--m", "1"],
                  "sharpness": ["sharpness", "--radii", "0.9", "--kmax", "2"]}
-        read = {"check": {"suite", "n", "m", "samples", "degree", "k_max", "seed", "tol", "fmt"},
-                "equality": {"suite", "n", "m", "seed", "tol", "fmt"},
-                "sharpness": {"suite", "n", "m", "k_max", "seed", "tol", "fmt"}}
+        read = {"check": {"suite", "n", "m", "samples", "degree", "k_max", "seed", "tol"},
+                "equality": {"suite", "n", "m", "seed", "tol"},
+                "sharpness": {"suite", "n", "m", "k_max", "seed", "tol"}}
         for command, argv in argvs.items():
             out = tmp_path / f"{command}.json"
             assert cli.main(argv + ["--out", str(out)]) == 0
