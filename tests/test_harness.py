@@ -119,6 +119,7 @@ class TestConfigValidation:
         dict(m=0),
         dict(degree=0),
         dict(tol=-1.0),
+        dict(degree=9),
         dict(suite="disk", n=2),
         dict(suite="equality", n=3, m=2),
         dict(tol=float("nan")),
