@@ -18,12 +18,17 @@ polytorus; the error is spectrally small because the integrand is analytic.
 Everything but r, z and the map values depends on (n, K) alone and is built
 once per (n, K), on first use.  At the origin r depends on n alone, so an
 origin table reads its points from a per-(n, K) grid, built on first use too
-and kept apart from the plan, which `partial_bundle` also reads.
+and kept apart from the plan, which `partial_bundle` also reads.  Maps
+differentiated at one point share the rest as well: the points, r and its
+powers are built once per point, each map is evaluated and transformed on
+its own, and each table is read out into its partials by one fancy index,
+cached per (n, K), and one factorial multiply.
 
 The derivative layer has one entry point per purpose, and the map's type
 picks the route:
 
   partial_bundle        every partial d^alpha f(z), |alpha| <= K, at a point
+  partial_bundles       the same for several maps of one shape at one point
   taylor_coefficients   chosen Taylor coefficients a_alpha at the origin
 
 A `PolyMap` is differentiated exactly through its coefficient table, the
@@ -130,34 +135,41 @@ def _origin_grid(n: int, order: int) -> np.ndarray:
     return points
 
 
-def _slices(f: HoloMap, z, order: int) -> np.ndarray:
-    """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! of f about z
-    (about the origin when z is None) for every |alpha| <= order, as
-    table[|alpha|, alpha_2, ..., alpha_n] of shape (order+1,)*n + (m,), from
-    NODES * (order+1)^(n-1) slice values; the arithmetic takes everything but
-    f and z from `_plan(f.n, order)`, and an origin table reads its points
-    from `_origin_grid(f.n, order)`.  Each DFT axis is one `np.dot` on the
-    table moved to 2-D, the call `np.tensordot` makes, so the table is bitwise
-    the `tensordot` one."""
+def _slices(fs: list, z, order: int) -> list[np.ndarray]:
+    """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! about z (about
+    the origin when z is None) of each map f of `fs`, maps of one dimension n,
+    for every |alpha| <= order, as one table[|alpha|, alpha_2, ..., alpha_n] of
+    shape (order+1,)*n + (m,) per map, from NODES * (order+1)^(n-1) slice
+    values.  The maps share everything but their values: the points, the
+    radius and its powers are built once per call, from `_plan(n, order)` and,
+    about the origin, `_origin_grid(n, order)`.  Each map is evaluated through
+    its own `eval`, and each DFT axis of its table is one `np.dot` on the table
+    moved to 2-D, the call `np.tensordot` makes, so every table is bitwise the
+    one-map `tensordot` table."""
     if NODES < 2 * order + 2:
         raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {order}")
-    plan = _plan(f.n, order)
+    n = fs[0].n
+    plan = _plan(n, order)
     if z is None:
-        r, points = slice_radius(np.zeros(f.n)), _origin_grid(f.n, order)
+        r, points = slice_radius(np.zeros(n)), _origin_grid(n, order)
     else:
         r = slice_radius(z)
         points = z + (r * plan.unit) * plan.beta
-    values = f.eval(points)
-    # a computed DFT row k >= 1 sums to zero only up to rounding and would leak
-    # f(z) into P_k; near the boundary f(z) dwarfs the derivatives, so centre first
-    center = values.mean(axis=0)
-    table = np.dot(plan.node_dft, (values - center).reshape(NODES, -1))
-    table = table.reshape((order + 1,) + values.shape[1:])
-    table[0] += center
-    for move in plan.moves:
-        table = table.transpose(move)
-        table = np.dot(plan.phase_dft, table.reshape(order + 1, -1)).reshape(table.shape)
-    return np.transpose(table, plan.axes) * r ** plan.powers
+    scale = r ** plan.powers
+    tables = []
+    for f in fs:
+        values = f.eval(points)
+        # a computed DFT row k >= 1 sums to zero only up to rounding and would leak
+        # f(z) into P_k; near the boundary f(z) dwarfs the derivatives, so centre first
+        center = values.mean(axis=0)
+        table = np.dot(plan.node_dft, (values - center).reshape(NODES, -1))
+        table = table.reshape((order + 1,) + values.shape[1:])
+        table[0] += center
+        for move in plan.moves:
+            table = table.transpose(move)
+            table = np.dot(plan.phase_dft, table.reshape(order + 1, -1)).reshape(table.shape)
+        tables.append(np.transpose(table, plan.axes) * scale)
+    return tables
 
 
 def taylor_coefficients(f: HoloMap, indices) -> dict:
@@ -171,22 +183,54 @@ def taylor_coefficients(f: HoloMap, indices) -> dict:
     order = mi.check_order(max(sum(a) for a in indices))
     if isinstance(f, PolyMap):
         return {a: f.coefficient(a) for a in indices}
-    table, readout = _slices(f, None, order), _plan(f.n, order).readout
+    [table], readout = _slices([f], None, order), _plan(f.n, order).readout
     return {a: table[readout[a][0]] for a in indices}
+
+
+@lru_cache(maxsize=None)
+def _bundle_readout(n: int, order: int) -> tuple[tuple, np.ndarray]:
+    """The table indexes of the alphas with |alpha| <= order, in the order of
+    `_plan(n, order).readout`, as one fancy index, and their alpha! as a
+    float column, as read-only arrays: a bundle is one read-out of its table."""
+    readout = _plan(n, order).readout
+    index = tuple(np.array(axis) for axis in zip(*(at for at, _ in readout.values())))
+    factorials = np.array([factorial for _, factorial in readout.values()], dtype=float).reshape(-1, 1)
+    for array in index + (factorials,):
+        array.flags.writeable = False
+    return index, factorials
+
+
+def partial_bundles(fs, z, max_order: int) -> list[dict]:
+    """`partial_bundle` of each map of `fs` at one point z, in order: exact for
+    a `PolyMap`, and for every other map one table of a single `_slices` call,
+    so the maps share its points and radius.  The maps must share (n, m), or
+    ValueError is raised before any evaluation; the order is checked by
+    `multiindex.check_order` and z by `holomap.as_ball_point`."""
+    max_order = mi.check_order(max_order)
+    fs = list(fs)
+    shapes = {(f.n, f.m) for f in fs}
+    if len(shapes) != 1:
+        raise ValueError(f"partial_bundles needs maps of one (n, m), got {sorted(shapes)}")
+    [(n, _)] = shapes
+    z = as_ball_point(z, n)
+    alphas = mi.enumerate_up_to(n, max_order)
+    quad = [f for f in fs if not isinstance(f, PolyMap)]
+    if quad:
+        tables = iter(_slices(quad, z, max_order))
+        index, factorials = _bundle_readout(n, max_order)
+    bundles = []
+    for f in fs:
+        values = f.partial_values(z, alphas) if isinstance(f, PolyMap) else next(tables)[index] * factorials
+        bundles.append(dict(zip(alphas, values)))
+    return bundles
 
 
 def partial_bundle(f: HoloMap, z, max_order: int) -> dict:
     """All partials d^alpha f(z), |alpha| <= max_order, as a dict keyed by alpha:
-    exact for a `PolyMap`, from one slice table otherwise.  The order is
-    checked by `multiindex.check_order` and z by `holomap.as_ball_point`, on
-    both routes."""
-    max_order = mi.check_order(max_order)
-    z = as_ball_point(z, f.n)
-    if isinstance(f, PolyMap):
-        alphas = mi.enumerate_up_to(f.n, max_order)
-        return dict(zip(alphas, f.partial_values(z, alphas)))
-    table = _slices(f, z, max_order)
-    return {alpha: table[index] * factorial for alpha, (index, factorial) in _plan(f.n, max_order).readout.items()}
+    exact for a `PolyMap`, from one slice table otherwise; the one-map case
+    of `partial_bundles`, which checks the order and z on both routes."""
+    [bundle] = partial_bundles([f], z, max_order)
+    return bundle
 
 
 @lru_cache(maxsize=None)

@@ -135,6 +135,38 @@ def _beta_set(rng, z: np.ndarray) -> list[np.ndarray]:
 _encode_record = json.JSONEncoder(sort_keys=True).encode
 
 
+def _shared_vector_encoder():
+    """`_encode_record` for the records of one report that encodes each `z`
+    and `beta` value once per object, keyed by identity (the records keep
+    every value alive): the records of one point share those lists.  A
+    record whose keys are `str`s from "beta" to "z", both included, as in
+    every record of the package, is `_encode_record` of it with `null` for
+    both, `beta` and `z` spliced in; any other record is `_encode_record` of
+    it.  The key check is made once per tuple of keys."""
+    encoded: dict[int, str] = {}
+    spliced: dict[tuple, bool] = {}
+
+    def shared(value) -> str:
+        if id(value) not in encoded:
+            encoded[id(value)] = _encode_record(value)
+        return encoded[id(value)]
+
+    def encode(record) -> str:
+        if type(record) is not dict:
+            return _encode_record(record)
+        keys = tuple(record)
+        if keys not in spliced:
+            spliced[keys] = ("beta" in keys and "z" in keys
+                             and all(type(key) is str and "beta" <= key <= "z" for key in keys))
+        if not spliced[keys]:
+            return _encode_record(record)
+        # '{"beta": null' + ', ..., ' + '"z": null}'
+        middle = _encode_record({**record, "beta": None, "z": None})[13:-10]
+        return '{"beta": ' + shared(record["beta"]) + middle + '"z": ' + shared(record["z"]) + "}"
+
+    return encode
+
+
 def _cvec(value, vectors: dict) -> list | None:
     """The [[re, im], ...] list of a complex vector, built once per array in
     `vectors`, which keys it by identity (the caller keeps every array alive),
@@ -199,7 +231,7 @@ class Report:
         text = json.dumps({**vars(self), "records": []}, indent=2, sort_keys=True)
         if self.records:
             # only a top-level member starts a line with two spaces and a key
-            lines = ",\n    ".join(map(_encode_record, self.records))
+            lines = ",\n    ".join(map(_shared_vector_encoder(), self.records))
             text = text.replace('\n  "records": []', '\n  "records": [\n    ' + lines + "\n  ]", 1)
         return text + "\n"
 
@@ -490,24 +522,25 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
     xi_phase = np.exp(2j * np.pi * rng.uniform())
     w_dir = random_unit_vector(rng, config.m) if family == "remark2" else np.exp(2j * np.pi * rng.uniform())
     order = min(config.k_max, 4)
-    # one point per (xi, |w|): one partial bundle serves every k.  The bounds take the
-    # pinned |f(xi)| = |w|, not norm(f(xi)): they differ in the last bit at a quarter of
-    # the points, which (1-|w|^2)^2 scales to 2e-11 relative in `ratio` at |w| = 0.99999,
-    # flipping `tight` flags
+    if family == "remark2":
+        requests = [("4.1", {"k": k}) for k in range(1, order + 1)]
+    else:
+        requests = [("5.3", {"v": (k,) + (0,) * (config.n - 1)}) for k in range(1, order + 1)]
+    # one point per (xi, |w|): one partial bundle serves every k, and the maps of one xi
+    # share one slice grid.  The bounds take the pinned |f(xi)| = |w|, not norm(f(xi)):
+    # they differ in the last bit at a quarter of the points, which (1-|w|^2)^2 scales to
+    # 2e-11 relative in `ratio` at |w| = 0.99999, flipping `tight` flags
     points, samples, params = [], [], []
     for xi_abs in (0.25, 0.5, 0.75):
         z = np.zeros(1 if family == "remark2" else config.n, dtype=complex)
         z[0] = xi_abs * xi_phase
-        for w_abs in radii:
-            w = w_abs * w_dir
-            if family == "remark2":
-                f = geometry.Remark2Map(z[0], w)
-                requests = [("4.1", {"k": k}) for k in range(1, order + 1)]
-            else:
-                f = geometry.Remark4Map(z[0], w, n=config.n)
-                requests = [("5.3", {"v": (k,) + (0,) * (config.n - 1)}) for k in range(1, order + 1)]
-            points.append(bounds.Point(f, z, cauchy.partial_bundle(f, z, order), requests,
-                                       (np.atleast_1d(w), w_abs)))
+        ws = [w_abs * w_dir for w_abs in radii]
+        if family == "remark2":
+            fs = [geometry.Remark2Map(z[0], w) for w in ws]
+        else:
+            fs = [geometry.Remark4Map(z[0], w, n=config.n) for w in ws]
+        for f, w, w_abs, bundle in zip(fs, ws, radii, cauchy.partial_bundles(fs, z, order)):
+            points.append(bounds.Point(f, z, bundle, requests, (np.atleast_1d(w), w_abs)))
             for k in range(1, order + 1):
                 sample = f"{family}-k{k}-x{xi_abs:.2f}"
                 maps[sample] = f  # left at the final |w|, which sweep-final-ratio certifies

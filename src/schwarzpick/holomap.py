@@ -33,8 +33,15 @@ def sq_norm(z):
     """sum_j |z_j|^2 along the last axis, added column by column in order:
     bitwise np.add.reduce(axis=-1) for the short last axes of this package,
     without the reduction's fixed cost.  The columns are the rows of the
-    transpose, so a single vector adds numpy scalars, not 0-d arrays."""
+    transpose.  A single float or complex vector adds its terms in order as
+    Python floats, the same roundings without a numpy call per term."""
     z = np.asarray(z)
+    if z.ndim == 1 and len(z) and z.dtype in (np.float64, np.complex128):
+        values = z.tolist()
+        acc = values[0].real * values[0].real + values[0].imag * values[0].imag
+        for c in values[1:]:
+            acc += c.real * c.real + c.imag * c.imag
+        return np.float64(acc)
     columns = (z.real ** 2 + z.imag ** 2).T
     acc = columns[0]
     for j in range(1, len(columns)):

@@ -281,7 +281,7 @@ class TestPlan:
         for order in orders:
             for radius in (0.0, 0.5, 0.9, 0.99):
                 z = radius * u
-                planned, unplanned = cauchy._slices(f, z, order), unplanned_slices(f, z, order)
+                [planned], unplanned = cauchy._slices([f], z, order), unplanned_slices(f, z, order)
                 assert planned.shape == unplanned.shape == (order + 1,) * n + (n,)
                 assert planned.tobytes() == unplanned.tobytes(), f"order {order}, |z| = {radius}"
 
@@ -291,7 +291,7 @@ class TestPlan:
         f = geometry.AutomorphismMap(np.full(n, 0.3 / math.sqrt(n)) * np.exp(1j * np.arange(n)))
         for order in orders:
             unplanned = unplanned_slices(f, np.zeros(n), order)
-            assert cauchy._slices(f, None, order).tobytes() == unplanned.tobytes(), f"order {order}"
+            assert cauchy._slices([f], None, order)[0].tobytes() == unplanned.tobytes(), f"order {order}"
             alphas = mi.enumerate_up_to(n, order)
             coeffs = cauchy.taylor_coefficients(f, alphas)
             for alpha in alphas:
@@ -321,6 +321,106 @@ class TestPlan:
         with pytest.raises(mi.CapacityError, match="node count"):
             cauchy.taylor_coefficients(OpaqueMap(PolyMap(1, 1, {(4,): [0.5]})), [(64,)])
         assert cauchy._plan.cache_info() == before
+
+
+def family_maps(n: int, m: int) -> list:
+    """One map of every closed-form family of shape (n, m), then a composed,
+    a wrapped and a plain polynomial map of that shape."""
+    rng = np.random.default_rng(10 * n + m)
+    poly = random_polymap(n, m, 4, seed=rng)
+    a0, u = sample_ball(rng, m, 0.5), sample_ball(rng, m, 1.0)
+    maps = [geometry.extremal_origin_from_direction(a0, u, (1,) * n)]
+    if n == m:
+        maps.append(geometry.AutomorphismMap(sample_ball(rng, n, 0.5)))
+    if n <= m:
+        xi, w0 = sample_ball(rng, n, 0.5), sample_ball(rng, m, 0.5)
+        frame = np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))[0][:, :n]
+        maps.append(geometry.ExtremalK1Map(xi, w0, geometry.jacobian_from_frame(xi, w0, frame)))
+    if n == 1:
+        maps.append(geometry.Remark2Map(0.4j, sample_ball(rng, m, 0.99)))
+    if m == 1:
+        maps += [geometry.Remark3Map(0.3, 0.2j, (1,) * n), geometry.Remark4Map(-0.5, 0.999j, n=n)]
+    return maps + [ComposedMap(sample_ball(rng, m, 0.6), poly), OpaqueMap(poly), poly]
+
+
+def read_out(f, z, order: int) -> dict:
+    """The bundle of f at z read alpha by alpha: exact for a `PolyMap`, else
+    from the unplanned slice table, each partial one index and one factorial."""
+    alphas = mi.enumerate_up_to(f.n, order)
+    if isinstance(f, PolyMap):
+        return dict(zip(alphas, f.partial_values(z, alphas)))
+    table = unplanned_slices(f, z, order)
+    return {alpha: table[(sum(alpha),) + alpha[1:]] * mi.multiindex_factorial(alpha) for alpha in alphas}
+
+
+def assert_same_bundles(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        for alpha in w:
+            assert g[alpha].tobytes() == w[alpha].tobytes(), alpha
+
+
+class EvalCounter:
+    """Counts `HoloMap.eval` calls per map while patched in."""
+
+    def __init__(self, monkeypatch):
+        self.calls: dict[int, int] = {}
+        original = HoloMap.eval
+
+        def counted(f, z):
+            self.calls[id(f)] = self.calls.get(id(f), 0) + 1
+            return original(f, z)
+
+        monkeypatch.setattr(HoloMap, "eval", counted)
+
+
+class TestBundles:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (4, 1)])
+    def test_bundles_are_bitwise_the_one_map_bundles(self, n, m):
+        maps = family_maps(n, m)
+        u = np.exp(0.9j * np.arange(n)) / math.sqrt(n)
+        for order in (1, 2, 3, 4):
+            for radius in (0.0, 0.5, 0.9, 0.99):
+                z = radius * u
+                bundles = cauchy.partial_bundles(maps, z, order)
+                assert_same_bundles(bundles, [cauchy.partial_bundle(f, z, order) for f in maps])
+                assert_same_bundles(bundles, [read_out(f, z, order) for f in maps])
+                for f, bundle in zip(maps, bundles):
+                    assert_same_bundles(cauchy.partial_bundles([f], z, order), [bundle])
+
+    def test_every_family_of_a_shape_is_covered(self):
+        kinds = {f.kind for n, m in [(1, 2), (2, 1), (3, 3)] for f in family_maps(n, m)}
+        assert kinds == {"extremal-origin", "automorphism", "extremal-k1", "remark2", "remark3", "remark4",
+                         "composed", "holomap", "poly"}
+
+    def test_each_map_is_evaluated_once_on_one_grid(self, monkeypatch):
+        counter = EvalCounter(monkeypatch)
+        maps = [CountingMap(f) for f in family_maps(2, 1)]
+        cauchy.partial_bundles(maps + [random_polymap(2, 1, 3, seed=1)], np.array([0.5, 0.3j]), 3)
+        assert counter.calls == {id(f): 1 for f in maps}
+        grids = [f.points[0] for f in maps]
+        assert all(np.array_equal(grid, grids[0]) for grid in grids)
+
+    @pytest.mark.parametrize("shapes", [[(2, 1), (2, 2)], [(2, 1), (3, 1)], [(1, 2), (2, 2), (1, 2)]])
+    def test_maps_of_different_shapes_rejected_before_any_evaluation(self, shapes, monkeypatch):
+        counter = EvalCounter(monkeypatch)
+        maps = [OpaqueMap(random_polymap(n, m, 2, seed=1)) for n, m in shapes]
+        with pytest.raises(ValueError, match="maps of one"):
+            cauchy.partial_bundles(maps, np.zeros(shapes[0][0]), 2)
+        assert counter.calls == {}
+
+    def test_no_maps_rejected(self):
+        with pytest.raises(ValueError, match="maps of one"):
+            cauchy.partial_bundles([], np.zeros(2), 2)
+
+    @pytest.mark.parametrize("z", [[0.8, 0.6], [1.5, 0.0], [np.nan, 0.0], [0.1, 0.2, 0.0]],
+                             ids=["on-sphere", "outside", "nan", "too-long"])
+    def test_bad_point_raises_map_domain_error_before_any_evaluation(self, z, monkeypatch):
+        counter = EvalCounter(monkeypatch)
+        with pytest.raises(MapDomainError):
+            cauchy.partial_bundles(family_maps(2, 1), z, 2)
+        assert counter.calls == {}
 
 
 ROUTES = [random_polymap(2, 2, 3, seed=7), OpaqueMap(random_polymap(2, 2, 3, seed=7))]

@@ -304,6 +304,29 @@ class TestSharpnessSweep:
         with pytest.raises(ConfigError, match="bogus"):
             sharpness_sweep(SuiteConfig(suite="sharpness"), "bogus")
 
+    def test_unknown_family_rejected_before_any_shared_bundles(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the family is checked before any derivative work")
+
+        monkeypatch.setattr(harness.cauchy, "partial_bundles", refuse)
+        with pytest.raises(ConfigError, match="bogus"):
+            sharpness_sweep(SuiteConfig(suite="sharpness"), "bogus")
+
+    @pytest.mark.parametrize("family", ["remark2", "remark4"])
+    def test_the_maps_of_one_point_share_one_bundles_call(self, family, monkeypatch):
+        calls, bundles = [], harness.cauchy.partial_bundles
+
+        def counted(fs, z, order):
+            calls.append((len(fs), z[0]))
+            return bundles(fs, z, order)
+
+        monkeypatch.setattr(harness.cauchy, "partial_bundles", counted)
+        monkeypatch.setattr(harness.cauchy, "partial_bundle", None)
+        report = sharpness_sweep(SuiteConfig(suite="sharpness", n=2, k_max=3), family, radii=(0.9, 0.99, 0.999))
+        assert [count for count, _ in calls] == [3, 3, 3]
+        assert [abs(z0) for _, z0 in calls] == pytest.approx([0.25, 0.5, 0.75], rel=1e-15)
+        assert report.summary["record_count"] == 3 * 3 * 3 + 2 * 3 * 3
+
 
 #: Floats whose JSON text is easy to get wrong: the non-finite ones, a signed
 #: zero, the least subnormal, a float that prints in exponent form, a numpy scalar.

@@ -411,6 +411,33 @@ class TestVectors:
         assert holomap.as_direction(np.array(2.0), 1).tolist() == [2.0]
 
 
+#: Parts whose squares and sums are easy to round wrongly: signed zeros, the
+#: least subnormal, a square that underflows, one that overflows, the
+#: infinities and NaNs of both signs.
+_SQ_NORM_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-160, 2.2250738585072014e-308, 1e200, math.inf, -math.inf,
+                  math.nan, -math.nan, 1.5, -0.3, 0.1]
+
+
+class TestSqNorm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_vector_is_bitwise_its_row_of_a_stack(self, n):
+        rng = np.random.default_rng(70 + n)
+        parts = np.array(_SQ_NORM_PARTS)
+        z = np.empty((3000, n), dtype=complex)
+        z.real, z.imag = rng.choice(parts, z.shape), rng.choice(parts, z.shape)
+        for stack in (z, z.real.copy()):
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = holomap.sq_norm(stack)
+                singles = [holomap.sq_norm(row) for row in stack]
+            assert all(type(single) is np.float64 for single in singles)
+            assert np.array(singles).tobytes() == rows.tobytes()
+
+    def test_one_vector_of_another_type_keeps_its_numpy_type(self):
+        assert holomap.sq_norm(np.array([3, 4])) == 25 and holomap.sq_norm(np.array([3, 4])).dtype == np.int64
+        single = holomap.sq_norm(np.array([0.5j, 0.25], dtype=np.complex64))
+        assert single.dtype == np.float32 and single == np.float32(0.3125)
+
+
 class TestCoefficientChecks:
     def test_constant_map(self):
         f = PolyMap(2, 1, {(0, 0): [0.9]})
