@@ -5,7 +5,7 @@ from . import bounds, cauchy, geometry, harness, multiindex
 from .bounds import check_inequality
 from .geometry import (AutomorphismMap, ExtremalK1Map, ExtremalOriginMap, Remark2Map, Remark3Map,
                        Remark4Map, bergman_metric)
-from .harness import Report, SuiteConfig, equality_suite, run_suite, sharpness_sweep
+from .harness import Report, SuiteConfig, run_suite
 from .holomap import ComposedMap, HoloMap, LineMap, PolyMap, random_polymap
 
 __version__ = "0.1.0"
@@ -27,11 +27,9 @@ __all__ = [
     "bounds",
     "cauchy",
     "check_inequality",
-    "equality_suite",
     "geometry",
     "harness",
     "multiindex",
     "random_polymap",
     "run_suite",
-    "sharpness_sweep",
 ]

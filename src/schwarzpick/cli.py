@@ -14,33 +14,25 @@ import argparse
 import sys
 from functools import lru_cache
 
-from .harness import (
-    DEFAULT_SWEEP_RADII,
-    UNREAD,
-    ConfigError,
-    SuiteConfig,
-    emit,
-    equality_suite,
-    run_suite,
-    sharpness_sweep,
-)
+from .harness import FORMATS, SAMPLING_SUITES, SUITES, SWEEP_FAMILIES, ConfigError, SuiteConfig, emit, run_suite
 
 
-def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
-    """The options of `command`: the SuiteConfig settings its driver reads, with their defaults, then the output."""
+def _add_settings(parser: argparse.ArgumentParser, suite: str) -> None:
+    """The options of `suite`'s command: the SuiteConfig settings the suite reads, with their defaults, then the
+    output."""
     parser.add_argument("--n", type=int, default=None, help="domain dimension")
     parser.add_argument("--m", type=int, default=SuiteConfig.m, help="codomain dimension")
     for flag, name, text in (("--samples", "samples", "sampled maps per suite"),
                              ("--degree", "degree", "polynomial degree cap"),
                              ("--kmax", "k_max", "maximum derivative order")):
-        if name not in UNREAD.get(command, ()):
+        if name in SUITES[suite].reads:
             parser.add_argument(flag, dest=name, metavar=flag[2:].upper(), type=int,
                                 default=getattr(SuiteConfig, name), help=text)
     parser.add_argument("--seed", type=int, default=SuiteConfig.seed,
                         help="64-bit seed; reports are seed-deterministic")
     parser.add_argument("--tol", type=float, default=SuiteConfig.tol, help="slack tolerance (violation below -tol)")
     parser.add_argument("--out", type=str, default=None, help="write the report to this path")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", dest="fmt", choices=FORMATS, default=FORMATS[0])
 
 
 @lru_cache(maxsize=None)
@@ -51,14 +43,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("--suite", default=SuiteConfig.suite,
-                         choices=("main", "disk", "partials", "radial", "origin"))
-    _add_settings(p_check, "check")
+    p_check.add_argument("--suite", default=SuiteConfig.suite, choices=SAMPLING_SUITES)
+    _add_settings(p_check, SuiteConfig.suite)  # every sampling suite reads the same settings
 
     _add_settings(sub.add_parser("equality", help="certify the equality cases"), "equality")
 
     p_sh = sub.add_parser("sharpness", help="run an asymptotic-sharpness sweep")
-    p_sh.add_argument("--family", default="remark2", choices=("remark2", "remark4"))
+    p_sh.add_argument("--family", default=SuiteConfig.family, choices=tuple(SWEEP_FAMILIES))
     p_sh.add_argument("--radii", type=str, default=None, help="comma-separated |w| ladder, e.g. 0.9,0.99,0.999")
     _add_settings(p_sh, "sharpness")
 
@@ -66,29 +57,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> SuiteConfig:
-    """The SuiteConfig of the parsed options; a setting the command does not take keeps its default."""
+    """The SuiteConfig of the parsed options; a setting the command does not take, or an --n or --radii not given,
+    keeps its default (n = 1 for the disk suite).  Raises ConfigError for a --radii that is not a list of numbers."""
     suite = args.suite if args.command == "check" else args.command
-    n = args.n if args.n is not None else 1 if suite == "disk" else SuiteConfig.n
-    read = {name: getattr(args, name) for name in ("samples", "degree", "k_max") if name in args}
-    return SuiteConfig(suite=suite, n=n, m=args.m, seed=args.seed, tol=args.tol, **read)
+    given = {name: getattr(args, name) for name in SUITES[suite].reads if getattr(args, name, None) is not None}
+    if "radii" in given:
+        try:
+            given["radii"] = tuple(float(r) for r in args.radii.split(","))
+        except ValueError:
+            raise ConfigError(f"--radii must be comma-separated numbers: {args.radii!r}") from None
+    if suite == "disk":
+        given.setdefault("n", 1)
+    return SuiteConfig(**{**given, "suite": suite})
 
 
 def main(argv=None) -> int:
+    """Run the command line's suite through `run_suite`, print its summary and write its report; returns the exit
+    code."""
     args = build_parser().parse_args(argv)
-    config = _config(args)
     try:
-        if args.command == "check":
-            report = run_suite(config)
-        elif args.command == "equality":
-            report = equality_suite(config)
-        else:
-            radii = DEFAULT_SWEEP_RADII
-            if args.radii is not None:
-                try:
-                    radii = tuple(float(r) for r in args.radii.split(","))
-                except ValueError:
-                    raise ConfigError(f"--radii must be comma-separated numbers: {args.radii!r}") from None
-            report = sharpness_sweep(config, args.family, radii)
+        report = run_suite(_config(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
 """Suite orchestration: sampling campaigns, equality certification, sharpness
-sweeps, and deterministic JSON/CSV reporting.
+sweeps, and deterministic JSON/CSV reporting, all run by `run_suite`.
 
 Every suite is seed-deterministic: map generation, context sampling and
 record ordering are all derived from the configured seed, so identical
@@ -15,6 +15,7 @@ import re
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .holomap import PolyMap, random_polymap, sq_norm
 
 SCHEMA = "spv-report/2"
 
-SUITE_IDS = ("main", "disk", "partials", "radial", "origin", "equality", "sharpness")
+#: The sharpness-sweep families and the inequality id each checks.
+SWEEP_FAMILIES = {"remark2": "4.1", "remark4": "5.3"}
 
 #: Default |w| ladder for the asymptotic-sharpness sweeps.
 DEFAULT_SWEEP_RADII = (0.9, 0.99, 0.999, 0.9999)
@@ -32,8 +34,8 @@ DEFAULT_SWEEP_RADII = (0.9, 0.99, 0.999, 0.9999)
 #: Certification threshold for equality-suite slacks.
 EQUALITY_TOL = 1e-9
 
-#: The SuiteConfig fields a driver never reads, by suite: its reports do not echo them.
-UNREAD = {"equality": ("samples", "degree", "k_max"), "sharpness": ("samples", "degree")}
+#: The report formats `emit` writes.
+FORMATS = ("json", "csv")
 
 
 class ConfigError(ValueError):
@@ -50,6 +52,8 @@ class SuiteConfig:
     k_max: int = 4
     seed: int = 42
     tol: float = 1e-8
+    family: str = "remark2"
+    radii: tuple = DEFAULT_SWEEP_RADII
 
 
 def validate_config(config: SuiteConfig) -> None:
@@ -72,6 +76,14 @@ def validate_config(config: SuiteConfig) -> None:
         raise ConfigError(f"tol must be a number, got {config.tol!r}")
     if not (math.isfinite(config.tol) and config.tol > 0):
         raise ConfigError("tol must be positive and finite")
+    if type(config.family) is not str or config.family not in SWEEP_FAMILIES:
+        raise ConfigError(f"unknown sweep family {config.family!r}; expected one of {tuple(SWEEP_FAMILIES)}")
+    radii = config.radii
+    if not isinstance(radii, (tuple, list)) or any(isinstance(r, bool) or not isinstance(r, (int, float))
+                                                   for r in radii):
+        raise ConfigError(f"sweep radii must be a tuple or list of numbers, got {radii!r}")
+    if not radii or list(radii) != sorted(set(radii)) or not all(0.0 < r < 1.0 for r in radii):
+        raise ConfigError("sweep radii must be a non-empty, strictly increasing ladder inside (0, 1)")
     if config.suite == "disk" and config.n != 1:
         raise ConfigError("the disk suite requires n = 1")
     if config.suite == "equality" and config.n > config.m:
@@ -79,17 +91,10 @@ def validate_config(config: SuiteConfig) -> None:
 
 
 def expected_ids(suite: str, m: int) -> tuple[str, ...]:
-    """Manifest of inequality ids each suite must exercise."""
-    table = {
-        "main": ("1.3", "1.4"),
-        "disk": ("1.1", "4.1") if m == 1 else ("4.1",),
-        "partials": ("1.2", "5.1", "5.2") if m == 1 else ("5.1",),
-        "radial": ("5.3",),
-        "origin": ("3.1", "3.2"),
-        "equality": ("1.3", "3.2"),
-        "sharpness": ("4.1", "5.3"),
-    }
-    return table[suite]
+    """The inequality ids a report of the suite at codomain dimension m must
+    hold; for `sharpness`, those of both families (a report holds its own
+    family's)."""
+    return tuple(dict.fromkeys(ineq for family in SWEEP_FAMILIES for ineq in SUITES[suite].manifest(m, family)))
 
 
 # --------------------------------------------------------------------------
@@ -255,12 +260,11 @@ def _csv_vec(pairs) -> str:
     return ";".join(f"{re!r}{im:+}j" for re, im in pairs)
 
 
-def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
-              expected: tuple[str, ...] | None = None) -> Report:
+def _finalize(config: SuiteConfig, records: list[dict], maps: dict) -> Report:
     """Sort the records, then in one pass flag them, collect the failing
-    samples and summarize; check the manifest and list each failing sample
-    with its most negative failing slack and its map (`maps[sample]`, for
-    replay)."""
+    samples and summarize; check the suite's manifest, list each failing
+    sample with its most negative failing slack and its map (`maps[sample]`,
+    for replay), and echo the settings the suite reads."""
     records.sort(key=lambda r: (r["sample"], r["inequality"]))
     tol = config.tol
     seen: set[str] = set()
@@ -276,7 +280,8 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
             rec["tight"] = -tol <= slack < 0.0
         if _is_failure(rec, tol):
             failing.setdefault(rec["sample"], []).append(rec)
-    for ineq in (expected if expected is not None else expected_ids(config.suite, config.m)):
+    suite = SUITES[config.suite]
+    for ineq in suite.manifest(config.m, config.family):
         if ineq not in seen:
             raise AssertionError(f"suite {config.suite} produced no records for inequality {ineq}")
     failures = []
@@ -285,8 +290,7 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
         described = f.to_json_dict() if isinstance(f, PolyMap) else f.describe()
         failures.append({"sample": sample, "suite": recs[0]["suite"],
                          "worst_slack": _reduce(min, [r["slack"] for r in recs]), "map": described})
-    unread = UNREAD.get(config.suite, ())
-    echo = {name: value for name, value in asdict(config).items() if name not in unread}
+    echo = {name: value for name, value in asdict(config).items() if name in suite.reads}
     return Report(schema=SCHEMA, config=echo, records=records, failures=failures,
                   summary={"record_count": len(records), "failure_count": sum(map(len, failing.values())),
                            "min_slack": _reduce(min, slacks), "min_ratio": _reduce(min, ratios),
@@ -296,7 +300,7 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict,
 def emit(report: Report, fmt: str, path) -> None:
     """Write a report (json or csv); failing samples are additionally written
     as standalone replay files next to the report."""
-    if fmt not in ("json", "csv"):
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
     path = Path(path)
     text = report.to_json() if fmt == "json" else report.to_csv()
@@ -310,21 +314,21 @@ def emit(report: Report, fmt: str, path) -> None:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
+def run_suite(config: SuiteConfig) -> Report:
+    """Run the suite `config.suite` names, through its row of `SUITES`, and
+    return its deterministic report.  A `remark2` sweep checks disk maps and a
+    `remark4` sweep scalar ones, so their reports echo n = 1 and m = 1."""
+    validate_config(config)
+    if config.suite == "sharpness":
+        config = replace(config, **{"n" if config.family == "remark2" else "m": 1})
+    records, maps = SUITES[config.suite].build(config)
+    return _finalize(config, records, maps)
+
+
 # --------------------------------------------------------------------------
 # sampling suites
 
-def run_suite(config: SuiteConfig) -> Report:
-    """Run one verification suite and return its deterministic report.
-
-    Suites `main`, `disk`, `partials`, `radial` and `origin` sample certified
-    polynomial maps (plus ball automorphisms when n = m in `main`) and check
-    the inequality ids assigned by the manifest.  `equality` and `sharpness`
-    raise ConfigError: `equality_suite` and `sharpness_sweep` run them.
-    """
-    validate_config(config)
-    if config.suite not in _SAMPLE_POINTS:
-        driver = "equality_suite" if config.suite == "equality" else "sharpness_sweep"
-        raise ConfigError(f"suite {config.suite!r} has its own driver; call {driver}")
+def _sample_records(config: SuiteConfig) -> tuple[list[dict], dict]:
     # each sample draws from its own generator, so checking the whole suite's bounds
     # in one batch moves no draw; a sample's points all hold its map
     points, samples, maps = [], [], {}
@@ -342,7 +346,7 @@ def run_suite(config: SuiteConfig) -> Report:
             maps[sample] = pts[0].f
             points += pts
             samples += [sample] * sum(len(p.requests) for p in pts)
-    return _finalize(config, _records(config, samples, points), maps)
+    return _records(config, samples, points), maps
 
 
 def _records(config, samples, points) -> list[dict]:
@@ -430,17 +434,18 @@ def _origin_extremal_points(config, rng):
 _SAMPLE_POINTS = {"main": _main_points, "disk": _disk_points, "partials": _partials_points,
                   "radial": _radial_points, "origin": _origin_points}
 
+#: The suites that sample polynomial maps.
+SAMPLING_SUITES = tuple(_SAMPLE_POINTS)
+
 
 # --------------------------------------------------------------------------
 # equality certification
 
-def equality_suite(config: SuiteConfig) -> Report:
+def _equality_records(config: SuiteConfig) -> tuple[list[dict], dict]:
     """Certify the equality cases: origin-extremal maps across a parameter
     grid, the first-order extremal construction, the linear-plus-square
     example (equality with an off-shape coefficient), and the off-lattice
     Taylor-coefficient vanishing for extremal maps."""
-    config = replace(config, suite="equality")
-    validate_config(config)
     records: list[dict] = []
     maps: dict[str, object] = {}
 
@@ -500,7 +505,7 @@ def equality_suite(config: SuiteConfig) -> Report:
             config.suite, sample, "first-order-equality",
             measured=worst, slack=EQUALITY_TOL - worst))
 
-    return _finalize(config, records, maps)
+    return records, maps
 
 
 # --------------------------------------------------------------------------
@@ -512,33 +517,27 @@ def sweep_prediction(k: int, xi_abs: float, w_abs: float) -> float:
     return ((w_abs + xi_abs) / (1.0 + xi_abs)) ** (2 * (k - 1))
 
 
-def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
-    if family not in ("remark2", "remark4"):
-        raise ConfigError(f"unknown sweep family {family!r}")
-    radii = list(radii)
-    if not radii or radii != sorted(set(radii)) or not all(0.0 < r < 1.0 for r in radii):
-        raise ConfigError("sweep radii must be a non-empty, strictly increasing ladder inside (0, 1)")
+def _sweep_records(config: SuiteConfig) -> tuple[list[dict], dict]:
+    """Sweep |w| toward the boundary for one sharpness family and record the
+    attained ratios against their closed-form predictions."""
+    family, radii, maps = config.family, config.radii, {}
     rng = _rng(config.seed, 200 if family == "remark2" else 201)
     xi_phase = np.exp(2j * np.pi * rng.uniform())
     w_dir = random_unit_vector(rng, config.m) if family == "remark2" else np.exp(2j * np.pi * rng.uniform())
     order = min(config.k_max, 4)
-    if family == "remark2":
-        requests = [("4.1", {"k": k}) for k in range(1, order + 1)]
-    else:
-        requests = [("5.3", {"v": (k,) + (0,) * (config.n - 1)}) for k in range(1, order + 1)]
+    requests = [(SWEEP_FAMILIES[family], {"k": k} if family == "remark2" else {"v": (k,) + (0,) * (config.n - 1)})
+                for k in range(1, order + 1)]
     # one point per (xi, |w|): one partial bundle serves every k, and the maps of one xi
     # share one slice grid.  The bounds take the pinned |f(xi)| = |w|, not norm(f(xi)):
     # they differ in the last bit at a quarter of the points, which (1-|w|^2)^2 scales to
     # 2e-11 relative in `ratio` at |w| = 0.99999, flipping `tight` flags
     points, samples, params = [], [], []
     for xi_abs in (0.25, 0.5, 0.75):
-        z = np.zeros(1 if family == "remark2" else config.n, dtype=complex)
+        z = np.zeros(config.n, dtype=complex)  # n = 1 for remark2
         z[0] = xi_abs * xi_phase
         ws = [w_abs * w_dir for w_abs in radii]
-        if family == "remark2":
-            fs = [geometry.Remark2Map(z[0], w) for w in ws]
-        else:
-            fs = [geometry.Remark4Map(z[0], w, n=config.n) for w in ws]
+        fs = [geometry.Remark2Map(z[0], w) if family == "remark2" else geometry.Remark4Map(z[0], w, n=config.n)
+              for w in ws]
         for f, w, w_abs, bundle in zip(fs, ws, radii, cauchy.partial_bundles(fs, z, order)):
             points.append(bounds.Point(f, z, bundle, requests, (np.atleast_1d(w), w_abs)))
             for k in range(1, order + 1):
@@ -563,20 +562,30 @@ def _sweep_records(config: SuiteConfig, family: str, radii, maps: dict):
         records.append(certificate_record(
             config.suite, sample, "sweep-final-ratio", measured=ratios[-1], slack=final_gap,
             family=family, xi_abs=recs[-1]["xi_abs"]))
-    return records
+    return records, maps
 
 
-def sharpness_sweep(config: SuiteConfig, family: str, radii=DEFAULT_SWEEP_RADII) -> Report:
-    """Sweep |w| toward the boundary for one sharpness family and record the
-    attained ratios against their closed-form predictions."""
-    config = replace(config, suite="sharpness")
-    validate_config(config)
-    maps: dict[str, object] = {}
-    records = _sweep_records(config, family, radii, maps)
-    # the report echoes the dimensions checked: remark2 maps have n = 1, remark4 maps m = 1
-    checked = {"n": 1} if family == "remark2" else {"m": 1}
-    return _finalize(replace(config, **checked), records, maps,
-                     expected=("4.1",) if family == "remark2" else ("5.3",))
+class Suite(NamedTuple):
+    """One row of `SUITES`."""
+    build: Callable  # config -> (records, {sample: map})
+    manifest: Callable  # (m, family) -> the inequality ids a report must hold
+    reads: tuple[str, ...]  # the SuiteConfig fields the suite reads, which its reports echo
+
+
+_SAMPLED = ("suite", "n", "m", "samples", "degree", "k_max", "seed", "tol")
+
+#: Every suite, in the order whose index seeds each suite's generators.
+SUITES = {
+    "main": Suite(_sample_records, lambda m, family: ("1.3", "1.4"), _SAMPLED),
+    "disk": Suite(_sample_records, lambda m, family: ("1.1", "4.1") if m == 1 else ("4.1",), _SAMPLED),
+    "partials": Suite(_sample_records, lambda m, family: ("1.2", "5.1", "5.2") if m == 1 else ("5.1",), _SAMPLED),
+    "radial": Suite(_sample_records, lambda m, family: ("5.3",), _SAMPLED),
+    "origin": Suite(_sample_records, lambda m, family: ("3.1", "3.2"), _SAMPLED),
+    "equality": Suite(_equality_records, lambda m, family: ("1.3", "3.2"), ("suite", "n", "m", "seed", "tol")),
+    "sharpness": Suite(_sweep_records, lambda m, family: (SWEEP_FAMILIES[family],),
+                       ("suite", "n", "m", "k_max", "seed", "tol", "family", "radii")),
+}
+SUITE_IDS = tuple(SUITES)
 
 
 def replay_sample(path, config: SuiteConfig) -> Report:
@@ -589,9 +598,9 @@ def replay_sample(path, config: SuiteConfig) -> Report:
         f = PolyMap.from_json_dict(json.loads(path.read_text()))
     except (TypeError, KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{path} does not hold a PolyMap in JSON: {exc!r}") from exc
-    cfg = SuiteConfig(**{**asdict(config), "n": f.n, "m": f.m, "samples": 1})
+    cfg = replace(config, n=f.n, m=f.m, samples=1)
     validate_config(cfg)
-    if cfg.suite not in _SAMPLE_POINTS:
+    if cfg.suite not in SAMPLING_SUITES:
         raise ConfigError(f"suite {cfg.suite!r} does not sample polynomial maps; nothing to replay")
     match = re.search(r"-failure-poly-(\d+)$", path.stem)
     rng = _rng(cfg.seed, SUITE_IDS.index(cfg.suite), int(match.group(1)) if match else 0)

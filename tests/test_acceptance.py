@@ -17,7 +17,6 @@ from schwarzpick.harness import (
     random_isometry,
     random_unit_vector,
     run_suite,
-    sharpness_sweep,
 )
 from schwarzpick.holomap import coefficient_checks, random_polymap
 from support import OpaqueMap, aj_coefficients, quadratic_form, remark3_derivative
@@ -213,8 +212,8 @@ def test_criterion_05_identity_checks():
 
 
 def _sweep_criterion(family: str, n: int, m: int) -> tuple[float, float]:
-    cfg = SuiteConfig(suite="sharpness", n=n, m=m, k_max=4, seed=560)
-    report = sharpness_sweep(cfg, family, radii=DEFAULT_SWEEP_RADII)
+    cfg = SuiteConfig(suite="sharpness", n=n, m=m, k_max=4, seed=560, family=family, radii=DEFAULT_SWEEP_RADII)
+    report = run_suite(cfg)
     worst_law = 0.0
     worst_final = 0.0
     for rec in report.records:

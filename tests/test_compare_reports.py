@@ -18,7 +18,7 @@ def write_reports(root: Path, report: harness.Report) -> Path:
 
 
 def test_changed_records_are_grouped_and_counts_decide_the_exit(tmp_path, capsys):
-    report = harness.equality_suite(harness.SuiteConfig(n=1, m=1, seed=5))
+    report = harness.run_suite(harness.SuiteConfig(suite="equality", n=1, m=1, seed=5))
     a = write_reports(tmp_path / "a", report)
     moved = json.loads((a / "000-equality.json").read_text())
     ext = [i for i, rec in enumerate(moved["records"])
@@ -46,7 +46,7 @@ def test_changed_records_are_grouped_and_counts_decide_the_exit(tmp_path, capsys
 
 def test_moved_certificate_shows_in_its_lhs(tmp_path, capsys):
     # every certificate has ratio 0, so only |dlhs| shows how far its `measured` moved
-    report = harness.equality_suite(harness.SuiteConfig(n=1, m=1, seed=5))
+    report = harness.run_suite(harness.SuiteConfig(suite="equality", n=1, m=1, seed=5))
     a = write_reports(tmp_path / "a", report)
     moved = json.loads((a / "000-equality.json").read_text())
     [i, *_] = [i for i, rec in enumerate(moved["records"]) if rec["inequality"] == "3.2-equality"]
@@ -59,7 +59,7 @@ def test_moved_certificate_shows_in_its_lhs(tmp_path, capsys):
 
 
 def test_config_keys_are_named_by_change(tmp_path, capsys):
-    report = harness.equality_suite(harness.SuiteConfig(n=1, m=1, seed=5))
+    report = harness.run_suite(harness.SuiteConfig(suite="equality", n=1, m=1, seed=5))
     a = write_reports(tmp_path / "a", report)
     moved = json.loads((a / "000-equality.json").read_text())
     del moved["config"]["tol"], moved["config"]["m"]

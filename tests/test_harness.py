@@ -16,11 +16,9 @@ from schwarzpick.harness import (
     Report,
     SuiteConfig,
     emit,
-    equality_suite,
     expected_ids,
     replay_sample,
     run_suite,
-    sharpness_sweep,
 )
 from schwarzpick.holomap import ComposedMap, PolyMap
 
@@ -43,11 +41,11 @@ def same(a, b) -> bool:
 
 
 def reports(config: SuiteConfig) -> list[Report]:
-    """The reports of the config's suite from its driver, one per family for
-    the sharpness sweeps."""
+    """The reports of the config's suite, one per family for the sharpness
+    sweeps."""
     if config.suite == "sharpness":
-        return [sharpness_sweep(config, family) for family in ("remark2", "remark4")]
-    return [equality_suite(config) if config.suite == "equality" else run_suite(config)]
+        return [run_suite(replace(config, family=family)) for family in ("remark2", "remark4")]
+    return [run_suite(config)]
 
 
 def test_non_finite_slack_counts_as_failure():
@@ -102,12 +100,12 @@ def test_one_bound_batch_per_sampling_suite(monkeypatch, tmp_path, suite, n, m):
 
 
 @pytest.mark.parametrize("suite", harness.SUITE_IDS)
-def test_drivers_run_their_own_suite_whatever_the_config_names(suite):
-    cfg = SuiteConfig(suite=suite, n=2, m=2, seed=8, **SMALL)
-    assert equality_suite(cfg).to_json() == equality_suite(replace(cfg, suite="equality")).to_json()
-    for family in ("remark2", "remark4"):
-        own = sharpness_sweep(replace(cfg, suite="sharpness"), family, radii=(0.9, 0.99))
-        assert sharpness_sweep(cfg, family, radii=(0.9, 0.99)).to_json() == own.to_json()
+def test_run_suite_runs_the_suite_the_config_names(suite):
+    cfg = SuiteConfig(suite=suite, n=1 if suite == "disk" else 2, m=2, seed=8, radii=(0.9, 0.99), **SMALL)
+    report = run_suite(cfg)
+    assert report.config["suite"] == suite and {r["suite"] for r in report.records} == {suite}
+    assert set(report.config) == set(harness.SUITES[suite].reads)
+    assert set(harness.SUITES[suite].manifest(cfg.m, cfg.family)) <= {r["inequality"] for r in report.records}
 
 
 class TestConfigValidation:
@@ -134,6 +132,15 @@ class TestConfigValidation:
         dict(tol=True),
         dict(tol="1e-8"),
         dict(tol=None),
+        dict(family="bogus"),
+        dict(family=["remark2"]),
+        dict(radii=("0.9",)),
+        dict(radii=(0.9, None)),
+        dict(radii=0.9),
+        dict(radii=()),
+        dict(radii=(0.9, 0.5)),
+        dict(radii=(0.9, 1.1)),
+        dict(radii=(0.0, 0.9)),
     ])
     def test_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -141,7 +148,7 @@ class TestConfigValidation:
 
     def test_config_holds_only_the_settings_drivers_read(self):
         assert [f.name for f in fields(SuiteConfig)] == ["suite", "n", "m", "samples", "degree", "k_max",
-                                                         "seed", "tol"]
+                                                         "seed", "tol", "family", "radii"]
         with pytest.raises(TypeError):
             SuiteConfig(fmt="csv")
 
@@ -204,12 +211,6 @@ class TestSuites:
             if rec["kind"] == "bound":
                 assert rec["tight"] == (-cfg.tol <= rec["slack"] < 0.0)
 
-    @pytest.mark.parametrize("suite, driver", [("equality", "equality_suite"), ("sharpness", "sharpness_sweep")])
-    def test_run_suite_names_the_driver_of_a_non_sampling_suite(self, monkeypatch, suite, driver):
-        monkeypatch.setattr(harness, driver, None)  # run_suite must not delegate
-        with pytest.raises(ConfigError, match=f"call {driver}"):
-            run_suite(SuiteConfig(suite=suite, n=2, m=2))
-
     def test_automorphism_contexts_have_unit_ratio_at_first_order(self):
         cfg = SuiteConfig(suite="main", n=2, m=2, samples=4, degree=3, k_max=2, seed=5)
         report = run_suite(cfg)
@@ -221,14 +222,14 @@ class TestSuites:
 
 class TestEqualitySuite:
     def test_certificates_pass(self):
-        report = equality_suite(SuiteConfig(suite="equality", n=2, m=2, samples=2, seed=11))
+        report = run_suite(SuiteConfig(suite="equality", n=2, m=2, samples=2, seed=11))
         assert report.summary["failure_count"] == 0
         names = {r["inequality"] for r in report.records}
         assert {"3.2", "1.3", "3.2-equality", "off-shape-coefficient",
                 "off-lattice-vanishing", "first-order-equality"} <= names
 
     def test_linear_plus_square_flags(self):
-        report = equality_suite(SuiteConfig(suite="equality", n=2, m=2, samples=1, seed=3))
+        report = run_suite(SuiteConfig(suite="equality", n=2, m=2, samples=1, seed=3))
         recs = [r for r in report.records if r["sample"] == "remark-example"]
         equality = [r for r in recs if r["inequality"] == "3.2-equality"]
         off_shape = [r for r in recs if r["inequality"] == "off-shape-coefficient"]
@@ -239,14 +240,14 @@ class TestEqualitySuite:
     def test_failing_samples_list_their_maps(self, monkeypatch):
         # a negative tolerance fails every ext-* and k1-* equality certificate
         monkeypatch.setattr(harness, "EQUALITY_TOL", -1.0)
-        report = equality_suite(SuiteConfig(suite="equality", n=2, m=2, seed=7))
+        report = run_suite(SuiteConfig(suite="equality", n=2, m=2, seed=7))
         assert len(report.failures) == 45
         kinds = {f["map"].split("(")[0] for f in report.failures}
         assert kinds == {"extremal-origin", "extremal-k1"}
         assert report.to_json() == dumps(report)
 
     def test_off_lattice_certificates(self):
-        report = equality_suite(SuiteConfig(suite="equality", n=2, m=2, samples=1, seed=4))
+        report = run_suite(SuiteConfig(suite="equality", n=2, m=2, samples=1, seed=4))
         vanish = [r for r in report.records if r["inequality"] == "off-lattice-vanishing"]
         assert len(vanish) == 6
         assert all(r["lhs"] <= 1e-9 for r in vanish)
@@ -258,22 +259,22 @@ class TestSharpnessSweep:
         return [r for r in report.records if r["kind"] == "bound" and r["sample"] == sample]
 
     def test_known_ratio_point(self):
-        cfg = SuiteConfig(suite="sharpness", n=1, m=1, k_max=3, seed=21)
-        report = sharpness_sweep(cfg, "remark2", radii=(0.5, 0.9))
+        cfg = SuiteConfig(suite="sharpness", n=1, m=1, k_max=3, seed=21, family="remark2", radii=(0.5, 0.9))
+        report = run_suite(cfg)
         recs = [r for r in self.series(report, "remark2-k3-x0.50") if r["w_abs"] == 0.9]
         assert len(recs) == 1
         assert recs[0]["ratio_modulus"] == pytest.approx((1.4 / 1.5) ** 2, abs=1e-8)
 
     def test_first_order_ratio_is_constant_one(self):
-        cfg = SuiteConfig(suite="sharpness", n=1, m=2, seed=22)
-        report = sharpness_sweep(cfg, "remark2", radii=(0.5, 0.9, 0.99))
+        cfg = SuiteConfig(suite="sharpness", n=1, m=2, seed=22, family="remark2", radii=(0.5, 0.9, 0.99))
+        report = run_suite(cfg)
         ratios = [r["ratio"] for r in self.series(report, "remark2-k1-x0.50")]
         assert len(ratios) == 3
         assert all(abs(r - 1.0) <= 1e-9 for r in ratios)
 
     def test_ratios_increase_toward_boundary(self):
-        cfg = SuiteConfig(suite="sharpness", n=2, m=1, seed=23)
-        report = sharpness_sweep(cfg, "remark4", radii=(0.9, 0.99, 0.999))
+        cfg = SuiteConfig(suite="sharpness", n=2, m=1, seed=23, family="remark4", radii=(0.9, 0.99, 0.999))
+        report = run_suite(cfg)
         ratios = [r["ratio"] for r in self.series(report, "remark4-k3-x0.50")]
         assert len(ratios) == 3
         assert ratios == sorted(ratios)
@@ -282,19 +283,19 @@ class TestSharpnessSweep:
     @pytest.mark.parametrize("family, checked", [("remark2", (1, 2)), ("remark4", (3, 1))])
     def test_config_echoes_the_dimensions_checked(self, family, checked):
         # remark2 maps are disk maps and remark4 maps scalar, whatever n and m are configured
-        report = sharpness_sweep(SuiteConfig(suite="sharpness", n=3, m=2, k_max=2, seed=24), family, radii=(0.9,))
+        report = run_suite(SuiteConfig(suite="sharpness", n=3, m=2, k_max=2, seed=24, family=family, radii=(0.9,)))
         assert (report.config["n"], report.config["m"]) == checked
         z_lengths = {len(r["z"]) for r in report.records if r["kind"] == "bound"}
         assert z_lengths == {checked[0]}
 
     def test_bad_radii_rejected(self):
-        cfg = SuiteConfig(suite="sharpness")
+        cfg = SuiteConfig(suite="sharpness", family="remark2")
         with pytest.raises(ConfigError):
-            sharpness_sweep(cfg, "remark2", radii=(0.9, 0.5))
+            run_suite(replace(cfg, radii=(0.9, 0.5)))
         with pytest.raises(ConfigError):
-            sharpness_sweep(cfg, "remark2", radii=(0.9, 1.1))
+            run_suite(replace(cfg, radii=(0.9, 1.1)))
         with pytest.raises(ConfigError, match="non-empty"):
-            sharpness_sweep(cfg, "remark2", radii=())
+            run_suite(replace(cfg, radii=()))
 
     def test_unknown_family_rejected_before_any_bundle(self, monkeypatch):
         def refuse(*args):
@@ -302,7 +303,7 @@ class TestSharpnessSweep:
 
         monkeypatch.setattr(harness.cauchy, "partial_bundle", refuse)
         with pytest.raises(ConfigError, match="bogus"):
-            sharpness_sweep(SuiteConfig(suite="sharpness"), "bogus")
+            run_suite(SuiteConfig(suite="sharpness", family="bogus"))
 
     def test_unknown_family_rejected_before_any_shared_bundles(self, monkeypatch):
         def refuse(*args):
@@ -310,7 +311,7 @@ class TestSharpnessSweep:
 
         monkeypatch.setattr(harness.cauchy, "partial_bundles", refuse)
         with pytest.raises(ConfigError, match="bogus"):
-            sharpness_sweep(SuiteConfig(suite="sharpness"), "bogus")
+            run_suite(SuiteConfig(suite="sharpness", family="bogus"))
 
     @pytest.mark.parametrize("family", ["remark2", "remark4"])
     def test_the_maps_of_one_point_share_one_bundles_call(self, family, monkeypatch):
@@ -322,7 +323,7 @@ class TestSharpnessSweep:
 
         monkeypatch.setattr(harness.cauchy, "partial_bundles", counted)
         monkeypatch.setattr(harness.cauchy, "partial_bundle", None)
-        report = sharpness_sweep(SuiteConfig(suite="sharpness", n=2, k_max=3), family, radii=(0.9, 0.99, 0.999))
+        report = run_suite(SuiteConfig(suite="sharpness", n=2, k_max=3, family=family, radii=(0.9, 0.99, 0.999)))
         assert [count for count, _ in calls] == [3, 3, 3]
         assert [abs(z0) for _, z0 in calls] == pytest.approx([0.25, 0.5, 0.75], rel=1e-15)
         assert report.summary["record_count"] == 3 * 3 * 3 + 2 * 3 * 3
@@ -507,27 +508,25 @@ class TestReplay:
 class TestFinalize:
     def test_failing_certificate_listed(self):
         cfg = SuiteConfig(suite="sharpness")
-        rec = harness.certificate_record("sharpness", "remark2-k2-x0.50", "sweep-final-ratio",
-                                         measured=0.5, slack=-0.1)
+        rec = harness.certificate_record("sharpness", "remark2-k2-x0.50", "4.1", measured=0.5, slack=-0.1)
         f = geometry.Remark2Map(0.5, np.array([0.99, 0.0]))
-        report = harness._finalize(cfg, [rec], {"remark2-k2-x0.50": f},
-                                   expected=("sweep-final-ratio",))
+        report = harness._finalize(cfg, [rec], {"remark2-k2-x0.50": f})
         assert report.summary["failure_count"] == 1
         assert [f["sample"] for f in report.failures] == ["remark2-k2-x0.50"]
         assert report.failures[0]["map"] == f.describe()
 
     def test_missing_inequality_raises(self):
         rec = harness.certificate_record("sharpness", "remark2-k2-x0.50", "a", measured=0.5, slack=0.1)
-        with pytest.raises(AssertionError, match="^suite sharpness produced no records for inequality b$"):
-            harness._finalize(SuiteConfig(suite="sharpness"), [rec], {}, expected=("a", "b"))
+        with pytest.raises(AssertionError, match="^suite sharpness produced no records for inequality 4.1$"):
+            harness._finalize(SuiteConfig(suite="sharpness"), [rec], {})
 
-    @pytest.mark.parametrize("names", [("a", "b"), ("b", "a")], ids=["nan-last", "nan-first"])
+    @pytest.mark.parametrize("names", [("4.1", "b"), ("b", "4.1")], ids=["nan-last", "nan-first"])
     def test_nan_worst_slack_in_any_order(self, names):
         cfg = SuiteConfig(suite="sharpness")
         records = [harness.certificate_record("sharpness", "remark2-k2-x0.50", name, measured=0.5, slack=slack)
                    for name, slack in zip(names, (-1.0, math.nan))]
         f = geometry.Remark2Map(0.5, np.array([0.99, 0.0]))
-        report = harness._finalize(cfg, records, {"remark2-k2-x0.50": f}, expected=("a",))
+        report = harness._finalize(cfg, records, {"remark2-k2-x0.50": f})
         assert math.isnan(report.failures[0]["worst_slack"])
         assert report.summary == summarize(report.records, cfg.tol)
         assert math.isnan(report.summary["min_slack"]) and report.summary["failure_count"] == 2
@@ -536,8 +535,8 @@ class TestFinalize:
         # an unreachable prediction fails every sweep-final-ratio certificate
         monkeypatch.setattr(harness, "sweep_prediction", lambda *args: 2.0)
         cfg = SuiteConfig(suite="sharpness", n=2, m=2, k_max=2, seed=7)
-        short = sharpness_sweep(cfg, "remark2", radii=(0.9, 0.99))
-        remark4 = sharpness_sweep(cfg, "remark4")
+        short = run_suite(replace(cfg, family="remark2", radii=(0.9, 0.99)))
+        remark4 = run_suite(replace(cfg, family="remark4"))
         for report, family, final_w in ((short, "remark2", "|w|=0.990000"), (remark4, "remark4", "|w|=0.999900")):
             assert report.failures
             for failure in report.failures:
@@ -666,7 +665,7 @@ class TestCli:
                  "sharpness": ["sharpness", "--radii", "0.9", "--kmax", "2"]}
         read = {"check": {"suite", "n", "m", "samples", "degree", "k_max", "seed", "tol"},
                 "equality": {"suite", "n", "m", "seed", "tol"},
-                "sharpness": {"suite", "n", "m", "k_max", "seed", "tol"}}
+                "sharpness": {"suite", "n", "m", "k_max", "seed", "tol", "family", "radii"}}
         for command, argv in argvs.items():
             out = tmp_path / f"{command}.json"
             assert cli.main(argv + ["--out", str(out)]) == 0

@@ -14,14 +14,17 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 #: Entry points the tracer still names that the package no longer has; their
 #: layers read 0, but for `LineMap.eval`, whose calls `HoloMap.eval` now takes
-#: and counts as `geometry.map_eval`.  A name missing beyond these is a name a
-#: refactor dropped.
+#: and counts as `geometry.map_eval`, and the two drivers whose suites
+#: `run_suite` now runs, counted in `harness.run_suite`.  A name missing beyond
+#: these is a name a refactor dropped.
 RETIRED = {
     "schwarzpick.cauchy.coefficient_table",
     "schwarzpick.cauchy.partial_derivative",
     "schwarzpick.cauchy.frechet_derivative",
     "PolyMap.partial",
     "LineMap.eval",
+    "schwarzpick.cli.equality_suite",
+    "schwarzpick.cli.sharpness_sweep",
 }
 
 
