@@ -30,7 +30,8 @@ def _add_settings(parser: argparse.ArgumentParser, suite: str) -> None:
                                 default=getattr(SuiteConfig, name), help=text)
     parser.add_argument("--seed", type=int, default=SuiteConfig.seed,
                         help="64-bit seed; reports are seed-deterministic")
-    parser.add_argument("--tol", type=float, default=SuiteConfig.tol, help="slack tolerance (violation below -tol)")
+    parser.add_argument("--tol", type=float, default=SuiteConfig.tol,
+                        help="ratio tolerance (violation: ratio above 1 + tol, or off its prediction by tol relative)")
     parser.add_argument("--out", type=str, default=None, help="write the report to this path")
     parser.add_argument("--format", dest="fmt", choices=FORMATS, default=FORMATS[0])
 

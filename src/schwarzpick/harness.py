@@ -31,9 +31,6 @@ SWEEP_FAMILIES = {"remark2": "4.1", "remark4": "5.3"}
 #: Default |w| ladder for the asymptotic-sharpness sweeps.
 DEFAULT_SWEEP_RADII = (0.9, 0.99, 0.999, 0.9999)
 
-#: Certification threshold for equality-suite slacks.
-EQUALITY_TOL = 1e-9
-
 #: The report formats `emit` writes.
 FORMATS = ("json", "csv")
 
@@ -51,7 +48,7 @@ class SuiteConfig:
     degree: int = 4
     k_max: int = 4
     seed: int = 42
-    tol: float = 1e-8
+    tol: float = 1e-9
     family: str = "remark2"
     radii: tuple = DEFAULT_SWEEP_RADII
 
@@ -187,14 +184,14 @@ def _k_or_v(k, v) -> str:
     return f"k={k}" if v is None else "v=" + ",".join(str(x) for x in v)
 
 
-def certificate_record(suite: str, sample: str, name: str, measured: float, slack: float, **extra) -> dict:
+def certificate_record(suite: str, sample: str, name: str, measured: float, slack: float, k_or_v: str = "") -> dict:
     """A pass/fail certification row; pass iff slack >= 0."""
-    rec = {
+    return {
         "suite": suite,
         "sample": sample,
         "kind": "certificate",
         "inequality": name,
-        "k_or_v": extra.pop("k_or_v", ""),
+        "k_or_v": k_or_v,
         "z": None,
         "beta": None,
         "lhs": float(measured),
@@ -202,15 +199,19 @@ def certificate_record(suite: str, sample: str, name: str, measured: float, slac
         "slack": float(slack),
         "ratio": 0.0,
     }
-    rec.update(extra)
-    return rec
 
 
 def _is_failure(record: dict, tol: float) -> bool:
-    """A record fails when its slack is below -tol (0 for certificates) or
-    is not finite."""
-    floor = 0.0 if record["kind"] == "certificate" else -tol
-    return not (math.isfinite(record["slack"]) and record["slack"] >= floor)
+    """The one verdict on a record.  Any record fails when its slack is not
+    finite; a certificate when its slack is below 0; a bound record when its
+    ratio passes 1 + tol or, if it carries a `predicted` ratio, misses it by
+    more than tol relative.  A NaN ratio fails."""
+    if not math.isfinite(record["slack"]):
+        return True
+    if record["kind"] == "certificate":
+        return not record["slack"] >= 0.0
+    ratio, predicted = record["ratio"], record.get("predicted")
+    return not (ratio <= 1.0 + tol and (predicted is None or abs(ratio - predicted) <= tol * predicted))
 
 
 def _reduce(fn, values: list) -> float:
@@ -272,12 +273,11 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict) -> Report:
     failing: dict[str, list[dict]] = {}
     for rec in records:
         seen.add(rec["inequality"])
-        slack = rec["slack"]
-        slacks.append(slack)
+        slacks.append(rec["slack"])
         if rec["kind"] == "bound":
             ratios.append(rec["ratio"])
-            # negative slack within tolerance is discretization noise, not a violation
-            rec["tight"] = -tol <= slack < 0.0
+            # a ratio past 1 within tolerance is discretization noise, not a violation
+            rec["tight"] = 1.0 < rec["ratio"] <= 1.0 + tol
         if _is_failure(rec, tol):
             failing.setdefault(rec["sample"], []).append(rec)
     suite = SUITES[config.suite]
@@ -331,7 +331,7 @@ def run_suite(config: SuiteConfig) -> Report:
 def _sample_records(config: SuiteConfig) -> tuple[list[dict], dict]:
     # each sample draws from its own generator, so checking the whole suite's bounds
     # in one batch moves no draw; a sample's points all hold its map
-    points, samples, maps = [], [], {}
+    points, samples, maps, witnesses = [], [], {}, set()
     suite_code = SUITE_IDS.index(config.suite)
     for s in range(config.samples):
         rng = _rng(config.seed, suite_code, s)
@@ -340,20 +340,24 @@ def _sample_records(config: SuiteConfig) -> tuple[list[dict], dict]:
         if config.suite == "main" and config.n == config.m:
             aut = geometry.AutomorphismMap(random_ball_point(rng, config.m, 0.5))
             drawn.append((f"aut-{s:04d}", _main_points(config, rng, aut)))
+            witnesses.add((drawn[-1][0], "1.3"))
         elif config.suite == "origin":
             drawn.append((f"ext-{s:04d}", _origin_extremal_points(config, rng)))
+            witnesses.add((drawn[-1][0], "3.2"))
         for sample, pts in drawn:
             maps[sample] = pts[0].f
             points += pts
             samples += [sample] * sum(len(p.requests) for p in pts)
-    return _records(config, samples, points), maps
+    return _records(config, samples, points, witnesses), maps
 
 
-def _records(config, samples, points) -> list[dict]:
+def _records(config, samples, points, witnesses=frozenset()) -> list[dict]:
     """The bound record of every request of the `bounds.Point`s, from one
     `bounds.check_columns` batch: labelled with config.suite and, request by
     request, the next name of `samples`, with one [[re, im], ...] list per
-    point and per direction and one k_or_v string per order."""
+    point and per direction and one k_or_v string per order.  The records of
+    a (sample, inequality) pair in `witnesses`, an equality case, carry their
+    prediction, `predicted` 1.0."""
     vectors: dict[int, list] = {}  # the rows hold every array
     labels: dict = {}
     out = []
@@ -365,6 +369,8 @@ def _records(config, samples, points) -> list[dict]:
         out.append({"suite": config.suite, "sample": sample, "kind": "bound", "inequality": row.inequality,
                     "k_or_v": labels[order], "z": _cvec(row.z, vectors), "beta": _cvec(row.beta, vectors),
                     "lhs": row.lhs, "rhs": row.rhs, "slack": row.slack, "ratio": row.ratio})
+        if (sample, row.inequality) in witnesses:
+            out[-1]["predicted"] = 1.0
     return out
 
 
@@ -443,39 +449,33 @@ SAMPLING_SUITES = tuple(_SAMPLE_POINTS)
 
 def _equality_records(config: SuiteConfig) -> tuple[list[dict], dict]:
     """Certify the equality cases: origin-extremal maps across a parameter
-    grid, the first-order extremal construction, the linear-plus-square
-    example (equality with an off-shape coefficient), and the off-lattice
-    Taylor-coefficient vanishing for extremal maps."""
-    records: list[dict] = []
+    grid, the first-order extremal construction and the linear-plus-square
+    example (equality with an off-shape coefficient), each record of which
+    carries its prediction, ratio 1; and the off-lattice Taylor-coefficient
+    vanishing for extremal maps."""
     maps: dict[str, object] = {}
 
-    # origin-extremal grid: all v with |v| <= 4, |a0| in {0, 0.3, 0.7}, checked as one batch
+    # origin-extremal grid: all v with |v| <= 4, |a0| in {0, 0.3, 0.7}, checked as one batch with the k1 maps
     rng = _rng(config.seed, 100)
     grid = [(v, _extremal_origin(rng, config.m, a0_abs, v))
             for v in mi.enumerate_up_to(config.n, 4, include_zero=False) for a0_abs in (0.0, 0.3, 0.7)]
     samples = [f"ext-{idx:04d}" for idx in range(len(grid))]
     maps.update(zip(samples, (f for _, f in grid)))
-    for rec in _records(config, samples, [bounds.Point(f, None, None, [("3.2", {"v": v})]) for v, f in grid]):
-        records.append(rec)
-        records.append(certificate_record(
-            config.suite, rec["sample"], "3.2-equality",
-            measured=abs(rec["slack"]), slack=EQUALITY_TOL - abs(rec["slack"]), k_or_v=rec["k_or_v"]))
+    points = [bounds.Point(f, None, None, [("3.2", {"v": v})]) for v, f in grid]
+    witnesses = {(sample, "3.2") for sample in samples}
 
     # linear-plus-square example: equality at v = (1,0) with an off-shape coefficient
+    records: list[dict] = []
     if config.n == 2:
-        f = geometry.linear_plus_square_map()
-        maps["remark-example"] = f
-        [rec] = _records(config, repeat("remark-example"), [bounds.Point(f, None, None, [("3.2", {"v": (1, 0)})])])
-        records.append(rec)
-        records.append(certificate_record(
-            config.suite, "remark-example", "3.2-equality",
-            measured=abs(rec["slack"]), slack=1e-12 - abs(rec["slack"]), k_or_v=rec["k_or_v"]))
+        maps["remark-example"] = f = geometry.linear_plus_square_map()
+        records += _records(config, repeat("remark-example"), [bounds.Point(f, None, None, [("3.2", {"v": (1, 0)})])],
+                            {("remark-example", "3.2")})
         off_form = float(np.linalg.norm(f.coefficient((0, 2))))
-        records.append(certificate_record(
-            config.suite, "remark-example", "off-shape-coefficient",
-            measured=off_form, slack=off_form - 1e-6, k_or_v=_k_or_v(None, (0, 2))))
+        records.append(certificate_record(config.suite, "remark-example", "off-shape-coefficient",
+                                          measured=off_form, slack=off_form - config.tol, k_or_v=_k_or_v(None, (0, 2))))
 
-    # off-lattice Taylor-coefficient vanishing (rigidity of the extremal shape)
+    # off-lattice Taylor-coefficient vanishing (rigidity of the extremal shape), on the scale
+    # of the coefficient bound, as ExtremalOriginMap checks its equality condition
     rng = _rng(config.seed, 101)
     for i, v in enumerate(((1, 1), (2, 1), (2, 2))):
         for a0_abs in (0.3, 0.7):
@@ -484,9 +484,9 @@ def _equality_records(config: SuiteConfig) -> tuple[list[dict], dict]:
             table = cauchy.taylor_coefficients(f, mi.enumerate_up_to(f.n, 8))
             lattice = {tuple(j * x for x in v) for j in range(0, 9)}
             worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
-            records.append(certificate_record(
-                config.suite, sample, "off-lattice-vanishing",
-                measured=worst, slack=1e-9 - worst, k_or_v=_k_or_v(None, v)))
+            worst /= mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
+            records.append(certificate_record(config.suite, sample, "off-lattice-vanishing",
+                                              measured=worst, slack=config.tol - worst, k_or_v=_k_or_v(None, v)))
 
     # first-order extremal constructions: metric equality in every direction
     rng = _rng(config.seed, 102)
@@ -498,14 +498,11 @@ def _equality_records(config: SuiteConfig) -> tuple[list[dict], dict]:
         jac = geometry.jacobian_from_frame(xi, w0, frame)
         maps[sample] = f = geometry.ExtremalK1Map(xi, w0, jac)
         requests = [("1.3", {"beta": random_unit_vector(rng, config.n)}) for _ in range(50)]
-        recs = _records(config, repeat(sample), [bounds.Point(f, xi, cauchy.partial_bundle(f, xi, 1), requests)])
-        worst = max(abs(r["slack"]) for r in recs)
-        records.append(recs[-1])
-        records.append(certificate_record(
-            config.suite, sample, "first-order-equality",
-            measured=worst, slack=EQUALITY_TOL - worst))
+        samples += [sample] * len(requests)
+        witnesses.add((sample, "1.3"))
+        points.append(bounds.Point(f, xi, cauchy.partial_bundle(f, xi, 1), requests))
 
-    return records, maps
+    return _records(config, samples, points, witnesses) + records, maps
 
 
 # --------------------------------------------------------------------------
@@ -542,26 +539,13 @@ def _sweep_records(config: SuiteConfig) -> tuple[list[dict], dict]:
             points.append(bounds.Point(f, z, bundle, requests, (np.atleast_1d(w), w_abs)))
             for k in range(1, order + 1):
                 sample = f"{family}-k{k}-x{xi_abs:.2f}"
-                maps[sample] = f  # left at the final |w|, which sweep-final-ratio certifies
+                maps[sample] = f  # left at the final |w|, the map a failing sample names
                 samples.append(sample)
                 params.append((xi_abs, w_abs, sweep_prediction(k, xi_abs, w_abs)))
     records = _records(config, samples, points)
-    series: dict[str, list[dict]] = {}
     for rec, (xi_abs, w_abs, predicted) in zip(records, params):
         rec.update(family=family, w_abs=w_abs, xi_abs=xi_abs, ratio_modulus=math.sqrt(rec["ratio"]),
                    predicted=predicted, predicted_modulus=math.sqrt(predicted))
-        series.setdefault(rec["sample"], []).append(rec)
-    for sample, recs in series.items():
-        ratios = [rec["ratio"] for rec in recs]
-        mono_gap = min(b - a for a, b in zip(ratios, ratios[1:])) if len(ratios) > 1 else 0.0
-        # nondecreasing up to quadrature noise (k = 1 series are constant)
-        records.append(certificate_record(
-            config.suite, sample, "sweep-monotone", measured=mono_gap, slack=mono_gap + 1e-9,
-            family=family, xi_abs=recs[-1]["xi_abs"]))
-        final_gap = ratios[-1] - (recs[-1]["predicted"] - 1e-6)
-        records.append(certificate_record(
-            config.suite, sample, "sweep-final-ratio", measured=ratios[-1], slack=final_gap,
-            family=family, xi_abs=recs[-1]["xi_abs"]))
     return records, maps
 
 

@@ -48,15 +48,22 @@ def unplanned_slices(f, z, order: int) -> np.ndarray:
 
 def summarize(records: list[dict], tol: float) -> dict:
     """A report summary computed record by record: the record count, the
-    records whose slack is not finite or lies below -tol (below 0 for a
-    certificate), the least slack over all records and the ratio range over
-    the bound records, each NaN when a NaN enters it and 0.0 when nothing does."""
+    failing records (those whose slack is not finite, the certificates whose
+    slack lies below 0, and the bound records whose ratio is not at most
+    1 + tol or, when they carry a `predicted` ratio, not within tol * predicted
+    of it), the least slack over all records and the ratio range over the bound
+    records, each NaN when a NaN enters it and 0.0 when nothing does."""
 
     def reduce(fn, values):
         return 0.0 if not values else math.nan if any(map(math.isnan, values)) else fn(values)
 
-    failures = sum(not (math.isfinite(r["slack"]) and r["slack"] >= (0.0 if r["kind"] == "certificate" else -tol))
-                   for r in records)
+    def passes(r):
+        if r["kind"] == "certificate":
+            return r["slack"] >= 0.0
+        on_prediction = "predicted" not in r or abs(r["ratio"] - r["predicted"]) <= tol * r["predicted"]
+        return r["ratio"] <= 1.0 + tol and on_prediction
+
+    failures = sum(not (math.isfinite(r["slack"]) and passes(r)) for r in records)
     slacks = [r["slack"] for r in records]
     ratios = [r["ratio"] for r in records if r["kind"] == "bound"]
     return {"record_count": len(records), "failure_count": failures, "min_slack": reduce(min, slacks),

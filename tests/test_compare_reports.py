@@ -49,13 +49,31 @@ def test_moved_certificate_shows_in_its_lhs(tmp_path, capsys):
     report = harness.run_suite(harness.SuiteConfig(suite="equality", n=1, m=1, seed=5))
     a = write_reports(tmp_path / "a", report)
     moved = json.loads((a / "000-equality.json").read_text())
-    [i, *_] = [i for i, rec in enumerate(moved["records"]) if rec["inequality"] == "3.2-equality"]
+    [i, *_] = [i for i, rec in enumerate(moved["records"]) if rec["inequality"] == "off-lattice-vanishing"]
     moved["records"][i]["lhs"] += 0.125
     b = write_reports(tmp_path / "b", harness.Report(**moved))
     assert compare_reports.main([str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "000-equality.json: 1 of" in out and "failure_count unchanged (0)" in out
-    assert "  ext 3.2-equality: 1 records, max |dratio| 0, max |dlhs| 0.125\n" in out
+    assert "  rigid off-lattice-vanishing: 1 records, max |dratio| 0, max |dlhs| 0.125\n" in out
+
+
+def test_groups_whose_count_moved_are_named_and_the_others_paired(tmp_path, capsys):
+    # dropping one k1-* record shifts every later record, yet the rigid-* records still pair by position
+    report = harness.run_suite(harness.SuiteConfig(suite="equality", n=1, m=1, seed=5))
+    a = write_reports(tmp_path / "a", report)
+    moved = json.loads((a / "000-equality.json").read_text())
+    records = moved["records"]
+    [k1, *_] = [i for i, rec in enumerate(records) if rec["sample"].startswith("k1-")]
+    del records[k1]
+    [rigid, *_] = [i for i, rec in enumerate(records) if rec["sample"].startswith("rigid-")]
+    records[rigid]["lhs"] += 0.125
+    b = write_reports(tmp_path / "b", harness.Report(**moved))
+    assert compare_reports.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    total = len(report.records)
+    assert f"000-equality.json: record count {total} -> {total - 1}, 1 of {total - 150} paired records changed" in out
+    assert "  k1 1.3: 150 -> 149 records\n  rigid off-lattice-vanishing: 1 records, max |dratio| 0" in out
 
 
 def test_config_keys_are_named_by_change(tmp_path, capsys):

@@ -209,7 +209,7 @@ class TestSuites:
         report = run_suite(cfg)
         for rec in report.records:
             if rec["kind"] == "bound":
-                assert rec["tight"] == (-cfg.tol <= rec["slack"] < 0.0)
+                assert rec["tight"] == (1.0 < rec["ratio"] <= 1.0 + cfg.tol)
 
     def test_automorphism_contexts_have_unit_ratio_at_first_order(self):
         cfg = SuiteConfig(suite="main", n=2, m=2, samples=4, degree=3, k_max=2, seed=5)
@@ -225,23 +225,29 @@ class TestEqualitySuite:
         report = run_suite(SuiteConfig(suite="equality", n=2, m=2, samples=2, seed=11))
         assert report.summary["failure_count"] == 0
         names = {r["inequality"] for r in report.records}
-        assert {"3.2", "1.3", "3.2-equality", "off-shape-coefficient",
-                "off-lattice-vanishing", "first-order-equality"} <= names
+        assert {"3.2", "1.3", "off-shape-coefficient", "off-lattice-vanishing"} <= names
+        # every bound record is an equality case and carries its prediction; each k1-* sample keeps
+        # all 50 of its directions
+        bound = [r for r in report.records if r["kind"] == "bound"]
+        assert {r["sample"].split("-")[0] for r in bound} == {"ext", "k1", "remark"}
+        assert all(r["predicted"] == 1.0 for r in bound)
+        assert sum(r["sample"].startswith("k1-") for r in bound) == 150
 
     def test_linear_plus_square_flags(self):
         report = run_suite(SuiteConfig(suite="equality", n=2, m=2, samples=1, seed=3))
         recs = [r for r in report.records if r["sample"] == "remark-example"]
-        equality = [r for r in recs if r["inequality"] == "3.2-equality"]
+        witness = [r for r in recs if r["inequality"] == "3.2"]
         off_shape = [r for r in recs if r["inequality"] == "off-shape-coefficient"]
-        assert equality and equality[0]["slack"] >= 0.0
+        assert len(witness) == 1 and witness[0]["predicted"] == 1.0 and abs(witness[0]["slack"]) <= 1e-12
+        assert not harness._is_failure(witness[0], SuiteConfig.tol)
         assert off_shape and off_shape[0]["slack"] >= 0.0
         assert off_shape[0]["lhs"] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    def test_failing_samples_list_their_maps(self, monkeypatch):
-        # a negative tolerance fails every ext-* and k1-* equality certificate
-        monkeypatch.setattr(harness, "EQUALITY_TOL", -1.0)
-        report = run_suite(SuiteConfig(suite="equality", n=2, m=2, seed=7))
-        assert len(report.failures) == 45
+    def test_failing_samples_list_their_maps(self):
+        # at tol 1e-20 the ext-* and k1-* witnesses off ratio 1 in the last bits fail, and every
+        # rigid-* certificate, whose coefficients vanish only to rounding
+        report = run_suite(SuiteConfig(suite="equality", n=2, m=2, seed=7, tol=1e-20))
+        assert len(report.failures) == 45 and report.summary["failure_count"] == 163
         kinds = {f["map"].split("(")[0] for f in report.failures}
         assert kinds == {"extremal-origin", "extremal-k1"}
         assert report.to_json() == dumps(report)
@@ -326,7 +332,7 @@ class TestSharpnessSweep:
         report = run_suite(SuiteConfig(suite="sharpness", n=2, k_max=3, family=family, radii=(0.9, 0.99, 0.999)))
         assert [count for count, _ in calls] == [3, 3, 3]
         assert [abs(z0) for _, z0 in calls] == pytest.approx([0.25, 0.5, 0.75], rel=1e-15)
-        assert report.summary["record_count"] == 3 * 3 * 3 + 2 * 3 * 3
+        assert report.summary["record_count"] == 3 * 3 * 3
 
 
 #: Floats whose JSON text is easy to get wrong: the non-finite ones, a signed
@@ -515,6 +521,39 @@ class TestFinalize:
         assert [f["sample"] for f in report.failures] == ["remark2-k2-x0.50"]
         assert report.failures[0]["map"] == f.describe()
 
+    @staticmethod
+    def finalize(lhs, rhs, ratio, **extra):
+        """The report `_finalize` makes of one remark2 sweep record with these sides and ratio, checked
+        against the oracle summary."""
+        rec = {"suite": "sharpness", "sample": "remark2-k2-x0.50", "kind": "bound", "inequality": "4.1",
+               "k_or_v": "k=2", "z": None, "beta": None, "lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
+               "ratio": ratio, **extra}
+        cfg = SuiteConfig(suite="sharpness")
+        report = harness._finalize(cfg, [rec], {rec["sample"]: geometry.Remark2Map(0.5, np.array([0.99, 0.0]))})
+        assert report.summary == summarize(report.records, cfg.tol)
+        return report
+
+    def test_witness_below_its_prediction_fails(self):
+        # its slack is positive, but its ratio misses the prediction by far more than tol
+        report = self.finalize(0.5, 1.0, 0.5, predicted=1.0)
+        assert report.records[0]["slack"] > 0.0 and report.summary["failure_count"] == 1
+        assert [f["sample"] for f in report.failures] == ["remark2-k2-x0.50"]
+
+    def test_ratio_of_one_plus_tol_passes_and_is_tight(self):
+        top = 1.0 + SuiteConfig.tol
+        report = self.finalize(top, 1.0, top)
+        assert report.summary["failure_count"] == 0 and report.records[0]["tight"]
+        report = self.finalize(top, 1.0, math.nextafter(top, 2.0))
+        assert report.summary["failure_count"] == 1 and not report.records[0]["tight"]
+
+    @pytest.mark.parametrize("lhs, rhs, ratio", [(1e-12, 0.0, math.inf), (0.5, 1.0, math.nan)],
+                             ids=["zero-rhs", "nan-ratio"])
+    def test_ratio_past_the_bound_fails_with_a_finite_slack(self, lhs, rhs, ratio):
+        # the slack of the zero-rhs record lies within tol of 0, yet its ratio lhs/0 is inf
+        report = self.finalize(lhs, rhs, ratio)
+        assert math.isfinite(report.records[0]["slack"]) and report.summary["failure_count"] == 1
+        assert not report.records[0]["tight"]
+
     def test_missing_inequality_raises(self):
         rec = harness.certificate_record("sharpness", "remark2-k2-x0.50", "a", measured=0.5, slack=0.1)
         with pytest.raises(AssertionError, match="^suite sharpness produced no records for inequality 4.1$"):
@@ -532,7 +571,7 @@ class TestFinalize:
         assert math.isnan(report.summary["min_slack"]) and report.summary["failure_count"] == 2
 
     def test_sweep_failures_list_their_maps(self, monkeypatch):
-        # an unreachable prediction fails every sweep-final-ratio certificate
+        # an unreachable prediction fails every sweep record
         monkeypatch.setattr(harness, "sweep_prediction", lambda *args: 2.0)
         cfg = SuiteConfig(suite="sharpness", n=2, m=2, k_max=2, seed=7)
         short = run_suite(replace(cfg, family="remark2", radii=(0.9, 0.99)))

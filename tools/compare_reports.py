@@ -3,15 +3,18 @@
     python3 tools/compare_reports.py A B
 
 Prints the files present in only one directory.  For each JSON report whose
-bytes differ it prints the changed records, paired by position, grouped by
-(sample prefix, inequality) with their count and largest |delta ratio| and
-|delta lhs| (a certificate has ratio 0 and keeps its `measured` value in
-`lhs`, so only the second shows it move), the summary fields that moved, the
+bytes differ it groups the records by (sample prefix, inequality) and prints
+each group whose record count moved, with both counts; in the groups whose
+count held it pairs the records by position and prints the changed ones per
+group, with their count and largest |delta ratio| and |delta lhs| (a
+certificate has ratio 0 and keeps its `measured` value in `lhs`, so only the
+second shows it move).  Then come the summary fields that moved, the
 `config` keys added, removed or changed, and whether `summary.failure_count`
 moved.  Other files that differ (CSV reports, side files) are listed by
 name.  Records and fields compare as `json.dumps(sort_keys=True)` text, so
 floats compare by repr and NaN equals NaN.  Exits 1 when the two file sets
-or any report's record count differ, 0 otherwise.  Standard library only.
+or the record count of any group of any report differ, 0 otherwise.
+Standard library only.
 """
 from __future__ import annotations
 
@@ -45,26 +48,44 @@ def largest(values) -> float:
     return max((v for v in values if v == v), default=math.nan)  # v == v skips NaN
 
 
+def grouped(records: list) -> dict:
+    """The records by (sample prefix, inequality), each group in report order."""
+    groups = defaultdict(list)
+    for rec in records:
+        groups[prefix(str(rec.get("sample"))), str(rec.get("inequality"))].append(rec)
+    return groups
+
+
 def compare_report(name: str, old: dict, new: dict) -> bool:
-    """Print how the report `name` changed; False when its record count did."""
-    before, after = old.get("records", []), new.get("records", [])
+    """Print how the report `name` changed; False when the record count of
+    any of its groups did."""
+    before, after = grouped(old.get("records", [])), grouped(new.get("records", []))
     summary_old, summary_new = old.get("summary", {}), new.get("summary", {})
     counts = summary_old.get("failure_count"), summary_new.get("failure_count")
     moved = (f"failure_count {counts[0]} -> {counts[1]}" if counts[0] != counts[1]
              else f"failure_count unchanged ({counts[0]})")
-    if len(before) != len(after):
-        print(f"{name}: record count {len(before)} -> {len(after)}; {moved}")
-        return False
-    groups = defaultdict(list)
-    for a, b in zip(before, after):
-        if text(a) != text(b):
-            groups[prefix(str(b.get("sample"))), str(b.get("inequality"))].append(
-                (delta(a, b, "ratio"), delta(a, b, "lhs")))
-    print(f"{name}: {sum(map(len, groups.values()))} of {len(after)} records changed; {moved}")
-    for (sample, inequality), deltas in sorted(groups.items()):
-        ratios, lhs = zip(*deltas)
-        print(f"  {sample} {inequality}: {len(deltas)} records, max |dratio| {largest(ratios):.3g}, "
-              f"max |dlhs| {largest(lhs):.3g}")
+    lines, resized, changed, paired = [], False, 0, 0
+    for key in sorted(before.keys() | after.keys()):
+        a, b = before.get(key, []), after.get(key, [])
+        if len(a) != len(b):
+            lines.append(f"  {key[0]} {key[1]}: {len(a)} -> {len(b)} records")
+            resized = True
+            continue
+        paired += len(b)
+        deltas = [(delta(x, y, "ratio"), delta(x, y, "lhs")) for x, y in zip(a, b) if text(x) != text(y)]
+        if deltas:
+            changed += len(deltas)
+            ratios, lhs = zip(*deltas)
+            lines.append(f"  {key[0]} {key[1]}: {len(deltas)} records, max |dratio| {largest(ratios):.3g}, "
+                         f"max |dlhs| {largest(lhs):.3g}")
+    total_old, total_new = len(old.get("records", [])), len(new.get("records", []))
+    if not resized:
+        print(f"{name}: {changed} of {total_new} records changed; {moved}")
+    else:
+        print(f"{name}: record count {total_old} -> {total_new}, {changed} of {paired} paired records changed; "
+              f"{moved}")
+    for line in lines:
+        print(line)
     fields = [key for key in sorted(set(summary_old) | set(summary_new))
               if text(summary_old.get(key)) != text(summary_new.get(key))]
     if fields:
@@ -79,7 +100,7 @@ def compare_report(name: str, old: dict, new: dict) -> bool:
     for key in sorted((set(old) | set(new)) - {"records", "summary", "config"}):
         if text(old.get(key)) != text(new.get(key)):
             print(f"  {key} changed")
-    return True
+    return not resized
 
 
 def main(argv=None) -> int:

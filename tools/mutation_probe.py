@@ -5,7 +5,7 @@
 Each mutant multiplies one right-hand side of `schwarzpick.bounds` by 1 + eps
 (every field of a tuple it returns): every `rhs_*` function of the module,
 and `rhs_main` once more at orders k >= 2 only, where the first-order
-equality certificates cannot see it.  The probe runs the command lines of
+equality cases cannot see it.  The probe runs the command lines of
 `tools/reference_reports.py` in process, once unmutated and once per mutant,
 and prints per mutant how many reports fail that did not fail unmutated.  A
 mutant that fails no further report survives: no campaign checks that bound

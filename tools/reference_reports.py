@@ -16,7 +16,9 @@ The command lines are:
   - both sharpness families at seeds 7, 11, 12-18 and 42, each on the
     33-point ladder and on the default radii, with n, m and --kmax varied
     over the seeds;
-  - one configuration per sampling suite, and one `main` run at --tol 1e-14;
+  - one configuration per sampling suite, and one `main` run at --tol 1e-15,
+    which fails records of its automorphism samples, so a sampling suite's
+    failure list is compared too;
   - the equality suite at (n, m) = (1, 1), (2, 3), (3, 4) and (4, 4), so its
     origin-extremal grid is compared at every n;
   - the equality suite and both sharpness families at --tol 1e-20, which
@@ -44,7 +46,7 @@ SWEEP_SEEDS = (7, 11, 12, 13, 14, 15, 16, 17, 18, 42)
 
 SUITE_LINES = [
     "check --suite main --n 3 --m 2 --kmax 3 --samples 3 --degree 5 --seed 5",
-    "check --suite main --n 2 --m 2 --samples 2 --tol 1e-14 --seed 9",
+    "check --suite main --n 2 --m 2 --samples 2 --tol 1e-15 --seed 9",
     "check --suite disk --n 1 --m 3 --kmax 6 --samples 4 --seed 5",
     "check --suite partials --n 4 --m 1 --kmax 4 --samples 2 --degree 3 --seed 5",
     "check --suite radial --n 3 --m 3 --samples 3 --seed 5",
