@@ -15,6 +15,8 @@ Inequality ids (aliases in parentheses) and their content:
   5.1 (1.5)  quadratic-form bound on a mixed partial, any m
   5.2 (1.6)  scalar version of 5.1 for m = 1
   5.3 (1.7)  sharpened radial/normal bound on the z1-axis
+  parseval-slice  sum_{j<=k} |P_j(beta)|^2 <= 1 over the slices at the origin, beta a unit vector
+  parseval-torus  sum_{|alpha|<=k} |a_alpha|^2 |beta^alpha|^2 <= 1 at the origin, beta a unit vector
 """
 from __future__ import annotations
 
@@ -144,6 +146,11 @@ def rhs_origin(a0_abs: float) -> float:
     return (1.0 - a0_abs ** 2) ** 2
 
 
+def rhs_parseval() -> float:
+    """Bound 1 on the Parseval sums: means of |f|^2 <= 1 over a circle and a torus on the sphere."""
+    return 1.0
+
+
 #: The left-hand forms over a batch's rows, of the columns |d|^2 and |<d, f(z)>|
 #: of each row's derivative d, q = 1-|f|^2 and q2 = q ** 2 as the left sides
 #: round them, and rq = 1-|f|^2 as the right sides round it.
@@ -152,6 +159,7 @@ _LHS = {
     "form": lambda d2, ip, q, q2, rq: ip * ip + q * d2,
     "norm": lambda d2, ip, q, q2, rq: np.sqrt(d2),  # |d|: rounds as np.linalg.norm(d) for m = 1
     "classical": lambda d2, ip, q, q2, rq: np.sqrt(d2) / rq,
+    "sum": lambda d2, ip, q, q2, rq: d2,  # a Parseval row's d2 is its sum of squared norms
 }
 
 
@@ -173,6 +181,8 @@ class _Bound(NamedTuple):
       d^v    the mixed partial d^v f(z)
       slice  the degree-k slice sum_{|alpha|=k} a_alpha beta^alpha at the origin
       a_v    the Taylor coefficient a_v at the origin
+      slices the slices P_j(beta) of every degree j <= k at the origin
+      torus  the terms a_alpha beta^alpha of every |alpha| <= k at the origin
     """
 
     derivative: str
@@ -200,13 +210,18 @@ _BOUNDS = {
     "5.1": _Bound("d^v", "form", lambda s, r, d: rhs_partial(r.v, s.t, s.rq).squared),
     "5.2": _Bound("d^v", "norm", lambda s, r, d: rhs_partial(r.v, s.t, s.rq).scalar, m1=True),
     "5.3": _Bound("d^v", "form", lambda s, r, d: rhs_radial(r.v, s.t1, s.rq), axis=True),
+    "parseval-slice": _Bound("slices", "sum", lambda s, r, d: rhs_parseval()),
+    "parseval-torus": _Bound("torus", "sum", lambda s, r, d: rhs_parseval()),
 }
 
 INEQUALITY_IDS = tuple(_BOUNDS)
 
+_ORIGIN, _DIRECTED = ("slice", "a_v", "slices", "torus"), ("D_k", "slice", "slices", "torus")
+
 # A request's checked context less its direction: the id, its table row, k
-# (None when v is given), v, the order (k or |v|), and whether it reads the origin.
-_Request = namedtuple("_Request", "ineq row k v order origin")
+# (None when v is given), v, the order (k or |v|), whether it reads the origin,
+# and the entries of its table it reads: v, the degree k, or every degree <= k for a sum.
+_Request = namedtuple("_Request", "ineq row k v order origin entries")
 _CONTEXT = frozenset(("beta", "k", "v"))
 
 
@@ -220,17 +235,18 @@ def _request(n: int, m: int, inequality: str, at_z: bool, with_beta: bool, k, v)
         raise ValueError(f"inequality {ineq} applies to one-variable maps")
     if row.m1 and m != 1:
         raise ValueError(f"inequality {ineq} applies to scalar-valued maps")
-    origin, reads_v = row.derivative in ("slice", "a_v"), row.derivative in ("d^v", "a_v")
-    for name, missing in (("z", not (origin or at_z)), ("beta", row.derivative in ("D_k", "slice") and not with_beta),
+    origin, reads_v = row.derivative in _ORIGIN, row.derivative in ("d^v", "a_v")
+    for name, missing in (("z", not (origin or at_z)), ("beta", row.derivative in _DIRECTED and not with_beta),
                           ("v", reads_v and v is None), ("k", not reads_v and row.k is None and k is None)):
         if missing:
             raise ValueError(f"inequality {ineq} requires the argument {name}")
     if reads_v:
-        return _Request(ineq, row, None, v, _constants(v).k, origin)
+        return _Request(ineq, row, None, v, _constants(v).k, origin, (v,))
     k = row.k if row.k is not None else k
     if k < 1:
         raise ValueError("order must be at least 1")
-    return _Request(ineq, row, k, None, k, origin)
+    return _Request(ineq, row, k, None, k, origin, tuple(mi.enumerate_up_to(n, k) if row.lhs == "sum"
+                                                          else mi.enumerate_indices(n, k)))
 
 
 class Point(NamedTuple):
@@ -274,7 +290,7 @@ def _points(points) -> tuple[list[tuple], list[tuple], list]:
             v = None if v is None else mi.as_multiindex_of(v, n)
             r = _request(n, m, inequality, z is not None, beta is not None, k, v)
             d = None
-            if r.row.derivative in ("D_k", "slice"):
+            if r.row.derivative in _DIRECTED:
                 beta = np.asarray(beta, dtype=complex)
                 d = directions.setdefault((beta.shape, beta.tobytes()), len(betas))
                 if d == len(betas):
@@ -285,7 +301,7 @@ def _points(points) -> tuple[list[tuple], list[tuple], list]:
             b2 = sq_norm(b)
             unit = [d - start for r, _, d in rows[first:] if r.origin and d is not None]
             if unit and (np.abs(np.sqrt(b2[unit]) - 1.0) > 1e-12).any():
-                raise MapDomainError("the origin slice bound requires a unit direction")
+                raise MapDomainError("the origin bounds require a unit direction")
         at_z = [r for r, _, _ in rows[first:] if not r.origin]
         if at_z:
             z = as_ball_point(z, n)
@@ -315,20 +331,20 @@ def _table(table: dict, n: int, scalars, pin) -> _Table:
     return _Table(table, fz, q, q ** 2, 1.0 - fz_norm ** 2, fz_norm, *(scalars or ()))
 
 
-def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list, list, np.ndarray]:
-    """The tables the rows read, each row's table and every row's derivative,
-    as one (R, m) array.  Origin rows share one Taylor-coefficient lookup per
-    point and order, the others the point's bundle or else one partial bundle
-    per order: a slice table's rounding depends on its order, so every row
-    reads the numbers it would read alone.  The D_k (or slice) rows of one
-    order are one degree sum over their directions."""
+def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list, list, np.ndarray, dict]:
+    """The tables the rows read, each row's table, every row's derivative, as
+    one (R, m) array, and each Parseval row's sum by row index.  Origin rows
+    share one Taylor-coefficient lookup per point and order, the others the
+    point's bundle or else one partial bundle per order: a slice table's
+    rounding depends on its order, so every row reads the numbers it would
+    read alone.  The D_k (or slice) rows of one order are one degree sum over
+    their directions, the Parseval rows of one kind and order one per degree."""
     n, m = pts[0][0].n, pts[0][0].m
     zero = (0,) * n
     wanted: dict[tuple, dict] = {}
     for r, p, _ in rows:
         if r.origin:
-            indices = mi.enumerate_indices(n, r.order) if r.v is None else [r.v]
-            wanted.setdefault((p, r.order), {zero: None}).update(dict.fromkeys(indices))
+            wanted.setdefault((p, r.order), {zero: None}).update(dict.fromkeys(r.entries))
     groups: dict[tuple, int] = {}
     orders: dict[tuple, list] = {}
     tables, gs, reads = [], [], []
@@ -346,18 +362,30 @@ def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list,
         if d is None:
             reads.append(i)
         else:
-            orders.setdefault((r.origin, r.order), []).append(i)
-    out, betas = np.empty((len(rows), m), dtype=complex), np.array(betas)
+            orders.setdefault((r.row.derivative, r.order), []).append(i)
+    out, betas = np.zeros((len(rows), m), dtype=complex), np.array(betas)
     if reads:  # d^k reads (k,), d^v and a_v read v
-        out[reads] = [tables[gs[i]].table[rows[i][0].v or (rows[i][0].k,)] for i in reads]
-    for (origin, k), idx in orders.items():
+        out[reads] = [tables[gs[i]].table[rows[i][0].entries[0]] for i in reads]
+
+    def degree(idx: list, k: int) -> np.ndarray:
+        """The degree-k entries of the table of each row of idx, shape (len(idx), J, m)."""
         alphas = mi.enumerate_indices(n, k)
         at = {g: j for j, g in enumerate(dict.fromkeys(gs[i] for i in idx))}
-        values = np.array([[tables[g].table[alpha] for alpha in alphas] for g in at])[[at[gs[i]] for i in idx]]
-        out[idx] = cauchy.degree_sum(values, betas[[rows[i][2] for i in idx]], k, n, weighted=not origin)
-        if not (origin or np.isfinite(out[idx]).all()):
-            raise MapDomainError("derivative entries must be finite")
-    return tables, gs, out
+        return np.array([[tables[g].table[alpha] for alpha in alphas] for g in at])[[at[gs[i]] for i in idx]]
+
+    sums: dict[int, float] = {}
+    for (kind, k), idx in orders.items():
+        b = betas[[rows[i][2] for i in idx]]
+        if kind in ("D_k", "slice"):
+            out[idx] = cauchy.degree_sum(degree(idx, k), b, k, n, weighted=kind == "D_k")
+            if kind == "D_k" and not np.isfinite(out[idx]).all():
+                raise MapDomainError("derivative entries must be finite")
+        else:  # sum_{j<=k} |P_j(beta)|^2, or sum_{|alpha|<=k} |a_alpha|^2 |beta^alpha|^2 in the |beta_i|^2
+            b2 = b.real ** 2 + b.imag ** 2
+            terms = (sq_norm(cauchy.degree_sum(degree(idx, j), b, j, n)) if kind == "slices" else
+                     cauchy.degree_sum(sq_norm(degree(idx, j))[..., None], b2, j, n)[:, 0].real for j in range(k + 1))
+            sums.update(zip(idx, sum(terms).tolist()))
+    return tables, gs, out, sums
 
 
 #: One evaluated request: the id, the context (z or None at the origin, beta,
@@ -378,9 +406,10 @@ def check_columns(points) -> list[Row]:
     rows, pts, betas = _points(points)
     if not rows:
         return []
-    tables, gs, d = _derivative(rows, pts, betas)
+    tables, gs, d, sums = _derivative(rows, pts, betas)
     g = np.array(gs)
     d2, ip = _moduli(d, np.array([t.fz for t in tables])[g])
+    d2[list(sums)] = list(sums.values())
     q, q2, rq = (np.array(column)[g] for column in zip(*((t.q, t.q2, t.rq) for t in tables)))
     ids, zs, betas, ks, vs, rhs = zip(*[(r.ineq, None if r.origin else pts[p][1], None if i is None else betas[i],
                                          r.k, r.v, r.row.rhs(tables[t], r, i)) for (r, p, i), t in zip(rows, gs)])

@@ -300,3 +300,17 @@ def linear_plus_square_map() -> PolyMap:
     """The two-variable scalar map z1 + z2^2/3: attains the origin coefficient
     bound at v = (1,0) while carrying a coefficient outside the extremal shape."""
     return PolyMap(2, 1, {(1, 0): [1.0], (0, 2): [1.0 / 3.0]})
+
+
+def tensor_power(n: int, m: int, d: int, rotation) -> PolyMap:
+    """The proper map U z^(x)d, |f(z)| = |z|^d: z^alpha has the coefficient sqrt(d!/alpha!) U e_alpha,
+    e_alpha the unit vector at alpha's place in `enumerate_indices(n, d)`.  MapDomainError unless
+    d >= 1, m >= C(n+d-1, d) and the m x m `rotation` U is unitary within 1e-10."""
+    n, m, d = mi.check_dimension(n), mi.check_dimension(m), mi.check_order(d)
+    alphas = mi.enumerate_indices(n, d)
+    if d < 1 or m < len(alphas):
+        raise MapDomainError(f"z^(x){d} on C^{n} needs d >= 1 and m >= {len(alphas)}, got m = {m}")
+    u = np.asarray(rotation, dtype=complex)
+    if u.shape != (m, m) or not np.max(np.abs(np.conj(u.T) @ u - np.eye(m))) <= 1e-10:
+        raise MapDomainError(f"rotation must be a {m} x {m} unitary matrix")
+    return PolyMap(n, m, {alpha: math.sqrt(mi.multinomial_weight(alpha)) * u[:, j] for j, alpha in enumerate(alphas)})

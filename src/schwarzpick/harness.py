@@ -214,6 +214,12 @@ def _is_failure(record: dict, tol: float) -> bool:
     return not (ratio <= 1.0 + tol and (predicted is None or abs(ratio - predicted) <= tol * predicted))
 
 
+def _ratio_error(record: dict) -> float:
+    """max(ratio - 1, |ratio - predicted|/predicted) of a bound record; ratio - 1 without a prediction."""
+    ratio, predicted = record["ratio"], record.get("predicted")
+    return max(ratio - 1.0, -math.inf if predicted is None else abs(ratio - predicted) / predicted)
+
+
 def _reduce(fn, values: list) -> float:
     """fn (min or max) of the values: NaN when any of them is NaN, whatever
     its position, and 0.0 when there are none."""
@@ -264,8 +270,9 @@ def _csv_vec(pairs) -> str:
 def _finalize(config: SuiteConfig, records: list[dict], maps: dict) -> Report:
     """Sort the records, then in one pass flag them, collect the failing
     samples and summarize; check the suite's manifest, list each failing
-    sample with its most negative failing slack and its map (`maps[sample]`,
-    for replay), and echo the settings the suite reads."""
+    sample with its most negative failing slack, the largest `_ratio_error`
+    of its failing bound records and its map (`maps[sample]`, for replay),
+    and echo the settings the suite reads."""
     records.sort(key=lambda r: (r["sample"], r["inequality"]))
     tol = config.tol
     seen: set[str] = set()
@@ -289,7 +296,9 @@ def _finalize(config: SuiteConfig, records: list[dict], maps: dict) -> Report:
         f = maps[sample]
         described = f.to_json_dict() if isinstance(f, PolyMap) else f.describe()
         failures.append({"sample": sample, "suite": recs[0]["suite"],
-                         "worst_slack": _reduce(min, [r["slack"] for r in recs]), "map": described})
+                         "worst_slack": _reduce(min, [r["slack"] for r in recs]),
+                         "worst_ratio_error": _reduce(max, [_ratio_error(r) for r in recs if r["kind"] == "bound"]),
+                         "map": described})
     echo = {name: value for name, value in asdict(config).items() if name in suite.reads}
     return Report(schema=SCHEMA, config=echo, records=records, failures=failures,
                   summary={"record_count": len(records), "failure_count": sum(map(len, failing.values())),
@@ -331,12 +340,12 @@ def run_suite(config: SuiteConfig) -> Report:
 def _sample_records(config: SuiteConfig) -> tuple[list[dict], dict]:
     # each sample draws from its own generator, so checking the whole suite's bounds
     # in one batch moves no draw; a sample's points all hold its map
-    points, samples, maps, witnesses = [], [], {}, set()
+    points, samples, maps, witnesses, drawn = [], [], {}, set(), []
     suite_code = SUITE_IDS.index(config.suite)
     for s in range(config.samples):
         rng = _rng(config.seed, suite_code, s)
         f = random_polymap(config.n, config.m, config.degree, rng)
-        drawn = [(f"poly-{s:04d}", _SAMPLE_POINTS[config.suite](config, rng, f))]
+        drawn.append((f"poly-{s:04d}", _SAMPLE_POINTS[config.suite](config, rng, f)))
         if config.suite == "main" and config.n == config.m:
             aut = geometry.AutomorphismMap(random_ball_point(rng, config.m, 0.5))
             drawn.append((f"aut-{s:04d}", _main_points(config, rng, aut)))
@@ -344,10 +353,13 @@ def _sample_records(config: SuiteConfig) -> tuple[list[dict], dict]:
         elif config.suite == "origin":
             drawn.append((f"ext-{s:04d}", _origin_extremal_points(config, rng)))
             witnesses.add((drawn[-1][0], "3.2"))
-        for sample, pts in drawn:
-            maps[sample] = pts[0].f
-            points += pts
-            samples += [sample] * sum(len(p.requests) for p in pts)
+    if config.suite == "origin" and config.n <= config.m:  # the tensor power draws from a generator of its own
+        drawn.append(("prop-0000", _origin_proper_points(config, _rng(config.seed, 300))))
+        witnesses.update(("prop-0000", ineq) for ineq in _PROPER_IDS)
+    for sample, pts in drawn:
+        maps[sample] = pts[0].f
+        points += pts
+        samples += [sample] * sum(len(p.requests) for p in pts)
     return _records(config, samples, points, witnesses), maps
 
 
@@ -419,7 +431,21 @@ def _origin_points(config, rng, f):
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     requests = [("3.1", {"beta": beta, "k": k}) for beta in betas for k in range(1, config.k_max + 1)]
     requests += [("3.2", {"v": v}) for v in orders]
+    # at k = degree a sampled map's Parseval sums are complete
+    requests += [(ineq, {"beta": beta, "k": config.degree}) for beta in betas for ineq in _PROPER_IDS[1:]]
     return [bounds.Point(f, None, None, requests)]
+
+
+#: The ids a tensor power attains with equality at its degree: 3.1 and the Parseval sums.
+_PROPER_IDS = ("3.1", "parseval-slice", "parseval-torus")
+
+
+def _origin_proper_points(config, rng):
+    """U z^(x)d, U random, on `_PROPER_IDS` at the largest k = d <= min(degree, k_max) with C(n+d-1, d) <= m."""
+    d = max(j for j in range(1, min(config.degree, config.k_max) + 1) if math.comb(config.n + j - 1, j) <= config.m)
+    f = geometry.tensor_power(config.n, config.m, d, random_isometry(rng, config.m, config.m))
+    betas = _beta_set(rng, np.zeros(config.n, dtype=complex))
+    return [bounds.Point(f, None, None, [(ineq, {"beta": beta, "k": d}) for beta in betas for ineq in _PROPER_IDS])]
 
 
 def _extremal_origin(rng, m, a0_abs, v):
@@ -564,7 +590,7 @@ SUITES = {
     "disk": Suite(_sample_records, lambda m, family: ("1.1", "4.1") if m == 1 else ("4.1",), _SAMPLED),
     "partials": Suite(_sample_records, lambda m, family: ("1.2", "5.1", "5.2") if m == 1 else ("5.1",), _SAMPLED),
     "radial": Suite(_sample_records, lambda m, family: ("5.3",), _SAMPLED),
-    "origin": Suite(_sample_records, lambda m, family: ("3.1", "3.2"), _SAMPLED),
+    "origin": Suite(_sample_records, lambda m, family: ("3.1", "3.2") + _PROPER_IDS[1:], _SAMPLED),
     "equality": Suite(_equality_records, lambda m, family: ("1.3", "3.2"), ("suite", "n", "m", "seed", "tol")),
     "sharpness": Suite(_sweep_records, lambda m, family: (SWEEP_FAMILIES[family],),
                        ("suite", "n", "m", "k_max", "seed", "tol", "family", "radii")),

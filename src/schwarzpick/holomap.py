@@ -351,73 +351,3 @@ def random_polymap(n: int, m: int, degree: int, seed, margin: float = 0.05) -> P
     total = sum(np.linalg.norm(c) for c in coeffs)
     return PolyMap(n, m, dict(zip(alphas, coeffs * ((1.0 - margin) / total))))
 
-
-class CoefficientChecks:
-    """Left sides and slacks of the power-series coefficient inequalities.
-
-    For f = sum a_alpha z^alpha mapping into the unit ball and a unit vector
-    beta, the following hold:
-
-      boundary_power_sum    sum |a_alpha|^2 |beta^(2 alpha)|            <= 1
-      weighted_power_sum    sum |a_alpha|^2 v^alpha / |v|^|alpha|       <= 1
-      single_coefficient    |a_v|                                       <= sqrt(|v|^|v|/v^v)
-      slice_power_sum       sum_k |sum_{|alpha|=k} a_alpha beta^alpha|^2 <= 1
-    """
-
-    def __init__(self, boundary_power_sum, weighted_power_sum, single_coefficient,
-                 single_coefficient_bound, slice_power_sum):
-        self.boundary_power_sum = boundary_power_sum
-        self.weighted_power_sum = weighted_power_sum
-        self.single_coefficient = single_coefficient
-        self.single_coefficient_bound = single_coefficient_bound
-        self.slice_power_sum = slice_power_sum
-
-    @property
-    def boundary_slack(self):
-        return 1.0 - self.boundary_power_sum
-
-    @property
-    def weighted_slack(self):
-        return 1.0 - self.weighted_power_sum
-
-    @property
-    def single_slack(self):
-        return self.single_coefficient_bound - self.single_coefficient
-
-    @property
-    def slice_slack(self):
-        return 1.0 - self.slice_power_sum
-
-    def min_slack(self):
-        return min(self.boundary_slack, self.weighted_slack, self.single_slack, self.slice_slack)
-
-
-def coefficient_checks(f: PolyMap, v, beta) -> CoefficientChecks:
-    """Evaluate the four coefficient inequalities for a polynomial ball map.
-
-    beta must be a unit vector (within 1e-12); v must be non-zero.
-    """
-    if not isinstance(f, PolyMap):
-        raise TypeError("coefficient checks require a polynomial coefficient table")
-    v = mi.as_multiindex(v)
-    av = f.coefficient(v)  # ValueError unless v has dimension f.n
-    kv = sum(v)
-    if kv == 0:
-        raise ValueError("v must be a non-zero multi-index")
-    beta = as_direction(beta, f.n)
-    if abs(math.sqrt(float(sq_norm(beta))) - 1.0) > 1e-12:
-        raise MapDomainError("beta must be a unit vector")
-
-    c2 = np.linalg.norm(f.A, axis=1) ** 2
-    degrees = f.E.sum(axis=1)
-    boundary = np.prod((np.abs(beta) ** 2) ** f.E, axis=1)
-    weights = np.prod(np.array(v, dtype=float) ** f.E, axis=1) / float(kv) ** degrees
-    slices = np.zeros((degrees.max(initial=0) + 1, f.m), dtype=complex)
-    np.add.at(slices, degrees, f.A * np.prod(beta ** f.E, axis=1)[:, None])
-    return CoefficientChecks(
-        boundary_power_sum=float(np.sum(c2 * boundary)),
-        weighted_power_sum=float(np.sum(c2 * weights)),
-        single_coefficient=float(np.linalg.norm(av)),
-        single_coefficient_bound=math.sqrt(mi.sharpness_factor(v)),
-        slice_power_sum=float(np.sum(np.linalg.norm(slices, axis=1) ** 2)),
-    )

@@ -177,6 +177,64 @@ class TestRhsOrigin:
                 bounds.check_inequality(f, ineq, **context)
 
 
+class TestParsevalRows:
+    """parseval-slice and parseval-torus, and the tensor powers that attain them."""
+
+    @staticmethod
+    def tensor_powers():
+        rng = np.random.default_rng(31)
+        for n, m, d in ((1, 1, 1), (1, 2, 5), (2, 2, 1), (2, 3, 2), (2, 4, 3), (2, 4, 1), (3, 3, 1), (3, 4, 1)):
+            yield geometry.tensor_power(n, m, d, harness.random_isometry(rng, m, m)), d, rng
+
+    def test_tensor_power_sends_the_sphere_to_the_sphere(self):
+        for f, d, rng in self.tensor_powers():
+            zeta = np.array([unit(rng, f.n) for _ in range(50)])
+            assert np.abs(np.linalg.norm(f._eval(zeta), axis=-1) - 1.0).max() <= 1e-14
+            assert f.max_degree == d and all(sum(alpha) == d for alpha in f.coeffs)
+
+    def test_tensor_power_attains_both_rows_and_3_1_at_its_degree(self):
+        for f, d, rng in self.tensor_powers():
+            requests = [(ineq, {"beta": unit(rng, f.n), "k": d}) for _ in range(10)
+                        for ineq in ("3.1", "parseval-slice", "parseval-torus")]
+            rows = bounds.check_columns([bounds.Point(f, None, None, requests)])
+            assert max(abs(row.ratio - 1.0) for row in rows) <= 1e-12
+            assert {row.rhs for row in rows} == {1.0}
+
+    @pytest.mark.parametrize("n, m, d", [(2, 2, 2), (2, 3, 3), (3, 2, 1), (3, 5, 2)])
+    def test_tensor_power_needs_room_for_every_monomial(self, n, m, d):
+        with pytest.raises(MapDomainError, match=f"needs d >= 1 and m >= {math.comb(n + d - 1, d)}, got m = {m}$"):
+            geometry.tensor_power(n, m, d, np.eye(m))
+
+    @pytest.mark.parametrize("rotation", [np.ones((2, 2)), np.eye(3)], ids=["not-unitary", "wrong-shape"])
+    def test_tensor_power_rejects_a_rotation_that_is_not_unitary(self, rotation):
+        with pytest.raises(MapDomainError, match="^rotation must be a 2 x 2 unitary matrix$"):
+            geometry.tensor_power(2, 2, 1, rotation)
+
+    def test_tensor_power_rejects_degree_zero(self):
+        with pytest.raises(MapDomainError, match="needs d >= 1"):
+            geometry.tensor_power(2, 2, 0, np.eye(2))
+
+    @pytest.mark.parametrize("ineq", ["parseval-slice", "parseval-torus"])
+    @pytest.mark.parametrize("beta", [[1.0, 0.5], [0.5, 0.0], [1.0 + 1e-11, 0.0]], ids=["long", "short", "near"])
+    def test_non_unit_direction_rejected(self, ineq, beta):
+        with pytest.raises(MapDomainError, match="^the origin bounds require a unit direction$"):
+            bounds.check_inequality(random_polymap(2, 2, 3, seed=5), ineq, beta=beta, k=3)
+
+    @pytest.mark.parametrize("ineq", ["parseval-slice", "parseval-torus"])
+    def test_a_sum_cut_below_the_degree_is_smaller(self, ineq):
+        # the sum grows with k up to the map's degree and then stays put
+        f, beta = random_polymap(2, 2, 4, seed=8), np.array([0.6, 0.8j])
+        lhs = [bounds.check_inequality(f, ineq, beta=beta, k=k).lhs for k in range(1, 7)]
+        assert lhs == sorted(lhs) and lhs[3] == lhs[4] == lhs[5] and lhs[0] < lhs[3] < 1.0
+
+    @pytest.mark.parametrize("ineq", ["parseval-slice", "parseval-torus"])
+    def test_any_map_takes_the_rows(self, ineq):
+        # a closed-form map reads its coefficients from a slice table: 2 z1 z2 attains both sums along (1, 1)/sqrt(2)
+        f = geometry.ExtremalOriginMap(np.zeros(2), np.array([2.0, 0.0]), (1, 1))
+        beta = np.array([math.sqrt(0.5), math.sqrt(0.5)])
+        assert bounds.check_inequality(f, ineq, beta=beta, k=4).ratio == pytest.approx(1.0, abs=1e-12)
+
+
 class TestAjCoefficients:
     def test_disk_values_at_half(self):
         got = aj_coefficients(2, 0.5)
@@ -351,7 +409,7 @@ def _requests(ineq, n, rng):
         betas = [unit_direction(), 2.0 * unit_direction(), np.eye(n)[0]]
         other = "1.4" if ineq == "1.3" else "1.3"
         return [(name, {"beta": b, "k": k}) for b in betas + betas[:1] for k in (1, 2, 3) for name in (ineq, other)]
-    if ineq == "3.1":
+    if ineq in ("3.1", "parseval-slice", "parseval-torus"):
         return [(ineq, {"beta": b, "k": k}) for b in (unit_direction(), np.eye(n)[-1]) for k in (1, 3, 2, 3)]
     if ineq in ("1.1", "4.1"):
         return [(ineq, {"k": k}) for k in (1, 2, 3, 2)]
@@ -394,6 +452,17 @@ def _reference(f, ineq, z, bundle, pin=None, beta=None, k=None, v=None):
     zero = (0,) * f.n
     k = 1 if ineq == "1.3" else k
     beta = None if beta is None else np.asarray(beta, dtype=complex)
+    if ineq.startswith("parseval"):
+        coeffs = cauchy.taylor_coefficients(f, mi.enumerate_up_to(f.n, k))
+        b2 = (beta.real ** 2 + beta.imag ** 2).astype(complex)
+        lhs = 0.0
+        for j in range(k + 1):
+            alphas = mi.enumerate_indices(f.n, j)
+            if ineq == "parseval-slice":
+                lhs += float(sq_norm(sum(coeffs[a] * np.prod(beta ** np.array(a)) for a in alphas)))
+            else:
+                lhs += sum(float(sq_norm(coeffs[a])) * np.prod(b2 ** np.array(a)) for a in alphas).real
+        return lhs, bounds.rhs_parseval()
     if ineq in ("3.1", "3.2"):
         indices = mi.enumerate_indices(f.n, k) if ineq == "3.1" else [v]
         coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
@@ -440,7 +509,7 @@ class TestCheckRequests:
         for m in (1,) if row.m1 else (1, 2, 3, 4):
             maps = [random_polymap(n, m, 4, seed=20 + m), random_polymap(n, m, 3, seed=40 + m)]
             maps = [OpaqueMap(f) for f in maps] if opaque else maps
-            origin = row.derivative in ("slice", "a_v")
+            origin = row.derivative in ("slice", "a_v", "slices", "torus")
             for bundled in (False,) if origin else (False, True):
                 points = []
                 for i, z in enumerate(_points(ineq, n, rng)):

@@ -539,6 +539,19 @@ class TestFinalize:
         assert report.records[0]["slack"] > 0.0 and report.summary["failure_count"] == 1
         assert [f["sample"] for f in report.failures] == ["remark2-k2-x0.50"]
 
+    def test_failure_entry_says_how_far_a_prediction_was_missed(self):
+        # a positive worst_slack hides the miss; worst_ratio_error reads |0.5 - 1|/1
+        [failure] = self.finalize(0.5, 1.0, 0.5, predicted=1.0).failures
+        assert failure["worst_slack"] == 0.5 and failure["worst_ratio_error"] == 0.5
+        [failure] = self.finalize(3.0, 2.0, 1.5).failures
+        assert failure["worst_ratio_error"] == 0.5
+        [failure] = self.finalize(0.5, 1.0, math.nan).failures
+        assert math.isnan(failure["worst_ratio_error"])
+        cfg, sample = SuiteConfig(suite="sharpness"), "remark2-k2-x0.50"
+        records = [harness.certificate_record("sharpness", sample, "4.1", measured=0.5, slack=-0.1)]
+        [failure] = harness._finalize(cfg, records, {sample: geometry.Remark2Map(0.5, np.array([0.99, 0.0]))}).failures
+        assert failure["worst_ratio_error"] == 0.0  # no failing bound record
+
     def test_ratio_of_one_plus_tol_passes_and_is_tight(self):
         top = 1.0 + SuiteConfig.tol
         report = self.finalize(top, 1.0, top)

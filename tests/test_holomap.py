@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from schwarzpick import cauchy, geometry, holomap
+from schwarzpick import bounds, cauchy, geometry, holomap
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import (
     ComposedMap,
@@ -13,7 +13,6 @@ from schwarzpick.holomap import (
     LineMap,
     MapDomainError,
     PolyMap,
-    coefficient_checks,
     random_polymap,
 )
 from support import identity_polymap, random_polymap_tables
@@ -439,41 +438,45 @@ class TestSqNorm:
 
 
 class TestCoefficientChecks:
+    """The power-series coefficient inequalities, as the `bounds` rows
+    parseval-slice and parseval-torus and the single-coefficient id 3.2."""
+
+    @staticmethod
+    def parseval(f, beta, k=None):
+        """The lhs of parseval-slice and parseval-torus at a unit beta, to degree k (the map's degree)."""
+        k = f.max_degree if k is None else k
+        point = bounds.Point(f, None, None, [(ineq, {"beta": beta, "k": k})
+                                             for ineq in ("parseval-slice", "parseval-torus")])
+        return tuple(row.lhs for row in bounds.check_columns([point]))
+
     def test_constant_map(self):
         f = PolyMap(2, 1, {(0, 0): [0.9]})
-        checks = coefficient_checks(f, (1, 0), np.array([1.0, 0.0]))
-        assert checks.boundary_power_sum == pytest.approx(0.81, abs=1e-15)
-        assert checks.boundary_slack == pytest.approx(0.19, abs=1e-15)
+        assert self.parseval(f, np.array([1.0, 0.0]), k=1) == pytest.approx((0.81, 0.81), abs=1e-15)
 
     def test_single_monomial_extremal_is_tight(self):
         v = (2, 1)
-        amp = math.sqrt(6.75)
-        f = PolyMap(2, 1, {v: [amp]})
+        f = PolyMap(2, 1, {v: [math.sqrt(6.75)]})
+        assert bounds.check_inequality(f, "3.2", v=v).ratio == pytest.approx(1.0, abs=1e-15)
+        # both sums are tight for the sharp direction beta_j = sqrt(v_j/|v|)
         beta = np.array([math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 3.0)])
-        checks = coefficient_checks(f, v, beta)
-        assert checks.single_slack == 0.0
-        # the weighted sum is tight for the sharp direction beta_j = sqrt(v_j/|v|)
-        assert checks.weighted_power_sum == pytest.approx(1.0, abs=1e-12)
+        assert self.parseval(f, beta) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_linear_plus_square_first_coefficient(self):
-        checks = coefficient_checks(linear_plus_square(), (1, 0), np.array([1.0, 0.0]))
-        assert checks.single_coefficient == 1.0
-        assert checks.single_coefficient_bound == 1.0
-        assert checks.single_slack == 0.0
+        f = linear_plus_square()
+        row = bounds.check_inequality(f, "3.2", v=(1, 0))
+        assert (row.lhs, row.rhs, row.slack) == (1.0, 1.0, 0.0)
+        # the first coefficient alone fills both sums along e1
+        assert self.parseval(f, np.array([1.0, 0.0])) == (1.0, 1.0)
 
     def test_non_unit_direction_rejected(self):
-        with pytest.raises(MapDomainError):
-            coefficient_checks(linear_plus_square(), (1, 0), np.array([1.0, 0.5]))
-
-    def test_map_without_a_coefficient_table_rejected(self):
-        with pytest.raises(TypeError, match="^coefficient checks require a polynomial coefficient table$"):
-            coefficient_checks(ComposedMap(np.zeros(2), identity_polymap(2)), (1, 0), np.array([1.0, 0.0]))
+        with pytest.raises(MapDomainError, match="^the origin bounds require a unit direction$"):
+            self.parseval(linear_plus_square(), np.array([1.0, 0.5]))
 
     @pytest.mark.parametrize("v, message", [((1, 0, 0), "multi-index \\(1, 0, 0\\) does not have dimension 2"),
                                             ((0, 0), "v must be a non-zero multi-index")], ids=["long", "zero"])
     def test_malformed_v_rejected(self, v, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            coefficient_checks(linear_plus_square(), v, np.array([1.0, 0.0]))
+            bounds.check_inequality(linear_plus_square(), "3.2", v=v)
 
     @staticmethod
     def loop_sums(f, v, beta):
@@ -490,26 +493,27 @@ class TestCoefficientChecks:
         return boundary, weighted, slicesum
 
     def test_matches_per_coefficient_loop(self):
+        # the weighted sum is parseval-torus at beta_j = sqrt(v_j/|v|)
         rng = np.random.default_rng(22)
         for seed in range(6):
             f = random_polymap(1 + seed % 3, 1 + seed % 2, 4, seed=seed)
             g = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
             beta = g / np.linalg.norm(g)
+            slices, torus = self.parseval(f, beta)
             for v in mi.enumerate_up_to(f.n, 3, include_zero=False):
-                checks = coefficient_checks(f, v, beta)
-                got = (checks.boundary_power_sum, checks.weighted_power_sum, checks.slice_power_sum)
-                assert got == pytest.approx(self.loop_sums(f, v, beta), rel=1e-13, abs=1e-15)
+                _, weighted = self.parseval(f, np.sqrt(np.array(v) / sum(v)))
+                assert (torus, weighted, slices) == pytest.approx(self.loop_sums(f, v, beta), rel=1e-13, abs=1e-15)
 
     def test_certified_maps_satisfy_all_inequalities(self):
         rng = np.random.default_rng(21)
+        orders = mi.enumerate_up_to(2, 4, include_zero=False)
         for seed in range(10):
             f = random_polymap(2, 1 + seed % 2, 4, seed=seed)
-            orders = mi.enumerate_up_to(2, 4, include_zero=False)
-            for _ in range(10):
-                g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                beta = g / np.linalg.norm(g)
-                for v in orders:
-                    assert coefficient_checks(f, v, beta).min_slack() >= -1e-10
+            betas = [g / np.linalg.norm(g) for g in rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))]
+            betas += [np.sqrt(np.array(v) / sum(v)) for v in orders]
+            requests = [(ineq, {"beta": beta, "k": 4}) for beta in betas for ineq in ("parseval-slice", "parseval-torus")]
+            requests += [("3.2", {"v": v}) for v in orders]
+            assert min(row.slack for row in bounds.check_columns([bounds.Point(f, None, None, requests)])) >= -1e-10
 
 
 def test_serialization_round_trip():

@@ -11,6 +11,7 @@ mutation_probe = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(mutation_probe)
 
 REMARK2 = "sharpness --family remark2 --kmax 1".split()
+ORIGIN = "check --suite origin --n 2 --m 4 --samples 3 --seed 5".split()
 
 
 def test_loosened_disk_bound_is_caught_on_one_remark2_sweep():
@@ -19,13 +20,18 @@ def test_loosened_disk_bound_is_caught_on_one_remark2_sweep():
     assert dict(vars(bounds)) == before
 
 
+def test_loosened_parseval_bound_is_caught_on_one_origin_line():
+    # the tensor power's Parseval records carry their prediction, ratio 1
+    assert mutation_probe.probe([ORIGIN], 1e-3, only="rhs_parseval") == {"rhs_parseval x 1.001": [0]}
+
+
 def test_a_bound_the_line_does_not_read_survives():
     assert mutation_probe.probe([REMARK2], 1e-3, only="rhs_partial") == {"rhs_partial x 1.001": []}
 
 
 def test_every_rhs_has_a_mutant_and_rhs_main_a_second():
     names = sorted(name for name in vars(bounds) if name.startswith("rhs_"))
-    assert names == ["rhs_disk", "rhs_main", "rhs_origin", "rhs_partial", "rhs_radial"]
+    assert names == ["rhs_disk", "rhs_main", "rhs_origin", "rhs_parseval", "rhs_partial", "rhs_radial"]
     targets = [name for name, _ in mutation_probe.mutants(bounds, 1e-3).values()]
     assert sorted(targets) == sorted(names + ["rhs_main"])
 

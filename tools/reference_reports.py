@@ -19,6 +19,8 @@ The command lines are:
   - one configuration per sampling suite, and one `main` run at --tol 1e-15,
     which fails records of its automorphism samples, so a sampling suite's
     failure list is compared too;
+  - a second `origin` run at (n, m) = (2, 4), whose tensor power
+    `prop-0000` has degree 3;
   - the equality suite at (n, m) = (1, 1), (2, 3), (3, 4) and (4, 4), so its
     origin-extremal grid is compared at every n;
   - the equality suite and both sharpness families at --tol 1e-20, which
@@ -51,6 +53,7 @@ SUITE_LINES = [
     "check --suite partials --n 4 --m 1 --kmax 4 --samples 2 --degree 3 --seed 5",
     "check --suite radial --n 3 --m 3 --samples 3 --seed 5",
     "check --suite origin --n 3 --m 2 --kmax 5 --samples 3 --seed 5",
+    "check --suite origin --n 2 --m 4 --samples 3 --seed 5",
     "equality --n 2 --m 3 --seed 5",
     "equality --n 1 --m 1 --seed 5",
     "equality --n 3 --m 4 --seed 5",
