@@ -240,6 +240,11 @@ def _request(n: int, m: int, inequality: str, at_z: bool, with_beta: bool, k, v)
                           ("v", reads_v and v is None), ("k", not reads_v and row.k is None and k is None)):
         if missing:
             raise ValueError(f"inequality {ineq} requires the argument {name}")
+    # 1.3 reads no k: its order is 1
+    for name, unread in (("beta", with_beta and row.derivative not in _DIRECTED), ("v", v is not None and not reads_v),
+                         ("k", k is not None and (reads_v or row.k is not None))):
+        if unread:
+            raise ValueError(f"inequality {ineq} does not read the argument {name}")
     if reads_v:
         return _Request(ineq, row, None, v, _constants(v).k, origin, (v,))
     k = row.k if row.k is not None else k
@@ -397,7 +402,8 @@ def check_columns(points) -> list[Row]:
     """Evaluate the requests of every `Point` as one batch of columns and
     return one `Row` per request, in request order.  Every map, point and
     context is checked before any derivative work; leaving out a context an
-    id needs (z, beta, k or v) raises ValueError.  Derivatives come from the exact coefficient route
+    id needs (z, beta, k or v), or giving one it does not read (beta, k or v;
+    any k for 1.3), raises ValueError.  Derivatives come from the exact coefficient route
     for polynomial maps and from slice quadrature otherwise.  |d|^2,
     |<d, f(z)>|, lhs, rhs, slack and ratio are float64 columns, and each
     right-hand side is one scalar call per request.  The columns round as

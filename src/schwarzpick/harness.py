@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -324,67 +324,75 @@ def emit(report: Report, fmt: str, path) -> None:
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    """Run the suite `config.suite` names, through its row of `SUITES`, and
-    return its deterministic report.  A `remark2` sweep checks disk maps and a
-    `remark4` sweep scalar ones, so their reports echo n = 1 and m = 1."""
+    """Run the suite `config.suite` names, drawing the families of its row of
+    `SUITES`, and return its deterministic report.  A `remark2` sweep checks
+    disk maps and a `remark4` sweep scalar ones, so they echo n = 1 and m = 1."""
     validate_config(config)
     if config.suite == "sharpness":
         config = replace(config, **{"n" if config.family == "remark2" else "m": 1})
-    records, maps = SUITES[config.suite].build(config)
-    return _finalize(config, records, maps)
+    suite, draws = SUITES[config.suite], []
+    if suite.points is not None:
+        for s in range(config.samples):
+            rng = _rng(config.seed, SUITE_IDS.index(config.suite), s)
+            f = random_polymap(config.n, config.m, config.degree, rng)
+            draws += _polynomial(config, rng, f, f"poly-{s:04d}")
+            for family in suite.each:
+                draws += family(config, rng, s)
+    for key, family in suite.fixed:
+        draws += family(config, _rng(config.seed, key))
+    return _finalize(config, *_records(config, draws))
+
+
+#: The fields of a request's label: none, or an equality case's prediction.
+_PLAIN, _EQUAL = {}, {"predicted": 1.0}
+
+
+def _records(config, draws) -> tuple[list[dict], dict]:
+    """The records of the draws, (map, `bounds.Point`, one (sample, fields)
+    label per request) or (map, certificate record, ()), and each sample's
+    last map.  The points of one (n, m) are one `bounds.check_columns` batch;
+    a bound record carries config.suite, its label (with `ratio_modulus`
+    beside a `predicted_modulus`), one [[re, im], ...] list per point and
+    per direction and one k_or_v string per order."""
+    vectors: dict[int, list] = {}  # the rows hold every array
+    orders: dict = {}
+    batches: dict[tuple, list] = {}
+    out, maps = [], {}
+    for f, item, labels in draws:
+        if isinstance(item, dict):
+            out.append(item)
+            maps[item["sample"]] = f
+        else:
+            batches.setdefault((f.n, f.m), []).append((f, item, labels))
+    for batch in batches.values():
+        rows = iter(bounds.check_columns([point for _, point, _ in batch]))
+        for f, _, labels in batch:
+            for (sample, fields), row in zip(labels, rows):  # labels first: zip leaves the next point's rows
+                maps[sample] = f
+                order = row.k if row.v is None else row.v
+                if order not in orders:
+                    orders[order] = _k_or_v(row.k, row.v)
+                out.append({"suite": config.suite, "sample": sample, "kind": "bound", "inequality": row.inequality,
+                            "k_or_v": orders[order], "z": _cvec(row.z, vectors), "beta": _cvec(row.beta, vectors),
+                            "lhs": row.lhs, "rhs": row.rhs, "slack": row.slack, "ratio": row.ratio, **fields})
+                if "predicted_modulus" in fields:
+                    out[-1]["ratio_modulus"] = math.sqrt(row.ratio)
+    return out, maps
+
+
+def _labelled(sample, f, points, equal=()) -> list[tuple]:
+    """The draws of one sample's points; the requests of the ids in `equal`, equality cases, predict ratio 1."""
+    return [(f, p, [(sample, _EQUAL if ineq in equal else _PLAIN) for ineq, _ in p.requests]) for p in points]
+
+
+def _polynomial(config, rng, f, sample) -> list[tuple]:
+    """The draws of a polynomial sample: its suite's points at orders up to f's degree; higher ones read 0."""
+    capped = replace(config, k_max=min(config.k_max, max(f.max_degree, 1)))
+    return _labelled(sample, f, SUITES[config.suite].points(capped, rng, f))
 
 
 # --------------------------------------------------------------------------
 # sampling suites
-
-def _sample_records(config: SuiteConfig) -> tuple[list[dict], dict]:
-    # each sample draws from its own generator, so checking the whole suite's bounds
-    # in one batch moves no draw; a sample's points all hold its map
-    points, samples, maps, witnesses, drawn = [], [], {}, set(), []
-    suite_code = SUITE_IDS.index(config.suite)
-    for s in range(config.samples):
-        rng = _rng(config.seed, suite_code, s)
-        f = random_polymap(config.n, config.m, config.degree, rng)
-        drawn.append((f"poly-{s:04d}", _SAMPLE_POINTS[config.suite](config, rng, f)))
-        if config.suite == "main" and config.n == config.m:
-            aut = geometry.AutomorphismMap(random_ball_point(rng, config.m, 0.5))
-            drawn.append((f"aut-{s:04d}", _main_points(config, rng, aut)))
-            witnesses.add((drawn[-1][0], "1.3"))
-        elif config.suite == "origin":
-            drawn.append((f"ext-{s:04d}", _origin_extremal_points(config, rng)))
-            witnesses.add((drawn[-1][0], "3.2"))
-    if config.suite == "origin" and config.n <= config.m:  # the tensor power draws from a generator of its own
-        drawn.append(("prop-0000", _origin_proper_points(config, _rng(config.seed, 300))))
-        witnesses.update(("prop-0000", ineq) for ineq in _PROPER_IDS)
-    for sample, pts in drawn:
-        maps[sample] = pts[0].f
-        points += pts
-        samples += [sample] * sum(len(p.requests) for p in pts)
-    return _records(config, samples, points, witnesses), maps
-
-
-def _records(config, samples, points, witnesses=frozenset()) -> list[dict]:
-    """The bound record of every request of the `bounds.Point`s, from one
-    `bounds.check_columns` batch: labelled with config.suite and, request by
-    request, the next name of `samples`, with one [[re, im], ...] list per
-    point and per direction and one k_or_v string per order.  The records of
-    a (sample, inequality) pair in `witnesses`, an equality case, carry their
-    prediction, `predicted` 1.0."""
-    vectors: dict[int, list] = {}  # the rows hold every array
-    labels: dict = {}
-    out = []
-    rows = bounds.check_columns(points)
-    for sample, row in zip(samples, rows):
-        order = row.k if row.v is None else row.v
-        if order not in labels:
-            labels[order] = _k_or_v(row.k, row.v)
-        out.append({"suite": config.suite, "sample": sample, "kind": "bound", "inequality": row.inequality,
-                    "k_or_v": labels[order], "z": _cvec(row.z, vectors), "beta": _cvec(row.beta, vectors),
-                    "lhs": row.lhs, "rhs": row.rhs, "slack": row.slack, "ratio": row.ratio})
-        if (sample, row.inequality) in witnesses:
-            out[-1]["predicted"] = 1.0
-    return out
-
 
 def _main_points(config, rng, f):
     points = []
@@ -406,24 +414,23 @@ def _disk_points(config, rng, f):
     return [bounds.Point(f, z, cauchy.partial_bundle(f, z, config.k_max), requests) for z in zs]
 
 
-def _partial_points(config, f, ids, zs):
-    """Points requesting each id for every non-zero v with |v| <= min(k_max, 4), at each z."""
+def _partial_points(config, rng, f):
+    """Points requesting each id of the suite for every non-zero v with |v| <= min(k_max, 4),
+    at two random z, on the z1-axis for `radial`."""
+    if config.suite == "partials":
+        zs = [random_ball_point(rng, config.n, 0.9) for _ in range(2)]
+    else:
+        zs = [np.zeros(config.n, dtype=complex) for _ in range(2)]
+        for z in zs:
+            z[0] = rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
     order = min(config.k_max, 4)
     orders = mi.enumerate_up_to(config.n, order, include_zero=False)
-    requests = [(ineq, {"v": v}) for v in orders for ineq in ids]
+    requests = [(ineq, {"v": v}) for v in orders for ineq in expected_ids(config.suite, config.m)]
     return [bounds.Point(f, z, cauchy.partial_bundle(f, z, order), requests) for z in zs]
 
 
-def _partials_points(config, rng, f):
-    zs = [random_ball_point(rng, config.n, 0.9) for _ in range(2)]
-    return _partial_points(config, f, expected_ids(config.suite, config.m), zs)
-
-
-def _radial_points(config, rng, f):
-    zs = [np.zeros(config.n, dtype=complex) for _ in range(2)]
-    for z in zs:
-        z[0] = rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
-    return _partial_points(config, f, ("5.3",), zs)
+#: The Parseval sums, complete at a polynomial's degree.
+_PARSEVAL = ("parseval-slice", "parseval-torus")
 
 
 def _origin_points(config, rng, f):
@@ -431,21 +438,16 @@ def _origin_points(config, rng, f):
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     requests = [("3.1", {"beta": beta, "k": k}) for beta in betas for k in range(1, config.k_max + 1)]
     requests += [("3.2", {"v": v}) for v in orders]
-    # at k = degree a sampled map's Parseval sums are complete
-    requests += [(ineq, {"beta": beta, "k": config.degree}) for beta in betas for ineq in _PROPER_IDS[1:]]
+    requests += [(ineq, {"beta": beta, "k": config.degree}) for beta in betas for ineq in _PARSEVAL]
     return [bounds.Point(f, None, None, requests)]
 
 
-#: The ids a tensor power attains with equality at its degree: 3.1 and the Parseval sums.
-_PROPER_IDS = ("3.1", "parseval-slice", "parseval-torus")
-
-
-def _origin_proper_points(config, rng):
-    """U z^(x)d, U random, on `_PROPER_IDS` at the largest k = d <= min(degree, k_max) with C(n+d-1, d) <= m."""
-    d = max(j for j in range(1, min(config.degree, config.k_max) + 1) if math.comb(config.n + j - 1, j) <= config.m)
-    f = geometry.tensor_power(config.n, config.m, d, random_isometry(rng, config.m, config.m))
-    betas = _beta_set(rng, np.zeros(config.n, dtype=complex))
-    return [bounds.Point(f, None, None, [(ineq, {"beta": beta, "k": d}) for beta in betas for ineq in _PROPER_IDS])]
+def _automorphism(config, rng, s):
+    """When n = m, a ball automorphism at the `main` contexts; its 1.3 records are equality cases."""
+    if config.n != config.m:
+        return []
+    f = geometry.AutomorphismMap(random_ball_point(rng, config.m, 0.5))
+    return _labelled(f"aut-{s:04d}", f, _main_points(config, rng, f), {"1.3"})
 
 
 def _extremal_origin(rng, m, a0_abs, v):
@@ -454,81 +456,75 @@ def _extremal_origin(rng, m, a0_abs, v):
     return geometry.extremal_origin_from_direction(a0, random_unit_vector(rng, m), v)
 
 
-def _origin_extremal_points(config, rng):
-    """One origin-extremal construction, to be checked through the quadrature route."""
+def _origin_extremal(config, rng, s):
+    """One origin-extremal map, checked through the quadrature route; its 3.2 record is an equality case."""
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     v = orders[int(rng.integers(len(orders)))]
     f = _extremal_origin(rng, config.m, float(rng.choice([0.0, 0.3, 0.7])), v)
-    return [bounds.Point(f, None, None, [("3.2", {"v": v})])]
+    return _labelled(f"ext-{s:04d}", f, [bounds.Point(f, None, None, [("3.2", {"v": v})])], {"3.2"})
 
 
-#: Per-sample point builders of the polynomial sampling suites.
-_SAMPLE_POINTS = {"main": _main_points, "disk": _disk_points, "partials": _partials_points,
-                  "radial": _radial_points, "origin": _origin_points}
-
-#: The suites that sample polynomial maps.
-SAMPLING_SUITES = tuple(_SAMPLE_POINTS)
+def _tensor_power(config, rng):
+    """When n <= m, U z^(x)d, U random, at the largest d <= min(degree, k_max) with C(n+d-1, d) <= m:
+    its 3.1 and Parseval records at k = d are equality cases."""
+    if config.n > config.m:
+        return []
+    d = max(j for j in range(1, min(config.degree, config.k_max) + 1) if math.comb(config.n + j - 1, j) <= config.m)
+    f = geometry.tensor_power(config.n, config.m, d, random_isometry(rng, config.m, config.m))
+    betas = _beta_set(rng, np.zeros(config.n, dtype=complex))
+    ids = ("3.1",) + _PARSEVAL
+    return _labelled("prop-0000", f, [bounds.Point(f, None, None, [(ineq, {"beta": beta, "k": d})
+                                                                  for beta in betas for ineq in ids])], ids)
 
 
 # --------------------------------------------------------------------------
 # equality certification
 
-def _equality_records(config: SuiteConfig) -> tuple[list[dict], dict]:
-    """Certify the equality cases: origin-extremal maps across a parameter
-    grid, the first-order extremal construction and the linear-plus-square
-    example (equality with an off-shape coefficient), each record of which
-    carries its prediction, ratio 1; and the off-lattice Taylor-coefficient
-    vanishing for extremal maps."""
-    maps: dict[str, object] = {}
-
-    # origin-extremal grid: all v with |v| <= 4, |a0| in {0, 0.3, 0.7}, checked as one batch with the k1 maps
-    rng = _rng(config.seed, 100)
-    grid = [(v, _extremal_origin(rng, config.m, a0_abs, v))
-            for v in mi.enumerate_up_to(config.n, 4, include_zero=False) for a0_abs in (0.0, 0.3, 0.7)]
-    samples = [f"ext-{idx:04d}" for idx in range(len(grid))]
-    maps.update(zip(samples, (f for _, f in grid)))
-    points = [bounds.Point(f, None, None, [("3.2", {"v": v})]) for v, f in grid]
-    witnesses = {(sample, "3.2") for sample in samples}
-
-    # linear-plus-square example: equality at v = (1,0) with an off-shape coefficient
-    records: list[dict] = []
+def _origin_extremals(config, rng):
+    """Origin-extremal maps for every v with |v| <= 4 and |a0| in {0, 0.3, 0.7}, and for n = 2 the example
+    z1 + z2^2/3, equality at v = (1, 0) with an off-shape coefficient: 3.2 equality cases."""
+    draws = []
+    grid = [(v, a0_abs) for v in mi.enumerate_up_to(config.n, 4, include_zero=False) for a0_abs in (0.0, 0.3, 0.7)]
+    for idx, (v, a0_abs) in enumerate(grid):
+        f = _extremal_origin(rng, config.m, a0_abs, v)
+        draws += _labelled(f"ext-{idx:04d}", f, [bounds.Point(f, None, None, [("3.2", {"v": v})])], {"3.2"})
     if config.n == 2:
-        maps["remark-example"] = f = geometry.linear_plus_square_map()
-        records += _records(config, repeat("remark-example"), [bounds.Point(f, None, None, [("3.2", {"v": (1, 0)})])],
-                            {("remark-example", "3.2")})
+        f = geometry.linear_plus_square_map()
+        draws += _labelled("remark-example", f, [bounds.Point(f, None, None, [("3.2", {"v": (1, 0)})])], {"3.2"})
         off_form = float(np.linalg.norm(f.coefficient((0, 2))))
-        records.append(certificate_record(config.suite, "remark-example", "off-shape-coefficient",
-                                          measured=off_form, slack=off_form - config.tol, k_or_v=_k_or_v(None, (0, 2))))
+        draws.append((f, certificate_record(config.suite, "remark-example", "off-shape-coefficient", measured=off_form,
+                                            slack=off_form - config.tol, k_or_v=_k_or_v(None, (0, 2))), ()))
+    return draws
 
-    # off-lattice Taylor-coefficient vanishing (rigidity of the extremal shape), on the scale
-    # of the coefficient bound, as ExtremalOriginMap checks its equality condition
-    rng = _rng(config.seed, 101)
+
+def _rigid(config, rng):
+    """Off-lattice Taylor-coefficient vanishing (rigidity of the extremal shape) of scalar origin-extremal
+    maps, on the scale of the coefficient bound, as ExtremalOriginMap checks its equality condition."""
+    draws = []
     for i, v in enumerate(((1, 1), (2, 1), (2, 2))):
         for a0_abs in (0.3, 0.7):
-            sample = f"rigid-{i}{int(a0_abs * 10):02d}"
-            maps[sample] = f = _extremal_origin(rng, 1, a0_abs, v)
+            f = _extremal_origin(rng, 1, a0_abs, v)
             table = cauchy.taylor_coefficients(f, mi.enumerate_up_to(f.n, 8))
             lattice = {tuple(j * x for x in v) for j in range(0, 9)}
             worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
             worst /= mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
-            records.append(certificate_record(config.suite, sample, "off-lattice-vanishing",
-                                              measured=worst, slack=config.tol - worst, k_or_v=_k_or_v(None, v)))
+            sample = f"rigid-{i}{int(a0_abs * 10):02d}"
+            draws.append((f, certificate_record(config.suite, sample, "off-lattice-vanishing", measured=worst,
+                                                slack=config.tol - worst, k_or_v=_k_or_v(None, v)), ()))
+    return draws
 
-    # first-order extremal constructions: metric equality in every direction
-    rng = _rng(config.seed, 102)
+
+def _first_order(config, rng):
+    """First-order extremal constructions: metric equality, 1.3, in 50 random directions each."""
+    draws = []
     for i in range(3):
-        sample = f"k1-{i:04d}"
         xi = random_ball_point(rng, config.n, 0.5)
         w0 = random_ball_point(rng, config.m, 0.5)
-        frame = random_isometry(rng, config.m, config.n)
-        jac = geometry.jacobian_from_frame(xi, w0, frame)
-        maps[sample] = f = geometry.ExtremalK1Map(xi, w0, jac)
+        jac = geometry.jacobian_from_frame(xi, w0, random_isometry(rng, config.m, config.n))
+        f = geometry.ExtremalK1Map(xi, w0, jac)
         requests = [("1.3", {"beta": random_unit_vector(rng, config.n)}) for _ in range(50)]
-        samples += [sample] * len(requests)
-        witnesses.add((sample, "1.3"))
-        points.append(bounds.Point(f, xi, cauchy.partial_bundle(f, xi, 1), requests))
-
-    return _records(config, samples, points, witnesses) + records, maps
+        draws += _labelled(f"k1-{i:04d}", f, [bounds.Point(f, xi, cauchy.partial_bundle(f, xi, 1), requests)], {"1.3"})
+    return draws
 
 
 # --------------------------------------------------------------------------
@@ -540,11 +536,10 @@ def sweep_prediction(k: int, xi_abs: float, w_abs: float) -> float:
     return ((w_abs + xi_abs) / (1.0 + xi_abs)) ** (2 * (k - 1))
 
 
-def _sweep_records(config: SuiteConfig) -> tuple[list[dict], dict]:
-    """Sweep |w| toward the boundary for one sharpness family and record the
-    attained ratios against their closed-form predictions."""
-    family, radii, maps = config.family, config.radii, {}
-    rng = _rng(config.seed, 200 if family == "remark2" else 201)
+def _sweep(family, config, rng):
+    """When config.family is `family`, sweep |w| toward the boundary against closed-form predictions."""
+    if config.family != family:
+        return []
     xi_phase = np.exp(2j * np.pi * rng.uniform())
     w_dir = random_unit_vector(rng, config.m) if family == "remark2" else np.exp(2j * np.pi * rng.uniform())
     order = min(config.k_max, 4)
@@ -554,48 +549,53 @@ def _sweep_records(config: SuiteConfig) -> tuple[list[dict], dict]:
     # share one slice grid.  The bounds take the pinned |f(xi)| = |w|, not norm(f(xi)):
     # they differ in the last bit at a quarter of the points, which (1-|w|^2)^2 scales to
     # 2e-11 relative in `ratio` at |w| = 0.99999, flipping `tight` flags
-    points, samples, params = [], [], []
+    draws = []
     for xi_abs in (0.25, 0.5, 0.75):
         z = np.zeros(config.n, dtype=complex)  # n = 1 for remark2
         z[0] = xi_abs * xi_phase
-        ws = [w_abs * w_dir for w_abs in radii]
+        ws = [w_abs * w_dir for w_abs in config.radii]
         fs = [geometry.Remark2Map(z[0], w) if family == "remark2" else geometry.Remark4Map(z[0], w, n=config.n)
               for w in ws]
-        for f, w, w_abs, bundle in zip(fs, ws, radii, cauchy.partial_bundles(fs, z, order)):
-            points.append(bounds.Point(f, z, bundle, requests, (np.atleast_1d(w), w_abs)))
-            for k in range(1, order + 1):
-                sample = f"{family}-k{k}-x{xi_abs:.2f}"
-                maps[sample] = f  # left at the final |w|, the map a failing sample names
-                samples.append(sample)
-                params.append((xi_abs, w_abs, sweep_prediction(k, xi_abs, w_abs)))
-    records = _records(config, samples, points)
-    for rec, (xi_abs, w_abs, predicted) in zip(records, params):
-        rec.update(family=family, w_abs=w_abs, xi_abs=xi_abs, ratio_modulus=math.sqrt(rec["ratio"]),
-                   predicted=predicted, predicted_modulus=math.sqrt(predicted))
-    return records, maps
+        for f, w, w_abs, bundle in zip(fs, ws, config.radii, cauchy.partial_bundles(fs, z, order)):
+            predicted = [sweep_prediction(k, xi_abs, w_abs) for k in range(1, order + 1)]
+            # a sample's map is left at the final |w|, the map a failing sample names
+            labels = [(f"{family}-k{k}-x{xi_abs:.2f}", {"family": family, "w_abs": w_abs, "xi_abs": xi_abs,
+                                                        "predicted": p, "predicted_modulus": math.sqrt(p)})
+                      for k, p in enumerate(predicted, 1)]
+            draws.append((f, bounds.Point(f, z, bundle, requests, (np.atleast_1d(w), w_abs)), labels))
+    return draws
 
 
 class Suite(NamedTuple):
-    """One row of `SUITES`."""
-    build: Callable  # config -> (records, {sample: map})
+    """One row of `SUITES`: the families a suite draws for `_records`, its manifest and the settings it reads."""
+    points: Callable | None  # (config, rng, f) -> a polynomial sample's bounds.Points; None: no samples
+    each: tuple  # families (config, rng, s), drawn after sample s's points from its generator
+    fixed: tuple  # (key, family (config, rng)) pairs, each drawn from the generator of its key
     manifest: Callable  # (m, family) -> the inequality ids a report must hold
     reads: tuple[str, ...]  # the SuiteConfig fields the suite reads, which its reports echo
 
 
 _SAMPLED = ("suite", "n", "m", "samples", "degree", "k_max", "seed", "tol")
 
-#: Every suite, in the order whose index seeds each suite's generators.
+#: Every suite, in the order whose index seeds each sampling suite's generators.
 SUITES = {
-    "main": Suite(_sample_records, lambda m, family: ("1.3", "1.4"), _SAMPLED),
-    "disk": Suite(_sample_records, lambda m, family: ("1.1", "4.1") if m == 1 else ("4.1",), _SAMPLED),
-    "partials": Suite(_sample_records, lambda m, family: ("1.2", "5.1", "5.2") if m == 1 else ("5.1",), _SAMPLED),
-    "radial": Suite(_sample_records, lambda m, family: ("5.3",), _SAMPLED),
-    "origin": Suite(_sample_records, lambda m, family: ("3.1", "3.2") + _PROPER_IDS[1:], _SAMPLED),
-    "equality": Suite(_equality_records, lambda m, family: ("1.3", "3.2"), ("suite", "n", "m", "seed", "tol")),
-    "sharpness": Suite(_sweep_records, lambda m, family: (SWEEP_FAMILIES[family],),
+    "main": Suite(_main_points, (_automorphism,), (), lambda m, family: ("1.3", "1.4"), _SAMPLED),
+    "disk": Suite(_disk_points, (), (), lambda m, family: ("1.1", "4.1") if m == 1 else ("4.1",), _SAMPLED),
+    "partials": Suite(_partial_points, (), (), lambda m, family: ("1.2", "5.1", "5.2") if m == 1 else ("5.1",),
+                      _SAMPLED),
+    "radial": Suite(_partial_points, (), (), lambda m, family: ("5.3",), _SAMPLED),
+    "origin": Suite(_origin_points, (_origin_extremal,), ((300, _tensor_power),),
+                    lambda m, family: ("3.1", "3.2") + _PARSEVAL, _SAMPLED),
+    "equality": Suite(None, (), ((100, _origin_extremals), (101, _rigid), (102, _first_order)),
+                      lambda m, family: ("1.3", "3.2"), ("suite", "n", "m", "seed", "tol")),
+    "sharpness": Suite(None, (), ((200, partial(_sweep, "remark2")), (201, partial(_sweep, "remark4"))),
+                       lambda m, family: (SWEEP_FAMILIES[family],),
                        ("suite", "n", "m", "k_max", "seed", "tol", "family", "radii")),
 }
 SUITE_IDS = tuple(SUITES)
+
+#: The suites that sample polynomial maps.
+SAMPLING_SUITES = tuple(name for name, suite in SUITES.items() if suite.points is not None)
 
 
 def replay_sample(path, config: SuiteConfig) -> Report:
@@ -615,5 +615,4 @@ def replay_sample(path, config: SuiteConfig) -> Report:
     match = re.search(r"-failure-poly-(\d+)$", path.stem)
     rng = _rng(cfg.seed, SUITE_IDS.index(cfg.suite), int(match.group(1)) if match else 0)
     random_polymap(cfg.n, cfg.m, cfg.degree, rng)  # the sample's own map, drawn as run_suite draws it
-    sample = f"replay-{path.stem}"
-    return _finalize(cfg, _records(cfg, repeat(sample), _SAMPLE_POINTS[cfg.suite](cfg, rng, f)), {sample: f})
+    return _finalize(cfg, *_records(cfg, _polynomial(cfg, rng, f, f"replay-{path.stem}")))

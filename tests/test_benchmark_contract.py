@@ -7,6 +7,7 @@ otherwise surface only when the benchmark runs.  Both modules are loaded from
 their source text and every report goes to a temporary directory, so nothing
 is written under perfbench/.
 """
+import json
 import types
 from pathlib import Path
 
@@ -30,11 +31,17 @@ WORKLOADS = load("run").workloads(11)
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_every_workload_line_runs_and_passes_the_gate(tmp_path, capsys, workload):
-    gate = load("gate").Gate(cli, harness)
+    # every record of a gate's equality case carries `predicted`, so the gate and the
+    # package's one failure rule judge it alike
+    module = load("gate")
+    gate = module.Gate(cli, harness)
     for slot, argv in enumerate(WORKLOADS[workload]):
         assert gate._required_ids(argv), argv
         path = tmp_path / f"{slot}.json"
         code = cli.main(argv + ["--out", str(path)])
         assert code == 0, (argv, capsys.readouterr())
         assert gate.check(slot, argv, code, path) > 0
+        records = json.loads(path.read_text())["records"]
+        assert all("predicted" in r for r in records
+                   if (r["sample"].split("-")[0], r["inequality"]) in module.EQUALITY_CASES), argv
     assert gate.failed == 0, gate.problems

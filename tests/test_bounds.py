@@ -1,6 +1,5 @@
 import cmath
 import math
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -408,7 +407,8 @@ def _requests(ineq, n, rng):
     if ineq in ("1.3", "1.4"):
         betas = [unit_direction(), 2.0 * unit_direction(), np.eye(n)[0]]
         other = "1.4" if ineq == "1.3" else "1.3"
-        return [(name, {"beta": b, "k": k}) for b in betas + betas[:1] for k in (1, 2, 3) for name in (ineq, other)]
+        return [(name, {"beta": b, "k": k} if name == "1.4" else {"beta": b})
+                for b in betas + betas[:1] for k in (1, 2, 3) for name in (ineq, other)]
     if ineq in ("3.1", "parseval-slice", "parseval-torus"):
         return [(ineq, {"beta": b, "k": k}) for b in (unit_direction(), np.eye(n)[-1]) for k in (1, 3, 2, 3)]
     if ineq in ("1.1", "4.1"):
@@ -557,7 +557,8 @@ class TestCheckRequests:
         monkeypatch.setattr(bounds, "_derivative", no_derivative)
         f = random_polymap(2, 2, 3, seed=12)
         z = None if ineq == "3.1" else np.array([0.3, 0.1j])
-        good, bad = ({"beta": np.array(b, dtype=complex), "k": 2} for b in ([1.0, 0.0], beta))
+        order = {} if ineq == "1.3" else {"k": 2}
+        good, bad = ({"beta": np.array(b, dtype=complex), **order} for b in ([1.0, 0.0], beta))
         with pytest.raises(MapDomainError, match=message):
             bounds.check_inequality(f, ineq, z=z, **bad)
         with pytest.raises(MapDomainError, match=message):
@@ -571,6 +572,29 @@ class TestCheckRequests:
         f = random_polymap(2, m, 3, seed=15)
         with pytest.raises(ValueError, match=f"inequality {ineq} applies to {maps} maps"):
             bounds.check_inequality(f, ineq, z=np.array([0.3, 0.1j]), **context)
+
+    @pytest.mark.parametrize("ineq, m, context, unread", [
+        ("4.1", 1, {"k": 2, "beta": [1.0]}, "beta"), ("5.1", 2, {"v": (1, 0), "beta": [1.0, 0.0]}, "beta"),
+        ("3.2", 2, {"v": (1, 1), "beta": [1.0, 0.0]}, "beta"),
+        ("1.4", 2, {"beta": [1.0, 0.0], "k": 2, "v": (1, 0)}, "v"),
+        ("3.1", 2, {"beta": [1.0, 0.0], "k": 2, "v": (1, 1)}, "v"),
+        ("parseval-torus", 2, {"beta": [1.0, 0.0], "k": 2, "v": (1, 1)}, "v"),
+        ("5.1", 2, {"v": (1, 0), "k": 1}, "k"), ("3.2", 2, {"v": (1, 1), "k": 7}, "k"),
+        ("1.3", 2, {"beta": [1.0, 0.0], "k": 1}, "k"), ("1.3", 2, {"beta": [1.0, 0.0], "k": 5}, "k"),
+    ], ids=["4.1-beta", "5.1-beta", "3.2-beta", "1.4-v", "3.1-v", "parseval-v", "5.1-k", "3.2-k", "1.3-k1", "1.3-k5"])
+    def test_context_the_id_does_not_read_rejected(self, monkeypatch, ineq, m, context, unread):
+        def no_derivative(*args):
+            raise AssertionError("derivative work started before every context was checked")
+
+        monkeypatch.setattr(bounds, "_derivative", no_derivative)
+        n = 1 if ineq == "4.1" else 2
+        f = random_polymap(n, m, 3, seed=15)
+        z = None if ineq in ("3.1", "3.2", "parseval-torus") else np.array([0.3, 0.0][:n])
+        message = f"^inequality {ineq} does not read the argument {unread}$"
+        with pytest.raises(ValueError, match=message):
+            bounds.check_inequality(f, ineq, z=z, **context)
+        with pytest.raises(ValueError, match=message):
+            bounds.check_columns([bounds.Point(f, z, None, [(ineq, context)])])
 
     def test_unknown_request_argument_raises(self):
         f = random_polymap(2, 2, 3, seed=12)
@@ -714,7 +738,7 @@ class TestNonFiniteBundle:
             alone = bounds.check_inequality(self.f, name, z=self.z, bundle=self.bundle, **kwargs)
             assert np.array_equal(row[5:], alone[5:], equal_nan=True)  # lhs, rhs, slack, ratio
         config = harness.SuiteConfig(suite="partials", n=2, m=2)
-        records = harness._records(config, repeat("poly-0000"), points)
+        records, _ = harness._records(config, harness._labelled("poly-0000", self.f, points))
         report = harness._finalize(config, records, {"poly-0000": self.f})
         assert report.summary["failure_count"] == 1 and math.isnan(report.summary["min_slack"])
         assert [failure["sample"] for failure in report.failures] == ["poly-0000"]

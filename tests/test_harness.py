@@ -4,7 +4,6 @@ import re
 import runpy
 import sys
 from dataclasses import fields, replace
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -97,6 +96,41 @@ def test_one_bound_batch_per_sampling_suite(monkeypatch, tmp_path, suite, n, m):
     path.write_text(json.dumps(harness.random_polymap(n, m, 3, seed=1).to_json_dict()))
     replay_sample(path, cfg)
     assert len(batches) == 2
+
+
+@pytest.mark.parametrize("n, dims", [(2, [(2, 3), (2, 1)]), (3, [(3, 3)])])
+def test_one_bound_batch_per_dimensions(monkeypatch, n, dims):
+    # the equality suite's z1 + z2^2/3 example maps C^2 to C, so at n = 2 it is a batch of its own
+    batches = []
+    check = bounds.check_columns
+
+    def counted(points):
+        batches.append({(p.f.n, p.f.m) for p in points})
+        return check(points)
+
+    monkeypatch.setattr(harness.bounds, "check_columns", counted)
+    run_suite(SuiteConfig(suite="equality", n=n, m=3, seed=7))
+    assert batches == [{d} for d in dims]
+
+
+@pytest.mark.parametrize("suite, n, m", [("main", 2, 2), ("disk", 1, 2), ("partials", 2, 1), ("radial", 2, 1),
+                                         ("origin", 2, 2)])
+def test_polynomial_orders_stop_at_the_degree(suite, n, m, tmp_path):
+    # an order above a polynomial's degree reads lhs 0 and checks nothing; closed-form samples keep k_max
+    cfg = SuiteConfig(suite=suite, n=n, m=m, samples=2, degree=2, k_max=4, seed=3)
+
+    def orders(records, prefix):
+        return {int(r["k_or_v"][2:]) if r["k_or_v"].startswith("k=") else sum(map(int, r["k_or_v"][2:].split(",")))
+                for r in records if r["sample"].startswith(prefix) and not r["inequality"].startswith("parseval")}
+
+    report = run_suite(cfg)
+    assert max(orders(report.records, "poly")) == 2
+    assert all(r["lhs"] != 0.0 for r in report.records if r["sample"].startswith("poly"))
+    if suite == "main":
+        assert max(orders(report.records, "aut")) == 4
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(PolyMap(n, m, {(1,) + (0,) * (n - 1): [0.5] + [0.0] * (m - 1)}).to_json_dict()))
+    assert orders(replay_sample(path, cfg).records, "replay") == {1}
 
 
 @pytest.mark.parametrize("suite", harness.SUITE_IDS)
@@ -303,21 +337,23 @@ class TestSharpnessSweep:
         with pytest.raises(ConfigError, match="non-empty"):
             run_suite(replace(cfg, radii=()))
 
-    def test_unknown_family_rejected_before_any_bundle(self, monkeypatch):
+    @staticmethod
+    def family_rejected_before(monkeypatch, suite, entry):
         def refuse(*args):
             raise AssertionError("the family is checked before any derivative work")
 
-        monkeypatch.setattr(harness.cauchy, "partial_bundle", refuse)
+        monkeypatch.setattr(harness.cauchy, entry, refuse)
         with pytest.raises(ConfigError, match="bogus"):
-            run_suite(SuiteConfig(suite="sharpness", family="bogus"))
+            run_suite(SuiteConfig(suite=suite, family="bogus", samples=1))
+        with pytest.raises(AssertionError, match="before any derivative work"):  # the suite does reach the entry
+            run_suite(SuiteConfig(suite=suite, samples=1))
+
+    def test_unknown_family_rejected_before_any_bundle(self, monkeypatch):
+        # the sweep takes shared bundles only; the main suite is the one that calls partial_bundle
+        self.family_rejected_before(monkeypatch, "main", "partial_bundle")
 
     def test_unknown_family_rejected_before_any_shared_bundles(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the family is checked before any derivative work")
-
-        monkeypatch.setattr(harness.cauchy, "partial_bundles", refuse)
-        with pytest.raises(ConfigError, match="bogus"):
-            run_suite(SuiteConfig(suite="sharpness", family="bogus"))
+        self.family_rejected_before(monkeypatch, "sharpness", "partial_bundles")
 
     @pytest.mark.parametrize("family", ["remark2", "remark4"])
     def test_the_maps_of_one_point_share_one_bundles_call(self, family, monkeypatch):
@@ -469,9 +505,9 @@ class TestFailureIsolation:
         cfg = SuiteConfig(suite="main", n=2, m=2, **SMALL)
         bad = self.bad_map()
         maps = {"poly-0000": bad, "composed-0000": ComposedMap(np.zeros(2), bad)}
-        records = [rec for sample, f in maps.items()
-                   for rec in harness._records(cfg, repeat(sample),
-                                               harness._main_points(cfg, harness._rng(cfg.seed, 0, 0), f))]
+        draws = [draw for sample, f in maps.items()
+                 for draw in harness._labelled(sample, f, harness._main_points(cfg, harness._rng(cfg.seed, 0, 0), f))]
+        records, _ = harness._records(cfg, draws)
         report = harness._finalize(cfg, records, maps)
         assert sorted(type(f["map"]).__name__ for f in report.failures) == ["dict", "str"]
         assert report.to_json() == dumps(report)
