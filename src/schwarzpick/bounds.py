@@ -338,18 +338,22 @@ def _table(table: dict, n: int, scalars, pin) -> _Table:
 
 def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list, list, np.ndarray, dict]:
     """The tables the rows read, each row's table, every row's derivative, as
-    one (R, m) array, and each Parseval row's sum by row index.  Origin rows
-    share one Taylor-coefficient lookup per point and order, the others the
-    point's bundle or else one partial bundle per order: a slice table's
-    rounding depends on its order, so every row reads the numbers it would
-    read alone.  The D_k (or slice) rows of one order are one degree sum over
-    their directions, the Parseval rows of one kind and order one per degree."""
+    one (R, m) array, and each Parseval row's sum by row index.  The origin
+    rows of every point read one table per point and order, all tables of an
+    order from one `origin_coefficients` call; the others read the point's
+    bundle or else one partial bundle per order: a slice table's rounding
+    depends on its order, so every row reads the numbers it would read alone.
+    The D_k (or slice) rows of one order are one degree sum over their
+    directions, the Parseval rows of one kind and order one per degree."""
     n, m = pts[0][0].n, pts[0][0].m
-    zero = (0,) * n
-    wanted: dict[tuple, dict] = {}
+    wanted: dict[int, dict] = {}  # order -> {point: None}, {alpha: None}
     for r, p, _ in rows:
         if r.origin:
-            wanted.setdefault((p, r.order), {zero: None}).update(dict.fromkeys(r.entries))
+            points, alphas = wanted.setdefault(r.order, ({}, {(0,) * n: None}))
+            points[p] = None
+            alphas.update(dict.fromkeys(r.entries))
+    origin = {(p, order): table for order, (points, alphas) in wanted.items()
+              for p, table in zip(points, cauchy.origin_coefficients([pts[p][0] for p in points], list(alphas)))}
     groups: dict[tuple, int] = {}
     orders: dict[tuple, list] = {}
     tables, gs, reads = [], [], []
@@ -358,7 +362,7 @@ def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list,
         key = (p, r.origin, r.order if r.origin or bundle is None else None)
         if key not in groups:
             if r.origin:
-                table = cauchy.taylor_coefficients(f, list(wanted[p, r.order]))
+                table = origin[p, r.order]
             else:
                 table = bundle if bundle is not None else cauchy.partial_bundle(f, z, r.order)
             groups[key] = len(tables)

@@ -17,12 +17,14 @@ uniform polytorus about z inside the ball, so every slice point lies on that
 polytorus; the error is spectrally small because the integrand is analytic.
 Everything but r, z and the map values depends on (n, K) alone and is built
 once per (n, K), on first use.  At the origin r depends on n alone, so an
-origin table reads its points from a per-(n, K) grid, built on first use too
-and kept apart from the plan, which `partial_bundle` also reads.  Maps
-differentiated at one point share the rest as well: the points, r and its
-powers are built once per point, each map is evaluated and transformed on
-its own, and each table is read out into its partials by one fancy index,
-cached per (n, K), and one factorial multiply.
+origin table reads its points and the powers r^-k from a per-(n, K) grid and
+scale, built together on first use and kept apart from the plan, which
+`partial_bundle` also reads.  Maps differentiated at one point share the
+rest as well: the points, r and its powers are built once per point, each
+map is evaluated and transformed on its own, and each table is read out into
+its partials by one fancy index, cached per (n, K), and one factorial
+multiply.  The origin tables of a batch of maps come from one slice call per
+order in the same way.
 
 The derivative layer has one entry point per purpose, and the map's type
 picks the route:
@@ -30,6 +32,7 @@ picks the route:
   partial_bundle        every partial d^alpha f(z), |alpha| <= K, at a point
   partial_bundles       the same for several maps of one shape at one point
   taylor_coefficients   chosen Taylor coefficients a_alpha at the origin
+  origin_coefficients   the same for several maps of one shape
 
 A `PolyMap` is differentiated exactly through its coefficient table, the
 ground truth the quadrature is validated against; every other map goes
@@ -86,9 +89,10 @@ class _Plan(NamedTuple):
     of the nodes, the node and phase DFT matrices, the exponents -k of the
     radius, the axis order that brings each phase axis to the front for its
     DFT and the order of the final transpose, and per alpha with |alpha| <= K
-    its table index and alpha!.  The points of an origin table are not part
-    of it: they come from `_origin_grid`, built only for the (n, K) that
-    `taylor_coefficients` asks for."""
+    its table index and alpha!.  The points and radius powers of an origin
+    table are not part of it: they come from `_origin_grid` and
+    `_origin_scale`, built only for the (n, K) that `origin_coefficients`
+    asks for."""
 
     beta: np.ndarray       # (K+1,)*(n-1) + (n,)
     unit: np.ndarray       # e^(2 pi i t / NODES), shape (NODES,) + (1,)*n
@@ -135,14 +139,25 @@ def _origin_grid(n: int, order: int) -> np.ndarray:
     return points
 
 
+@lru_cache(maxsize=None)
+def _origin_scale(n: int, order: int) -> np.ndarray:
+    """The powers slice_radius(0) ** -k that scale every origin table of
+    dimension n and order `order`, as a read-only array built on first use
+    beside `_origin_grid`, by the expression `_slices` uses about any other z."""
+    scale = slice_radius(np.zeros(n)) ** _plan(n, order).powers
+    scale.flags.writeable = False
+    return scale
+
+
 def _slices(fs: list, z, order: int) -> list[np.ndarray]:
     """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! about z (about
     the origin when z is None) of each map f of `fs`, maps of one dimension n,
     for every |alpha| <= order, as one table[|alpha|, alpha_2, ..., alpha_n] of
     shape (order+1,)*n + (m,) per map, from NODES * (order+1)^(n-1) slice
     values.  The maps share everything but their values: the points, the
-    radius and its powers are built once per call, from `_plan(n, order)` and,
-    about the origin, `_origin_grid(n, order)`.  Each map is evaluated through
+    radius and its powers are built once per call from `_plan(n, order)`, and
+    about the origin read from `_origin_grid` and `_origin_scale`, built once
+    per (n, order).  Each map is evaluated through
     its own `eval`, and each DFT axis of its table is one `np.dot` on the table
     moved to 2-D, the call `np.tensordot` makes, so every table is bitwise the
     one-map `tensordot` table."""
@@ -151,11 +166,10 @@ def _slices(fs: list, z, order: int) -> list[np.ndarray]:
     n = fs[0].n
     plan = _plan(n, order)
     if z is None:
-        r, points = slice_radius(np.zeros(n)), _origin_grid(n, order)
+        points, scale = _origin_grid(n, order), _origin_scale(n, order)
     else:
         r = slice_radius(z)
-        points = z + (r * plan.unit) * plan.beta
-    scale = r ** plan.powers
+        points, scale = z + (r * plan.unit) * plan.beta, r ** plan.powers
     tables = []
     for f in fs:
         values = f.eval(points)
@@ -172,19 +186,50 @@ def _slices(fs: list, z, order: int) -> list[np.ndarray]:
     return tables
 
 
+def _one_shape(fs, name: str) -> tuple[list, int]:
+    """The maps of `fs` as a list and their dimension n: ValueError unless
+    they share one (n, m)."""
+    fs = list(fs)
+    shapes = {(f.n, f.m) for f in fs}
+    if len(shapes) != 1:
+        raise ValueError(f"{name} needs maps of one (n, m), got {sorted(shapes)}")
+    [(n, _)] = shapes
+    return fs, n
+
+
+def origin_coefficients(fs, indices) -> list[dict]:
+    """`taylor_coefficients` of each map of `fs` for the same `indices`, in
+    order: read from a `PolyMap`'s table, and for every other map from one
+    table of a single `_slices` call about the origin, so the maps share its
+    grid and scale.  The maps must share (n, m), or ValueError is raised before
+    any evaluation; each index is checked by `multiindex.as_multiindex_of` and
+    their largest degree by `multiindex.check_order`, on both routes."""
+    fs, n = _one_shape(fs, "origin_coefficients")
+    indices = [mi.as_multiindex_of(a, n) for a in indices]
+    if not indices:
+        return [{} for _ in fs]
+    order = mi.check_order(max(sum(a) for a in indices))
+    quad = [f for f in fs if not isinstance(f, PolyMap)]
+    if quad:
+        tables = iter(_slices(quad, None, order))
+        at = [_plan(n, order).readout[a][0] for a in indices]
+    out = []
+    for f in fs:
+        if isinstance(f, PolyMap):
+            out.append({a: f.coefficient(a) for a in indices})
+        else:
+            table = next(tables)
+            out.append({a: table[i] for a, i in zip(indices, at)})
+    return out
+
+
 def taylor_coefficients(f: HoloMap, indices) -> dict:
     """Taylor coefficients a_alpha = d^alpha f(0) / alpha! at the origin for
     each alpha in `indices`: read from a `PolyMap`'s table, otherwise from one
-    slice table.  Each index is checked by `multiindex.as_multiindex_of` and
-    their largest degree by `multiindex.check_order`, on both routes."""
-    indices = [mi.as_multiindex_of(a, f.n) for a in indices]
-    if not indices:
-        return {}
-    order = mi.check_order(max(sum(a) for a in indices))
-    if isinstance(f, PolyMap):
-        return {a: f.coefficient(a) for a in indices}
-    [table], readout = _slices([f], None, order), _plan(f.n, order).readout
-    return {a: table[readout[a][0]] for a in indices}
+    slice table; the one-map case of `origin_coefficients`, which checks the
+    indices and their order on both routes."""
+    [coefficients] = origin_coefficients([f], indices)
+    return coefficients
 
 
 @lru_cache(maxsize=None)
@@ -207,11 +252,7 @@ def partial_bundles(fs, z, max_order: int) -> list[dict]:
     ValueError is raised before any evaluation; the order is checked by
     `multiindex.check_order` and z by `holomap.as_ball_point`."""
     max_order = mi.check_order(max_order)
-    fs = list(fs)
-    shapes = {(f.n, f.m) for f in fs}
-    if len(shapes) != 1:
-        raise ValueError(f"partial_bundles needs maps of one (n, m), got {sorted(shapes)}")
-    [(n, _)] = shapes
+    fs, n = _one_shape(fs, "partial_bundles")
     z = as_ball_point(z, n)
     alphas = mi.enumerate_up_to(n, max_order)
     quad = [f for f in fs if not isinstance(f, PolyMap)]

@@ -117,8 +117,13 @@ class ExtremalOriginMap(HoloMap):
         self._c = complex(hermitian_inner(self.av, self.a0)) / (1.0 - a02)
 
     def _eval(self, z):
+        # one output column per codomain coordinate: bitwise a0 + av * q[..., None], without the broadcast
         zv = _monomial(z, self.v)
-        return self.a0 + self.av * (zv / (1.0 + self._c * zv))[..., None]
+        q = zv / (1.0 + self._c * zv)
+        out = np.empty(q.shape + (self.m,), dtype=complex)
+        for j in range(self.m):
+            out[..., j] = self.a0[j] + self.av[j] * q
+        return out
 
     def describe(self) -> str:
         return f"extremal-origin(v={self.v}, |a0|={math.sqrt(sq_norm(self.a0)):.3f})"

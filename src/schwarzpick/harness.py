@@ -500,17 +500,16 @@ def _origin_extremals(config, rng):
 def _rigid(config, rng):
     """Off-lattice Taylor-coefficient vanishing (rigidity of the extremal shape) of scalar origin-extremal
     maps, on the scale of the coefficient bound, as ExtremalOriginMap checks its equality condition."""
+    grid = [(i, v, a0_abs) for i, v in enumerate(((1, 1), (2, 1), (2, 2))) for a0_abs in (0.3, 0.7)]
+    fs = [_extremal_origin(rng, 1, a0_abs, v) for _, v, a0_abs in grid]
     draws = []
-    for i, v in enumerate(((1, 1), (2, 1), (2, 2))):
-        for a0_abs in (0.3, 0.7):
-            f = _extremal_origin(rng, 1, a0_abs, v)
-            table = cauchy.taylor_coefficients(f, mi.enumerate_up_to(f.n, 8))
-            lattice = {tuple(j * x for x in v) for j in range(0, 9)}
-            worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
-            worst /= mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
-            sample = f"rigid-{i}{int(a0_abs * 10):02d}"
-            draws.append((f, certificate_record(config.suite, sample, "off-lattice-vanishing", measured=worst,
-                                                slack=config.tol - worst, k_or_v=_k_or_v(None, v)), ()))
+    for (i, v, a0_abs), f, table in zip(grid, fs, cauchy.origin_coefficients(fs, mi.enumerate_up_to(2, 8))):
+        lattice = {tuple(j * x for x in v) for j in range(0, 9)}
+        worst = max(float(np.linalg.norm(c)) for alpha, c in table.items() if alpha not in lattice)
+        worst /= mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
+        sample = f"rigid-{i}{int(a0_abs * 10):02d}"
+        draws.append((f, certificate_record(config.suite, sample, "off-lattice-vanishing", measured=worst,
+                                            slack=config.tol - worst, k_or_v=_k_or_v(None, v)), ()))
     return draws
 
 

@@ -533,6 +533,53 @@ class TestCheckRequests:
                 for got, want in zip(bounds.check_columns(points), rows, strict=True):
                     _same_row(got, want)
 
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 2), (3, 3)])
+    def test_origin_rows_of_mixed_orders_are_bitwise_their_lone_rows(self, monkeypatch, n, m):
+        # the equality suite's origin-extremal grid (every |v| <= 4, |a0| in {0, 0.3, 0.7}) with a
+        # polynomial map and its wrapped twin, 3.1 and Parseval rows mixed in: the batch takes one
+        # origin_coefficients call per order, and each row is bitwise its request's row alone
+        rng = np.random.default_rng(10 * n + m)
+        points = []
+        for v in mi.enumerate_up_to(n, 4, include_zero=False):
+            for a0_abs in (0.0, 0.3, 0.7):
+                f = harness._extremal_origin(rng, m, a0_abs, v)
+                points.append(bounds.Point(f, None, None, [("3.2", {"v": v})]))
+        beta = unit(rng, n)
+        f = geometry.extremal_origin_from_direction(0.3 * unit(rng, m), unit(rng, m), (1,) * n)
+        points.append(bounds.Point(f, None, None, [("3.1", {"beta": beta, "k": 2}), ("3.2", {"v": (1,) * n}),
+                                                   ("parseval-torus", {"beta": beta, "k": 3})]))
+        poly = random_polymap(n, m, 3, seed=n + m)
+        for g in (poly, OpaqueMap(poly)):
+            points.append(bounds.Point(g, None, None, [("3.1", {"beta": beta, "k": k}) for k in (1, 2, 3)]
+                                       + [("3.2", {"v": (2,) + (0,) * (n - 1)}),
+                                          ("parseval-slice", {"beta": beta, "k": 3})]))
+        calls = []
+        batched = cauchy.origin_coefficients
+
+        def counted(fs, indices):
+            calls.append(max(map(sum, indices)))
+            return batched(fs, indices)
+
+        monkeypatch.setattr(cauchy, "origin_coefficients", counted)
+        rows = bounds.check_columns(points)
+        assert sorted(calls) == [1, 2, 3, 4]
+        assert len(rows) == sum(len(point.requests) for point in points)
+        want = [bounds.check_inequality(f, name, **kwargs) for f, _, _, requests, _ in points
+                for name, kwargs in requests]
+        for got, alone in zip(rows, want, strict=True):
+            _same_row(got, alone)
+
+    @pytest.mark.parametrize("opaque", [False, True], ids=["poly", "slices"])
+    def test_map_leaving_the_ball_at_the_origin_raises_in_a_batch(self, opaque):
+        rng = np.random.default_rng(3)
+        outside = PolyMap(2, 2, {(0, 0): [0.6, 0.81], (1, 1): [0.1, 0.0]})  # |f(0)| > 1
+        points = [bounds.Point(harness._extremal_origin(rng, 2, 0.3, v), None, None, [("3.2", {"v": v})])
+                  for v in [(1, 0), (1, 1), (2, 1)]]
+        points.insert(1, bounds.Point(OpaqueMap(outside) if opaque else outside, None, None,
+                                      [("3.2", {"v": (1, 1)})]))
+        with pytest.raises(MapDomainError, match=r"f\(0\) must lie strictly inside the unit ball"):
+            bounds.check_columns(points)
+
     def test_context_checked_before_any_derivative_work(self, monkeypatch):
         def no_derivative(*args):
             raise AssertionError("derivative work started before every context was checked")

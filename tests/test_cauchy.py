@@ -423,6 +423,59 @@ class TestBundles:
         assert counter.calls == {}
 
 
+class TestOriginCoefficients:
+    @pytest.mark.parametrize("n, orders, ms", [(1, range(9), (1, 2, 3, 4)), (2, range(9), (1, 2, 3, 4)),
+                                               (3, range(9), (1, 2, 3, 4)), (4, (0, 1, 2, 4, 8), (1, 4))])
+    def test_tables_are_bitwise_the_one_map_tables(self, n, orders, ms):
+        # every family of each (n, m), polynomial maps mixed in, at orders up to 8 (at n = 4, m = 1 and 4
+        # hold every family of m = 2 and 3); each map's coefficients are bitwise its one-map
+        # taylor_coefficients and its read-out of the unplanned table
+        for m in ms:
+            maps = family_maps(n, m)
+            for order in orders:
+                alphas = mi.enumerate_up_to(n, order)
+                batch = cauchy.origin_coefficients(maps, alphas)
+                assert len(batch) == len(maps)
+                for f, got in zip(maps, batch):
+                    alone = cauchy.taylor_coefficients(f, alphas)
+                    table = None if isinstance(f, PolyMap) else unplanned_slices(f, np.zeros(n), order)
+                    assert list(got) == list(alone) == alphas
+                    for alpha in alphas:
+                        want = f.coefficient(alpha) if table is None else table[(sum(alpha),) + alpha[1:]]
+                        assert got[alpha].tobytes() == alone[alpha].tobytes() == want.tobytes(), (m, order, alpha)
+
+    def test_each_map_is_evaluated_once_on_one_read_only_grid(self, monkeypatch):
+        counter = EvalCounter(monkeypatch)
+        maps = [CountingMap(f) for f in family_maps(2, 1)]
+        cauchy.origin_coefficients(maps + [random_polymap(2, 1, 3, seed=1)], [(0, 0), (2, 1), (0, 3)])
+        assert counter.calls == {id(f): 1 for f in maps}
+        grid = cauchy._origin_grid(2, 3).reshape(-1, 2)
+        for f in maps:
+            [points] = f.points
+            assert points.tobytes() == grid.tobytes() and not points.flags.writeable
+
+    def test_origin_scale_is_built_once_per_shape(self):
+        scale = cauchy._origin_scale(3, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            scale.flat[0] = 0.0
+        assert cauchy._origin_scale(3, 4) is scale
+        want = cauchy.slice_radius(np.zeros(3)) ** cauchy._plan(3, 4).powers
+        assert scale.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shapes", [[(2, 1), (2, 2)], [(2, 1), (3, 1)], []])
+    def test_maps_of_different_shapes_rejected_before_any_evaluation(self, shapes, monkeypatch):
+        counter = EvalCounter(monkeypatch)
+        maps = [OpaqueMap(random_polymap(n, m, 2, seed=1)) for n, m in shapes]
+        with pytest.raises(ValueError, match="origin_coefficients needs maps of one"):
+            cauchy.origin_coefficients(maps, [(1, 0)])
+        assert counter.calls == {}
+
+    def test_no_indices_give_an_empty_table_per_map(self, monkeypatch):
+        counter = EvalCounter(monkeypatch)
+        assert cauchy.origin_coefficients(family_maps(2, 1), []) == [{}] * len(family_maps(2, 1))
+        assert counter.calls == {}
+
+
 ROUTES = [random_polymap(2, 2, 3, seed=7), OpaqueMap(random_polymap(2, 2, 3, seed=7))]
 
 

@@ -153,6 +153,24 @@ class TestExtremalOrigin:
             zv = holomap._monomials(holomap._power_table(z, max(v)), np.array([v]))[:, 0]
             assert f.eval(z).tobytes() == (f.a0 + f.av * (zv / (1.0 + f._c * zv))[:, None]).tobytes(), v
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_columns_are_bitwise_the_broadcast_formula(self, n):
+        # one output column per codomain coordinate, on a slice grid and on scattered points
+        rng = np.random.default_rng(30 + n)
+        grid = cauchy._origin_grid(n, 4)
+        scattered = np.array([0.95 * unit(rng, n) * rng.uniform() for _ in range(300)])
+        for m in (1, 2, 3, 4):
+            for v in mi.enumerate_up_to(n, 4, include_zero=False)[::3]:
+                for a0_abs in (0.0, 0.3, 0.7):
+                    a0 = a0_abs * unit(rng, m) if a0_abs else np.zeros(m)
+                    f = geometry.extremal_origin_from_direction(a0, unit(rng, m), v)
+                    for z in (grid, scattered):
+                        zv = holomap._monomial(z, f.v)
+                        want = f.a0 + f.av * (zv / (1.0 + f._c * zv))[..., None]
+                        got = f.eval(z)
+                        assert got.shape == want.shape == z.shape[:-1] + (m,)
+                        assert got.tobytes() == want.tobytes(), (m, v, a0_abs)
+
     def test_violated_equality_condition_rejected(self):
         with pytest.raises(MapDomainError):
             geometry.ExtremalOriginMap(np.zeros(2), np.array([0.5, 0.0]), (1, 1))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schwarzpick import bounds, cli, geometry, harness
+from schwarzpick import bounds, cauchy, cli, geometry, harness
 from schwarzpick.harness import (
     ConfigError,
     Report,
@@ -237,6 +237,30 @@ class TestSuites:
         assert ext
         assert min(abs(r["slack"]) for r in ext) <= 1e-10
         assert report.summary["failure_count"] == 0
+
+    def test_origin_suite_with_more_domain_than_codomain_dimensions(self, monkeypatch):
+        # at n > m no tensor power fits, so no prop-* sample; the ext-* maps share the polynomial
+        # samples' origin tables, one origin_coefficients call per order
+        calls = []
+        batched = cauchy.origin_coefficients
+
+        def counted(fs, indices):
+            calls.append((max(map(sum, indices)), len(fs)))
+            return batched(fs, indices)
+
+        monkeypatch.setattr(cauchy, "origin_coefficients", counted)
+        cfg = SuiteConfig(suite="origin", n=3, m=2, samples=2)
+        report = run_suite(cfg)
+        prefixes = {r["sample"].split("-")[0] for r in report.records}
+        assert prefixes == {"poly", "ext"}
+        assert {r["inequality"] for r in report.records} == set(expected_ids("origin", cfg.m))
+        assert report.summary["failure_count"] == 0
+        ext = [r for r in report.records if r["sample"].startswith("ext-")]
+        assert len(ext) == cfg.samples and {r["inequality"] for r in ext} == {"3.2"}
+        assert all(abs(r["ratio"] - r["predicted"]) <= cfg.tol * r["predicted"] for r in ext)
+        orders = [order for order, _ in calls]
+        assert len(orders) == len(set(orders)) and max(orders) == cfg.k_max
+        assert sum(count for _, count in calls) > len(calls)
 
     def test_noise_level_negative_slack_flagged_tight(self):
         cfg = SuiteConfig(suite="main", n=2, m=2, samples=4, degree=3, k_max=2, seed=5)

@@ -36,6 +36,13 @@ def test_every_rhs_has_a_mutant_and_rhs_main_a_second():
     assert sorted(targets) == sorted(names + ["rhs_main"])
 
 
+def test_a_label_names_its_factor_at_a_small_eps():
+    # "{:g}" rounds 1 + 1e-6 to six digits, which read "x 1"
+    labels = list(mutation_probe.mutants(bounds, 1e-6))
+    assert "rhs_disk x 1.000001" in labels and "rhs_main x 1.000001 at k >= 2" in labels
+    assert all(" x 1.000001" in label for label in labels)
+
+
 def test_a_mutant_scales_every_field_from_its_order_on():
     assert mutation_probe.scaled(bounds.rhs_partial, 2.0)((1, 1), 0.5, 0.75) == tuple(
         2.0 * x for x in bounds.rhs_partial((1, 1), 0.5, 0.75))

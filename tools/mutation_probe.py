@@ -52,9 +52,9 @@ def scaled(fn, factor: float, min_order: int = 0):
 def mutants(bounds, eps: float) -> dict[str, tuple[str, object]]:
     """{label: (attribute of `bounds`, its mutant)}: every `rhs_*` times
     1 + eps, and `rhs_main` times 1 + eps at k >= 2 only."""
-    out = {f"{name} x {1 + eps:g}": (name, scaled(getattr(bounds, name), 1 + eps))
+    out = {f"{name} x {1 + eps:.12g}": (name, scaled(getattr(bounds, name), 1 + eps))
            for name in sorted(vars(bounds)) if name.startswith("rhs_") and callable(getattr(bounds, name))}
-    out[f"rhs_main x {1 + eps:g} at k >= 2"] = ("rhs_main", scaled(bounds.rhs_main, 1 + eps, min_order=2))
+    out[f"rhs_main x {1 + eps:.12g} at k >= 2"] = ("rhs_main", scaled(bounds.rhs_main, 1 + eps, min_order=2))
     return out
 
 
