@@ -6,13 +6,12 @@ from .bounds import check_inequality
 from .geometry import (AutomorphismMap, ExtremalK1Map, ExtremalOriginMap, Remark2Map, Remark3Map,
                        Remark4Map, bergman_metric)
 from .harness import Report, SuiteConfig, run_suite
-from .holomap import ComposedMap, HoloMap, LineMap, PolyMap, random_polymap
+from .holomap import HoloMap, LineMap, PolyMap, random_polymap
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AutomorphismMap",
-    "ComposedMap",
     "ExtremalK1Map",
     "ExtremalOriginMap",
     "HoloMap",

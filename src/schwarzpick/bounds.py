@@ -163,10 +163,10 @@ _LHS = {
 }
 
 
-# A derivative table and the scalars its rows share: f(z) (a0 at the origin, w
-# at a pinned point), q, q2, rq (the two roundings of 1-|f|^2 differ in the last
-# bit; rq reads the pinned |w|), |f| (or the pinned |w|), and for a table
-# at z also |z|, |z_1| and the lift and metric lists of rhs_main per direction.
+# A derivative table and the scalars its rows share: f(z) (a0 at the origin),
+# q, q2, rq (the two roundings of 1-|f|^2 differ in the last bit), |f|, and for
+# a table at z also |z|, |z_1| and the lift and metric lists of rhs_main per
+# direction.
 _Table = namedtuple("_Table", "table fz q q2 rq fz_norm t t1 lift metric", defaults=(None,) * 4)
 
 
@@ -261,27 +261,23 @@ class Point(NamedTuple):
     z         the point, or None when every request reads the origin
     bundle    the partials of f at z, or None to compute them
     requests  (id, {"beta": ..., "k": ..., "v": ...}) pairs
-    pin       None, or (w, |w|) for a map pinned to f(z) = w: the left sides
-              read f(z) = w and the right sides 1-|w|^2 from the given |w|,
-              not from the norm of w, which may differ in the last bit
     """
 
     f: HoloMap
     z: object
     bundle: dict | None
     requests: list
-    pin: tuple | None = None
 
 
 def _points(points) -> tuple[list[tuple], list[tuple], list]:
     """Check that the maps share (n, m) and every context of every point: one
     (_Request, point, direction index or None) row per request; per point f,
-    z, bundle, pin and, when a request reads z, |z|, |z_1| and rhs_main's
+    z, bundle and, when a request reads z, |z|, |z_1| and rhs_main's
     factors by direction b, H_z(b,b) and
     lift = 1 + |<b,z>| / ((1-|z|^2)|b|^2 + |<b,z>|^2)^(1/2), as columns over
     the point's directions; and the checked directions."""
     rows, pts, betas, lift, metric = [], [], [], {}, {}
-    for p, (f, z, bundle, requests, pin) in enumerate(points):
+    for p, (f, z, bundle, requests) in enumerate(points):
         if p == 0:
             n, m = f.n, f.m
         elif (f.n, f.m) != (n, m):
@@ -318,16 +314,13 @@ def _points(points) -> tuple[list[tuple], list[tuple], list]:
                 pivot = (1.0 - z2) * b2 + ip * ip
                 lift.update(enumerate((1.0 + ip / np.sqrt(pivot)).tolist(), start))
                 metric.update(enumerate((pivot / (1.0 - z2) ** 2).tolist(), start))
-        pts.append((f, z, bundle, (math.sqrt(z2), abs(complex(z[0])), lift, metric) if at_z else None, pin))
+        pts.append((f, z, bundle, (math.sqrt(z2), abs(complex(z[0])), lift, metric) if at_z else None))
     return rows, pts, betas
 
 
-def _table(table: dict, n: int, scalars, pin) -> _Table:
-    if pin is None:
-        fz = table[(0,) * n]
-        fz_norm = float(np.linalg.norm(fz))
-    else:
-        fz, fz_norm = pin
+def _table(table: dict, n: int, scalars) -> _Table:
+    fz = table[(0,) * n]
+    fz_norm = float(np.linalg.norm(fz))
     fz2 = float(sq_norm(fz))
     if not (fz2 < 1.0 and fz_norm < 1.0):  # every bound assumes f maps into the ball; NaN fails too
         at = "0" if scalars is None else "z"
@@ -358,7 +351,7 @@ def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list,
     orders: dict[tuple, list] = {}
     tables, gs, reads = [], [], []
     for i, (r, p, d) in enumerate(rows):
-        f, z, bundle, scalars, pin = pts[p]
+        f, z, bundle, scalars = pts[p]
         key = (p, r.origin, r.order if r.origin or bundle is None else None)
         if key not in groups:
             if r.origin:
@@ -366,7 +359,7 @@ def _derivative(rows: list[tuple], pts: list[tuple], betas: list) -> tuple[list,
             else:
                 table = bundle if bundle is not None else cauchy.partial_bundle(f, z, r.order)
             groups[key] = len(tables)
-            tables.append(_table(table, n, None if r.origin else scalars, pin))
+            tables.append(_table(table, n, None if r.origin else scalars))
         gs.append(groups[key])
         if d is None:
             reads.append(i)

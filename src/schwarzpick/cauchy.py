@@ -37,11 +37,11 @@ picks the route:
 A `PolyMap` is differentiated exactly through its coefficient table, the
 ground truth the quadrature is validated against; every other map goes
 through one slice table.  The order-k directional derivative D_k has two
-routes: `frechet_from_bundle` sums a bundle's partials, and
-`line_derivative` reads one slice table of `LineMap`, the one-variable
-restriction to the line normalised to the unit disk, the domain of every map.  They share the trapezoid DFT but
-neither their points nor their assembly; `route_gap` measures how far they
-disagree.
+routes: `degree_sum` over a bundle's order-k partials, weighted by
+k!/alpha!, and `line_derivative`, which reads one slice table of `LineMap`,
+the one-variable restriction to the line normalised to the unit disk, the
+domain of every map.  They share the trapezoid DFT but neither their points
+nor their assembly; `route_gap` measures how far they disagree.
 """
 from __future__ import annotations
 
@@ -283,14 +283,6 @@ def _degree_terms(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     exponents = np.array(alphas, dtype=np.int64).reshape(len(alphas), n)
     weights.flags.writeable = exponents.flags.writeable = False
     return weights, exponents
-
-
-def frechet_from_bundle(bundle: dict, beta, k: int, n: int) -> np.ndarray:
-    """Assemble the order-k directional derivative from a bundle of partials:
-
-    D_k(f, z, beta) = sum over |alpha| = k of (k!/alpha!) d^alpha f(z) beta^alpha.
-    """
-    return degree_sum(np.array([bundle[alpha] for alpha in mi.enumerate_indices(n, k)]), beta, k, n, weighted=True)
 
 
 def degree_sum(values, beta, k: int, n: int, weighted: bool = False) -> np.ndarray:

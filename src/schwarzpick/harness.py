@@ -461,7 +461,12 @@ def _origin_extremal(config, rng, s):
     orders = mi.enumerate_up_to(config.n, min(config.k_max, 4), include_zero=False)
     v = orders[int(rng.integers(len(orders)))]
     f = _extremal_origin(rng, config.m, float(rng.choice([0.0, 0.3, 0.7])), v)
-    return _labelled(f"ext-{s:04d}", f, [bounds.Point(f, None, None, [("3.2", {"v": v})])], {"3.2"})
+    return _coefficient_case(f"ext-{s:04d}", f, v)
+
+
+def _coefficient_case(sample, f, v):
+    """The draw of f's 3.2 record at v, an equality case."""
+    return _labelled(sample, f, [bounds.Point(f, None, None, [("3.2", {"v": v})])], {"3.2"})
 
 
 def _tensor_power(config, rng):
@@ -487,10 +492,10 @@ def _origin_extremals(config, rng):
     grid = [(v, a0_abs) for v in mi.enumerate_up_to(config.n, 4, include_zero=False) for a0_abs in (0.0, 0.3, 0.7)]
     for idx, (v, a0_abs) in enumerate(grid):
         f = _extremal_origin(rng, config.m, a0_abs, v)
-        draws += _labelled(f"ext-{idx:04d}", f, [bounds.Point(f, None, None, [("3.2", {"v": v})])], {"3.2"})
+        draws += _coefficient_case(f"ext-{idx:04d}", f, v)
     if config.n == 2:
         f = geometry.linear_plus_square_map()
-        draws += _labelled("remark-example", f, [bounds.Point(f, None, None, [("3.2", {"v": (1, 0)})])], {"3.2"})
+        draws += _coefficient_case("remark-example", f, (1, 0))
         off_form = float(np.linalg.norm(f.coefficient((0, 2))))
         draws.append((f, certificate_record(config.suite, "remark-example", "off-shape-coefficient", measured=off_form,
                                             slack=off_form - config.tol, k_or_v=_k_or_v(None, (0, 2))), ()))
@@ -544,10 +549,7 @@ def _sweep(family, config, rng):
     order = min(config.k_max, 4)
     requests = [(SWEEP_FAMILIES[family], {"k": k} if family == "remark2" else {"v": (k,) + (0,) * (config.n - 1)})
                 for k in range(1, order + 1)]
-    # one point per (xi, |w|): one partial bundle serves every k, and the maps of one xi
-    # share one slice grid.  The bounds take the pinned |f(xi)| = |w|, not norm(f(xi)):
-    # they differ in the last bit at a quarter of the points, which (1-|w|^2)^2 scales to
-    # 2e-11 relative in `ratio` at |w| = 0.99999, flipping `tight` flags
+    # one point per (xi, |w|): one partial bundle serves every k; the maps of one xi share one slice grid
     draws = []
     for xi_abs in (0.25, 0.5, 0.75):
         z = np.zeros(config.n, dtype=complex)  # n = 1 for remark2
@@ -555,13 +557,13 @@ def _sweep(family, config, rng):
         ws = [w_abs * w_dir for w_abs in config.radii]
         fs = [geometry.Remark2Map(z[0], w) if family == "remark2" else geometry.Remark4Map(z[0], w, n=config.n)
               for w in ws]
-        for f, w, w_abs, bundle in zip(fs, ws, config.radii, cauchy.partial_bundles(fs, z, order)):
+        for f, w_abs, bundle in zip(fs, config.radii, cauchy.partial_bundles(fs, z, order)):
             predicted = [sweep_prediction(k, xi_abs, w_abs) for k in range(1, order + 1)]
             # a sample's map is left at the final |w|, the map a failing sample names
             labels = [(f"{family}-k{k}-x{xi_abs:.2f}", {"family": family, "w_abs": w_abs, "xi_abs": xi_abs,
                                                         "predicted": p, "predicted_modulus": math.sqrt(p)})
                       for k, p in enumerate(predicted, 1)]
-            draws.append((f, bounds.Point(f, z, bundle, requests, (np.atleast_1d(w), w_abs)), labels))
+            draws.append((f, bounds.Point(f, z, bundle, requests), labels))
     return draws
 
 

@@ -199,9 +199,9 @@ class HoloMap:
 class PolyMap(HoloMap):
     """Sparse polynomial map: f(z) = sum_alpha a_alpha z^alpha with a_alpha in C^m.
 
-    Absent keys are zero coefficients.  `certificate_sum() <= 1` is a
-    sufficient condition for the image to stay inside the closed unit ball;
-    generators produce a strict margin.
+    Absent keys are zero coefficients.  sum_alpha |a_alpha| <= 1 (Euclidean
+    norms) is a sufficient condition for the image to stay inside the closed
+    unit ball; `random_polymap` produces a strict margin.
     """
 
     kind = "poly"
@@ -222,10 +222,6 @@ class PolyMap(HoloMap):
 
     def coefficient(self, alpha) -> np.ndarray:
         return self.coeffs.get(mi.as_multiindex_of(alpha, self.n), np.zeros(self.m, dtype=complex))
-
-    def certificate_sum(self) -> float:
-        """sum_alpha |a_alpha| (Euclidean norms); <= 1 certifies membership."""
-        return float(sum(np.linalg.norm(c) for c in self.coeffs.values()))
 
     def _partial_rows(self, alphas) -> list[tuple]:
         """Exponent and coefficient matrices of the order-alpha partial for each
@@ -283,27 +279,6 @@ class PolyMap(HoloMap):
 
     def describe(self) -> str:
         return f"poly(n={self.n}, m={self.m}, deg={self.max_degree}, terms={len(self.coeffs)})"
-
-
-class ComposedMap(HoloMap):
-    """An outer ball automorphism phi_a applied to an inner holomorphic map."""
-
-    kind = "composed"
-
-    def __init__(self, a, inner: HoloMap):
-        a = as_ball_point(a)
-        if a.shape[0] != inner.m:
-            raise MapDomainError(f"automorphism dimension {a.shape[0]} does not match codomain {inner.m}")
-        self.a = a
-        self.inner_map = inner
-        self.n = inner.n
-        self.m = inner.m
-
-    def _eval(self, z):
-        return mobius_point(self.a, self.inner_map._eval(z))
-
-    def describe(self) -> str:
-        return f"composed(|a|={np.linalg.norm(self.a):.3f}, inner={self.inner_map.describe()})"
 
 
 class LineMap(HoloMap):

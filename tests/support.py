@@ -23,6 +23,27 @@ class OpaqueMap(HoloMap):
         return self.inner._eval(z)
 
 
+class Composition(HoloMap):
+    """outer after inner: a map of no closed-form class that the derivative
+    layer takes through the slices; values are outer's of inner's, bitwise."""
+
+    kind = "composed"
+
+    def __init__(self, outer, inner):
+        self.outer, self.inner, self.n, self.m = outer, inner, inner.n, outer.m
+
+    def _eval(self, z):
+        return self.outer._eval(self.inner._eval(z))
+
+
+def frechet_sum(bundle: dict, beta, k: int, n: int) -> np.ndarray:
+    """The first route to D_k(f, z, beta) = sum over |alpha| = k of
+    (k!/alpha!) d^alpha f(z) beta^alpha: `cauchy.degree_sum`, weighted, over
+    the order-k partials of a bundle."""
+    return cauchy.degree_sum(np.array([bundle[alpha] for alpha in mi.enumerate_indices(n, k)]), beta, k, n,
+                             weighted=True)
+
+
 def unplanned_slices(f, z, order: int) -> np.ndarray:
     """The slice table of `cauchy._slices` computed without a plan: the
     directions, the circle and both DFT matrices are built in the call.

@@ -19,7 +19,7 @@ from schwarzpick.harness import (
     run_suite,
 )
 from schwarzpick.holomap import random_polymap
-from support import OpaqueMap, aj_coefficients, quadratic_form, remark3_derivative
+from support import OpaqueMap, aj_coefficients, frechet_sum, quadratic_form, remark3_derivative
 
 
 def _report(num: int, description: str, ok: bool, detail: str) -> None:
@@ -173,7 +173,7 @@ def test_criterion_04_oracle_agreement():
         z = random_ball_point(rng, n, 0.7)
         for k in (1, 2, 3, 4, 5):
             beta = random_unit_vector(rng, n)
-            gap = cauchy.route_gap(cauchy.frechet_from_bundle(cauchy.partial_bundle(g, z, k), beta, k, n),
+            gap = cauchy.route_gap(frechet_sum(cauchy.partial_bundle(g, z, k), beta, k, n),
                                    cauchy.line_derivative(g, z, beta, k))
             worst_gap = max(worst_gap, gap)
             contexts += 1

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from schwarzpick import bounds, cauchy, geometry, harness
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import ComposedMap, MapDomainError, PolyMap, hermitian_inner, random_polymap, sq_norm
-from support import OpaqueMap, aj_coefficients, identity_polymap, quadratic_form, remark3_derivative
+from schwarzpick.holomap import MapDomainError, PolyMap, hermitian_inner, random_polymap, sq_norm
+from support import Composition, OpaqueMap, aj_coefficients, identity_polymap, quadratic_form, remark3_derivative
 
 
 def unit(rng, dim):
@@ -445,10 +445,10 @@ def _directional(bundle, beta, k, n):
     return acc
 
 
-def _reference(f, ineq, z, bundle, pin=None, beta=None, k=None, v=None):
+def _reference(f, ineq, z, bundle, beta=None, k=None, v=None):
     """(lhs, rhs) of one request from scalar formulas, with |z| or |z_1|,
     1-|f(z)|^2 (or |a0|), the direction's factors and D_k derived here from z
-    and the bundle; a pin (w, |w|) stands for f(z) (or a0) and its norm."""
+    and the bundle."""
     zero = (0,) * f.n
     k = 1 if ineq == "1.3" else k
     beta = None if beta is None else np.asarray(beta, dtype=complex)
@@ -466,12 +466,12 @@ def _reference(f, ineq, z, bundle, pin=None, beta=None, k=None, v=None):
     if ineq in ("3.1", "3.2"):
         indices = mi.enumerate_indices(f.n, k) if ineq == "3.1" else [v]
         coeffs = cauchy.taylor_coefficients(f, [zero] + indices)
-        a0, a0_abs = pin or (coeffs[zero], float(np.linalg.norm(coeffs[zero])))
+        a0, a0_abs = coeffs[zero], float(np.linalg.norm(coeffs[zero]))
         if ineq == "3.1":
             d = sum(coeffs[a] * np.prod(beta ** np.array(a)) for a in indices)
             return quadratic_form(d, a0), bounds.rhs_origin(a0_abs)
         return quadratic_form(coeffs[v], a0), mi.sharpness_factor(v) * bounds.rhs_origin(a0_abs)
-    fz, fz_abs = pin or (bundle[zero], float(np.linalg.norm(bundle[zero])))
+    fz, fz_abs = bundle[zero], float(np.linalg.norm(bundle[zero]))
     q = 1.0 - fz_abs ** 2
     if ineq in ("1.3", "1.4"):
         d = _directional(bundle, beta, k, f.n)
@@ -499,10 +499,10 @@ class TestCheckRequests:
     @pytest.mark.parametrize("opaque", [False, True], ids=["poly", "slices"])
     @pytest.mark.parametrize("ineq", bounds.INEQUALITY_IDS)
     def test_batch_equals_single_requests(self, ineq, opaque):
-        # for m = 1..4, three points over two maps (one near the boundary) plus a pinned copy of
-        # the first, and batches that repeat a direction, an order or a v: each row of a one-point
-        # batch, and each row of one batch over all the points, is bitwise the lone request's row,
-        # check_inequality's report (unpinned points) and the scalar oracle's
+        # for m = 1..4, three points over two maps (one near the boundary), and batches that repeat
+        # a direction, an order or a v: each row of a one-point batch, and each row of one batch
+        # over all the points, is bitwise the lone request's row, check_inequality's report and
+        # the scalar oracle's
         row = bounds._BOUNDS[ineq]
         n = 1 if row.n1 else 2
         rng = np.random.default_rng(22)
@@ -516,19 +516,17 @@ class TestCheckRequests:
                     f = maps[i % 2]
                     points.append(bounds.Point(f, z, cauchy.partial_bundle(f, z, 3) if bundled else None,
                                                _requests(ineq, n, rng)))
-                points.append(points[0]._replace(pin=(0.7 * unit(rng, m), 0.7)))
                 rows = []
-                for f, z, bundle, requests, pin in points:
-                    batch = bounds.check_columns([bounds.Point(f, z, bundle, requests, pin)])
+                for f, z, bundle, requests in points:
+                    batch = bounds.check_columns([bounds.Point(f, z, bundle, requests)])
                     assert len(batch) == len(requests)
                     for (name, kwargs), got in zip(requests, batch):
-                        [alone] = bounds.check_columns([bounds.Point(f, z, bundle, [(name, kwargs)], pin)])
+                        [alone] = bounds.check_columns([bounds.Point(f, z, bundle, [(name, kwargs)])])
                         _same_row(got, alone)
-                        if pin is None:
-                            _same_row(got, bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs))
+                        _same_row(got, bounds.check_inequality(f, name, z=z, bundle=bundle, **kwargs))
                         order = got.k or sum(got.v)
                         own = bundle if bundle is not None else cauchy.partial_bundle(f, z, order)
-                        assert (got.lhs, got.rhs) == _reference(f, name, z, own, pin, **kwargs)
+                        assert (got.lhs, got.rhs) == _reference(f, name, z, own, **kwargs)
                     rows += batch
                 for got, want in zip(bounds.check_columns(points), rows, strict=True):
                     _same_row(got, want)
@@ -564,7 +562,7 @@ class TestCheckRequests:
         rows = bounds.check_columns(points)
         assert sorted(calls) == [1, 2, 3, 4]
         assert len(rows) == sum(len(point.requests) for point in points)
-        want = [bounds.check_inequality(f, name, **kwargs) for f, _, _, requests, _ in points
+        want = [bounds.check_inequality(f, name, **kwargs) for f, _, _, requests in points
                 for name, kwargs in requests]
         for got, alone in zip(rows, want, strict=True):
             _same_row(got, alone)
@@ -806,7 +804,7 @@ class TestUniversalSoundness:
             random_polymap(2, 2, 4, seed=1),
             random_polymap(2, 1, 4, seed=2),
             geometry.AutomorphismMap(0.5 * unit(rng, 2)),
-            ComposedMap(0.4 * unit(rng, 2), random_polymap(2, 2, 3, seed=3)),
+            Composition(geometry.AutomorphismMap(0.4 * unit(rng, 2)), random_polymap(2, 2, 3, seed=3)),
             geometry.extremal_origin_from_direction(0.3 * unit(rng, 2), unit(rng, 2), (1, 1)),
             geometry.Remark3Map(0.45, 0.5, (1, 1)),
             geometry.Remark4Map(0.45, 0.6, n=2),

@@ -6,9 +6,9 @@ import pytest
 
 from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import (ComposedMap, HoloMap, MapDomainError, PolyMap, hermitian_inner, random_polymap,
+from schwarzpick.holomap import (HoloMap, MapDomainError, PolyMap, hermitian_inner, random_polymap,
                                  sq_norm)
-from support import OpaqueMap, identity_polymap, jacobian, unplanned_slices
+from support import Composition, OpaqueMap, frechet_sum, identity_polymap, jacobian, unplanned_slices
 
 
 def sample_ball(rng, n, radius):
@@ -18,7 +18,7 @@ def sample_ball(rng, n, radius):
 
 def summed(f, z, beta, k):
     """D_k(f, z, beta) by the multi-index sum over the partial bundle."""
-    return cauchy.frechet_from_bundle(cauchy.partial_bundle(f, z, k), beta, k, f.n)
+    return frechet_sum(cauchy.partial_bundle(f, z, k), beta, k, f.n)
 
 
 class TestPartialDerivative:
@@ -79,7 +79,8 @@ class TestTaylorCoefficient:
         assert np.linalg.norm(cauchy.taylor_coefficients(OpaqueMap(f), [(1, 1)])[(1, 1)]) < 1e-14
 
     @pytest.mark.parametrize("f", [random_polymap(2, 2, 3, seed=7),
-                                   ComposedMap(np.array([0.3, 0.1j]), random_polymap(2, 2, 3, seed=7))],
+                                   Composition(geometry.AutomorphismMap(np.array([0.3, 0.1j])),
+                                               random_polymap(2, 2, 3, seed=7))],
                              ids=["poly", "composed"])
     @pytest.mark.parametrize("index", [(1,), (1, 0, 0)], ids=["short", "long"])
     def test_index_of_wrong_length_rejected_on_both_routes(self, f, index):
@@ -140,7 +141,7 @@ class TestFrechetDerivative:
                 for alpha in alphas:
                     term = bundle[alpha] * (mi.multinomial_weight(alpha) * np.prod(beta ** np.array(alpha)))
                     acc = term if acc is None else acc + term
-                assert cauchy.frechet_from_bundle(bundle, beta, k, n).tobytes() == acc.tobytes()
+                assert frechet_sum(bundle, beta, k, n).tobytes() == acc.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stacked_directions_are_bitwise_one_at_a_time(self, n):
@@ -158,7 +159,7 @@ class TestFrechetDerivative:
                     assert stacked[row].tobytes() == alone.tobytes()
                     if weighted:
                         bundle = dict(zip(alphas, values[row]))
-                        assert alone.tobytes() == cauchy.frechet_from_bundle(bundle, beta, k, n).tobytes()
+                        assert alone.tobytes() == frechet_sum(bundle, beta, k, n).tobytes()
 
     def test_routes_agree_and_gap_recorded(self):
         rng = np.random.default_rng(23)
@@ -340,7 +341,7 @@ def family_maps(n: int, m: int) -> list:
         maps.append(geometry.Remark2Map(0.4j, sample_ball(rng, m, 0.99)))
     if m == 1:
         maps += [geometry.Remark3Map(0.3, 0.2j, (1,) * n), geometry.Remark4Map(-0.5, 0.999j, n=n)]
-    return maps + [ComposedMap(sample_ball(rng, m, 0.6), poly), OpaqueMap(poly), poly]
+    return maps + [Composition(geometry.AutomorphismMap(sample_ball(rng, m, 0.6)), poly), OpaqueMap(poly), poly]
 
 
 def read_out(f, z, order: int) -> dict:

@@ -6,8 +6,8 @@ import pytest
 
 from schwarzpick import cauchy, geometry, holomap
 from schwarzpick import multiindex as mi
-from schwarzpick.holomap import ComposedMap, MapDomainError, random_polymap
-from support import jacobian, remark2_derivative, remark3_derivative, remark4_derivative
+from schwarzpick.holomap import MapDomainError, random_polymap
+from support import Composition, jacobian, remark2_derivative, remark3_derivative, remark4_derivative
 
 
 def unit(rng, dim):
@@ -319,7 +319,7 @@ class TestRemarkFamilies:
     lambda: geometry.Remark3Map(0.5, np.nan, (1, 1)),
     lambda: geometry.Remark4Map(complex(np.nan, 0.0), 0.5),
     lambda: geometry.Remark4Map(0.5, np.nan),
-    lambda: ComposedMap([np.nan, 0.0], random_polymap(2, 2, 2, seed=1)),
+    lambda: Composition(geometry.AutomorphismMap([np.nan, 0.0]), random_polymap(2, 2, 2, seed=1)),
     lambda: geometry.ExtremalOriginMap([np.nan, 0.0], [0.5, 0.0], (1, 1)),
     lambda: geometry.ExtremalK1Map([np.nan, 0.0], [0.0, 0.0], np.eye(2)),
 ], ids=["remark2-xi", "remark2-w", "remark3-xi", "remark3-w", "remark4-xi", "remark4-w", "composed-a",

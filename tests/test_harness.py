@@ -19,13 +19,15 @@ from schwarzpick.harness import (
     replay_sample,
     run_suite,
 )
-from schwarzpick.holomap import ComposedMap, PolyMap
+from schwarzpick.holomap import PolyMap
 
-from support import record_lines, report_from_json, summarize
+from support import Composition, record_lines, report_from_json, summarize
 from support import report_json as dumps  # the reference bytes of a JSON report
 
 
 SMALL = dict(samples=2, degree=3, k_max=2)
+#: The benchmark's 33-point |w| ladder from 0.9 to 0.99999, geometric in 1 - |w|.
+LADDER = tuple(float(f"{1 - 0.1 * 10 ** (-4 * i / 32):.10g}") for i in range(33))
 
 
 def same(a, b) -> bool:
@@ -65,7 +67,7 @@ def test_nan_makes_the_summary_nan_in_any_order(values):
                                          ("origin", 2, 2), ("equality", 2, 2), ("equality", 3, 3),
                                          ("sharpness", 2, 2)])
 def test_reports_do_not_depend_on_how_requests_are_batched(monkeypatch, suite, n, m):
-    # the sharpness sweeps batch every map of a family, each point pinned
+    # the sharpness sweeps batch every map of a family
     cfg = SuiteConfig(suite=suite, n=n, m=m, seed=7, **SMALL)
     batched = [report.to_json() for report in reports(cfg)]
     check = bounds.check_columns
@@ -380,6 +382,36 @@ class TestSharpnessSweep:
         self.family_rejected_before(monkeypatch, "sharpness", "partial_bundles")
 
     @pytest.mark.parametrize("family", ["remark2", "remark4"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_records_are_their_requests_checked_alone(self, family, dim, monkeypatch):
+        # a sweep point is an ordinary point: f(xi) and |f(xi)| come from its bundle, so every
+        # record is bitwise check_inequality at xi on that bundle, taken from one partial_bundles
+        # call over the maps of its xi (remark2 runs at m = dim, remark4 at n = dim)
+        draws, records = [], harness._records
+
+        def kept(config, batch):
+            draws.extend(batch)
+            return records(config, batch)
+
+        monkeypatch.setattr(harness, "_records", kept)
+        cfg = SuiteConfig(suite="sharpness", n=dim, m=dim, k_max=4, seed=42, family=family, radii=LADDER)
+        report = run_suite(cfg)
+        by_xi = {}
+        for draw in draws:
+            by_xi.setdefault(draw[1].z.tobytes(), []).append(draw)
+        want = {}
+        for group in by_xi.values():
+            z = group[0][1].z
+            for (f, point, labels), bundle in zip(group, cauchy.partial_bundles([f for f, _, _ in group], z, 4)):
+                for (ineq, kwargs), (sample, fields) in zip(point.requests, labels, strict=True):
+                    row = bounds.check_inequality(f, ineq, z=z, bundle=bundle, **kwargs)
+                    want[sample, fields["w_abs"]] = tuple(map(float.hex, (row.lhs, row.rhs, row.ratio)))
+        got = {(r["sample"], r["w_abs"]): tuple(map(float.hex, (r["lhs"], r["rhs"], r["ratio"])))
+               for r in report.records if r["kind"] == "bound"}
+        assert len(by_xi) == 3 and len(got) == 3 * len(LADDER) * 4
+        assert got == want
+
+    @pytest.mark.parametrize("family", ["remark2", "remark4"])
     def test_the_maps_of_one_point_share_one_bundles_call(self, family, monkeypatch):
         calls, bundles = [], harness.cauchy.partial_bundles
 
@@ -528,7 +560,7 @@ class TestFailureIsolation:
         # one failure listed as PolyMap JSON, one by its description
         cfg = SuiteConfig(suite="main", n=2, m=2, **SMALL)
         bad = self.bad_map()
-        maps = {"poly-0000": bad, "composed-0000": ComposedMap(np.zeros(2), bad)}
+        maps = {"poly-0000": bad, "composed-0000": Composition(geometry.AutomorphismMap(np.zeros(2)), bad)}
         draws = [draw for sample, f in maps.items()
                  for draw in harness._labelled(sample, f, harness._main_points(cfg, harness._rng(cfg.seed, 0, 0), f))]
         records, _ = harness._records(cfg, draws)

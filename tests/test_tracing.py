@@ -21,6 +21,7 @@ RETIRED = {
     "schwarzpick.cauchy.coefficient_table",
     "schwarzpick.cauchy.partial_derivative",
     "schwarzpick.cauchy.frechet_derivative",
+    "schwarzpick.cauchy.frechet_from_bundle",
     "PolyMap.partial",
     "LineMap.eval",
     "schwarzpick.cli.equality_suite",
