@@ -16,15 +16,12 @@ exactly, because alpha_2..alpha_n <= K.  The radius r is RADIUS_FRACTION of the 
 uniform polytorus about z inside the ball, so every slice point lies on that
 polytorus; the error is spectrally small because the integrand is analytic.
 Everything but r, z and the map values depends on (n, K) alone and is built
-once per (n, K), on first use.  At the origin r depends on n alone, so an
-origin table reads its points and the powers r^-k from a per-(n, K) grid and
-scale, built together on first use and kept apart from the plan, which
-`partial_bundle` also reads.  Maps differentiated at one point share the
+once per (n, K), on first use.  Maps differentiated at one point share the
 rest as well: the points, r and its powers are built once per point, each
 map is evaluated and transformed on its own, and each table is read out into
-its partials by one fancy index, cached per (n, K), and one factorial
-multiply.  The origin tables of a batch of maps come from one slice call per
-order in the same way.
+its partials by one fancy index and one factorial multiply.  The origin
+tables of a batch of maps are the tables about z = 0 of one slice call per
+order.
 
 The derivative layer has one entry point per purpose, and the map's type
 picks the route:
@@ -67,20 +64,15 @@ NODES = 128
 GAP_FLOOR = 1e-8
 
 
-def max_uniform_radius(z) -> float:
-    """Largest r such that the uniform polytorus of radius r about z stays
-    inside the unit ball: solves sum_j (|z_j| + r)^2 = 1."""
+def slice_radius(z) -> float:
+    """Radius of the slice circles about z: RADIUS_FRACTION of the largest r
+    such that the uniform polytorus of radius r about z stays inside the
+    unit ball, the root of sum_j (|z_j| + r)^2 = 1."""
     az = np.abs(as_ball_point(z))
     s = float(az.sum())
     z2 = float((az ** 2).sum())
     n = az.shape[0]
-    return (-s + math.sqrt(s * s + n * (1.0 - z2))) / n
-
-
-def slice_radius(z) -> float:
-    """Radius of the slice circles about z: RADIUS_FRACTION of the largest
-    uniform polytorus about z inside the ball."""
-    return RADIUS_FRACTION * max_uniform_radius(z)
+    return RADIUS_FRACTION * ((-s + math.sqrt(s * s + n * (1.0 - z2))) / n)
 
 
 class _Plan(NamedTuple):
@@ -88,11 +80,9 @@ class _Plan(NamedTuple):
     alone, as read-only arrays: the phase-grid directions, the unit circle
     of the nodes, the node and phase DFT matrices, the exponents -k of the
     radius, the axis order that brings each phase axis to the front for its
-    DFT and the order of the final transpose, and per alpha with |alpha| <= K
-    its table index and alpha!.  The points and radius powers of an origin
-    table are not part of it: they come from `_origin_grid` and
-    `_origin_scale`, built only for the (n, K) that `origin_coefficients`
-    asks for."""
+    DFT and the order of the final transpose, and the one read-out of every
+    alpha with |alpha| <= K: their table indexes as one fancy index, their
+    alpha! as a float column, and each alpha's row in that read-out."""
 
     beta: np.ndarray       # (K+1,)*(n-1) + (n,)
     unit: np.ndarray       # e^(2 pi i t / NODES), shape (NODES,) + (1,)*n
@@ -101,13 +91,16 @@ class _Plan(NamedTuple):
     powers: np.ndarray     # -k, shape (K+1,) + (1,)*n
     moves: tuple           # per phase axis, the transpose putting it first
     axes: tuple
-    readout: Mapping       # alpha -> (table index, alpha!)
+    index: tuple           # per table axis, the index of each alpha
+    factorials: np.ndarray  # alpha!, shape (len(alphas), 1)
+    rows: Mapping          # alpha -> its row of table[index]
 
 
 @lru_cache(maxsize=None)
 def _plan(n: int, order: int) -> _Plan:
     """The plan of every slice table of dimension n and order `order`, built
-    on first use; `_slices` reads it in place of rebuilding its parts."""
+    on first use; `_slices` and the read-outs of its tables use it in place
+    of rebuilding its parts."""
     grid = order + 1
     phases = np.exp(2j * np.pi * np.arange(grid) / grid)
     beta = np.stack([np.ones((grid,) * (n - 1))]
@@ -117,59 +110,31 @@ def _plan(n: int, order: int) -> _Plan:
     node_dft = np.exp(-2j * np.pi * np.outer(ks, np.arange(NODES)) / NODES) / NODES
     phase_dft = np.exp(-2j * np.pi * np.outer(ks, ks) / grid) / grid
     powers = (-ks.astype(float)).reshape((grid,) + (1,) * n)
-    for array in (beta, unit, node_dft, phase_dft, powers):
-        array.flags.writeable = False
     moves = tuple((axis,) + tuple(i for i in range(n + 1) if i != axis) for axis in range(1, n))
-    readout = {alpha: ((sum(alpha),) + alpha[1:], mi.multiindex_factorial(alpha))
-               for alpha in mi.enumerate_up_to(n, order)}
+    alphas = mi.enumerate_up_to(n, order)
+    index = tuple(np.array(axis) for axis in zip(*((sum(a),) + a[1:] for a in alphas)))
+    factorials = np.array([mi.multiindex_factorial(a) for a in alphas], dtype=float).reshape(-1, 1)
+    for array in (beta, unit, node_dft, phase_dft, powers, factorials) + index:
+        array.flags.writeable = False
     return _Plan(beta, unit, node_dft, phase_dft, powers, moves, tuple(range(n))[::-1] + (n,),
-                 MappingProxyType(readout))
-
-
-@lru_cache(maxsize=None)
-def _origin_grid(n: int, order: int) -> np.ndarray:
-    """The slice points of every origin table of dimension n and order
-    `order`, shape (NODES,) + (order+1,)*(n-1) + (n,), as a read-only array:
-    z = 0 fixes the radius at slice_radius(0), so the points depend on
-    (n, order) alone.  Built on first use by the expression `_slices` uses
-    about any other z, so an origin table is bitwise the table about z = 0."""
-    origin, plan = np.zeros(n), _plan(n, order)
-    points = origin + (slice_radius(origin) * plan.unit) * plan.beta
-    points.flags.writeable = False
-    return points
-
-
-@lru_cache(maxsize=None)
-def _origin_scale(n: int, order: int) -> np.ndarray:
-    """The powers slice_radius(0) ** -k that scale every origin table of
-    dimension n and order `order`, as a read-only array built on first use
-    beside `_origin_grid`, by the expression `_slices` uses about any other z."""
-    scale = slice_radius(np.zeros(n)) ** _plan(n, order).powers
-    scale.flags.writeable = False
-    return scale
+                 index, factorials, MappingProxyType({a: row for row, a in enumerate(alphas)}))
 
 
 def _slices(fs: list, z, order: int) -> list[np.ndarray]:
-    """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! about z (about
-    the origin when z is None) of each map f of `fs`, maps of one dimension n,
-    for every |alpha| <= order, as one table[|alpha|, alpha_2, ..., alpha_n] of
-    shape (order+1,)*n + (m,) per map, from NODES * (order+1)^(n-1) slice
-    values.  The maps share everything but their values: the points, the
-    radius and its powers are built once per call from `_plan(n, order)`, and
-    about the origin read from `_origin_grid` and `_origin_scale`, built once
-    per (n, order).  Each map is evaluated through
+    """Local Taylor coefficients c_alpha = d^alpha f(z) / alpha! about z of
+    each map f of `fs`, maps of one dimension n, for every |alpha| <= order,
+    as one table[|alpha|, alpha_2, ..., alpha_n] of shape (order+1,)*n + (m,)
+    per map, from NODES * (order+1)^(n-1) slice values.  The maps share
+    everything but their values: the points, the radius and its powers are
+    built once per call from `_plan(n, order)`.  Each map is evaluated through
     its own `eval`, and each DFT axis of its table is one `np.dot` on the table
     moved to 2-D, the call `np.tensordot` makes, so every table is bitwise the
     one-map `tensordot` table."""
     if NODES < 2 * order + 2:
         raise mi.CapacityError(f"node count {NODES} cannot resolve derivative order {order}")
-    n = fs[0].n
-    plan = _plan(n, order)
-    if z is None:
-        points, scale = _origin_grid(n, order), _origin_scale(n, order)
-    else:
-        r = slice_radius(z)
-        points, scale = z + (r * plan.unit) * plan.beta, r ** plan.powers
+    plan = _plan(fs[0].n, order)
+    r = slice_radius(z)
+    points, scale = z + (r * plan.unit) * plan.beta, r ** plan.powers
     tables = []
     for f in fs:
         values = f.eval(points)
@@ -200,10 +165,10 @@ def _one_shape(fs, name: str) -> tuple[list, int]:
 def origin_coefficients(fs, indices) -> list[dict]:
     """`taylor_coefficients` of each map of `fs` for the same `indices`, in
     order: read from a `PolyMap`'s table, and for every other map from one
-    table of a single `_slices` call about the origin, so the maps share its
-    grid and scale.  The maps must share (n, m), or ValueError is raised before
-    any evaluation; each index is checked by `multiindex.as_multiindex_of` and
-    their largest degree by `multiindex.check_order`, on both routes."""
+    table of a single `_slices` call about z = 0, so the maps share its
+    points and radius.  The maps must share (n, m), or ValueError is raised
+    before any evaluation; each index is checked by `multiindex.as_multiindex_of`
+    and their largest degree by `multiindex.check_order`, on both routes."""
     fs, n = _one_shape(fs, "origin_coefficients")
     indices = [mi.as_multiindex_of(a, n) for a in indices]
     if not indices:
@@ -211,15 +176,16 @@ def origin_coefficients(fs, indices) -> list[dict]:
     order = mi.check_order(max(sum(a) for a in indices))
     quad = [f for f in fs if not isinstance(f, PolyMap)]
     if quad:
-        tables = iter(_slices(quad, None, order))
-        at = [_plan(n, order).readout[a][0] for a in indices]
+        tables = iter(_slices(quad, np.zeros(n, dtype=complex), order))
+        plan = _plan(n, order)
+        rows = [plan.rows[a] for a in indices]
     out = []
     for f in fs:
         if isinstance(f, PolyMap):
             out.append({a: f.coefficient(a) for a in indices})
         else:
-            table = next(tables)
-            out.append({a: table[i] for a, i in zip(indices, at)})
+            readout = next(tables)[plan.index]
+            out.append({a: readout[row] for a, row in zip(indices, rows)})
     return out
 
 
@@ -230,19 +196,6 @@ def taylor_coefficients(f: HoloMap, indices) -> dict:
     indices and their order on both routes."""
     [coefficients] = origin_coefficients([f], indices)
     return coefficients
-
-
-@lru_cache(maxsize=None)
-def _bundle_readout(n: int, order: int) -> tuple[tuple, np.ndarray]:
-    """The table indexes of the alphas with |alpha| <= order, in the order of
-    `_plan(n, order).readout`, as one fancy index, and their alpha! as a
-    float column, as read-only arrays: a bundle is one read-out of its table."""
-    readout = _plan(n, order).readout
-    index = tuple(np.array(axis) for axis in zip(*(at for at, _ in readout.values())))
-    factorials = np.array([factorial for _, factorial in readout.values()], dtype=float).reshape(-1, 1)
-    for array in index + (factorials,):
-        array.flags.writeable = False
-    return index, factorials
 
 
 def partial_bundles(fs, z, max_order: int) -> list[dict]:
@@ -258,10 +211,10 @@ def partial_bundles(fs, z, max_order: int) -> list[dict]:
     quad = [f for f in fs if not isinstance(f, PolyMap)]
     if quad:
         tables = iter(_slices(quad, z, max_order))
-        index, factorials = _bundle_readout(n, max_order)
+        plan = _plan(n, max_order)
     bundles = []
     for f in fs:
-        values = f.partial_values(z, alphas) if isinstance(f, PolyMap) else next(tables)[index] * factorials
+        values = f.partial_values(z, alphas) if isinstance(f, PolyMap) else next(tables)[plan.index] * plan.factorials
         bundles.append(dict(zip(alphas, values)))
     return bundles
 

@@ -277,9 +277,6 @@ class PolyMap(HoloMap):
         }
         return cls(payload["n"], payload["m"], coeffs)
 
-    def describe(self) -> str:
-        return f"poly(n={self.n}, m={self.m}, deg={self.max_degree}, terms={len(self.coeffs)})"
-
 
 class LineMap(HoloMap):
     """One-variable restriction lambda -> f(z0 + lambda * radius * beta),

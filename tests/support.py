@@ -44,17 +44,25 @@ def frechet_sum(bundle: dict, beta, k: int, n: int) -> np.ndarray:
                              weighted=True)
 
 
-def unplanned_slices(f, z, order: int) -> np.ndarray:
-    """The slice table of `cauchy._slices` computed without a plan: the
-    directions, the circle and both DFT matrices are built in the call.
-    The planned table must equal it bitwise."""
-    r = cauchy.slice_radius(z)
+def slice_points(z, order: int) -> np.ndarray:
+    """The points of the slice table of order `order` about z, of shape
+    (NODES,) + (order+1,)*(n-1) + (n,), built without a plan: the circle of
+    `cauchy.slice_radius(z)` times each phase-grid direction, about z."""
+    n = len(z)
     grid = order + 1
     phases = np.exp(2j * np.pi * np.arange(grid) / grid)
-    beta = np.stack([np.ones((grid,) * (f.n - 1))]
-                    + list(np.meshgrid(*[phases] * (f.n - 1), indexing="ij")), axis=-1)
-    circle = r * np.exp(2j * np.pi * np.arange(cauchy.NODES) / cauchy.NODES)
-    values = f.eval(z + circle.reshape((cauchy.NODES,) + (1,) * f.n) * beta)
+    beta = np.stack([np.ones((grid,) * (n - 1))]
+                    + list(np.meshgrid(*[phases] * (n - 1), indexing="ij")), axis=-1)
+    circle = cauchy.slice_radius(z) * np.exp(2j * np.pi * np.arange(cauchy.NODES) / cauchy.NODES)
+    return z + circle.reshape((cauchy.NODES,) + (1,) * n) * beta
+
+
+def unplanned_slices(f, z, order: int) -> np.ndarray:
+    """The slice table of `cauchy._slices` computed without a plan: the
+    points and both DFT matrices are built in the call.  The planned table
+    must equal it bitwise."""
+    r, grid = cauchy.slice_radius(z), order + 1
+    values = f.eval(slice_points(z, order))
     ks = np.arange(grid)
     center = values.mean(axis=0)
     table = np.tensordot(np.exp(-2j * np.pi * np.outer(ks, np.arange(cauchy.NODES)) / cauchy.NODES) / cauchy.NODES,

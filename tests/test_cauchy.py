@@ -8,7 +8,8 @@ from schwarzpick import cauchy, geometry
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import (HoloMap, MapDomainError, PolyMap, hermitian_inner, random_polymap,
                                  sq_norm)
-from support import Composition, OpaqueMap, frechet_sum, identity_polymap, jacobian, unplanned_slices
+from support import (Composition, OpaqueMap, frechet_sum, identity_polymap, jacobian, slice_points,
+                     unplanned_slices)
 
 
 def sample_ball(rng, n, radius):
@@ -274,25 +275,33 @@ class TestSlices:
         assert np.allclose(np.abs(points - z), cauchy.slice_radius(z), rtol=1e-12, atol=0)
 
 
+class TestSliceRadius:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_bitwise_its_formula(self, n):
+        # RADIUS_FRACTION times the root r of sum_j (|z_j| + r)^2 = 1, rounded in this order: every
+        # slice point and every power r^-k read these bits (at n = 3 the order F * (x / n) matters
+        # on the axis, at the generic point and at |z| = 0.99)
+        rng = np.random.default_rng(52 + n)
+        g = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        for z in (np.zeros(n), 0.25 * np.eye(n)[0], 0.6 * g[0], 0.99 * g[1]):
+            a = np.abs(z)
+            s, z2 = float(a.sum()), float((a ** 2).sum())
+            want = cauchy.RADIUS_FRACTION * ((-s + math.sqrt(s * s + n * (1.0 - z2))) / n)
+            assert cauchy.slice_radius(z) == want, z
+
+
 class TestPlan:
     @pytest.mark.parametrize("n, orders", [(1, range(9)), (2, range(9)), (3, range(9)), (4, range(5))])
     def test_slices_are_bitwise_the_unplanned_table(self, n, orders):
+        # the last point is the origin, whose table taylor_coefficients reads out
         f = geometry.AutomorphismMap(np.full(n, 0.3 / math.sqrt(n)) * np.exp(1j * np.arange(n)))
         u = np.exp(-0.7j * np.arange(n)) / math.sqrt(n)
         for order in orders:
-            for radius in (0.0, 0.5, 0.9, 0.99):
-                z = radius * u
+            for z in [radius * u for radius in (0.0, 0.5, 0.9, 0.99)] + [np.zeros(n)]:
                 [planned], unplanned = cauchy._slices([f], z, order), unplanned_slices(f, z, order)
                 assert planned.shape == unplanned.shape == (order + 1,) * n + (n,)
-                assert planned.tobytes() == unplanned.tobytes(), f"order {order}, |z| = {radius}"
-
-    @pytest.mark.parametrize("n, orders", [(1, range(9)), (2, range(9)), (3, range(9)), (4, range(5))])
-    def test_origin_tables_are_bitwise_the_unplanned_table(self, n, orders):
-        # an origin table reads its points from the cached grid, not from z = 0
-        f = geometry.AutomorphismMap(np.full(n, 0.3 / math.sqrt(n)) * np.exp(1j * np.arange(n)))
-        for order in orders:
-            unplanned = unplanned_slices(f, np.zeros(n), order)
-            assert cauchy._slices([f], None, order)[0].tobytes() == unplanned.tobytes(), f"order {order}"
+                assert planned.tobytes() == unplanned.tobytes(), f"order {order}, z = {z}"
             alphas = mi.enumerate_up_to(n, order)
             coeffs = cauchy.taylor_coefficients(f, alphas)
             for alpha in alphas:
@@ -300,19 +309,12 @@ class TestPlan:
 
     def test_plan_arrays_are_read_only(self):
         plan = cauchy._plan(3, 2)
-        arrays = [getattr(plan, name) for name in ("beta", "unit", "node_dft", "phase_dft", "powers")]
-        for array in arrays + [cauchy._origin_grid(3, 2)]:
+        arrays = [getattr(plan, name) for name in ("beta", "unit", "node_dft", "phase_dft", "powers", "factorials")]
+        for array in arrays + list(plan.index):
             with pytest.raises(ValueError, match="read-only"):
-                array.flat[0] = 0.0
+                array.flat[0] = 0
         with pytest.raises(TypeError):
-            plan.readout[(0, 0, 0)] = ((0, 0, 0), 1)
-
-    def test_partial_bundle_builds_no_origin_grid(self):
-        # the grid serves taylor_coefficients alone, even for a bundle about z = 0
-        before = cauchy._origin_grid.cache_info()
-        for n in (1, 2, 3):
-            cauchy.partial_bundle(OpaqueMap(random_polymap(n, 2, 3, seed=n)), np.zeros(n), 7)
-        assert cauchy._origin_grid.cache_info() == before
+            plan.rows[(0, 0, 0)] = 1
 
     def test_unresolvable_order_raises_before_a_plan_is_built(self):
         # order 64 is within MAX_DEGREE but needs 130 nodes
@@ -445,23 +447,15 @@ class TestOriginCoefficients:
                         want = f.coefficient(alpha) if table is None else table[(sum(alpha),) + alpha[1:]]
                         assert got[alpha].tobytes() == alone[alpha].tobytes() == want.tobytes(), (m, order, alpha)
 
-    def test_each_map_is_evaluated_once_on_one_read_only_grid(self, monkeypatch):
+    def test_each_map_is_evaluated_once_on_one_grid(self, monkeypatch):
         counter = EvalCounter(monkeypatch)
         maps = [CountingMap(f) for f in family_maps(2, 1)]
         cauchy.origin_coefficients(maps + [random_polymap(2, 1, 3, seed=1)], [(0, 0), (2, 1), (0, 3)])
         assert counter.calls == {id(f): 1 for f in maps}
-        grid = cauchy._origin_grid(2, 3).reshape(-1, 2)
+        grid = slice_points(np.zeros(2), 3).reshape(-1, 2)
         for f in maps:
             [points] = f.points
-            assert points.tobytes() == grid.tobytes() and not points.flags.writeable
-
-    def test_origin_scale_is_built_once_per_shape(self):
-        scale = cauchy._origin_scale(3, 4)
-        with pytest.raises(ValueError, match="read-only"):
-            scale.flat[0] = 0.0
-        assert cauchy._origin_scale(3, 4) is scale
-        want = cauchy.slice_radius(np.zeros(3)) ** cauchy._plan(3, 4).powers
-        assert scale.tobytes() == want.tobytes()
+            assert points.tobytes() == grid.tobytes()
 
     @pytest.mark.parametrize("shapes", [[(2, 1), (2, 2)], [(2, 1), (3, 1)], []])
     def test_maps_of_different_shapes_rejected_before_any_evaluation(self, shapes, monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 from schwarzpick import cauchy, geometry, holomap
 from schwarzpick import multiindex as mi
 from schwarzpick.holomap import MapDomainError, random_polymap
-from support import Composition, jacobian, remark2_derivative, remark3_derivative, remark4_derivative
+from support import (Composition, jacobian, remark2_derivative, remark3_derivative, remark4_derivative,
+                     slice_points)
 
 
 def unit(rng, dim):
@@ -157,7 +158,7 @@ class TestExtremalOrigin:
     def test_columns_are_bitwise_the_broadcast_formula(self, n):
         # one output column per codomain coordinate, on a slice grid and on scattered points
         rng = np.random.default_rng(30 + n)
-        grid = cauchy._origin_grid(n, 4)
+        grid = slice_points(np.zeros(n), 4)
         scattered = np.array([0.95 * unit(rng, n) * rng.uniform() for _ in range(300)])
         for m in (1, 2, 3, 4):
             for v in mi.enumerate_up_to(n, 4, include_zero=False)[::3]:

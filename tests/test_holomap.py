@@ -51,7 +51,7 @@ class TestEval:
         # nan >= 1 is False, so every inside-the-ball check is written as not (x < 1)
         z = np.array([np.nan, 0.0])
         checks = (lambda: identity_polymap(2).eval(z[None, :]), lambda: geometry.as_ball_point(z),
-                  lambda: cauchy.max_uniform_radius(z),
+                  lambda: cauchy.slice_radius(z),
                   lambda: LineMap(identity_polymap(2), np.zeros(2), np.ones(2)).eval(np.array([np.nan])))
         for check in checks:
             with pytest.raises(MapDomainError):
@@ -401,7 +401,10 @@ class TestSqNorm:
                 rows = holomap.sq_norm(stack)
                 singles = [holomap.sq_norm(row) for row in stack]
             assert all(type(single) is np.float64 for single in singles)
-            assert np.array(singles).tobytes() == rows.tobytes()
+            # a NaN's sign bit is not pinned: under a tracer the two paths can differ in it alone
+            singles, nan = np.array(singles), np.isnan(rows)
+            assert np.array_equal(np.isnan(singles), nan)
+            assert singles[~nan].tobytes() == rows[~nan].tobytes()
 
     def test_one_vector_of_another_type_keeps_its_numpy_type(self):
         assert holomap.sq_norm(np.array([3, 4])) == 25 and holomap.sq_norm(np.array([3, 4])).dtype == np.int64
